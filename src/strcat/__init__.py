@@ -67,7 +67,6 @@ from .quiver_core import (
 )
 from .strings import (
     Letter,
-    StringName,
     StringWord,
     add_cohook,
     add_hook,

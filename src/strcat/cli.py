@@ -17,10 +17,11 @@ import io
 import json
 import os
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import arquiver, deformation, homology, strings
+from . import arquiver, deformation, families, homology, strings
 from .errors import StrcatError
 from .quiver_core import (
     DEFAULT_PRIME,
@@ -37,10 +38,11 @@ EXIT_VERIFY = 4
 
 
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--family", choices=["ae1", "ae2", "ae3", "file"],
+    parser.add_argument("--family", choices=[*families.FAMILIES, "file"],
                         required=True)
+    bounds = ", ".join(f"{f.name}: m >= {f.m_min}" for f in families.FAMILIES.values())
     parser.add_argument("--m", type=int, default=None,
-                        help="family parameter (ae1/ae2: m >= 1, ae3: m >= 2)")
+                        help=f"family parameter ({bounds})")
     parser.add_argument("--prime", type=int, default=DEFAULT_PRIME)
     parser.add_argument("--seed", type=int, default=None,
                         help="randomization seed; STRCAT_SEED is the fallback")
@@ -106,10 +108,13 @@ def _build_algebra(args, parser) -> Algebra:
     if args.family == "file":
         if not args.spec:
             parser.error("--family file needs --spec")
-        return load_algebra_spec(args.spec)
+        try:
+            return load_algebra_spec(args.spec)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            parser.exit(EXIT_USAGE, f"error: cannot read --spec {args.spec}: {exc!r}\n")
     if args.m is None:
         parser.error(f"--family {args.family} needs --m")
-    low = 2 if args.family == "ae3" else 1
+    low = families.get(args.family).m_min
     if args.m < low:
         parser.error(f"--family {args.family} needs --m >= {low}")
     return build_family(args.family, args.m, args.prime)
@@ -130,14 +135,6 @@ def _resolve_module(args, algebra, text: str):
     return strings.canonical(word, algebra.quiver)
 
 
-def _emit(args, text: str):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _table(rows: list[list], header: list[str]) -> str:
     cells = [header] + [[str(c) for c in row] for row in rows]
     widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
@@ -146,16 +143,16 @@ def _table(rows: list[list], header: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+@dataclass
+class Result:
+    """A command's answer in each output format it has."""
 
-
-def _csv_text(rows: list[list], header: list[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+    payload: object              # --format json
+    header: list[str]            # --format csv
+    rows: list[list]
+    table: str                   # --format table
+    dot: str | None = None       # --format dot
+    reports: list | None = None  # classify's reports, which --verify reuses
 
 
 def _radical_series(rep: homology.Representation) -> list[dict[int, int]]:
@@ -181,8 +178,7 @@ def _radical_series(rep: homology.Representation) -> list[dict[int, int]]:
     return layers
 
 
-def cmd_algebra_info(args, parser) -> int:
-    algebra = _build_algebra(args, parser)
+def cmd_algebra_info(args, algebra: Algebra) -> Result:
     projectives = {}
     for v in algebra.quiver.vertices:
         P = indecomposable_projective(algebra, v)
@@ -204,27 +200,18 @@ def cmd_algebra_info(args, parser) -> int:
         "basis": [str(b) for b in algebra.basis],
         "projectives": projectives,
     }
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        rows = [[v, info["dim"], " | ".join(",".join(layer) for layer in
-                                            info["radical_series"])]
-                for v, info in projectives.items()]
-        _emit(args, _csv_text(rows, ["vertex", "proj_dim", "radical_series"]))
-    elif args.format == "dot":
-        parser.error("algebra info has no dot output")
-    else:
-        lines = [f"dim: {algebra.dim}",
-                 f"basis: {', '.join(str(b) for b in algebra.basis)}"]
-        for v, info in projectives.items():
-            layers = " | ".join(",".join(layer) for layer in info["radical_series"])
-            lines.append(f"P({v}): dim {info['dim']}, radical series {layers}")
-        _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    layers = {v: " | ".join(",".join(layer) for layer in info["radical_series"])
+              for v, info in projectives.items()}
+    lines = [f"dim: {algebra.dim}",
+             f"basis: {', '.join(str(b) for b in algebra.basis)}"]
+    lines += [f"P({v}): dim {info['dim']}, radical series {layers[v]}"
+              for v, info in projectives.items()]
+    return Result(payload, ["vertex", "proj_dim", "radical_series"],
+                  [[v, info["dim"], layers[v]] for v, info in projectives.items()],
+                  "\n".join(lines) + "\n")
 
 
-def cmd_strings(args, parser) -> int:
-    algebra = _build_algebra(args, parser)
+def cmd_strings(args, algebra: Algebra) -> Result:
     words = strings.enumerate_strings(algebra, args.length_cap)
     names = _names(args, algebra)
     rows = []
@@ -233,41 +220,23 @@ def cmd_strings(args, parser) -> int:
         rows.append([names.get(w, ""), w.literal(), w.length,
                      "(" + ",".join(map(str, rep.dim_vector())) + ")"])
     header = ["name", "string", "length", "dim_vector"]
-    if args.format == "json":
-        payload = [{"name": r[0] or None, "string": r[1], "length": r[2],
-                    "dim_vector": r[3]} for r in rows]
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        _emit(args, _csv_text(rows, header))
-    elif args.format == "dot":
-        parser.error("strings has no dot output")
-    else:
-        _emit(args, _table(rows, header))
-    return EXIT_OK
+    payload = [{"name": r[0] or None, "string": r[1], "length": r[2],
+                "dim_vector": r[3]} for r in rows]
+    return Result(payload, header, rows, _table(rows, header))
 
 
-def _pair_command(args, parser, compute, label: str) -> int:
-    algebra = _build_algebra(args, parser)
+def _pair_command(args, algebra: Algebra, compute, label: str) -> Result:
     ws = _resolve_module(args, algebra, args.source)
     wt = _resolve_module(args, algebra, args.target)
     M = strings.string_module(algebra, ws)
     N = strings.string_module(algebra, wt)
     dim = compute(M, N)
-    payload = {"source": args.source, "target": args.target, "dim": dim}
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        _emit(args, _csv_text([[args.source, args.target, dim]],
-                              ["source", "target", "dim"]))
-    elif args.format == "dot":
-        parser.error(f"{label} has no dot output")
-    else:
-        _emit(args, f"dim {label}({args.source}, {args.target}) = {dim}\n")
-    return EXIT_OK
+    return Result({"source": args.source, "target": args.target, "dim": dim},
+                  ["source", "target", "dim"], [[args.source, args.target, dim]],
+                  f"dim {label}({args.source}, {args.target}) = {dim}\n")
 
 
-def cmd_syzygy(args, parser) -> int:
-    algebra = _build_algebra(args, parser)
+def cmd_syzygy(args, algebra: Algebra) -> Result:
     seed = _resolve_seed(args)
     w = _resolve_module(args, algebra, args.module)
     rep = homology.omega_power(strings.string_module(algebra, w), args.n)
@@ -278,91 +247,105 @@ def cmd_syzygy(args, parser) -> int:
         idx = arquiver.match_node(algebra, rep, nodes, reps, seed=seed)
         names = _names(args, algebra)
         iso_name = names.get(nodes[idx], nodes[idx].literal())
-    payload = {"module": args.module, "n": args.n,
-               "dim_vector": list(rep.dim_vector()),
-               "isomorphic_to": iso_name}
-    if args.format == "json":
-        _emit(args, _json_text(payload))
-    elif args.format == "csv":
-        _emit(args, _csv_text([[args.module, args.n,
-                                "(" + ",".join(map(str, rep.dim_vector())) + ")",
-                                iso_name or ""]],
-                              ["module", "n", "dim_vector", "isomorphic_to"]))
-    elif args.format == "dot":
-        parser.error("syzygy has no dot output")
-    else:
-        _emit(args, f"Omega^{args.n}({args.module}) has dimension vector "
-                    f"{rep.dim_vector()}"
-                    + (f", isomorphic to {iso_name}\n" if iso_name else "\n"))
-    return EXIT_OK
+    dims = rep.dim_vector()
+    return Result({"module": args.module, "n": args.n, "dim_vector": list(dims),
+                   "isomorphic_to": iso_name},
+                  ["module", "n", "dim_vector", "isomorphic_to"],
+                  [[args.module, args.n, "(" + ",".join(map(str, dims)) + ")",
+                    iso_name or ""]],
+                  f"Omega^{args.n}({args.module}) has dimension vector {dims}"
+                  + (f", isomorphic to {iso_name}\n" if iso_name else "\n"))
 
 
-def cmd_arquiver(args, parser) -> int:
-    algebra = _build_algebra(args, parser)
+def cmd_arquiver(args, algebra: Algebra) -> Result:
     seed = _resolve_seed(args)
     q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=seed)
     names = _names(args, algebra)
-    if args.format == "dot":
-        _emit(args, arquiver.to_dot(q, names))
-    else:
-        def label(i):
-            return names.get(q.nodes[i], q.nodes[i].literal())
-        rows = sorted([label(s), label(t), kind] for s, t, kind in q.arrows)
-        tau_rows = sorted([label(i), label(q.tau[i])] for i in range(q.node_count))
-        if args.format == "json":
-            payload = {"nodes": sorted(label(i) for i in range(q.node_count)),
-                       "arrows": rows,
-                       "tau": tau_rows}
-            _emit(args, _json_text(payload))
-        elif args.format == "csv":
-            _emit(args, _csv_text(rows, ["source", "target", "kind"]))
-        else:
-            text = _table(rows, ["source", "target", "kind"])
-            text += "tau: " + ", ".join(f"{a}->{b}" for a, b in tau_rows) + "\n"
-            _emit(args, text)
-    return EXIT_OK
+
+    def label(i):
+        return names.get(q.nodes[i], q.nodes[i].literal())
+
+    header = ["source", "target", "kind"]
+    rows = sorted([label(s), label(t), kind] for s, t, kind in q.arrows)
+    tau_rows = sorted([label(i), label(q.tau[i])] for i in range(q.node_count))
+    payload = {"nodes": sorted(label(i) for i in range(q.node_count)),
+               "arrows": rows,
+               "tau": tau_rows}
+    table = (_table(rows, header)
+             + "tau: " + ", ".join(f"{a}->{b}" for a, b in tau_rows) + "\n")
+    return Result(payload, header, rows, table, dot=arquiver.to_dot(q, names))
 
 
-def cmd_classify(args, parser) -> int:
-    if args.family == "file":
-        parser.error("classify needs a built-in family")
-    algebra = _build_algebra(args, parser)
+def cmd_classify(args, algebra: Algebra) -> Result:
     seed = _resolve_seed(args)
     reports = deformation.classify(algebra, args.family, args.m, seed=seed)
-    if args.format == "json":
-        _emit(args, _json_text(deformation.reports_to_json(reports)))
-    elif args.format == "csv":
-        rows = [deformation.report_csv_row(r) for r in reports]
-        _emit(args, _csv_text(rows, deformation.CSV_COLUMNS))
-    elif args.format == "dot":
-        parser.error("classify has no dot output")
-    else:
-        rows = [[r.module, r.string, r.stable_endo_dim, r.ext1_dim, str(r.udr)]
-                for r in reports]
-        _emit(args, _table(rows, ["module", "string", "stable_endo", "ext1", "udr"]))
-    return EXIT_OK
+    rows = [[r.module, r.string, r.stable_endo_dim, r.ext1_dim, str(r.udr)]
+            for r in reports]
+    return Result(deformation.reports_to_json(reports), deformation.CSV_COLUMNS,
+                  [deformation.report_csv_row(r) for r in reports],
+                  _table(rows, ["module", "string", "stable_endo", "ext1", "udr"]),
+                  reports=reports)
 
 
-def run_verification(args, parser) -> list[str]:
-    """Agreement checks behind --verify: string counts, the classification
-    table, and the component shape.  Returns the list of problems."""
-    if args.family == "file":
-        parser.error("--verify needs a built-in family")
+# command -> (its name in messages, computes its Result, has dot output)
+COMMANDS = {
+    "algebra": ("algebra info", cmd_algebra_info, False),
+    "strings": ("strings", cmd_strings, False),
+    "hom": ("Hom", lambda a, alg: _pair_command(a, alg, homology.hom_dim, "Hom"),
+            False),
+    "ext": ("Ext1", lambda a, alg: _pair_command(a, alg, homology.ext1_dim, "Ext1"),
+            False),
+    "syzygy": ("syzygy", cmd_syzygy, False),
+    "arquiver": ("arquiver", cmd_arquiver, True),
+    "classify": ("classify", cmd_classify, False),
+}
+
+
+def run_command(args, parser) -> tuple[Algebra, Result]:
+    """Run the command and write its result in the --format asked for, to
+    --out or stdout.  A format the command lacks exits 2 before any work."""
+    label, compute, has_dot = COMMANDS[args.command]
+    if args.format == "dot" and not has_dot:
+        parser.error(f"{label} has no dot output")
     algebra = _build_algebra(args, parser)
+    result = compute(args, algebra)
+    if args.format == "json":
+        text = json.dumps(result.payload, indent=2, sort_keys=True) + "\n"
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([result.header, *result.rows])
+        text = buf.getvalue()
+    else:
+        text = result.dot if args.format == "dot" else result.table
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return algebra, result
+
+
+def run_verification(args, algebra: Algebra, reports) -> list[str]:
+    """Agreement checks behind --verify: string counts, the classification
+    table, and the component shape.  Returns the list of problems.
+
+    ``reports`` are the command's classification when it computed one
+    (else None, and the algebra is classified here).
+    """
+    fam = families.get(args.family)
     seed = _resolve_seed(args)
     problems: list[str] = []
-    expected_nodes = {"ae1": args.m, "ae2": 4 * args.m, "ae3": 4 * args.m}
+    nodes = fam.node_count(args.m)
     words = strings.enumerate_strings(algebra, args.length_cap)
-    if len(words) != expected_nodes[args.family]:
-        problems.append(f"string count {len(words)} != "
-                        f"{expected_nodes[args.family]}")
-    reports = deformation.classify(algebra, args.family, args.m, seed=seed)
+    if len(words) != nodes:
+        problems.append(f"string count {len(words)} != {nodes}")
+    if reports is None:
+        reports = deformation.classify(algebra, args.family, args.m, seed=seed)
     problems += deformation.verify_classification(reports, args.family, args.m)
     q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=seed)
-    if q.node_count != expected_nodes[args.family]:
-        problems.append(f"component node count {q.node_count} != "
-                        f"{expected_nodes[args.family]}")
-    if args.family == "ae1":
+    if q.node_count != nodes:
+        problems.append(f"component node count {q.node_count} != {nodes}")
+    if fam.tau_is_identity:
         if any(q.tau[i] != i for i in range(q.node_count)):
             problems.append("translate is not the identity")
     else:
@@ -374,34 +357,23 @@ def run_verification(args, parser) -> list[str]:
     return problems
 
 
-COMMANDS = {
-    "algebra": cmd_algebra_info,
-    "strings": cmd_strings,
-    "hom": lambda a, p: _pair_command(a, p, homology.hom_dim, "Hom"),
-    "ext": lambda a, p: _pair_command(a, p, homology.ext1_dim, "Ext1"),
-    "syzygy": cmd_syzygy,
-    "arquiver": cmd_arquiver,
-    "classify": cmd_classify,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.family == "file" and args.command == "classify":
+        parser.error("classify needs a built-in family")
+    if args.family == "file" and args.verify:
+        parser.error("--verify needs a built-in family")
     try:
-        handler = COMMANDS.get(args.command)
-        if handler is None:
-            parser.error(f"unknown command {args.command!r}")
-        code = handler(args, parser)
-        if code == EXIT_OK and args.verify:
-            problems = run_verification(args, parser)
-            if problems:
-                sys.stderr.write("\n".join(problems) + "\n")
-                return EXIT_VERIFY
-        return code
+        algebra, result = run_command(args, parser)
+        problems = run_verification(args, algebra, result.reports) if args.verify else []
     except StrcatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_COMPUTE
+    if problems:
+        sys.stderr.write("\n".join(problems) + "\n")
+        return EXIT_VERIFY
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -18,14 +18,20 @@ import numpy as np
 
 from . import linalg
 from .errors import AlgebraMismatch, StrcatError, ZeroModule
+from .quiver_core import indecomposable_projective, memoized
 
 
 class Representation:
-    """A module over a bound quiver algebra, stored vertexwise."""
+    """A module over a bound quiver algebra, stored vertexwise.
+
+    The dimensions and arrow matrices are fixed at construction; ``memo``
+    fills in with the projective cover and syzygy once they are computed.
+    """
 
     def __init__(self, algebra, dims: dict[int, int], mats: dict[str, np.ndarray],
                  check: bool = True):
         self.algebra = algebra
+        self.memo: dict = {}
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
         self.mats = {}
         for a in algebra.quiver.arrows:
@@ -59,7 +65,6 @@ class Representation:
             if source is None:
                 source = getattr(arrows, "source")
             return np.eye(self.dims[source], dtype=np.int64)
-        q = self.algebra.quiver
         mat = self.mats[names[0]]
         for name in names[1:]:
             mat = linalg.mat_mul(mat, self.mats[name], self.algebra.p)
@@ -148,10 +153,16 @@ class ModuleMap:
                 raise StrcatError(f"map is not a module map at arrow {a.name}")
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
-        """Composite: apply self first, then ``other``."""
-        if other.source is not self.target:
-            if other.source.dim_vector() != self.target.dim_vector():
-                raise StrcatError("maps do not compose")
+        """Composite: apply self first, then ``other``.
+
+        ``other`` must start at this map's target: the same module, or one
+        with the same dimensions and the same arrow matrices.
+        """
+        mid, tgt = other.source, self.target
+        if mid is not tgt and not (
+                mid.algebra is tgt.algebra and mid.dims == tgt.dims
+                and all(np.array_equal(mid.mats[a], tgt.mats[a]) for a in tgt.mats)):
+            raise StrcatError("maps do not compose")
         p = self.source.algebra.p
         blocks = {v: linalg.mat_mul(self.blocks[v], other.blocks[v], p)
                   for v in self.blocks}
@@ -315,15 +326,11 @@ def socle_dims(M: Representation) -> dict[int, int]:
 # -- covers and syzygies ---------------------------------------------------------
 
 
+@memoized
 def projective_cover(M: Representation) -> tuple[Representation, ModuleMap]:
     """The projective cover P -> M, with kernel inside rad P (verified)."""
-    from .quiver_core import indecomposable_projective
-
     if M.is_zero():
         raise ZeroModule("the zero module has no projective cover")
-    cached = getattr(M, "_cover_cache", None)
-    if cached is not None:
-        return cached
     alg = M.algebra
     p = alg.p
     generators: list[tuple[int, np.ndarray]] = []
@@ -366,21 +373,16 @@ def projective_cover(M: Representation) -> tuple[Representation, ModuleMap]:
             np.zeros((0, P.dims[v]), dtype=np.int64)
         if linalg.solve_in_rowspace(rad_rows, ker_rows, p) is None:
             raise StrcatError("cover kernel escapes the radical")
-    M._cover_cache = (P, epi)
     return P, epi
 
 
+@memoized
 def syzygy(M: Representation) -> Representation:
     """Kernel of the projective cover; zero for projective (or zero) input."""
     if M.is_zero():
         return Representation.zero(M.algebra)
-    cached = getattr(M, "_syzygy_cache", None)
-    if cached is not None:
-        return cached
     _, epi = projective_cover(M)
-    out = kernel_of(epi)
-    M._syzygy_cache = out
-    return out
+    return kernel_of(epi)
 
 
 def omega_power(M: Representation, n: int) -> Representation:
@@ -479,14 +481,6 @@ class CanonicalHom:
     source_pos: int
     target_pos: int
     length: int
-
-    def common_word(self):
-        from .strings import empty_word, subword, word_vertices
-        word = self.source.inverse() if self.source_flip else self.source
-        if self.length == 0:
-            verts = word_vertices(self.algebra.quiver, word)
-            return empty_word(verts[self.source_pos])
-        return subword(word, self.source_pos, self.length)
 
 
 def _quotient_cuts(algebra, word) -> list[tuple[int, int]]:

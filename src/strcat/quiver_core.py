@@ -21,6 +21,7 @@ desk-scale parameter m.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -364,9 +365,11 @@ def _irreducible_paths(quiver: Quiver, rw: _Rewriter, dim_bound: int) -> tuple[P
 class Algebra:
     """A finite dimensional bound quiver algebra over a prime field.
 
-    Immutable after construction.  ``basis`` lists the irreducible paths,
-    trivial paths first; products of basis elements reduce through the
-    completed rule set and are tabulated once.
+    The presentation, basis and multiplication table are fixed at
+    construction; ``memo`` fills in with derived modules (projectives,
+    string modules) as they are first asked for.  ``basis`` lists the
+    irreducible paths, trivial paths first; products of basis elements
+    reduce through the completed rule set and are tabulated once.
     """
 
     def __init__(self, quiver: Quiver, p: int, rules: tuple[RewriteRule, ...],
@@ -383,7 +386,7 @@ class Algebra:
         self._check_idempotents()
         self.verify_associativity()
         self.socle_rules = self._socle_quotient_rules()
-        self._proj_cache: dict[int, object] = {}
+        self.memo: dict = {}
 
     # -- construction checks -------------------------------------------------
 
@@ -457,9 +460,6 @@ class Algebra:
 
     def multiply_basis(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         return self._mult[(i, j)]
-
-    def elem(self, coeffs) -> "AlgebraElem":
-        return AlgebraElem(self, np.asarray(coeffs, dtype=np.int64) % self.p)
 
     def elem_from_path(self, path: Path) -> "AlgebraElem":
         vec = np.zeros(self.dim, dtype=np.int64)
@@ -561,26 +561,36 @@ def ae3(m: int, p: int = DEFAULT_PRIME) -> Algebra:
     return complete_rewriting(q, rules, dim_bound=m + 5, p=p)
 
 
-FAMILY_BUILDERS = {"ae1": ae1, "ae2": ae2, "ae3": ae3}
-
-
 def build_family(family: str, m: int, p: int = DEFAULT_PRIME) -> Algebra:
-    try:
-        builder = FAMILY_BUILDERS[family]
-    except KeyError:
-        raise StrcatError(f"unknown family {family!r}") from None
-    return builder(m, p)
+    """The algebra of a built-in family (see ``strcat.families``)."""
+    from .families import get
+
+    return get(family).builder(m, p)
 
 
-# -- projectives and file input ----------------------------------------------
+# -- memo, projectives and file input ------------------------------------------
 
 
+def memoized(fn):
+    """Memoize ``fn(owner, *key)`` in ``owner.memo``, the dict that every
+    Algebra and Representation carries.  An entry lives exactly as long as
+    the algebra or module it belongs to; there is no global cache."""
+
+    @functools.wraps(fn)
+    def wrapper(owner, *key):
+        slot = (fn.__name__, *key)
+        if slot not in owner.memo:
+            owner.memo[slot] = fn(owner, *key)
+        return owner.memo[slot]
+
+    return wrapper
+
+
+@memoized
 def indecomposable_projective(algebra: Algebra, vertex: int):
     """The right module on the paths leaving ``vertex``; top is S(vertex)."""
     if vertex not in algebra.quiver.vertices:
         raise StrcatError(f"unknown vertex {vertex}")
-    if vertex in algebra._proj_cache:
-        return algebra._proj_cache[vertex]
     from . import homology
 
     paths = algebra.basis_paths_from(vertex)
@@ -597,9 +607,7 @@ def indecomposable_projective(algebra: Algebra, vertex: int):
             for nf, c in algebra.reduce_path(prod).items():
                 mat[local[a.source][q], local[a.target][nf]] = c
         mats[a.name] = mat
-    rep = homology.Representation(algebra, dims, mats)
-    algebra._proj_cache[vertex] = rep
-    return rep
+    return homology.Representation(algebra, dims, mats)
 
 
 def load_algebra_spec(source) -> Algebra:

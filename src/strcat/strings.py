@@ -8,12 +8,9 @@ modules over the full algebra (checked on construction).
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
 ``b,r~,a``; trivial words print as ``e0``, ``e1``.
 
-Every built-in family names its strings in four series at most:
-
-* ae1: V0 .. V(m-1), the loop powers.
-* ae2: M0 .. M(2m-1) and N0 .. N(2m-1), the alternating paths out of
-  each vertex.
-* ae3: V1 .. Vm (inverse loop powers), X1 .. Xm, Y1 .. Ym, U0 .. U(m-1).
+Every built-in family names its strings in a few series; the names, their
+index ranges and their words are part of the family's record in
+``strcat.families``.
 """
 
 from __future__ import annotations
@@ -23,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import homology
+from . import families, homology
 from .errors import (
     CapTooSmall,
     InDeep,
@@ -33,7 +30,7 @@ from .errors import (
     StrcatError,
     UnknownArrow,
 )
-from .quiver_core import Algebra, Quiver
+from .quiver_core import Algebra, Quiver, memoized
 
 
 @dataclass(frozen=True)
@@ -83,11 +80,6 @@ class StringWord:
 
 def empty_word(vertex: int) -> StringWord:
     return StringWord((), vertex)
-
-
-def word_from_arrows(arrows, inverses=None) -> StringWord:
-    inverses = inverses or [False] * len(arrows)
-    return StringWord(tuple(Letter(a, i) for a, i in zip(arrows, inverses)))
 
 
 def letter_source(quiver: Quiver, letter: Letter) -> int:
@@ -241,15 +233,11 @@ def maximal_directed_strings(algebra: Algebra) -> list[StringWord]:
 # -- string modules -------------------------------------------------------------
 
 
+@memoized
 def string_module(algebra: Algebra, word: StringWord) -> homology.Representation:
     """The module on the walk: one basis vector per visited vertex."""
     if not is_string(word, algebra):
         raise NotAString(f"{word} is not a string over this algebra")
-    cache = getattr(algebra, "_string_module_cache", None)
-    if cache is None:
-        cache = algebra._string_module_cache = {}
-    if word in cache:
-        return cache[word]
     quiver = algebra.quiver
     verts = word_vertices(quiver, word)
     local: list[int] = []
@@ -264,9 +252,7 @@ def string_module(algebra: Algebra, word: StringWord) -> homology.Representation
             mats[l.arrow][local[j + 1], local[j]] = 1
         else:
             mats[l.arrow][local[j], local[j + 1]] = 1
-    rep = homology.Representation(algebra, counts, mats)
-    cache[word] = rep
-    return rep
+    return homology.Representation(algebra, counts, mats)
 
 
 # -- hooks and cohooks ------------------------------------------------------------
@@ -379,16 +365,6 @@ def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, St
 # -- named strings of the built-in families ------------------------------------------
 
 
-@dataclass(frozen=True)
-class StringName:
-    family: str
-    series: str
-    index: int
-
-    def __str__(self) -> str:
-        return f"{self.series}{self.index}"
-
-
 _NAME_RE = re.compile(r"^([A-Za-z])(\d+)$")
 
 
@@ -399,87 +375,48 @@ def parse_module_name(text: str) -> tuple[str, int]:
     return m.group(1).upper(), int(m.group(2))
 
 
-def _series_ranges(family: str, m: int) -> dict[str, range]:
-    if family == "ae1":
-        return {"V": range(0, m)}
-    if family == "ae2":
-        return {"M": range(0, 2 * m), "N": range(0, 2 * m)}
-    if family == "ae3":
-        return {"V": range(1, m + 1), "X": range(1, m + 1),
-                "Y": range(1, m + 1), "U": range(0, m)}
-    raise StrcatError(f"unknown family {family!r}")
-
-
 def named_string(family: str, m: int, name) -> StringWord:
-    """The string for a series name such as V2, M3, X1, U0."""
-    if isinstance(name, StringName):
-        series, index = name.series, name.index
-    elif isinstance(name, str):
+    """The string for a series name such as V2, M3, X1, U0, or a (series,
+    index) pair."""
+    if isinstance(name, str):
         series, index = parse_module_name(name)
     else:
         series, index = name
-    ranges = _series_ranges(family, m)
+    fam = families.get(family)
+    ranges = fam.series(m)
     if series not in ranges or index not in ranges[series]:
         raise IndexOutOfRange(
             f"{series}{index} is not a valid {family} module name for m={m}")
-    if family == "ae1":
-        return empty_word(0) if index == 0 else word_from_arrows(["a"] * index)
-    if family == "ae2":
-        start, other = ("a", "b") if series == "M" else ("b", "a")
-        if index == 0:
-            return empty_word(0 if series == "M" else 1)
-        arrows = [start if k % 2 == 0 else other for k in range(index)]
-        return word_from_arrows(arrows)
-    # ae3
-    loops = m - index
-    if series == "V":
-        if loops == 0:
-            return empty_word(0)
-        return StringWord(tuple(Letter("r", True) for _ in range(loops)))
-    if series == "X":
-        return StringWord(tuple(Letter("r", True) for _ in range(loops))
-                          + (Letter("a"),))
-    if series == "Y":
-        return StringWord((Letter("b"),)
-                          + tuple(Letter("r", True) for _ in range(loops)))
-    if index == 0:
-        return empty_word(1)
-    return StringWord((Letter("b"),)
-                      + tuple(Letter("r", True) for _ in range(loops))
-                      + (Letter("a"),))
+    return _parse_literal(fam.word(series, index, m))
 
 
 def family_node_names(family: str, m: int, quiver: Quiver) -> list[tuple[str, StringWord]]:
     """(name, canonical word) for every node, in report order."""
-    out = []
-    for series, rng in _series_ranges(family, m).items():
-        for i in rng:
-            word = canonical(named_string(family, m, StringName(family, series, i)),
-                             quiver)
-            out.append((f"{series}{i}", word))
-    return out
+    return [(f"{series}{i}", canonical(named_string(family, m, (series, i)), quiver))
+            for series, rng in families.get(family).series(m).items() for i in rng]
 
 
-def parse_string_literal(text: str, quiver: Quiver) -> StringWord:
-    """Parse ``b,r~,a`` style literals; ``e0`` gives the trivial word."""
+def _parse_literal(text: str) -> StringWord:
     text = text.strip()
     m = re.match(r"^e(\d+)$", text)
     if m:
-        v = int(m.group(1))
-        if v not in quiver.vertices:
-            raise UnknownArrow(f"unknown vertex {v}")
-        return empty_word(v)
+        return empty_word(int(m.group(1)))
     if "," in text:
         tokens = [t.strip() for t in text.split(",") if t.strip()]
     else:
         tokens = re.findall(r"[^~]~?", text)
-    letters = []
-    for tok in tokens:
-        inv = tok.endswith("~")
-        name = tok[:-1] if inv else tok
-        if not quiver.has_arrow(name):
-            raise UnknownArrow(f"unknown arrow {name!r}")
-        letters.append(Letter(name, inv))
-    if not letters:
+    if not tokens:
         raise StrcatError("empty string literal")
-    return StringWord(tuple(letters))
+    return StringWord(tuple(Letter(t.removesuffix("~"), t.endswith("~"))
+                            for t in tokens))
+
+
+def parse_string_literal(text: str, quiver: Quiver) -> StringWord:
+    """Parse ``b,r~,a`` style literals; ``e0`` gives the trivial word."""
+    word = _parse_literal(text)
+    if word.is_trivial and word.vertex not in quiver.vertices:
+        raise UnknownArrow(f"unknown vertex {word.vertex}")
+    for l in word.letters:
+        if not quiver.has_arrow(l.arrow):
+            raise UnknownArrow(f"unknown arrow {l.arrow!r}")
+    return word

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from strcat import cli
+from strcat import cli, families
 
 
 def run(capsys, *argv):
@@ -170,9 +170,11 @@ def test_cyclic_spec_without_relations_exits_3(tmp_path, capsys):
 
 
 def test_bad_flags_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["classify", "--family", "ae3", "--m", "1"])
-    assert exc.value.code == 2
+    for family in families.FAMILIES.values():
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--family", family.name,
+                      "--m", str(family.m_min - 1)])
+        assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["classify", "--family", "file", "--spec", "x.json"])
     assert exc.value.code == 2
@@ -180,6 +182,23 @@ def test_bad_flags_exit_2(capsys):
         cli.main(["hom", "--family", "ae1", "--m", "2", "V0", "V0",
                   "--format", "dot"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("content", [
+    None,
+    "{not json",
+    json.dumps({"vertices": [0], "arrows": [], "rules": []}),
+    json.dumps({"vertices": 5, "arrows": [], "dim_bound": 3}),
+], ids=["missing-file", "invalid-json", "no-dim-bound", "wrong-type"])
+def test_bad_spec_file_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "alg.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["algebra", "info", "--family", "file", "--spec", str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 def test_env_seed_fallback(capsys, monkeypatch):

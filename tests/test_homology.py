@@ -4,6 +4,7 @@ import pytest
 from strcat import (
     AlgebraMismatch,
     Representation,
+    StrcatError,
     ZeroModule,
     ae1,
     ae2,
@@ -241,6 +242,19 @@ def test_kernel_and_image_of_twist_maps():
     for t in (1, 2):
         target = module(B, "ae2", 3, f"M{5 - 2 * t}")
         assert is_isomorphic(image_of(twist2.power(t)), target, seed=9)
+
+
+def test_maps_compose_only_through_the_same_module():
+    A = ae2(2)
+    M1, N1 = module(A, "ae2", 2, "M1"), module(A, "ae2", 2, "N1")
+    assert M1.dim_vector() == N1.dim_vector()
+    with pytest.raises(StrcatError):
+        identity_map(M1).then(identity_map(N1))
+    # an equal copy of the middle module composes
+    copy = Representation(A, M1.dims, M1.mats)
+    composite = identity_map(M1).then(identity_map(copy))
+    assert composite.rank() == 2
+    composite.check_intertwining()
 
 
 @pytest.mark.parametrize("family,m", [("ae1", 3), ("ae2", 2), ("ae3", 3)])
