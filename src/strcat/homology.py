@@ -153,11 +153,8 @@ class ModuleMap:
                 raise StrcatError(f"map is not a module map at arrow {a.name}")
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
-        """Composite: apply self first, then ``other``.
-
-        ``other`` must start at this map's target: the same module, or one
-        with the same dimensions and the same arrow matrices.
-        """
+        """Composite: apply self first, then ``other``, which must start at
+        this map's target: the same module, or one with equal matrices."""
         mid, tgt = other.source, self.target
         if mid is not tgt and not (
                 mid.algebra is tgt.algebra and mid.dims == tgt.dims

@@ -563,9 +563,9 @@ def ae3(m: int, p: int = DEFAULT_PRIME) -> Algebra:
 
 def build_family(family: str, m: int, p: int = DEFAULT_PRIME) -> Algebra:
     """The algebra of a built-in family (see ``strcat.families``)."""
-    from .families import get
+    from . import families
 
-    return get(family).builder(m, p)
+    return families.get(family).builder(m, p)
 
 
 # -- memo, projectives and file input ------------------------------------------

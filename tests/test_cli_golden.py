@@ -54,12 +54,15 @@ def run(argv) -> str:
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("name,argv", cases(), ids=[n for n, _ in cases()])
+CASES = cases()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[n for n, _ in CASES])
 def test_cli_output_is_byte_identical(name, argv):
     assert run(argv).encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for name, argv in cases():
+    for name, argv in CASES:
         (GOLDEN / name).write_bytes(run(argv).encode("utf-8"))
