@@ -10,19 +10,15 @@ from .deformation import (
     build_tower,
     check_tower,
     classify,
-    stable_endo_field_modules,
     tangent_dim,
 )
 from .errors import (
     AlgebraMismatch,
     CapTooSmall,
     DimensionBoundExceeded,
-    InDeep,
     IndexOutOfRange,
-    NoSequenceFound,
     NonTerminating,
     NotAString,
-    OnPeak,
     StrcatError,
     UnknownArrow,
     ZeroModule,
@@ -41,14 +37,11 @@ from .homology import (
     omega_power,
     projective_cover,
     realize_canonical,
-    socle_dims,
     stable_hom_dim,
     syzygy,
-    top_dims,
 )
 from .quiver_core import (
     Algebra,
-    AlgebraElem,
     Arrow,
     Path,
     Quiver,
@@ -62,19 +55,15 @@ from .quiver_core import (
     load_algebra_spec,
     make_path,
     make_quiver,
-    multiply,
     trivial_path,
 )
 from .strings import (
     Letter,
     StringWord,
-    add_cohook,
-    add_hook,
     canonical,
     empty_word,
     enumerate_strings,
     is_string,
-    maximal_directed_strings,
     named_string,
     parse_string_literal,
     string_module,

@@ -5,8 +5,9 @@ Subcommands: ``algebra info``, ``strings``, ``hom``, ``ext``, ``syzygy``,
 machine-readable with ``--format json|csv|dot``.  Identical flags and seed
 produce byte-identical output.
 
-Exit codes: 0 success, 2 bad flags, 3 computation error, 4 verification
-failure under ``--verify``.
+Exit codes: 0 success, 2 bad flags or input (an unreadable ``--spec``, an
+unwritable ``--out``, a non-integer ``STRCAT_SEED``), 3 computation error,
+4 verification failure under ``--verify``.
 """
 
 from __future__ import annotations
@@ -97,13 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("STRCAT_SEED")
-    return int(env) if env else 0
-
-
 def _build_algebra(args, parser) -> Algebra:
     if args.family == "file":
         if not args.spec:
@@ -157,24 +151,13 @@ class Result:
 
 def _radical_series(rep: homology.Representation) -> list[dict[int, int]]:
     """Composition multiplicities of each radical layer, top first."""
-    alg = rep.algebra
-    p = alg.p
-    from . import linalg
-
+    vertices = rep.algebra.quiver.vertices
     layers = []
-    rows = {v: np.eye(rep.dims[v], dtype=np.int64) for v in alg.quiver.vertices}
+    rows = {v: np.eye(rep.dims[v], dtype=np.int64) for v in vertices}
     while any(r.shape[0] for r in rows.values()):
-        nxt = {}
-        for v in alg.quiver.vertices:
-            moved = [linalg.mat_mul(rows[a.source], rep.mats[a.name], p)
-                     for a in alg.quiver.arrows_into(v)
-                     if rows[a.source].shape[0]]
-            nxt[v] = linalg.row_space(np.vstack(moved), p) if moved else \
-                np.zeros((0, rep.dims[v]), dtype=np.int64)
-        layer = {v: rows[v].shape[0] - nxt[v].shape[0]
-                 for v in alg.quiver.vertices}
-        layers.append(layer)
-        rows = nxt
+        rad = {v: r for v, (r, _) in homology.radical_rows(rep, rows).items()}
+        layers.append({v: rows[v].shape[0] - rad[v].shape[0] for v in vertices})
+        rows = rad
     return layers
 
 
@@ -237,14 +220,13 @@ def _pair_command(args, algebra: Algebra, compute, label: str) -> Result:
 
 
 def cmd_syzygy(args, algebra: Algebra) -> Result:
-    seed = _resolve_seed(args)
     w = _resolve_module(args, algebra, args.module)
     rep = homology.omega_power(strings.string_module(algebra, w), args.n)
     iso_name = None
     if not rep.is_zero():
         nodes = strings.enumerate_strings(algebra, args.length_cap)
         reps = arquiver.node_modules(algebra, nodes)
-        idx = arquiver.match_node(algebra, rep, nodes, reps, seed=seed)
+        idx = arquiver.match_node(algebra, rep, nodes, reps, seed=args.seed)
         names = _names(args, algebra)
         iso_name = names.get(nodes[idx], nodes[idx].literal())
     dims = rep.dim_vector()
@@ -258,8 +240,7 @@ def cmd_syzygy(args, algebra: Algebra) -> Result:
 
 
 def cmd_arquiver(args, algebra: Algebra) -> Result:
-    seed = _resolve_seed(args)
-    q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=seed)
+    q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=args.seed)
     names = _names(args, algebra)
 
     def label(i):
@@ -277,8 +258,7 @@ def cmd_arquiver(args, algebra: Algebra) -> Result:
 
 
 def cmd_classify(args, algebra: Algebra) -> Result:
-    seed = _resolve_seed(args)
-    reports = deformation.classify(algebra, args.family, args.m, seed=seed)
+    reports = deformation.classify(algebra, args.family, args.m, seed=args.seed)
     rows = [[r.module, r.string, r.stable_endo_dim, r.ext1_dim, str(r.udr)]
             for r in reports]
     return Result(deformation.reports_to_json(reports), deformation.CSV_COLUMNS,
@@ -318,8 +298,11 @@ def run_command(args, parser) -> tuple[Algebra, Result]:
     else:
         text = result.dot if args.format == "dot" else result.table
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            parser.exit(EXIT_USAGE, f"error: cannot write --out {args.out}: {exc!r}\n")
     else:
         sys.stdout.write(text)
     return algebra, result
@@ -333,16 +316,15 @@ def run_verification(args, algebra: Algebra, reports) -> list[str]:
     (else None, and the algebra is classified here).
     """
     fam = families.get(args.family)
-    seed = _resolve_seed(args)
     problems: list[str] = []
     nodes = fam.node_count(args.m)
     words = strings.enumerate_strings(algebra, args.length_cap)
     if len(words) != nodes:
         problems.append(f"string count {len(words)} != {nodes}")
     if reports is None:
-        reports = deformation.classify(algebra, args.family, args.m, seed=seed)
+        reports = deformation.classify(algebra, args.family, args.m, seed=args.seed)
     problems += deformation.verify_classification(reports, args.family, args.m)
-    q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=seed)
+    q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=args.seed)
     if q.node_count != nodes:
         problems.append(f"component node count {q.node_count} != {nodes}")
     if fam.tau_is_identity:
@@ -360,6 +342,12 @@ def run_verification(args, algebra: Algebra, reports) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.seed is None:
+        env = os.environ.get("STRCAT_SEED") or "0"
+        try:
+            args.seed = int(env)
+        except ValueError:
+            parser.exit(EXIT_USAGE, f"error: STRCAT_SEED={env!r} is not an integer\n")
     if args.family == "file" and args.command == "classify":
         parser.error("classify needs a built-in family")
     if args.family == "file" and args.verify:

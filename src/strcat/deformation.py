@@ -17,11 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import arquiver, families, homology, strings
-from .errors import NoSequenceFound, StrcatError
-from .quiver_core import Algebra, build_family, indecomposable_projective
+from .errors import StrcatError
+# indecomposable_projective is unused here but stays importable from this
+# module: perfbench's tracer test checks that this alias is rebound
+from .quiver_core import Algebra, build_family, indecomposable_projective  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -140,121 +140,31 @@ def _natural_surjection(algebra: Algebra, big: strings.StringWord,
     return surjective[0]
 
 
-def build_tower(family: str, m: int, mode: str = "explicit",
-                algebra: Algebra | None = None, seed: int = 0) -> Tower:
+def build_tower(family: str, m: int, algebra: Algebra | None = None) -> Tower:
     """The certification tower for the family's tangent-one representative.
 
-    Explicit mode lays down the ladder of the family's record, closed by a
-    projective step where the record has one.  Auto mode greedily
-    extends by one base-dimension at a time through strings (canonical
-    inclusion/projection pairs) and projectives (generic rank search),
-    keeping only steps whose twist maps pass the kernel and image tests.
+    The family's record names the ladder of strings, joined by canonical
+    inclusion/projection pairs and closed by a projective step where the
+    record has one.
     """
     fam = families.get(family)
     if algebra is None:
         algebra = build_family(family, m)
-    if mode == "explicit":
-        labels = fam.tower(m)
-        words = [strings.named_string(family, m, n) for n in labels]
-        modules = [strings.string_module(algebra, w) for w in words]
-        inclusions = []
-        surjections = []
-        for small, big in zip(words, words[1:]):
-            inclusions.append(_natural_inclusion(algebra, small, big))
-            surjections.append(_natural_surjection(algebra, big, small))
-        if fam.projective_cap is not None:
-            label, inc, sur = fam.projective_cap(algebra, modules[-1])
-            modules.append(inc.target)
-            inclusions.append(inc)
-            surjections.append(sur)
-            labels = labels + [label]
-        return Tower(modules, inclusions, surjections, labels)
-    if mode != "auto":
-        raise StrcatError("mode must be 'explicit' or 'auto'")
-    start = strings.named_string(family, m, fam.tower(m)[0])
-    return auto_tower(algebra, start, seed=seed)
-
-
-def _generic_map_of_rank(maps: list[homology.ModuleMap], want_rank: int,
-                         p: int, seed: int, tries: int = 30):
-    if not maps:
-        return None
-    rng = np.random.default_rng(seed)
-    for f in maps:
-        if f.rank() == want_rank:
-            return f
-    src, tgt = maps[0].source, maps[0].target
-    for _ in range(tries):
-        coeffs = rng.integers(0, p, size=len(maps))
-        blocks = {v: sum(int(c) * f.blocks[v] for c, f in zip(coeffs, maps)) % p
-                  for v in src.dims}
-        cand = homology.ModuleMap(src, tgt, blocks, check=False)
-        if cand.rank() == want_rank:
-            return cand
-    return None
-
-
-def auto_tower(algebra: Algebra, base_word: strings.StringWord,
-               seed: int = 0) -> Tower:
-    """Greedy tower search from a base string; raises NoSequenceFound."""
-    quiver = algebra.quiver
-    base_word = strings.canonical(base_word, quiver)
-    base = strings.string_module(algebra, base_word)
-    step = base.total_dim
-    nodes = strings.enumerate_strings(algebra)
-    string_pool = [(w.literal(), strings.string_module(algebra, w), w)
-                   for w in nodes]
-    proj_pool = [(f"P({v})", indecomposable_projective(algebra, v), None)
-                 for v in quiver.vertices]
-    modules = [base]
-    labels = [base_word.literal()]
-    words: list[strings.StringWord | None] = [base_word]
-    inclusions: list[homology.ModuleMap] = []
-    surjections: list[homology.ModuleMap] = []
-    while True:
-        current = modules[-1]
-        l = len(modules)
-        found = None
-        for label, cand, word in string_pool + proj_pool:
-            if cand.total_dim != current.total_dim + step:
-                continue
-            prev_word = words[-1]
-            if word is not None and prev_word is not None:
-                try:
-                    inc = _natural_inclusion(algebra, prev_word, word)
-                    sur = _natural_surjection(algebra, word, prev_word)
-                except StrcatError:
-                    continue
-            else:
-                p = algebra.p
-                inc = _generic_map_of_rank(homology.hom_basis(current, cand),
-                                           current.total_dim, p, seed + 7 * l)
-                sur = _generic_map_of_rank(homology.hom_basis(cand, current),
-                                           current.total_dim, p, seed + 7 * l + 3)
-                if inc is None or sur is None:
-                    continue
-            twist = sur.then(inc)
-            if not homology.is_isomorphic(homology.kernel_of(twist), base,
-                                          seed=seed + l):
-                continue
-            if not homology.is_isomorphic(homology.image_of(twist.power(l)), base,
-                                          seed=seed + 50 + l):
-                continue
-            found = (label, cand, word, inc, sur)
-            break
-        if found is None:
-            break
-        label, cand, word, inc, sur = found
-        modules.append(cand)
-        labels.append(label)
-        words.append(word)
+    labels = fam.tower(m)
+    words = [strings.named_string(family, m, n) for n in labels]
+    modules = [strings.string_module(algebra, w) for w in words]
+    inclusions = []
+    surjections = []
+    for small, big in zip(words, words[1:]):
+        inclusions.append(_natural_inclusion(algebra, small, big))
+        surjections.append(_natural_surjection(algebra, big, small))
+    if fam.projective_cap is not None:
+        label, inc, sur = fam.projective_cap(algebra, modules[-1])
+        modules.append(inc.target)
         inclusions.append(inc)
         surjections.append(sur)
-    tower = Tower(modules, inclusions, surjections, labels)
-    if homology.hom_dim(modules[-1], base) != 1 or homology.ext1_dim(modules[-1], base) != 0:
-        raise NoSequenceFound(
-            "greedy search stalled before the closing Hom/Ext conditions held")
-    return tower
+        labels = labels + [label]
+    return Tower(modules, inclusions, surjections, labels)
 
 
 # -- classification ---------------------------------------------------------------
@@ -278,17 +188,6 @@ class UdrReport:
             "udr": self.udr.to_json(),
             "trail": list(self.trail),
         }
-
-
-def stable_endo_field_modules(algebra: Algebra,
-                              length_cap: int | None = None) -> list[strings.StringWord]:
-    """Strings whose stable endomorphism ring is one dimensional."""
-    out = []
-    for w in strings.enumerate_strings(algebra, length_cap):
-        rep = strings.string_module(algebra, w)
-        if homology.stable_hom_dim(rep, rep) == 1:
-            out.append(w)
-    return out
 
 
 def tangent_dim(algebra: Algebra, M: homology.Representation) -> int:
@@ -329,7 +228,7 @@ def classify(algebra: Algebra, family: str, m: int, seed: int = 0) -> list[UdrRe
         if rep_name not in tangent_one:
             raise StrcatError(
                 f"certification representative {rep_name} has tangent != 1")
-        tower = build_tower(family, m, "explicit", algebra=algebra, seed=seed)
+        tower = build_tower(family, m, algebra)
         rep_word = strings.named_string(family, m, rep_name)
         tower_desc = check_tower(tower, strings.string_module(algebra, rep_word),
                                  seed=seed)

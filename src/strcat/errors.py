@@ -38,20 +38,8 @@ class NotAString(StrcatError):
     """The word violates one of the string conditions."""
 
 
-class OnPeak(StrcatError):
-    """The string admits no hook extension on the requested side."""
-
-
-class InDeep(StrcatError):
-    """The string admits no cohook extension on the requested side."""
-
-
 class IndexOutOfRange(StrcatError):
     """A named module lies outside the valid series range for the family."""
-
-
-class NoSequenceFound(StrcatError):
-    """The automatic tower search exhausted its candidates."""
 
 
 class ZeroModule(StrcatError):

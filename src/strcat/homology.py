@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import AlgebraMismatch, StrcatError, ZeroModule
-from .quiver_core import indecomposable_projective, memoized
+from .quiver_core import indecomposable_projective, memoized, projective_paths
 
 
 class Representation:
@@ -91,10 +91,6 @@ class Representation:
     @classmethod
     def zero(cls, algebra) -> "Representation":
         return cls(algebra, {}, {}, check=False)
-
-    @classmethod
-    def simple(cls, algebra, vertex: int) -> "Representation":
-        return cls(algebra, {vertex: 1}, {}, check=False)
 
 
 def direct_sum(reps: list[Representation]) -> tuple[Representation, list[dict[int, int]]]:
@@ -289,38 +285,32 @@ def image_of(f: ModuleMap) -> Representation:
     return _induced_subrep(f.target, rows)
 
 
-def top_dims(M: Representation) -> dict[int, int]:
-    """Multiplicity of each simple in M / rad M."""
-    alg = M.algebra
-    p = alg.p
-    out = {}
-    for v in alg.quiver.vertices:
-        stacks = [M.mats[a.name] for a in alg.quiver.arrows_into(v)
-                  if M.dims[a.source] > 0]
-        if stacks and M.dims[v]:
-            rad_rank = linalg.rank(np.vstack(stacks), p)
-        else:
-            rad_rank = 0
-        out[v] = M.dims[v] - rad_rank
-    return out
-
-
-def socle_dims(M: Representation) -> dict[int, int]:
-    """Per-vertex dimension of the subspace killed by every arrow."""
-    alg = M.algebra
-    p = alg.p
-    out = {}
-    for v in alg.quiver.vertices:
-        mats = [M.mats[a.name] for a in alg.quiver.arrows_from(v)]
-        if not mats or M.dims[v] == 0:
-            out[v] = M.dims[v]
-            continue
-        stacked = np.hstack(mats)
-        out[v] = linalg.left_nullspace(stacked, p).shape[0]
-    return out
-
-
 # -- covers and syzygies ---------------------------------------------------------
+
+
+def radical_rows(M: Representation, rows: dict[int, np.ndarray] | None = None
+                 ) -> dict[int, tuple[np.ndarray, list[int]]]:
+    """The radical of a submodule of M, vertex by vertex.
+
+    The submodule is spanned by ``rows`` (all of M when omitted); its
+    radical at v is spanned by the images of its vectors under the arrows
+    into v.  Each vertex gets a basis of that span in reduced row echelon
+    form together with its pivot columns.
+    """
+    alg = M.algebra
+    p = alg.p
+    out = {}
+    for v in alg.quiver.vertices:
+        moved = [M.mats[a.name] if rows is None
+                 else linalg.mat_mul(rows[a.source], M.mats[a.name], p)
+                 for a in alg.quiver.arrows_into(v)]
+        stacked = np.vstack(moved) if moved else np.zeros((0, M.dims[v]), dtype=np.int64)
+        if stacked.size:
+            reduced, pivots = linalg.rref(stacked, p)
+            out[v] = (reduced[: len(pivots)], pivots)
+        else:
+            out[v] = (np.zeros((0, M.dims[v]), dtype=np.int64), [])
+    return out
 
 
 @memoized
@@ -330,45 +320,29 @@ def projective_cover(M: Representation) -> tuple[Representation, ModuleMap]:
         raise ZeroModule("the zero module has no projective cover")
     alg = M.algebra
     p = alg.p
-    generators: list[tuple[int, np.ndarray]] = []
-    for v in alg.quiver.vertices:
-        stacks = [M.mats[a.name] for a in alg.quiver.arrows_into(v)
-                  if M.dims[a.source] > 0]
-        if stacks and M.dims[v]:
-            rad_rows = linalg.row_space(np.vstack(stacks), p)
-            _, pivots = linalg.rref(rad_rows, p)
-        else:
-            pivots = []
-        for c in range(M.dims[v]):
-            if c not in pivots:
-                u = np.zeros(M.dims[v], dtype=np.int64)
-                u[c] = 1
-                generators.append((v, u))
+    # the basis vectors of M off the radical's pivots span a complement of
+    # rad M, so they are a minimal generating set
+    rad = radical_rows(M)
+    generators = [(v, c) for v in alg.quiver.vertices
+                  for c in range(M.dims[v]) if c not in rad[v][1]]
     summands = [indecomposable_projective(alg, v) for v, _ in generators]
     P, offsets = direct_sum(summands)
     blocks = {v: np.zeros((P.dims[v], M.dims[v]), dtype=np.int64)
               for v in alg.quiver.vertices}
-    for (gen_vertex, u), off in zip(generators, offsets):
-        by_vertex: dict[int, list] = {v: [] for v in alg.quiver.vertices}
-        for q in alg.basis_paths_from(gen_vertex):
-            by_vertex[q.target].append(q)
-        for v, paths in by_vertex.items():
+    for (gen_vertex, c), off in zip(generators, offsets):
+        for v, paths in projective_paths(alg, gen_vertex).items():
             for i, q in enumerate(paths):
-                row = linalg.mat_mul(u.reshape(1, -1), M.path_matrix(q), p)
-                blocks[v][off[v] + i] = row
+                blocks[v][off[v] + i] = M.path_matrix(q)[c]
     epi = ModuleMap(P, M, blocks)
     if not epi.is_surjective():
         raise StrcatError("projective cover map failed to be surjective")
     # minimality: the kernel must sit inside rad P
+    rad_P = radical_rows(P)
     for v in alg.quiver.vertices:
         ker_rows = linalg.left_nullspace(epi.blocks[v], p)
         if ker_rows.shape[0] == 0:
             continue
-        stacks = [P.mats[a.name] for a in alg.quiver.arrows_into(v)
-                  if P.dims[a.source] > 0]
-        rad_rows = linalg.row_space(np.vstack(stacks), p) if stacks else \
-            np.zeros((0, P.dims[v]), dtype=np.int64)
-        if linalg.solve_in_rowspace(rad_rows, ker_rows, p) is None:
+        if linalg.solve_in_rowspace(rad_P[v][0], ker_rows, p) is None:
             raise StrcatError("cover kernel escapes the radical")
     return P, epi
 

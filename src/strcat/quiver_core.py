@@ -30,7 +30,6 @@ from typing import Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import (
-    AlgebraMismatch,
     DimensionBoundExceeded,
     NonTerminating,
     StrcatError,
@@ -366,8 +365,8 @@ class Algebra:
     """A finite dimensional bound quiver algebra over a prime field.
 
     The presentation, basis and multiplication table are fixed at
-    construction; ``memo`` fills in with derived modules (projectives,
-    string modules) as they are first asked for.  ``basis`` lists the
+    construction; ``memo`` fills in with derived modules (projectives and
+    their path layout, string modules) as they are first asked for.  ``basis`` lists the
     irreducible paths, trivial paths first; products of basis elements
     reduce through the completed rule set and are tabulated once.
     """
@@ -458,67 +457,12 @@ class Algebra:
             return {}
         return self._rw.reduce_path(path)
 
-    def multiply_basis(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        return self._mult[(i, j)]
-
-    def elem_from_path(self, path: Path) -> "AlgebraElem":
-        vec = np.zeros(self.dim, dtype=np.int64)
-        for q, c in self.reduce_path(path).items():
-            vec[self.index[q]] = c
-        return AlgebraElem(self, vec)
-
-    def unit(self) -> "AlgebraElem":
-        vec = np.zeros(self.dim, dtype=np.int64)
-        for v in self.quiver.vertices:
-            vec[self.index[trivial_path(v)]] = 1
-        return AlgebraElem(self, vec)
-
     def basis_paths_from(self, v: int) -> list[Path]:
         return [q for q in self.basis if q.source == v]
 
     def __repr__(self) -> str:
         return (f"Algebra(dim={self.dim}, vertices={len(self.quiver.vertices)}, "
                 f"arrows={len(self.quiver.arrows)}, p={self.p})")
-
-
-@dataclass
-class AlgebraElem:
-    algebra: Algebra
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.algebra.dim,):
-            raise StrcatError("coefficient vector length must equal dim")
-
-    def __add__(self, other: "AlgebraElem") -> "AlgebraElem":
-        if other.algebra is not self.algebra:
-            raise AlgebraMismatch("elements live over different algebras")
-        return AlgebraElem(self.algebra, (self.coeffs + other.coeffs) % self.algebra.p)
-
-    def __mul__(self, other: "AlgebraElem") -> "AlgebraElem":
-        return multiply(self, other)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AlgebraElem) and other.algebra is self.algebra
-                and bool((other.coeffs == self.coeffs).all()))
-
-
-def multiply(a: AlgebraElem, b: AlgebraElem) -> AlgebraElem:
-    """Bilinear extension of the basis multiplication table."""
-    if a.algebra is not b.algebra:
-        raise AlgebraMismatch("elements live over different algebras")
-    alg = a.algebra
-    out = np.zeros(alg.dim, dtype=np.int64)
-    for i in np.nonzero(a.coeffs)[0]:
-        ci = int(a.coeffs[i])
-        for j in np.nonzero(b.coeffs)[0]:
-            cij = ci * int(b.coeffs[j])
-            for k, c in alg.multiply_basis(int(i), int(j)):
-                out[k] = (out[k] + cij * c) % alg.p
-    return AlgebraElem(alg, out)
 
 
 # -- built-in families --------------------------------------------------------
@@ -587,16 +531,24 @@ def memoized(fn):
 
 
 @memoized
+def projective_paths(algebra: Algebra, vertex: int) -> dict[int, list[Path]]:
+    """The basis of P(vertex) at each vertex w: the basis paths from
+    ``vertex`` to w, in basis order; row i of P(vertex) at w is the i-th
+    path."""
+    by_target: dict[int, list[Path]] = {w: [] for w in algebra.quiver.vertices}
+    for q in algebra.basis_paths_from(vertex):
+        by_target[q.target].append(q)
+    return by_target
+
+
+@memoized
 def indecomposable_projective(algebra: Algebra, vertex: int):
     """The right module on the paths leaving ``vertex``; top is S(vertex)."""
     if vertex not in algebra.quiver.vertices:
         raise StrcatError(f"unknown vertex {vertex}")
     from . import homology
 
-    paths = algebra.basis_paths_from(vertex)
-    by_vertex: dict[int, list[Path]] = {v: [] for v in algebra.quiver.vertices}
-    for q in paths:
-        by_vertex[q.target].append(q)
+    by_vertex = projective_paths(algebra, vertex)
     local = {v: {q: i for i, q in enumerate(ps)} for v, ps in by_vertex.items()}
     dims = {v: len(ps) for v, ps in by_vertex.items()}
     mats = {}

@@ -23,10 +23,8 @@ import numpy as np
 from . import families, homology
 from .errors import (
     CapTooSmall,
-    InDeep,
     IndexOutOfRange,
     NotAString,
-    OnPeak,
     StrcatError,
     UnknownArrow,
 )
@@ -213,23 +211,6 @@ def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> list[S
     return sorted(classes, key=lambda w: word_key(quiver, w))
 
 
-def maximal_directed_strings(algebra: Algebra) -> list[StringWord]:
-    """Direct strings no arrow can prolong on the left."""
-    quiver = algebra.quiver
-    out = []
-    for w in enumerate_strings(algebra):
-        if w.length < 1:
-            continue
-        if any(l.inverse for l in w.letters):
-            if not all(l.inverse for l in w.letters):
-                continue
-            w = w.inverse()
-        if not any(_extend(w, Letter(a.name), algebra) is not None
-                   for a in quiver.arrows):
-            out.append(canonical(w, quiver))
-    return sorted(set(out), key=lambda w: word_key(quiver, w))
-
-
 # -- string modules -------------------------------------------------------------
 
 
@@ -297,44 +278,6 @@ def cohook_extensions_at_start(word: StringWord, algebra: Algebra) -> list[Strin
         if first is not None:
             out.append(_grow_directed(first, algebra, inverse=False))
     return out
-
-
-def _one_sided(word: StringWord, algebra: Algebra, side: str, mover) -> StringWord:
-    if side not in ("left", "right"):
-        raise StrcatError("side must be 'left' or 'right'")
-    attempts = [word, word.inverse()] if side == "left" else \
-        [word.inverse(), word]
-    for w in attempts:
-        got = mover(w, algebra)
-        if got:
-            return canonical(got[0], algebra.quiver)
-    return None
-
-
-def add_hook(algebra: Algebra, word: StringWord, side: str) -> StringWord:
-    """One-step hook extension on the given side of the walk.
-
-    The move attaches a junction arrow pointing into the walk plus the
-    maximal directed tail; when the shown representative is on a peak the
-    reversed representative is tried, so the operation acts on the class.
-    With two admissible junction arrows, declaration order decides.
-    """
-    if not is_string(word, algebra):
-        raise NotAString(f"{word} is not a string over this algebra")
-    got = _one_sided(word, algebra, side, hook_extensions_at_start)
-    if got is None:
-        raise OnPeak(f"{word} admits no hook on the {side} side")
-    return got
-
-
-def add_cohook(algebra: Algebra, word: StringWord, side: str) -> StringWord:
-    """One-step cohook extension; the extension projects onto the input."""
-    if not is_string(word, algebra):
-        raise NotAString(f"{word} is not a string over this algebra")
-    got = _one_sided(word, algebra, side, cohook_extensions_at_start)
-    if got is None:
-        raise InDeep(f"{word} admits no cohook on the {side} side")
-    return got
 
 
 def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, StringWord, str]]:

@@ -209,6 +209,27 @@ def test_env_seed_fallback(capsys, monkeypatch):
     assert json.loads(out)[0]["module"] == "V0"
 
 
+def test_bad_env_seed_exits_2(capsys, monkeypatch):
+    monkeypatch.setenv("STRCAT_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["classify", "--family", "ae1", "--m", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+def test_unwritable_output_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.txt"
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hom", "--family", "ae1", "--m", "2", "V0", "V1",
+                  "--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_output_file(tmp_path, capsys):
     target = tmp_path / "graph.dot"
     code, out, _ = run(capsys, "arquiver", "--family", "ae1", "--m", "2",

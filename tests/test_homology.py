@@ -27,9 +27,10 @@ from strcat import (
     stable_hom_dim,
     string_module,
     syzygy,
-    top_dims,
 )
 from strcat.homology import identity_map
+
+from .reference import top_dims
 
 
 def module(algebra, family, m, name):

@@ -1,29 +1,100 @@
+from collections import Counter
+
 import pytest
 
 from strcat import (
     CapTooSmall,
     IndexOutOfRange,
-    InDeep,
-    OnPeak,
+    NotAString,
+    StrcatError,
     UnknownArrow,
-    add_cohook,
-    add_hook,
     ae1,
     ae2,
     ae3,
+    build_family,
     canonical,
     empty_word,
     enumerate_strings,
     is_isomorphic,
     is_string,
-    maximal_directed_strings,
     named_string,
     parse_string_literal,
     string_module,
-    top_dims,
+    word_vertices,
 )
-from strcat.homology import socle_dims
-from strcat.strings import Letter, StringWord, family_node_names, word_key
+from strcat.strings import (
+    Letter,
+    StringWord,
+    cohook_extensions_at_start,
+    family_node_names,
+    hook_extensions_at_start,
+    word_key,
+)
+
+from .reference import socle_dims, top_dims
+
+
+class OnPeak(StrcatError):
+    """The string admits no hook extension on the requested side."""
+
+
+class InDeep(StrcatError):
+    """The string admits no cohook extension on the requested side."""
+
+
+def maximal_directed_strings(algebra):
+    """Direct strings no arrow can prolong on the left."""
+    quiver = algebra.quiver
+    out = []
+    for w in enumerate_strings(algebra):
+        if w.length < 1:
+            continue
+        if any(l.inverse for l in w.letters):
+            if not all(l.inverse for l in w.letters):
+                continue
+            w = w.inverse()
+        if not any(is_string(StringWord((Letter(a.name),) + w.letters), algebra)
+                   for a in quiver.arrows):
+            out.append(canonical(w, quiver))
+    return sorted(set(out), key=lambda w: word_key(quiver, w))
+
+
+def _one_sided(word, algebra, side, mover):
+    if side not in ("left", "right"):
+        raise StrcatError("side must be 'left' or 'right'")
+    attempts = [word, word.inverse()] if side == "left" else \
+        [word.inverse(), word]
+    for w in attempts:
+        got = mover(w, algebra)
+        if got:
+            return canonical(got[0], algebra.quiver)
+    return None
+
+
+def add_hook(algebra, word, side):
+    """One-step hook extension on the given side of the walk.
+
+    The move attaches a junction arrow pointing into the walk plus the
+    maximal directed tail; when the shown representative is on a peak the
+    reversed representative is tried, so the operation acts on the class.
+    With two admissible junction arrows, declaration order decides.
+    """
+    if not is_string(word, algebra):
+        raise NotAString(f"{word} is not a string over this algebra")
+    got = _one_sided(word, algebra, side, hook_extensions_at_start)
+    if got is None:
+        raise OnPeak(f"{word} admits no hook on the {side} side")
+    return got
+
+
+def add_cohook(algebra, word, side):
+    """One-step cohook extension; the extension projects onto the input."""
+    if not is_string(word, algebra):
+        raise NotAString(f"{word} is not a string over this algebra")
+    got = _one_sided(word, algebra, side, cohook_extensions_at_start)
+    if got is None:
+        raise InDeep(f"{word} admits no cohook on the {side} side")
+    return got
 
 
 def lit(text, algebra):
@@ -65,8 +136,6 @@ def test_ae3_string_count(m):
 
 @pytest.mark.parametrize("family,m", [("ae1", 3), ("ae2", 2), ("ae3", 4)])
 def test_named_strings_cover_the_enumeration(family, m):
-    from strcat import build_family
-
     A = build_family(family, m)
     named = {w for _, w in family_node_names(family, m, A.quiver)}
     assert named == set(enumerate_strings(A))
@@ -107,10 +176,40 @@ def test_string_module_shapes():
     assert socle_dims(Mb) == {0: 1, 1: 0}  # socle S(0)
 
 
+def peaks_and_deeps(quiver, word):
+    """Per vertex, the positions of the walk that no letter points into
+    (peaks) and that no letter leaves (deeps)."""
+    verts = word_vertices(quiver, word)
+    entered = [False] * len(verts)
+    left = [False] * len(verts)
+    for j, letter in enumerate(word.letters):
+        # letter j joins positions j and j + 1; a direct letter maps j to j + 1
+        src, tgt = (j + 1, j) if letter.inverse else (j, j + 1)
+        left[src] = entered[tgt] = True
+    peaks = Counter(v for v, hit in zip(verts, entered) if not hit)
+    deeps = Counter(v for v, hit in zip(verts, left) if not hit)
+    return ({v: peaks[v] for v in quiver.vertices},
+            {v: deeps[v] for v in quiver.vertices})
+
+
+ALL_SMALL = ([("ae1", m) for m in range(1, 7)] + [("ae2", m) for m in range(1, 5)]
+             + [("ae3", m) for m in range(2, 7)])
+
+
+@pytest.mark.parametrize("family,m", ALL_SMALL)
+def test_string_tops_are_peaks_and_socles_are_deeps(family, m):
+    # Butler-Ringel: the top of a string module has one simple per peak of
+    # the walk and its socle one per deep
+    A = build_family(family, m)
+    for w in enumerate_strings(A):
+        M = string_module(A, w)
+        peaks, deeps = peaks_and_deeps(A.quiver, w)
+        assert top_dims(M) == peaks, w
+        assert socle_dims(M) == deeps, w
+
+
 @pytest.mark.parametrize("family,m", [("ae1", 4), ("ae2", 2), ("ae3", 3)])
 def test_module_of_inverse_word_is_isomorphic(family, m):
-    from strcat import build_family
-
     A = build_family(family, m)
     for w in enumerate_strings(A):
         assert string_module(A, w).total_dim == w.length + 1
