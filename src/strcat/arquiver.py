@@ -2,8 +2,9 @@
 
 Nodes are the string classes (the non-projective indecomposables); solid
 arrows are the canonical inclusions into hook extensions and projections
-out of cohook extensions; the translate pairs each node with its second
-syzygy, certified by isomorphism tests.
+out of cohook extensions.  ``omega_node`` names the node isomorphic to
+each node's syzygy, once per node, by isomorphism tests; the translate
+and the syzygy orbits both follow it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 from . import homology, strings
 from .errors import StrcatError
-from .quiver_core import Algebra
+from .quiver_core import Algebra, memoized
 
 
 @dataclass
@@ -26,15 +27,12 @@ class ArQuiver:
         return len(self.nodes)
 
 
-def node_modules(algebra: Algebra, nodes) -> list[homology.Representation]:
-    return [strings.string_module(algebra, w) for w in nodes]
-
-
 def match_node(algebra: Algebra, rep: homology.Representation,
-               nodes, reps, seed: int = 0) -> int:
+               nodes, seed: int = 0) -> int:
     """Index of the unique node isomorphic to ``rep``."""
     dv = rep.dim_vector()
-    for i, cand in enumerate(reps):
+    for i, w in enumerate(nodes):
+        cand = strings.string_module(algebra, w)
         if cand.dim_vector() != dv:
             continue
         if homology.is_isomorphic(rep, cand, seed=seed):
@@ -42,42 +40,47 @@ def match_node(algebra: Algebra, rep: homology.Representation,
     raise StrcatError(f"no node matches a module of dimension vector {dv}")
 
 
+@memoized
+def omega_node(algebra: Algebra, i: int, length_cap: int | None = None,
+               seed: int = 0) -> int:
+    """Index of the node isomorphic to the syzygy of node ``i``."""
+    nodes = strings.enumerate_strings(algebra, length_cap)
+    rep = homology.syzygy(strings.string_module(algebra, nodes[i]))
+    return match_node(algebra, rep, nodes, seed=seed + i)
+
+
+@memoized
 def build_ar_quiver(algebra: Algebra, length_cap: int | None = None,
                     seed: int = 0) -> ArQuiver:
     """Nodes, hook/cohook arrows, and the second-syzygy translate."""
     nodes = strings.enumerate_strings(algebra, length_cap)
     index = {w: i for i, w in enumerate(nodes)}
-    reps = node_modules(algebra, nodes)
     arrow_set = set()
     for w in nodes:
         for src, tgt, kind in strings.class_moves(algebra, w):
             if src not in index or tgt not in index:
                 raise StrcatError(f"move leaves the enumerated node set: {src} -> {tgt}")
             arrow_set.add((index[src], index[tgt], kind))
-    tau = []
-    for i, rep in enumerate(reps):
-        translated = homology.omega_power(rep, 2)
-        tau.append(match_node(algebra, translated, nodes, reps, seed=seed + i))
-    arrows = sorted(arrow_set)
-    return ArQuiver(nodes, arrows, tau)
+    tau = [omega_node(algebra, omega_node(algebra, i, length_cap, seed),
+                      length_cap, seed)
+           for i in range(len(nodes))]
+    return ArQuiver(nodes, sorted(arrow_set), tau)
 
 
 def omega_orbit(algebra: Algebra, node: strings.StringWord,
                 length_cap: int | None = None, seed: int = 0) -> list[strings.StringWord]:
     """The cyclic syzygy orbit of a node; its length divides four here."""
     nodes = strings.enumerate_strings(algebra, length_cap)
-    reps = node_modules(algebra, nodes)
     start = strings.canonical(node, algebra.quiver)
     if start not in nodes:
         raise StrcatError(f"{start} is not an enumerated string")
+    first = current = nodes.index(start)
     orbit = [start]
-    current = strings.string_module(algebra, start)
-    for step in range(1, 13):
-        current = homology.syzygy(current)
-        idx = match_node(algebra, current, nodes, reps, seed=seed + step)
-        if nodes[idx] == start:
+    for _ in range(12):
+        current = omega_node(algebra, current, length_cap, seed)
+        if current == first:
             return orbit
-        orbit.append(nodes[idx])
+        orbit.append(nodes[current])
     raise StrcatError("syzygy orbit did not close after 12 steps")
 
 

@@ -6,8 +6,10 @@ machine-readable with ``--format json|csv|dot``.  Identical flags and seed
 produce byte-identical output.
 
 Exit codes: 0 success, 2 bad flags or input (an unreadable ``--spec``, an
-unwritable ``--out``, a non-integer ``STRCAT_SEED``), 3 computation error,
-4 verification failure under ``--verify``.
+unwritable ``--out``, a non-integer ``STRCAT_SEED``, a ``--prime`` or spec
+prime that is composite or above ``MAX_PRIME``, a ``--n`` or
+``--length-cap`` below 1), 3 computation error, 4 verification failure
+under ``--verify``.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .quiver_core import (
     build_family,
     indecomposable_projective,
     load_algebra_spec,
+    require_prime,
 )
 
 EXIT_OK = 0
@@ -38,20 +41,33 @@ EXIT_COMPUTE = 3
 EXIT_VERIFY = 4
 
 
+def _prime(text: str) -> int:
+    try:
+        return require_prime(int(text))
+    except ValueError as exc:  # not an integer, or BadPrime
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--family", choices=[*families.FAMILIES, "file"],
                         required=True)
     bounds = ", ".join(f"{f.name}: m >= {f.m_min}" for f in families.FAMILIES.values())
     parser.add_argument("--m", type=int, default=None,
                         help=f"family parameter ({bounds})")
-    parser.add_argument("--prime", type=int, default=DEFAULT_PRIME)
+    parser.add_argument("--prime", type=_prime, default=DEFAULT_PRIME)
     parser.add_argument("--seed", type=int, default=None,
                         help="randomization seed; STRCAT_SEED is the fallback")
     parser.add_argument("--format", choices=["table", "json", "csv", "dot"],
                         default="table")
     parser.add_argument("--spec", default=None,
                         help="algebra spec JSON (with --family file)")
-    parser.add_argument("--length-cap", type=int, default=None)
+    parser.add_argument("--length-cap", type=_positive, default=None)
     parser.add_argument("--out", default=None, help="output path; default stdout")
     parser.add_argument("--verify", action="store_true",
                         help="re-check the classification table and AR shape; "
@@ -88,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("syzygy", help="iterated syzygy of a module")
     _add_common(sy)
     sy.add_argument("module")
-    sy.add_argument("--n", type=int, default=1)
+    sy.add_argument("--n", type=_positive, default=1)
 
     aq = sub.add_parser("arquiver", help="stable Auslander-Reiten quiver")
     _add_common(aq)
@@ -146,7 +162,6 @@ class Result:
     rows: list[list]
     table: str                   # --format table
     dot: str | None = None       # --format dot
-    reports: list | None = None  # classify's reports, which --verify reuses
 
 
 def _radical_series(rep: homology.Representation) -> list[dict[int, int]]:
@@ -225,8 +240,7 @@ def cmd_syzygy(args, algebra: Algebra) -> Result:
     iso_name = None
     if not rep.is_zero():
         nodes = strings.enumerate_strings(algebra, args.length_cap)
-        reps = arquiver.node_modules(algebra, nodes)
-        idx = arquiver.match_node(algebra, rep, nodes, reps, seed=args.seed)
+        idx = arquiver.match_node(algebra, rep, nodes, seed=args.seed)
         names = _names(args, algebra)
         iso_name = names.get(nodes[idx], nodes[idx].literal())
     dims = rep.dim_vector()
@@ -263,8 +277,7 @@ def cmd_classify(args, algebra: Algebra) -> Result:
             for r in reports]
     return Result(deformation.reports_to_json(reports), deformation.CSV_COLUMNS,
                   [deformation.report_csv_row(r) for r in reports],
-                  _table(rows, ["module", "string", "stable_endo", "ext1", "udr"]),
-                  reports=reports)
+                  _table(rows, ["module", "string", "stable_endo", "ext1", "udr"]))
 
 
 # command -> (its name in messages, computes its Result, has dot output)
@@ -281,7 +294,7 @@ COMMANDS = {
 }
 
 
-def run_command(args, parser) -> tuple[Algebra, Result]:
+def run_command(args, parser) -> Algebra:
     """Run the command and write its result in the --format asked for, to
     --out or stdout.  A format the command lacks exits 2 before any work."""
     label, compute, has_dot = COMMANDS[args.command]
@@ -305,15 +318,15 @@ def run_command(args, parser) -> tuple[Algebra, Result]:
             parser.exit(EXIT_USAGE, f"error: cannot write --out {args.out}: {exc!r}\n")
     else:
         sys.stdout.write(text)
-    return algebra, result
+    return algebra
 
 
-def run_verification(args, algebra: Algebra, reports) -> list[str]:
+def run_verification(args, algebra: Algebra) -> list[str]:
     """Agreement checks behind --verify: string counts, the classification
     table, and the component shape.  Returns the list of problems.
 
-    ``reports`` are the command's classification when it computed one
-    (else None, and the algebra is classified here).
+    The enumeration, classification and AR quiver come from the algebra's
+    memo when the command already computed them.
     """
     fam = families.get(args.family)
     problems: list[str] = []
@@ -321,8 +334,7 @@ def run_verification(args, algebra: Algebra, reports) -> list[str]:
     words = strings.enumerate_strings(algebra, args.length_cap)
     if len(words) != nodes:
         problems.append(f"string count {len(words)} != {nodes}")
-    if reports is None:
-        reports = deformation.classify(algebra, args.family, args.m, seed=args.seed)
+    reports = deformation.classify(algebra, args.family, args.m, seed=args.seed)
     problems += deformation.verify_classification(reports, args.family, args.m)
     q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=args.seed)
     if q.node_count != nodes:
@@ -353,8 +365,8 @@ def main(argv=None) -> int:
     if args.family == "file" and args.verify:
         parser.error("--verify needs a built-in family")
     try:
-        algebra, result = run_command(args, parser)
-        problems = run_verification(args, algebra, result.reports) if args.verify else []
+        algebra = run_command(args, parser)
+        problems = run_verification(args, algebra) if args.verify else []
     except StrcatError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_COMPUTE

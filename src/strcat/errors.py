@@ -5,6 +5,11 @@ class StrcatError(Exception):
     """Base class for all computation errors raised by strcat."""
 
 
+class BadPrime(StrcatError, ValueError):
+    """The field size is composite or above ``quiver_core.MAX_PRIME``; a
+    ValueError too, since that is bad input, not a failed computation."""
+
+
 class DimensionBoundExceeded(StrcatError):
     """The irreducible-path basis grew past the requested bound.
 

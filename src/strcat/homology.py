@@ -197,16 +197,6 @@ def identity_map(rep: Representation) -> ModuleMap:
     return ModuleMap(rep, rep, blocks, check=False)
 
 
-def map_from_flat(M: Representation, N: Representation, vec: np.ndarray) -> ModuleMap:
-    blocks = {}
-    pos = 0
-    for v in M.algebra.quiver.vertices:
-        size = M.dims[v] * N.dims[v]
-        blocks[v] = vec[pos: pos + size].reshape(M.dims[v], N.dims[v])
-        pos += size
-    return ModuleMap(M, N, blocks, check=False)
-
-
 # -- Hom spaces ----------------------------------------------------------------
 
 
@@ -218,12 +208,8 @@ def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
     p = alg.p
     verts = alg.quiver.vertices
     sizes = {v: M.dims[v] * N.dims[v] for v in verts}
-    offset = {}
-    pos = 0
-    for v in verts:
-        offset[v] = pos
-        pos += sizes[v]
-    total = pos
+    offset = dict(zip(verts, itertools.accumulate(sizes.values(), initial=0)))
+    total = sum(sizes.values())
     if total == 0:
         return []
     rows = []
@@ -246,7 +232,10 @@ def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
         sols = linalg.nullspace(system, p)
     else:
         sols = np.eye(total, dtype=np.int64)
-    return [map_from_flat(M, N, sols[k]) for k in range(sols.shape[0])]
+    # each solution holds every block f_v, flattened row-major, at offset[v]
+    return [ModuleMap(M, N, {v: sol[offset[v]: offset[v] + sizes[v]].reshape(M.dims[v], N.dims[v])
+                             for v in verts}, check=False)
+            for sol in sols]
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
@@ -454,39 +443,15 @@ class CanonicalHom:
     length: int
 
 
-def _quotient_cuts(algebra, word) -> list[tuple[int, int]]:
-    """Windows (pos, length) whose complement makes the window a quotient.
-
-    The prefix before the window must end with an inverse letter and the
-    suffix after it must start with a direct letter.
-    """
+def _cuts(word, quotient: bool) -> list[tuple[int, int]]:
+    """Windows (pos, length) of ``word`` that are a quotient of its module
+    (inverse letter before the window, direct letter after) or, with
+    ``quotient`` false, a submodule (direct letter before, inverse after)."""
     n = word.length
-    out = []
-    for pos in range(n + 1):
-        if pos > 0 and not word.letters[pos - 1].inverse:
-            continue
-        for length in range(n + 1 - pos):
-            end = pos + length
-            if end < n and word.letters[end].inverse:
-                continue
-            out.append((pos, length))
-    return out
-
-
-def _submodule_cuts(algebra, word) -> list[tuple[int, int]]:
-    """Windows (pos, length) embedding as a submodule: direct letter before,
-    inverse letter after."""
-    n = word.length
-    out = []
-    for pos in range(n + 1):
-        if pos > 0 and word.letters[pos - 1].inverse:
-            continue
-        for length in range(n + 1 - pos):
-            end = pos + length
-            if end < n and not word.letters[end].inverse:
-                continue
-            out.append((pos, length))
-    return out
+    return [(pos, length) for pos in range(n + 1)
+            if pos == 0 or word.letters[pos - 1].inverse == quotient
+            for length in range(n + 1 - pos)
+            if pos + length == n or word.letters[pos + length].inverse != quotient]
 
 
 def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
@@ -507,8 +472,8 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
         wt = T.inverse() if t_flip else T
         vs = word_vertices(algebra.quiver, ws)
         vt = word_vertices(algebra.quiver, wt)
-        s_cuts = _quotient_cuts(algebra, ws)
-        t_cuts = _submodule_cuts(algebra, wt)
+        s_cuts = _cuts(ws, quotient=True)
+        t_cuts = _cuts(wt, quotient=False)
         by_len: dict[int, list[tuple[int, int]]] = {}
         for cut in t_cuts:
             by_len.setdefault(cut[1], []).append(cut)

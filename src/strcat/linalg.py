@@ -16,8 +16,8 @@ def as_field(mat, p: int) -> np.ndarray:
 
 
 def mat_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # entries < p <= 32003 and inner dimensions stay small, so the
-    # int64 accumulator cannot overflow
+    # entries < p <= quiver_core.MAX_PRIME, whose bound keeps the int64
+    # accumulator from overflowing
     return (a @ b) % p
 
 

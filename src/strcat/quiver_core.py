@@ -22,14 +22,17 @@ desk-scale parameter m.
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import (
+    BadPrime,
     DimensionBoundExceeded,
     NonTerminating,
     StrcatError,
@@ -37,6 +40,22 @@ from .errors import (
 )
 
 DEFAULT_PRIME = 32003
+
+# Every int64 accumulation in the package (``linalg.mat_mul``, the row
+# update of ``linalg.rref``, the random combinations of ``is_isomorphic``)
+# sums at most n products of two residues below p.  With p <= MAX_PRIME,
+# n * (p - 1)**2 < 2**63 for every inner dimension n < 2**23.
+MAX_PRIME = 2 ** 20
+
+
+def require_prime(p: int) -> int:
+    """``p`` if it is a prime no larger than MAX_PRIME, else BadPrime.
+
+    Under the bound, trial division takes at most 2**10 steps.
+    """
+    if not 2 <= p <= MAX_PRIME or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise BadPrime(f"{p} is not a prime <= {MAX_PRIME}")
+    return p
 
 
 class Arrow(NamedTuple):
@@ -243,8 +262,7 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
     """
     if dim_bound < 1:
         raise StrcatError("dim_bound must be >= 1")
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
-        raise StrcatError(f"{p} is not prime")
+    require_prime(p)
 
     rw = _Rewriter(quiver, p, step_cap=200 + 40 * dim_bound)
     pending = sorted(rules, key=lambda r: path_key(quiver, r.lhs))
@@ -516,15 +534,25 @@ def build_family(family: str, m: int, p: int = DEFAULT_PRIME) -> Algebra:
 
 
 def memoized(fn):
-    """Memoize ``fn(owner, *key)`` in ``owner.memo``, the dict that every
-    Algebra and Representation carries.  An entry lives exactly as long as
-    the algebra or module it belongs to; there is no global cache."""
+    """Memoize ``fn(owner, ...)`` in ``owner.memo``, the dict that every
+    Algebra and Representation carries.  The key is the call bound to
+    ``fn``'s signature with defaults applied, so ``f(A)``, ``f(A, None)``
+    and ``f(A, cap=None)`` share one slot when None is the default.  An
+    entry lives exactly as long as the algebra or module it belongs to;
+    there is no global cache."""
+    signature = inspect.signature(fn)
+    arity = len(signature.parameters)
 
     @functools.wraps(fn)
-    def wrapper(owner, *key):
+    def wrapper(*args, **kwargs):
+        if kwargs or len(args) != arity:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
+        owner, *key = args
         slot = (fn.__name__, *key)
         if slot not in owner.memo:
-            owner.memo[slot] = fn(owner, *key)
+            owner.memo[slot] = fn(*args)
         return owner.memo[slot]
 
     return wrapper

@@ -174,8 +174,10 @@ def _extend(word: StringWord, letter: Letter, algebra: Algebra) -> StringWord | 
     return new if is_string(new, algebra) else None
 
 
+@memoized
 def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> list[StringWord]:
-    """All strings up to the cap, one canonical representative per class.
+    """All strings up to the cap, one canonical representative per class,
+    in word order.  The list is shared through the memo; do not mutate it.
 
     Raises CapTooSmall when strings of the maximal length still appear,
     since longer ones could then exist.
@@ -256,27 +258,16 @@ def _grow_directed(word: StringWord, algebra: Algebra, inverse: bool) -> StringW
         word = candidates[0]
 
 
-def hook_extensions_at_start(word: StringWord, algebra: Algebra) -> list[StringWord]:
-    """Extensions D~ g w: the junction arrow g points into the old part,
-    so the old module embeds into the new one."""
-    quiver = algebra.quiver
+def extensions_at_start(word: StringWord, algebra: Algebra, hook: bool) -> list[StringWord]:
+    """Hook extensions D~ g w, whose junction arrow g points into the old
+    part, so the old module embeds into the new one; or, with ``hook``
+    false, cohook extensions D g~ w, whose junction points away from the
+    old part, so the new module projects onto the old one."""
     out = []
-    for a in quiver.arrows:
-        first = _extend(word, Letter(a.name, False), algebra)
+    for a in algebra.quiver.arrows:
+        first = _extend(word, Letter(a.name, not hook), algebra)
         if first is not None:
-            out.append(_grow_directed(first, algebra, inverse=True))
-    return out
-
-
-def cohook_extensions_at_start(word: StringWord, algebra: Algebra) -> list[StringWord]:
-    """Extensions D g~ w: the junction points away from the old part, so
-    the new module projects onto the old one."""
-    quiver = algebra.quiver
-    out = []
-    for a in quiver.arrows:
-        first = _extend(word, Letter(a.name, True), algebra)
-        if first is not None:
-            out.append(_grow_directed(first, algebra, inverse=False))
+            out.append(_grow_directed(first, algebra, inverse=hook))
     return out
 
 
@@ -292,16 +283,13 @@ def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, St
     edges = []
     orientations = [node] if node.is_trivial else [node, node.inverse()]
     for w in orientations:
-        for ext in hook_extensions_at_start(w, algebra):
-            edge = (node, canonical(ext, quiver), "hook")
-            if edge not in seen:
-                seen.add(edge)
-                edges.append(edge)
-        for ext in cohook_extensions_at_start(w, algebra):
-            edge = (canonical(ext, quiver), node, "cohook")
-            if edge not in seen:
-                seen.add(edge)
-                edges.append(edge)
+        for hook in (True, False):
+            for ext in extensions_at_start(w, algebra, hook):
+                ext = canonical(ext, quiver)
+                edge = (node, ext, "hook") if hook else (ext, node, "cohook")
+                if edge not in seen:
+                    seen.add(edge)
+                    edges.append(edge)
     return edges
 
 

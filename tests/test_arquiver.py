@@ -6,8 +6,11 @@ from strcat import (
     ae3,
     build_ar_quiver,
     build_family,
+    is_isomorphic,
     named_string,
     omega_orbit,
+    omega_power,
+    string_module,
     to_dot,
 )
 from strcat.strings import family_node_names
@@ -85,6 +88,18 @@ def test_component_matches_the_expected_pattern(family, m):
     assert q.node_count == want_nodes
     assert edges == expected_edges(family, m)
     assert tau == expected_tau(family, m)
+
+
+@pytest.mark.parametrize("family,m", CASES)
+def test_translate_is_the_second_syzygy(family, m):
+    # the direct computation: Omega^2 of each node, tested against its
+    # translate, with no step through the memoized Omega map on nodes
+    A = build_family(family, m)
+    q = build_ar_quiver(A)
+    for i, w in enumerate(q.nodes):
+        translate = string_module(A, q.nodes[q.tau[i]])
+        assert is_isomorphic(omega_power(string_module(A, w), 2), translate,
+                             seed=i), (family, m, str(w))
 
 
 def test_ae1_mouth_has_a_single_incoming_arrow_kind():

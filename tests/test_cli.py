@@ -182,6 +182,26 @@ def test_bad_flags_exit_2(capsys):
         cli.main(["hom", "--family", "ae1", "--m", "2", "V0", "V0",
                   "--format", "dot"])
     assert exc.value.code == 2
+    for argv in (["syzygy", "--family", "ae1", "--m", "2", "V0", "--n", "0"],
+                 ["syzygy", "--family", "ae1", "--m", "2", "V0", "--n", "-2"],
+                 ["strings", "--family", "ae1", "--m", "2", "--length-cap", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2, argv
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("prime", ["4", "2147483647", "2305843009213693951"],
+                         ids=["composite", "above-bound", "61-bit"])
+def test_unusable_prime_flag_exits_2(capsys, prime):
+    # 2^31 - 1 and 2^61 - 1 are prime but overflow int64 products
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["hom", "--family", "ae1", "--m", "2", "V0", "V1",
+                  "--prime", prime])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1 and prime in captured.err
 
 
 @pytest.mark.parametrize("content", [
@@ -189,7 +209,11 @@ def test_bad_flags_exit_2(capsys):
     "{not json",
     json.dumps({"vertices": [0], "arrows": [], "rules": []}),
     json.dumps({"vertices": 5, "arrows": [], "dim_bound": 3}),
-], ids=["missing-file", "invalid-json", "no-dim-bound", "wrong-type"])
+    json.dumps({"vertices": [0], "arrows": [], "prime": 4, "dim_bound": 3}),
+    json.dumps({"vertices": [0], "arrows": [], "prime": 2147483647,
+                "dim_bound": 3}),
+], ids=["missing-file", "invalid-json", "no-dim-bound", "wrong-type",
+        "composite-prime", "prime-above-bound"])
 def test_bad_spec_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "alg.json"
     if content is not None:
@@ -207,6 +231,49 @@ def test_env_seed_fallback(capsys, monkeypatch):
                        "--format", "json")
     assert code == 0
     assert json.loads(out)[0]["module"] == "V0"
+
+
+def test_non_self_injective_spec_exits_3(tmp_path, capsys):
+    # the path algebra 0 -> 1 -> 2: Omega(S0) is projective, so the syzygy
+    # of a string module need not be a node
+    spec = {
+        "vertices": [0, 1, 2],
+        "arrows": [{"name": "a", "from": 0, "to": 1},
+                   {"name": "b", "from": 1, "to": 2}],
+        "rules": [],
+        "dim_bound": 8,
+    }
+    path = tmp_path / "a3.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "arquiver", "--family", "file", "--spec", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: no node matches") and len(err.splitlines()) == 1
+
+
+def test_verify_reuses_the_commands_work(capsys, monkeypatch):
+    # the command's AR quiver and classification sit in the algebra's
+    # memo, so --verify identifies each node's syzygy only once
+    from strcat import arquiver, strings
+
+    calls = {"match_node": 0, "class_moves": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(arquiver, "match_node")
+    counted(strings, "class_moves")
+    nodes = families.get("ae3").node_count(3)
+    for command in ("arquiver", "classify"):
+        calls.update(match_node=0, class_moves=0)
+        code, _, err = run(capsys, command, "--family", "ae3", "--m", "3", "--verify")
+        assert code == 0 and not err
+        assert calls == {"match_node": nodes, "class_moves": nodes}, command
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):

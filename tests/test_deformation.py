@@ -27,8 +27,7 @@ from strcat import (
     tangent_dim,
 )
 from strcat.deformation import (
-    _natural_inclusion,
-    _natural_surjection,
+    _canonical_map,
     expected_classification,
     power_series_quotient,
     reports_to_json,
@@ -99,8 +98,8 @@ def auto_tower(algebra, base_word, seed=0):
             prev_word = words[-1]
             if word is not None and prev_word is not None:
                 try:
-                    inc = _natural_inclusion(algebra, prev_word, word)
-                    sur = _natural_surjection(algebra, word, prev_word)
+                    inc = _canonical_map(algebra, prev_word, word, injective=True)
+                    sur = _canonical_map(algebra, word, prev_word, injective=False)
                 except StrcatError:
                     continue
             else:

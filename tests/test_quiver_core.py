@@ -1,5 +1,6 @@
 import random
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from strcat import (
     Algebra,
     AlgebraMismatch,
+    BadPrime,
     DimensionBoundExceeded,
     RewriteRule,
     StrcatError,
@@ -15,12 +17,13 @@ from strcat import (
     ae3,
     complete_rewriting,
     indecomposable_projective,
+    linalg,
     load_algebra_spec,
     make_path,
     make_quiver,
     trivial_path,
 )
-from strcat.quiver_core import path_key
+from strcat.quiver_core import MAX_PRIME, memoized, path_key, require_prime
 
 from .oracles import family_dimension
 
@@ -177,6 +180,43 @@ def test_free_cycle_exceeds_dimension_bound():
     q = make_quiver([0, 1], [("x", 0, 1), ("y", 1, 0)])
     with pytest.raises(DimensionBoundExceeded):
         complete_rewriting(q, [], dim_bound=12)
+
+
+@pytest.mark.parametrize("p", [1, 4, 32001, MAX_PRIME + 7, 2147483647,
+                               2305843009213693951])
+def test_unusable_primes_are_rejected_before_completion(p):
+    # MAX_PRIME + 7 = 1048583 and the Mersenne numbers 2^31 - 1, 2^61 - 1
+    # are prime but above the bound; 32001 = 3 * 10667
+    with pytest.raises(BadPrime):
+        ae1(2, p=p)
+
+
+def test_products_stay_exact_up_to_the_prime_bound():
+    p = next(q for q in range(MAX_PRIME, 0, -1) if q % 2 and
+             all(q % d for d in range(3, int(q ** 0.5) + 1, 2)))
+    assert require_prime(p) == p == 1048573
+    assert (2 ** 23 - 1) * (MAX_PRIME - 1) ** 2 < 2 ** 63
+    n = 4096
+    a = np.full((2, n), p - 1, dtype=np.int64)
+    got = linalg.mat_mul(a, a.T, p)
+    assert (got == n * (p - 1) ** 2 % p).all()
+
+
+def test_memo_key_ignores_the_call_form():
+    calls = []
+
+    @memoized
+    def scaled(owner, x, factor=1, shift=None):
+        calls.append((x, factor, shift))
+        return [x * factor]
+
+    o = SimpleNamespace(memo={})
+    first = scaled(o, 3)
+    assert scaled(o, 3, 1) is first
+    assert scaled(o, x=3, shift=None) is first
+    assert scaled(o, 3, factor=1, shift=None) is first
+    assert scaled(o, 3, 2) == [6] and scaled(o, 3, factor=2) == [6]
+    assert calls == [(3, 1, None), (3, 2, None)]
 
 
 def test_associativity_is_exhaustively_checked():

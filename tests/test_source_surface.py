@@ -1,8 +1,10 @@
-"""Every function, method and class that ``src/strcat`` defines is used there.
+"""Every function, method and class that ``src/strcat`` defines is used
+there, and so is every name it imports.
 
 A name that only tests call belongs in ``tests/``; a name that nothing
 calls belongs nowhere.  ``__init__.py`` only re-exports, so its imports do
-not count as uses.
+not count as uses and are not checked.  An import kept on purpose carries
+``# noqa: F401`` on its line.
 """
 
 import ast
@@ -28,3 +30,27 @@ def test_every_defined_name_is_used_in_the_package():
     unused = sorted(f"{name} ({where})" for name, where in defined.items()
                     if name not in used)
     assert not unused, "defined in src/strcat but never used there: " + ", ".join(unused)
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if any("# noqa: F401" in line
+                   for line in lines[node.lineno - 1: node.end_lineno]):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{name} ({path.name}:{node.lineno})")
+    assert not unused, "imported in src/strcat but never used: " + ", ".join(unused)

@@ -25,9 +25,8 @@ from strcat import (
 from strcat.strings import (
     Letter,
     StringWord,
-    cohook_extensions_at_start,
+    extensions_at_start,
     family_node_names,
-    hook_extensions_at_start,
     word_key,
 )
 
@@ -59,13 +58,13 @@ def maximal_directed_strings(algebra):
     return sorted(set(out), key=lambda w: word_key(quiver, w))
 
 
-def _one_sided(word, algebra, side, mover):
+def _one_sided(word, algebra, side, hook):
     if side not in ("left", "right"):
         raise StrcatError("side must be 'left' or 'right'")
     attempts = [word, word.inverse()] if side == "left" else \
         [word.inverse(), word]
     for w in attempts:
-        got = mover(w, algebra)
+        got = extensions_at_start(w, algebra, hook)
         if got:
             return canonical(got[0], algebra.quiver)
     return None
@@ -81,7 +80,7 @@ def add_hook(algebra, word, side):
     """
     if not is_string(word, algebra):
         raise NotAString(f"{word} is not a string over this algebra")
-    got = _one_sided(word, algebra, side, hook_extensions_at_start)
+    got = _one_sided(word, algebra, side, hook=True)
     if got is None:
         raise OnPeak(f"{word} admits no hook on the {side} side")
     return got
@@ -91,7 +90,7 @@ def add_cohook(algebra, word, side):
     """One-step cohook extension; the extension projects onto the input."""
     if not is_string(word, algebra):
         raise NotAString(f"{word} is not a string over this algebra")
-    got = _one_sided(word, algebra, side, cohook_extensions_at_start)
+    got = _one_sided(word, algebra, side, hook=False)
     if got is None:
         raise InDeep(f"{word} admits no cohook on the {side} side")
     return got
@@ -146,7 +145,17 @@ def test_enumeration_is_sorted_and_deterministic():
     words = enumerate_strings(A)
     keys = [word_key(A.quiver, w) for w in words]
     assert keys == sorted(keys)
-    assert words == enumerate_strings(A)
+    # a second call on A would return the memoized list itself
+    assert words == enumerate_strings(ae3(3))
+
+
+def test_enumeration_memo_ignores_the_call_form():
+    A = ae3(3)
+    words = enumerate_strings(A)
+    assert enumerate_strings(A, None) is words
+    assert enumerate_strings(A, length_cap=None) is words
+    capped = enumerate_strings(A, length_cap=20)
+    assert capped is not words and capped == words
 
 
 def test_cap_too_small():
