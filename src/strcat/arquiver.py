@@ -16,26 +16,34 @@ from .errors import StrcatError
 from .quiver_core import Algebra, memoized
 
 
-@dataclass
+@dataclass(frozen=True)
 class ArQuiver:
-    nodes: list[strings.StringWord]
-    arrows: list[tuple[int, int, str]]  # (source index, target index, kind)
-    tau: list[int]                      # node index -> index of its translate
+    nodes: tuple[strings.StringWord, ...]
+    arrows: tuple[tuple[int, int, str], ...]  # (source index, target index, kind)
+    tau: tuple[int, ...]                      # node index -> index of its translate
 
     @property
     def node_count(self) -> int:
         return len(self.nodes)
 
 
+@memoized
+def nodes_by_dim_vector(algebra: Algebra, length_cap: int | None = None) -> dict:
+    """(index, word) of each node, grouped by the dimension vector of its
+    module."""
+    groups = {}
+    for i, w in enumerate(strings.enumerate_strings(algebra, length_cap)):
+        groups.setdefault(strings.string_module(algebra, w).dim_vector(), []).append((i, w))
+    return groups
+
+
 def match_node(algebra: Algebra, rep: homology.Representation,
-               nodes, seed: int = 0) -> int:
-    """Index of the unique node isomorphic to ``rep``."""
+               length_cap: int | None = None, seed: int = 0) -> int:
+    """Index of the unique node isomorphic to ``rep``; only nodes with
+    ``rep``'s dimension vector are tested."""
     dv = rep.dim_vector()
-    for i, w in enumerate(nodes):
-        cand = strings.string_module(algebra, w)
-        if cand.dim_vector() != dv:
-            continue
-        if homology.is_isomorphic(rep, cand, seed=seed):
+    for i, w in nodes_by_dim_vector(algebra, length_cap).get(dv, []):
+        if homology.is_isomorphic(rep, strings.string_module(algebra, w), seed=seed):
             return i
     raise StrcatError(f"no node matches a module of dimension vector {dv}")
 
@@ -44,9 +52,9 @@ def match_node(algebra: Algebra, rep: homology.Representation,
 def omega_node(algebra: Algebra, i: int, length_cap: int | None = None,
                seed: int = 0) -> int:
     """Index of the node isomorphic to the syzygy of node ``i``."""
-    nodes = strings.enumerate_strings(algebra, length_cap)
-    rep = homology.syzygy(strings.string_module(algebra, nodes[i]))
-    return match_node(algebra, rep, nodes, seed=seed + i)
+    node = strings.enumerate_strings(algebra, length_cap)[i]
+    rep = homology.syzygy(strings.string_module(algebra, node))
+    return match_node(algebra, rep, length_cap, seed=seed + i)
 
 
 @memoized
@@ -61,10 +69,10 @@ def build_ar_quiver(algebra: Algebra, length_cap: int | None = None,
             if src not in index or tgt not in index:
                 raise StrcatError(f"move leaves the enumerated node set: {src} -> {tgt}")
             arrow_set.add((index[src], index[tgt], kind))
-    tau = [omega_node(algebra, omega_node(algebra, i, length_cap, seed),
-                      length_cap, seed)
-           for i in range(len(nodes))]
-    return ArQuiver(nodes, sorted(arrow_set), tau)
+    tau = tuple(omega_node(algebra, omega_node(algebra, i, length_cap, seed),
+                           length_cap, seed)
+                for i in range(len(nodes)))
+    return ArQuiver(nodes, tuple(sorted(arrow_set)), tau)
 
 
 def omega_orbit(algebra: Algebra, node: strings.StringWord,

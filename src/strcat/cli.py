@@ -240,7 +240,7 @@ def cmd_syzygy(args, algebra: Algebra) -> Result:
     iso_name = None
     if not rep.is_zero():
         nodes = strings.enumerate_strings(algebra, args.length_cap)
-        idx = arquiver.match_node(algebra, rep, nodes, seed=args.seed)
+        idx = arquiver.match_node(algebra, rep, args.length_cap, seed=args.seed)
         names = _names(args, algebra)
         iso_name = names.get(nodes[idx], nodes[idx].literal())
     dims = rep.dim_vector()

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 
 from . import arquiver, families, homology, strings
 from .errors import StrcatError
+from .quiver_core import Algebra, build_family, memoized
 # indecomposable_projective is unused here but stays importable from this
 # module: perfbench's tracer test checks that this alias is rebound
-from .quiver_core import Algebra, build_family, indecomposable_projective  # noqa: F401
+from .quiver_core import indecomposable_projective  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -117,27 +118,19 @@ def check_tower(tower: Tower, module: homology.Representation,
     return power_series_quotient(tower.steps + 1)
 
 
-def _natural_inclusion(algebra: Algebra, small: strings.StringWord,
-                       big: strings.StringWord) -> homology.ModuleMap:
-    """The unique injective canonical homomorphism M[small] -> M[big]."""
+def _canonical_map(algebra: Algebra, source: strings.StringWord,
+                   target: strings.StringWord, injective: bool) -> homology.ModuleMap:
+    """The unique canonical homomorphism M[source] -> M[target] that is
+    injective (an inclusion) or, with ``injective`` false, surjective (a
+    projection)."""
     maps = [homology.realize_canonical(ch)
-            for ch in homology.canonical_homs(algebra, small, big)]
-    injective = [f for f in maps if f.is_injective()]
-    if len(injective) != 1:
-        raise StrcatError(
-            f"expected one canonical inclusion {small} -> {big}, found {len(injective)}")
-    return injective[0]
-
-
-def _natural_surjection(algebra: Algebra, big: strings.StringWord,
-                        small: strings.StringWord) -> homology.ModuleMap:
-    maps = [homology.realize_canonical(ch)
-            for ch in homology.canonical_homs(algebra, big, small)]
-    surjective = [f for f in maps if f.is_surjective()]
-    if len(surjective) != 1:
-        raise StrcatError(
-            f"expected one canonical projection {big} -> {small}, found {len(surjective)}")
-    return surjective[0]
+            for ch in homology.canonical_homs(algebra, source, target)]
+    found = [f for f in maps if (f.is_injective() if injective else f.is_surjective())]
+    if len(found) != 1:
+        kind = "inclusion" if injective else "projection"
+        raise StrcatError(f"expected one canonical {kind} {source} -> {target}, "
+                          f"found {len(found)}")
+    return found[0]
 
 
 def build_tower(family: str, m: int, algebra: Algebra | None = None) -> Tower:
@@ -156,8 +149,8 @@ def build_tower(family: str, m: int, algebra: Algebra | None = None) -> Tower:
     inclusions = []
     surjections = []
     for small, big in zip(words, words[1:]):
-        inclusions.append(_natural_inclusion(algebra, small, big))
-        surjections.append(_natural_surjection(algebra, big, small))
+        inclusions.append(_canonical_map(algebra, small, big, injective=True))
+        surjections.append(_canonical_map(algebra, big, small, injective=False))
     if fam.projective_cap is not None:
         label, inc, sur = fam.projective_cap(algebra, modules[-1])
         modules.append(inc.target)
@@ -170,14 +163,14 @@ def build_tower(family: str, m: int, algebra: Algebra | None = None) -> Tower:
 # -- classification ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class UdrReport:
     module: str
     string: str
     stable_endo_dim: int
     ext1_dim: int
     udr: UdrDescriptor
-    trail: list[str]
+    trail: tuple[str, ...]
 
     def to_json(self) -> dict:
         return {
@@ -195,13 +188,15 @@ def tangent_dim(algebra: Algebra, M: homology.Representation) -> int:
     return homology.ext1_dim(M, M)
 
 
-def classify(algebra: Algebra, family: str, m: int, seed: int = 0) -> list[UdrReport]:
+@memoized
+def classify(algebra: Algebra, family: str, m: int, seed: int = 0) -> tuple[UdrReport, ...]:
     """Per-module verdicts for every string with stable endomorphism field.
 
     Tangent-zero modules get the trivial ring outright.  For the
     tangent-one modules, the family's tower certifies one representative
     and the ring transports along its syzygy orbit, which is recorded in
-    the trail.
+    the trail.  The reports live in the algebra's memo, so a second call
+    with the same family, m and seed returns the same tuple.
     """
     fam = families.get(family)
     named = strings.family_node_names(family, m, algebra.quiver)
@@ -256,8 +251,8 @@ def classify(algebra: Algebra, family: str, m: int, seed: int = 0) -> list[UdrRe
             udr = unresolved("tangent-one module outside the certified orbit")
             trail.append("no certification path reached this module")
         trail += fam.notes(m, name)
-        reports.append(UdrReport(name, w.literal(), sed, ext, udr, trail))
-    return reports
+        reports.append(UdrReport(name, w.literal(), sed, ext, udr, tuple(trail)))
+    return tuple(reports)
 
 
 def expected_classification(family: str, m: int) -> dict[str, tuple[int, UdrDescriptor]]:
@@ -266,7 +261,7 @@ def expected_classification(family: str, m: int) -> dict[str, tuple[int, UdrDesc
             for name, (ext1, exponent) in families.get(family).expected(m).items()}
 
 
-def verify_classification(reports: list[UdrReport], family: str, m: int) -> list[str]:
+def verify_classification(reports: tuple[UdrReport, ...], family: str, m: int) -> list[str]:
     """Mismatches between computed reports and the closed-form table."""
     expected = expected_classification(family, m)
     got = {r.module: (r.ext1_dim, r.udr) for r in reports}
@@ -279,7 +274,7 @@ def verify_classification(reports: list[UdrReport], family: str, m: int) -> list
     return problems
 
 
-def reports_to_json(reports: list[UdrReport]) -> list[dict]:
+def reports_to_json(reports: tuple[UdrReport, ...]) -> list[dict]:
     return [r.to_json() for r in reports]
 
 

@@ -21,6 +21,14 @@ from .errors import AlgebraMismatch, StrcatError, ZeroModule
 from .quiver_core import indecomposable_projective, memoized, projective_paths
 
 
+def _field_block(mat, shape: tuple[int, int], p: int, what: str, key) -> np.ndarray:
+    """``mat`` reduced mod p, zeros when it is None; it must have ``shape``."""
+    mat = linalg.as_field(np.zeros(shape, dtype=np.int64) if mat is None else mat, p)
+    if mat.shape != shape:
+        raise StrcatError(f"{what} {key} has shape {mat.shape}, wanted {shape}")
+    return mat
+
+
 class Representation:
     """A module over a bound quiver algebra, stored vertexwise.
 
@@ -33,17 +41,10 @@ class Representation:
         self.algebra = algebra
         self.memo: dict = {}
         self.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
-        self.mats = {}
-        for a in algebra.quiver.arrows:
-            mat = mats.get(a.name)
-            shape = (self.dims[a.source], self.dims[a.target])
-            if mat is None:
-                mat = np.zeros(shape, dtype=np.int64)
-            mat = linalg.as_field(mat, algebra.p)
-            if mat.shape != shape:
-                raise StrcatError(
-                    f"matrix for arrow {a.name} has shape {mat.shape}, wanted {shape}")
-            self.mats[a.name] = mat
+        self.mats = {a.name: _field_block(mats.get(a.name),
+                                          (self.dims[a.source], self.dims[a.target]),
+                                          algebra.p, "matrix for arrow", a.name)
+                     for a in algebra.quiver.arrows}
         if check:
             self.check_relations()
 
@@ -126,17 +127,9 @@ class ModuleMap:
             raise AlgebraMismatch("source and target live over different algebras")
         self.source = source
         self.target = target
-        self.blocks = {}
-        p = source.algebra.p
-        for v in source.algebra.quiver.vertices:
-            blk = blocks.get(v)
-            shape = (source.dims[v], target.dims[v])
-            if blk is None:
-                blk = np.zeros(shape, dtype=np.int64)
-            blk = linalg.as_field(blk, p)
-            if blk.shape != shape:
-                raise StrcatError(f"block at vertex {v} has shape {blk.shape}, wanted {shape}")
-            self.blocks[v] = blk
+        self.blocks = {v: _field_block(blocks.get(v), (source.dims[v], target.dims[v]),
+                                       source.algebra.p, "block at vertex", v)
+                       for v in source.algebra.quiver.vertices}
         if check:
             self.check_intertwining()
 
@@ -197,6 +190,16 @@ def identity_map(rep: Representation) -> ModuleMap:
     return ModuleMap(rep, rep, blocks, check=False)
 
 
+def map_from_flat(M: Representation, N: Representation, vec: np.ndarray) -> ModuleMap:
+    blocks = {}
+    pos = 0
+    for v in M.algebra.quiver.vertices:
+        size = M.dims[v] * N.dims[v]
+        blocks[v] = vec[pos: pos + size].reshape(M.dims[v], N.dims[v])
+        pos += size
+    return ModuleMap(M, N, blocks, check=False)
+
+
 # -- Hom spaces ----------------------------------------------------------------
 
 
@@ -208,8 +211,12 @@ def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
     p = alg.p
     verts = alg.quiver.vertices
     sizes = {v: M.dims[v] * N.dims[v] for v in verts}
-    offset = dict(zip(verts, itertools.accumulate(sizes.values(), initial=0)))
-    total = sum(sizes.values())
+    offset = {}
+    pos = 0
+    for v in verts:
+        offset[v] = pos
+        pos += sizes[v]
+    total = pos
     if total == 0:
         return []
     rows = []
@@ -232,10 +239,7 @@ def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
         sols = linalg.nullspace(system, p)
     else:
         sols = np.eye(total, dtype=np.int64)
-    # each solution holds every block f_v, flattened row-major, at offset[v]
-    return [ModuleMap(M, N, {v: sol[offset[v]: offset[v] + sizes[v]].reshape(M.dims[v], N.dims[v])
-                             for v in verts}, check=False)
-            for sol in sols]
+    return [map_from_flat(M, N, sols[k]) for k in range(sols.shape[0])]
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
@@ -368,8 +372,6 @@ def stable_hom_dim(M: Representation, N: Representation) -> int:
         raise AlgebraMismatch("modules live over different algebras")
     basis = hom_basis(M, N)
     if not basis:
-        return 0
-    if N.is_zero() or M.is_zero():
         return 0
     P, epi = projective_cover(N)
     lifted = hom_basis(M, P)

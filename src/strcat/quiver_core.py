@@ -81,10 +81,7 @@ class Quiver:
                 raise StrcatError(f"arrow {a.name} touches an undeclared vertex")
 
     def arrow(self, name: str) -> Arrow:
-        for a in self.arrows:
-            if a.name == name:
-                return a
-        raise StrcatError(f"unknown arrow {name!r}")
+        return self.arrows[self.arrow_index(name)]
 
     def arrow_index(self, name: str) -> int:
         for i, a in enumerate(self.arrows):
@@ -275,16 +272,19 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
             comb[rule.rhs] = (comb.get(rule.rhs, 0) - rule.coeff) % p
         return comb
 
-    def add_relation(comb: Lincomb, preferred_lhs: Path | None = None) -> bool:
+    def add_rule(rule: RewriteRule):
         nonlocal resolutions
-        reduced = rw.reduce(comb)
-        rule = _orient(quiver, reduced, p, preferred_lhs)
-        if rule is None:
-            return False
         resolutions += 1
         if resolutions > resolution_cap:
             raise NonTerminating("completion exceeded its resolution cap")
         rw.rules.append(rule)
+
+    def add_relation(comb: Lincomb, preferred_lhs: Path | None = None) -> bool:
+        reduced = rw.reduce(comb)
+        rule = _orient(quiver, reduced, p, preferred_lhs)
+        if rule is None:
+            return False
+        add_rule(rule)
         # interreduce: rebuild any existing rule the new one touches
         changed = True
         while changed:
@@ -298,11 +298,7 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
                     re = rw.reduce(rule_comb(old))
                     newr = _orient(quiver, re, p, old.lhs)
                     if newr is not None:
-                        resolutions += 1
-                        if resolutions > resolution_cap:
-                            raise NonTerminating(
-                                "completion exceeded its resolution cap")
-                        rw.rules.append(newr)
+                        add_rule(newr)
                     changed = True
                     break
         return True
@@ -383,8 +379,8 @@ class Algebra:
     """A finite dimensional bound quiver algebra over a prime field.
 
     The presentation, basis and multiplication table are fixed at
-    construction; ``memo`` fills in with derived modules (projectives and
-    their path layout, string modules) as they are first asked for.  ``basis`` lists the
+    construction; ``memo`` fills in with results derived from them (see
+    ``memoized``) as they are first asked for.  ``basis`` lists the
     irreducible paths, trivial paths first; products of basis elements
     reduce through the completed rule set and are tabulated once.
     """
@@ -470,9 +466,7 @@ class Algebra:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def reduce_path(self, path: Path | None) -> Lincomb:
-        if path is None:
-            return {}
+    def reduce_path(self, path: Path) -> Lincomb:
         return self._rw.reduce_path(path)
 
     def basis_paths_from(self, v: int) -> list[Path]:
@@ -541,14 +535,12 @@ def memoized(fn):
     entry lives exactly as long as the algebra or module it belongs to;
     there is no global cache."""
     signature = inspect.signature(fn)
-    arity = len(signature.parameters)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        if kwargs or len(args) != arity:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        args = tuple(bound.arguments.values())
         owner, *key = args
         slot = (fn.__name__, *key)
         if slot not in owner.memo:

@@ -175,9 +175,9 @@ def _extend(word: StringWord, letter: Letter, algebra: Algebra) -> StringWord | 
 
 
 @memoized
-def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> list[StringWord]:
+def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[StringWord, ...]:
     """All strings up to the cap, one canonical representative per class,
-    in word order.  The list is shared through the memo; do not mutate it.
+    in word order.
 
     Raises CapTooSmall when strings of the maximal length still appear,
     since longer ones could then exist.
@@ -210,7 +210,7 @@ def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> list[S
         words.extend(nxt)
         frontier = nxt
     classes = {canonical(w, quiver) for w in words}
-    return sorted(classes, key=lambda w: word_key(quiver, w))
+    return tuple(sorted(classes, key=lambda w: word_key(quiver, w)))
 
 
 # -- string modules -------------------------------------------------------------

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from strcat import (
@@ -6,6 +8,8 @@ from strcat import (
     ae3,
     build_ar_quiver,
     build_family,
+    classify,
+    enumerate_strings,
     is_isomorphic,
     named_string,
     omega_orbit,
@@ -13,6 +17,7 @@ from strcat import (
     string_module,
     to_dot,
 )
+from strcat import strings
 from strcat.strings import family_node_names
 
 
@@ -100,6 +105,39 @@ def test_translate_is_the_second_syzygy(family, m):
         translate = string_module(A, q.nodes[q.tau[i]])
         assert is_isomorphic(omega_power(string_module(A, w), 2), translate,
                              seed=i), (family, m, str(w))
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 8), ("ae2", 4), ("ae3", 8)])
+def test_matching_fetches_only_candidate_modules(family, m, monkeypatch):
+    # one lookup per node for the dimension-vector index, one for each
+    # node's own module, and one per candidate of the right dimension
+    # vector (no dimension vector here has more than two nodes); a scan
+    # over every node would make about n^2 / 2
+    fetched = []
+    original = strings.string_module
+
+    def counted(algebra, word):
+        fetched.append(word)
+        return original(algebra, word)
+
+    monkeypatch.setattr(strings, "string_module", counted)
+    A = build_family(family, m)
+    n = len(build_ar_quiver(A).nodes)
+    assert len(fetched) <= 4 * n, (family, m, len(fetched))
+
+
+def test_shared_results_cannot_be_changed():
+    # the memo hands the same objects to every caller
+    A = ae3(3)
+    q = build_ar_quiver(A)
+    with pytest.raises(FrozenInstanceError):
+        q.tau = ()
+    assert all(type(x) is tuple for x in (q.nodes, q.arrows, q.tau))
+    assert type(enumerate_strings(A)) is tuple
+    reports = classify(A, "ae3", 3)
+    assert type(reports) is tuple and type(reports[0].trail) is tuple
+    with pytest.raises(FrozenInstanceError):
+        reports[0].trail = ()
 
 
 def test_ae1_mouth_has_a_single_incoming_arrow_kind():

@@ -145,7 +145,7 @@ def test_enumeration_is_sorted_and_deterministic():
     words = enumerate_strings(A)
     keys = [word_key(A.quiver, w) for w in words]
     assert keys == sorted(keys)
-    # a second call on A would return the memoized list itself
+    # a second call on A would return the memoized tuple itself
     assert words == enumerate_strings(ae3(3))
 
 
