@@ -5,6 +5,11 @@ arrows are the canonical inclusions into hook extensions and projections
 out of cohook extensions.  ``omega_node`` names the node isomorphic to
 each node's syzygy, once per node, by isomorphism tests; the translate
 and the syzygy orbits both follow it.
+
+The translate is Omega^2, the AR translate only for symmetric algebras
+like the built-in families.  On an algebra that is not self-injective a
+projective string module becomes a node (P(1) = S(1) for the path algebra
+of 0 -> 1) whose syzygy matches no node, and the build fails.
 """
 
 from __future__ import annotations

@@ -6,10 +6,10 @@ machine-readable with ``--format json|csv|dot``.  Identical flags and seed
 produce byte-identical output.
 
 Exit codes: 0 success, 2 bad flags or input (an unreadable ``--spec``, an
-unwritable ``--out``, a non-integer ``STRCAT_SEED``, a ``--prime`` or spec
-prime that is composite or above ``MAX_PRIME``, a ``--n`` or
-``--length-cap`` below 1), 3 computation error, 4 verification failure
-under ``--verify``.
+unwritable ``--out``, a ``--seed`` or ``STRCAT_SEED`` that is not an
+integer >= 0, a ``--prime`` or spec prime that is composite or above
+``MAX_PRIME``, a ``--n`` or ``--length-cap`` below 1), 3 computation
+error, 4 verification failure under ``--verify``.
 """
 
 from __future__ import annotations
@@ -48,10 +48,13 @@ def _prime(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return int(text)
+def _at_least(low: int):
+    """An argparse type: a decimal integer >= ``low``."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= {low}")
+        return int(text)
+    return parse
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -61,13 +64,13 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, default=None,
                         help=f"family parameter ({bounds})")
     parser.add_argument("--prime", type=_prime, default=DEFAULT_PRIME)
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_at_least(0), default=None,
                         help="randomization seed; STRCAT_SEED is the fallback")
     parser.add_argument("--format", choices=["table", "json", "csv", "dot"],
                         default="table")
     parser.add_argument("--spec", default=None,
                         help="algebra spec JSON (with --family file)")
-    parser.add_argument("--length-cap", type=_positive, default=None)
+    parser.add_argument("--length-cap", type=_at_least(1), default=None)
     parser.add_argument("--out", default=None, help="output path; default stdout")
     parser.add_argument("--verify", action="store_true",
                         help="re-check the classification table and AR shape; "
@@ -104,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     sy = sub.add_parser("syzygy", help="iterated syzygy of a module")
     _add_common(sy)
     sy.add_argument("module")
-    sy.add_argument("--n", type=_positive, default=1)
+    sy.add_argument("--n", type=_at_least(1), default=1)
 
     aq = sub.add_parser("arquiver", help="stable Auslander-Reiten quiver")
     _add_common(aq)
@@ -355,11 +358,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.seed is None:
-        env = os.environ.get("STRCAT_SEED") or "0"
         try:
-            args.seed = int(env)
-        except ValueError:
-            parser.exit(EXIT_USAGE, f"error: STRCAT_SEED={env!r} is not an integer\n")
+            args.seed = _at_least(0)(os.environ.get("STRCAT_SEED") or "0")
+        except argparse.ArgumentTypeError as exc:
+            parser.exit(EXIT_USAGE, f"error: STRCAT_SEED={exc}\n")
     if args.family == "file" and args.command == "classify":
         parser.error("classify needs a built-in family")
     if args.family == "file" and args.verify:

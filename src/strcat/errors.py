@@ -22,10 +22,6 @@ class NonTerminating(StrcatError):
     """Rewriting or completion exceeded its iteration cap."""
 
 
-class UnsupportedRelation(StrcatError):
-    """Completion produced a relation with more than two terms."""
-
-
 class AlgebraMismatch(StrcatError):
     """Two operands live over different algebras."""
 

@@ -3,8 +3,11 @@
 An algebra is presented by a quiver together with monomial rules
 (path -> 0) and binomial rules (path -> scalar * path).  Completion
 resolves all rule overlaps so that every path has a unique normal form;
-the irreducible paths form the basis and multiplication reduces
-concatenations.
+the irreducible paths form the basis.  Every rule sends a path to zero or
+to a scalar times one path, so a normal form is one term (path, coeff)
+or zero, and so is the product of two basis elements: the multiplication
+table is two integer arrays, the basis index and the coefficient of each
+product.
 
 Built-in presentations:
 
@@ -36,7 +39,6 @@ from .errors import (
     DimensionBoundExceeded,
     NonTerminating,
     StrcatError,
-    UnsupportedRelation,
 )
 
 DEFAULT_PRIME = 32003
@@ -164,9 +166,6 @@ class RewriteRule:
         return f"{self.lhs} -> {self.coeff}*{self.rhs}"
 
 
-Lincomb = dict[Path, int]
-
-
 def _concat(p: Path, q: Path) -> Path | None:
     if p.target != q.source:
         return None
@@ -178,7 +177,7 @@ def _concat(p: Path, q: Path) -> Path | None:
 
 
 class _Rewriter:
-    """Reduces linear combinations of paths modulo an oriented rule set."""
+    """Reduces coeff * path modulo an oriented rule set to one term or None."""
 
     def __init__(self, quiver: Quiver, p: int, step_cap: int):
         self.quiver = quiver
@@ -195,58 +194,47 @@ class _Rewriter:
                     return pos, rule
         return None
 
-    def reduce_path(self, path: Path, coeff: int = 1) -> Lincomb:
-        return self.reduce({path: coeff % self.p})
-
-    def reduce(self, comb: Lincomb) -> Lincomb:
-        out: Lincomb = {}
-        work = [(path, c % self.p) for path, c in comb.items() if c % self.p]
+    def reduce_path(self, path: Path, coeff: int = 1) -> tuple[Path, int] | None:
+        coeff %= self.p
         steps = 0
-        while work:
-            path, c = work.pop()
+        while coeff:
             hit = self._find_redex(path)
             if hit is None:
-                out[path] = (out.get(path, 0) + c) % self.p
-                if out[path] == 0:
-                    del out[path]
-                continue
+                return path, coeff
             steps += 1
             if steps > self.step_cap:
                 raise NonTerminating("rewriting exceeded its step cap")
             pos, rule = hit
             if rule.rhs is None:
-                continue
+                return None
             left = path.arrows[:pos]
             right = path.arrows[pos + rule.lhs.length :]
-            new = make_path(self.quiver, left + rule.rhs.arrows + right,
-                            base_vertex=path.source)
-            work.append((new, (c * rule.coeff) % self.p))
-        return out
+            path = make_path(self.quiver, left + rule.rhs.arrows + right,
+                             base_vertex=path.source)
+            coeff = coeff * rule.coeff % self.p
+        return None
 
 
-def _orient(quiver: Quiver, comb: Lincomb, p: int,
-            preferred_lhs: Path | None = None) -> RewriteRule | None:
-    """Turn a reduced relation (== 0) into a rule.
+def _orient(quiver: Quiver, x: tuple[Path, int] | None, y: tuple[Path, int] | None,
+            p: int, preferred_lhs: Path | None = None) -> RewriteRule | None:
+    """Turn a relation x == y between reduced terms (None is zero) into a rule.
 
-    The largest path under the path order goes on the left, except that a
+    The larger path under the path order goes on the left, except that a
     surviving ``preferred_lhs`` keeps its side: a caller-supplied binomial
     rule such as ab -> r^m stays oriented as given even when its right
     side is the longer path (the normal forms are then the loop powers).
     """
-    terms = [(path, c) for path, c in comb.items() if c % p]
-    if not terms:
-        return None
-    if len(terms) > 2:
-        raise UnsupportedRelation(
-            "completion produced a relation with more than two terms")
-    if len(terms) == 1:
-        return RewriteRule(terms[0][0])
-    terms.sort(key=lambda t: path_key(quiver, t[0]))
-    (small, cs), (big, cb) = terms
-    if preferred_lhs is not None and small == preferred_lhs:
-        small, cs, big, cb = big, cb, small, cs
-    coeff = (-cs * pow(cb, -1, p)) % p
-    return RewriteRule(big, coeff, small)
+    if x is not None and y is not None and x[0] == y[0]:
+        c = (x[1] - y[1]) % p
+        x, y = ((x[0], c) if c else None), None
+    if x is None or y is None:
+        term = x or y
+        return None if term is None else RewriteRule(term[0])
+    (big, cb), (small, cs) = sorted((x, y), key=lambda t: path_key(quiver, t[0]),
+                                    reverse=True)
+    if small == preferred_lhs:
+        (big, cb), (small, cs) = (small, cs), (big, cb)
+    return RewriteRule(big, cs * pow(cb, -1, p) % p, small)
 
 
 def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
@@ -266,11 +254,13 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
     resolution_cap = 10 * dim_bound
     resolutions = 0
 
-    def rule_comb(rule: RewriteRule) -> Lincomb:
-        comb: Lincomb = {rule.lhs: 1}
-        if rule.rhs is not None:
-            comb[rule.rhs] = (comb.get(rule.rhs, 0) - rule.coeff) % p
-        return comb
+    def reduce(term: tuple[Path, int] | None) -> tuple[Path, int] | None:
+        return None if term is None else rw.reduce_path(*term)
+
+    def reduce_rule(rule: RewriteRule) -> RewriteRule | None:
+        """The rule lhs -> coeff * rhs re-derived under the current rules."""
+        rhs = None if rule.rhs is None else rw.reduce_path(rule.rhs, rule.coeff)
+        return _orient(quiver, rw.reduce_path(rule.lhs), rhs, p, rule.lhs)
 
     def add_rule(rule: RewriteRule):
         nonlocal resolutions
@@ -279,13 +269,12 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
             raise NonTerminating("completion exceeded its resolution cap")
         rw.rules.append(rule)
 
-    def add_relation(comb: Lincomb, preferred_lhs: Path | None = None) -> bool:
-        reduced = rw.reduce(comb)
-        rule = _orient(quiver, reduced, p, preferred_lhs)
+    def add_interreduced(rule: RewriteRule | None) -> bool:
         if rule is None:
             return False
         add_rule(rule)
-        # interreduce: rebuild any existing rule the new one touches
+        # interreduce: rebuild any rule whose left side another rule reduces
+        # or whose right side any rule reduces (so x -> x*x never settles)
         changed = True
         while changed:
             changed = False
@@ -293,10 +282,9 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
                 others = _Rewriter(quiver, p, rw.step_cap)
                 others.rules = [r for r in rw.rules if r is not old]
                 if others._find_redex(old.lhs) is not None or (
-                        old.rhs is not None and others._find_redex(old.rhs)):
+                        old.rhs is not None and rw._find_redex(old.rhs)):
                     rw.rules.remove(old)
-                    re = rw.reduce(rule_comb(old))
-                    newr = _orient(quiver, re, p, old.lhs)
+                    newr = reduce_rule(old)
                     if newr is not None:
                         add_rule(newr)
                     changed = True
@@ -304,42 +292,31 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
         return True
 
     for r in pending:
-        add_relation(rule_comb(r), preferred_lhs=r.lhs)
+        add_interreduced(reduce_rule(r))
 
     # resolve critical pairs until no overlap yields a new relation
     while True:
-        new_relations: list[Lincomb] = []
+        new_relations = []  # pairs of reduced terms x == y
         snapshot = sorted(rw.rules, key=lambda r: path_key(quiver, r.lhs))
         for r1, r2 in itertools.product(snapshot, repeat=2):
             a1, a2 = r1.lhs.arrows, r2.lhs.arrows
             for k in range(1, min(len(a1), len(a2))):
                 if a1[len(a1) - k :] != a2[:k]:
                     continue
-                word = a1 + a2[k:]
-                sup = make_path(quiver, word)
-                via1: Lincomb = {}
+                via1 = via2 = None
                 if r1.rhs is not None:
-                    t = make_path(quiver, r1.rhs.arrows + a2[k:],
-                                  base_vertex=sup.source)
-                    via1[t] = r1.coeff % p
-                via2: Lincomb = {}
+                    via1 = rw.reduce_path(make_path(quiver, r1.rhs.arrows + a2[k:],
+                                                    base_vertex=r1.lhs.source), r1.coeff)
                 if r2.rhs is not None:
-                    t = make_path(quiver, a1[: len(a1) - k] + r2.rhs.arrows,
-                                  base_vertex=sup.source)
-                    via2[t] = r2.coeff % p
-                n1 = rw.reduce(via1)
-                n2 = rw.reduce(via2)
-                diff = dict(n1)
-                for path, c in n2.items():
-                    diff[path] = (diff.get(path, 0) - c) % p
-                diff = {q: c for q, c in diff.items() if c}
-                if diff:
-                    new_relations.append(diff)
+                    via2 = rw.reduce_path(make_path(quiver, a1[: len(a1) - k] + r2.rhs.arrows,
+                                                    base_vertex=r1.lhs.source), r2.coeff)
+                if via1 != via2:
+                    new_relations.append((via1, via2))
         if not new_relations:
             break
         progressed = False
-        for rel in new_relations:
-            if add_relation(rel):
+        for x, y in new_relations:
+            if add_interreduced(_orient(quiver, reduce(x), reduce(y), p)):
                 progressed = True
         if not progressed:
             break
@@ -381,8 +358,10 @@ class Algebra:
     The presentation, basis and multiplication table are fixed at
     construction; ``memo`` fills in with results derived from them (see
     ``memoized``) as they are first asked for.  ``basis`` lists the
-    irreducible paths, trivial paths first; products of basis elements
-    reduce through the completed rule set and are tabulated once.
+    irreducible paths, trivial paths first.  The product of basis elements
+    i and j is ``prod_coeff[i, j]`` times basis element ``prod_index[i, j]``;
+    index ``dim`` stands for zero, and row and column ``dim`` are zero, so
+    the table composes with itself.
     """
 
     def __init__(self, quiver: Quiver, p: int, rules: tuple[RewriteRule, ...],
@@ -392,10 +371,17 @@ class Algebra:
         self.rules = rules
         self.basis = basis
         self._rw = _rw
-        self.dim = len(basis)
+        self.dim = n = len(basis)
         self.index = {path: i for i, path in enumerate(basis)}
-        self._mult: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._build_mult_table()
+        self.prod_index = np.full((n + 1, n + 1), n, dtype=np.int64)
+        self.prod_coeff = np.zeros((n + 1, n + 1), dtype=np.int64)
+        for i, pi in enumerate(basis):
+            for j, pj in enumerate(basis):
+                prod = _concat(pi, pj)
+                term = None if prod is None else self.reduce_path(prod)
+                if term is not None:
+                    self.prod_index[i, j] = self.index[term[0]]
+                    self.prod_coeff[i, j] = term[1]
         self._check_idempotents()
         self.verify_associativity()
         self.socle_rules = self._socle_quotient_rules()
@@ -403,48 +389,34 @@ class Algebra:
 
     # -- construction checks -------------------------------------------------
 
-    def _build_mult_table(self):
-        for i, pi in enumerate(self.basis):
-            for j, pj in enumerate(self.basis):
-                prod = _concat(pi, pj)
-                if prod is None:
-                    self._mult[(i, j)] = ()
-                    continue
-                comb = self._rw.reduce_path(prod)
-                self._mult[(i, j)] = tuple(
-                    sorted((self.index[q], c) for q, c in comb.items()))
-
     def _check_idempotents(self):
         for v in self.quiver.vertices:
             if trivial_path(v) not in self.index:
                 raise StrcatError("trivial paths must be irreducible")
         trivs = [self.index[trivial_path(v)] for v in self.quiver.vertices]
         for i, j in itertools.product(trivs, repeat=2):
-            got = self._mult[(i, j)]
-            want = ((i, 1),) if i == j else ()
+            got = (self.prod_index[i, j], self.prod_coeff[i, j])
+            want = (i, 1) if i == j else (self.dim, 0)
             if got != want:
                 raise StrcatError("trivial paths are not orthogonal idempotents")
 
     def verify_associativity(self) -> bool:
-        """Exhaustively check (a*b)*c == a*(b*c) on basis triples."""
-        n = self.dim
+        """Exhaustively check (a*b)*c == a*(b*c) on basis triples, a whole
+        (j, k) plane per i; an error names the first bad triple."""
+        n, p = self.dim, self.p
+        index, coeff = self.prod_index, self.prod_coeff
+        jk_index, jk_coeff = index[:n, :n], coeff[:n, :n]
         for i in range(n):
-            for j in range(n):
-                ij = self._mult[(i, j)]
-                for k in range(n):
-                    left: dict[int, int] = {}
-                    for t, c in ij:
-                        for u, d in self._mult[(t, k)]:
-                            left[u] = (left.get(u, 0) + c * d) % self.p
-                    right: dict[int, int] = {}
-                    for t, c in self._mult[(j, k)]:
-                        for u, d in self._mult[(i, t)]:
-                            right[u] = (right.get(u, 0) + c * d) % self.p
-                    left = {u: c for u, c in left.items() if c}
-                    right = {u: c for u, c in right.items() if c}
-                    if left != right:
-                        raise StrcatError(
-                            f"multiplication not associative at triple {(i, j, k)}")
+            ij_index, ij_coeff = index[i, :n], coeff[i, :n]
+            left_index = index[ij_index, :n]
+            left_coeff = ij_coeff[:, None] * coeff[ij_index, :n] % p
+            right_index = index[i, jk_index]
+            right_coeff = jk_coeff * coeff[i, jk_index] % p
+            bad = np.argwhere((left_index != right_index) | (left_coeff != right_coeff))
+            if len(bad):
+                j, k = bad[0]
+                raise StrcatError(
+                    f"multiplication not associative at triple {(i, int(j), int(k))}")
         return True
 
     def _socle_quotient_rules(self) -> tuple[Path, ...]:
@@ -459,14 +431,15 @@ class Algebra:
         for path in self.basis:
             if path.length == 0:
                 continue
-            if all(self.reduce_path(_concat(path, Path(a.source, a.target, (a.name,)))) == {}
+            if all(self.reduce_path(_concat(path, Path(a.source, a.target, (a.name,)))) is None
                    for a in self.quiver.arrows_from(path.target)):
                 gens.add(path)
         return tuple(sorted(gens, key=lambda q: path_key(self.quiver, q)))
 
     # -- arithmetic -----------------------------------------------------------
 
-    def reduce_path(self, path: Path) -> Lincomb:
+    def reduce_path(self, path: Path) -> tuple[Path, int] | None:
+        """The normal form of ``path``: one term (path, coeff), or None."""
         return self._rw.reduce_path(path)
 
     def basis_paths_from(self, v: int) -> list[Path]:
@@ -575,9 +548,9 @@ def indecomposable_projective(algebra: Algebra, vertex: int):
     for a in algebra.quiver.arrows:
         mat = np.zeros((dims[a.source], dims[a.target]), dtype=np.int64)
         for q in by_vertex[a.source]:
-            prod = _concat(q, Path(a.source, a.target, (a.name,)))
-            for nf, c in algebra.reduce_path(prod).items():
-                mat[local[a.source][q], local[a.target][nf]] = c
+            term = algebra.reduce_path(_concat(q, Path(a.source, a.target, (a.name,))))
+            if term is not None:
+                mat[local[a.source][q], local[a.target][term[0]]] = term[1]
         mats[a.name] = mat
     return homology.Representation(algebra, dims, mats)
 

@@ -184,7 +184,10 @@ def test_bad_flags_exit_2(capsys):
     assert exc.value.code == 2
     for argv in (["syzygy", "--family", "ae1", "--m", "2", "V0", "--n", "0"],
                  ["syzygy", "--family", "ae1", "--m", "2", "V0", "--n", "-2"],
-                 ["strings", "--family", "ae1", "--m", "2", "--length-cap", "0"]):
+                 ["strings", "--family", "ae1", "--m", "2", "--length-cap", "0"],
+                 ["syzygy", "--family", "ae1", "--m", "3", "V0", "--seed", "-5"],
+                 ["hom", "--family", "ae1", "--m", "2", "V0", "V1", "--seed", "-1"],
+                 ["hom", "--family", "ae1", "--m", "2", "V0", "V1", "--seed", "abc"]):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2, argv
@@ -277,13 +280,14 @@ def test_verify_reuses_the_commands_work(capsys, monkeypatch):
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):
-    monkeypatch.setenv("STRCAT_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["classify", "--family", "ae1", "--m", "2"])
-    assert exc.value.code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    for seed in ("abc", "-5"):
+        monkeypatch.setenv("STRCAT_SEED", seed)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classify", "--family", "ae1", "--m", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

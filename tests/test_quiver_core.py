@@ -4,12 +4,15 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from strcat import (
     Algebra,
     AlgebraMismatch,
     BadPrime,
     DimensionBoundExceeded,
+    NonTerminating,
     RewriteRule,
     StrcatError,
     ae1,
@@ -23,9 +26,15 @@ from strcat import (
     make_quiver,
     trivial_path,
 )
-from strcat.quiver_core import MAX_PRIME, memoized, path_key, require_prime
+from strcat.quiver_core import (
+    DEFAULT_PRIME,
+    MAX_PRIME,
+    memoized,
+    path_key,
+    require_prime,
+)
 
-from .oracles import family_dimension
+from .oracles import all_paths, contains_word, family_dimension, monomial_dimension
 
 
 @dataclass(eq=False)
@@ -47,9 +56,14 @@ class AlgebraElem:
                 and bool((other.coeffs == self.coeffs).all()))
 
 
+def as_dict(term):
+    """A normal form ``(path, coeff)`` or None as a path -> coeff dict."""
+    return {} if term is None else dict([term])
+
+
 def elem_from_path(algebra, path):
     vec = np.zeros(algebra.dim, dtype=np.int64)
-    for q, c in algebra.reduce_path(path).items():
+    for q, c in as_dict(algebra.reduce_path(path)).items():
         vec[algebra.index[q]] = c
     return AlgebraElem(algebra, vec)
 
@@ -76,7 +90,7 @@ def multiply(a, b):
                 continue
             cij = int(a.coeffs[i]) * int(b.coeffs[j])
             prod = make_path(alg.quiver, pi.arrows + pj.arrows, base_vertex=pi.source)
-            for q, c in alg.reduce_path(prod).items():
+            for q, c in as_dict(alg.reduce_path(prod)).items():
                 out[alg.index[q]] = (out[alg.index[q]] + cij * c) % alg.p
     return AlgebraElem(alg, out)
 
@@ -128,14 +142,14 @@ def test_ae3_completion_derives_loop_nilpotency():
         A = ae3(m)
         lhs = {r.lhs.arrows: r for r in A.rules}
         assert ("r",) * (m + 1) in lhs and lhs[("r",) * (m + 1)].rhs is None
-        assert A.reduce_path(make_path(A.quiver, ["r"] * (m + 1))) == {}
+        assert A.reduce_path(make_path(A.quiver, ["r"] * (m + 1))) is None
 
 
 def test_ae3_binomial_normal_form():
     A = ae3(4)
     ab = A.reduce_path(make_path(A.quiver, ["a", "b"]))
     rm = A.reduce_path(make_path(A.quiver, ["r"] * 4))
-    assert ab == rm and len(ab) == 1
+    assert ab == rm and ab is not None
 
 
 def test_ae3_basis_and_projectives():
@@ -257,7 +271,6 @@ def _random_reduce(algebra, path, rng):
 @pytest.mark.parametrize("family,m", [("ae1", 4), ("ae2", 2), ("ae3", 3)])
 def test_confluence_under_random_reduction_orders(family, m):
     from strcat import build_family
-    from .oracles import all_paths
 
     A = build_family(family, m)
     longest = max(q.length for q in A.basis)
@@ -265,9 +278,110 @@ def test_confluence_under_random_reduction_orders(family, m):
     rng = random.Random(1234)
     for names, s, t in all_paths(list(A.quiver.vertices), arrows, 2 * longest):
         path = make_path(A.quiver, names, base_vertex=s)
-        expected = A.reduce_path(path)
+        expected = as_dict(A.reduce_path(path))
         for _ in range(4):
             assert _random_reduce(A, path, rng) == expected
+
+
+@pytest.mark.parametrize("family,m", [("ae1", m) for m in range(1, 6)]
+                         + [("ae2", m) for m in range(1, 4)]
+                         + [("ae3", m) for m in range(2, 5)])
+def test_table_entries_are_reduced_concatenations(family, m):
+    from strcat import build_family
+
+    A = build_family(family, m)
+    rng = random.Random(99)
+    assert A.prod_index.shape == A.prod_coeff.shape == (A.dim + 1, A.dim + 1)
+    assert (A.prod_index[A.dim] == A.dim).all() and (A.prod_index[:, A.dim] == A.dim).all()
+    assert not A.prod_coeff[A.dim].any() and not A.prod_coeff[:, A.dim].any()
+    for i, pi in enumerate(A.basis):
+        for j, pj in enumerate(A.basis):
+            want = {}
+            if pi.target == pj.source:
+                prod = make_path(A.quiver, pi.arrows + pj.arrows, base_vertex=pi.source)
+                want = _random_reduce(A, prod, rng)
+            k, c = A.prod_index[i, j], A.prod_coeff[i, j]
+            assert (k == A.dim and c == 0) or (k < A.dim and c != 0)
+            got = {} if k == A.dim else {A.basis[k]: c}
+            assert got == want, (str(pi), str(pj))
+
+
+def test_corrupted_table_fails_associativity_at_first_bad_triple():
+    A = ae2(2)
+    a, b = (A.index[make_path(A.quiver, [x])] for x in "ab")
+    assert (a, b) == (2, 3) and A.basis[A.prod_index[a, b]] == make_path(A.quiver, ["a", "b"])
+    A.prod_coeff[a, b] = 2  # (a*b)*a = 2 aba but a*(b*a) = aba
+    with pytest.raises(StrcatError, match=r"triple \(2, 3, 2\)"):
+        A.verify_associativity()
+
+
+@st.composite
+def small_specs(draw, dim_bound=8):
+    """Quivers with at most 2 vertices and 3 arrows, up to 5 monomial rules
+    of length 2 or 3, and at most one binomial rule between two distinct
+    nonempty paths with common endpoints.
+
+    The monomial rules alone must leave at most ``dim_bound`` paths, so
+    that every derived rule is short and completion ends quickly; on an
+    infinite presentation it can take tens of seconds to reach its
+    resolution cap.
+    """
+    vertices = list(range(draw(st.integers(1, 2))))
+    ends = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    arrows = [(f"x{i}", s, t) for i, (s, t) in
+              enumerate(draw(st.lists(ends, min_size=1, max_size=3)))]
+    words = [(names, s, t) for names, s, t in all_paths(vertices, arrows, 3) if names]
+    long_words = [names for names, _, _ in words if len(names) > 1]
+    monomials = draw(st.lists(st.sampled_from(long_words), max_size=5, unique=True)
+                     if long_words else st.just([]))
+    frontier = [((), v) for v in vertices]  # the paths avoiding every monomial
+    count = len(frontier)
+    while frontier and count <= dim_bound:
+        frontier = [(names + (n,), t) for names, v in frontier for n, s, t in arrows
+                    if s == v and not any(contains_word(names + (n,), w) for w in monomials)]
+        count += len(frontier)
+    assume(count <= dim_bound)
+    rules = [{"lhs": list(w), "rhs": None} for w in monomials]
+    if draw(st.booleans()):
+        lhs, s, t = draw(st.sampled_from(words))
+        parallel = [w for w in words if w[1:] == (s, t) and w[0] != lhs]
+        assume(parallel)
+        rhs = draw(st.sampled_from(parallel))[0]
+        coeff = draw(st.integers(1, DEFAULT_PRIME - 1))
+        rules.append({"lhs": list(lhs), "rhs": {"coeff": coeff, "path": list(rhs)}})
+    return {"vertices": vertices,
+            "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows],
+            "rules": rules, "dim_bound": dim_bound}
+
+
+@given(spec=small_specs())
+def test_completion_of_random_specs_matches_the_oracles(spec):
+    arrows = [(a["name"], a["from"], a["to"]) for a in spec["arrows"]]
+    try:
+        A = load_algebra_spec(spec)
+        longest = max(q.length for q in A.basis)
+        paths = [make_path(A.quiver, names, base_vertex=s)
+                 for names, s, _ in all_paths(spec["vertices"], arrows, 2 * longest)]
+        assume(len(paths) <= 400)
+        normal_forms = [as_dict(A.reduce_path(q)) for q in paths]
+    except (DimensionBoundExceeded, NonTerminating):
+        assume(False)
+    if all(r["rhs"] is None for r in spec["rules"]):
+        monomials = [tuple(r["lhs"]) for r in spec["rules"]]
+        assert A.dim == monomial_dimension(spec["vertices"], arrows, monomials,
+                                           longest + 2)
+    rng = random.Random(7)
+    for path, want in zip(paths, normal_forms):
+        assert _random_reduce(A, path, rng) == want, str(path)
+
+
+def test_rule_whose_right_side_contains_its_left_side_is_rejected():
+    # x -> x*x never terminates; the algebra is not the one the basis
+    # e0, e1, y would describe (x and x*y survive as well)
+    q = make_quiver([0, 1], [("y", 0, 1), ("x", 0, 0)])
+    rule = RewriteRule(make_path(q, ["x"]), 1, make_path(q, ["x", "x"]))
+    with pytest.raises(NonTerminating):
+        complete_rewriting(q, [rule], dim_bound=6)
 
 
 def test_load_algebra_spec_round_trip(tmp_path):
