@@ -14,6 +14,7 @@ from .deformation import (
 )
 from .errors import (
     AlgebraMismatch,
+    BadParameter,
     BadPrime,
     CapTooSmall,
     DimensionBoundExceeded,

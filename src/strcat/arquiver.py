@@ -43,28 +43,26 @@ def nodes_by_dim_vector(algebra: Algebra, length_cap: int | None = None) -> dict
 
 
 def match_node(algebra: Algebra, rep: homology.Representation,
-               length_cap: int | None = None, seed: int = 0) -> int:
+               length_cap: int | None = None) -> int:
     """Index of the unique node isomorphic to ``rep``; only nodes with
     ``rep``'s dimension vector are tested."""
     dv = rep.dim_vector()
     for i, w in nodes_by_dim_vector(algebra, length_cap).get(dv, []):
-        if homology.is_isomorphic(rep, strings.string_module(algebra, w), seed=seed):
+        if homology.is_isomorphic(rep, strings.string_module(algebra, w)):
             return i
     raise StrcatError(f"no node matches a module of dimension vector {dv}")
 
 
 @memoized
-def omega_node(algebra: Algebra, i: int, length_cap: int | None = None,
-               seed: int = 0) -> int:
+def omega_node(algebra: Algebra, i: int, length_cap: int | None = None) -> int:
     """Index of the node isomorphic to the syzygy of node ``i``."""
     node = strings.enumerate_strings(algebra, length_cap)[i]
     rep = homology.syzygy(strings.string_module(algebra, node))
-    return match_node(algebra, rep, length_cap, seed=seed + i)
+    return match_node(algebra, rep, length_cap)
 
 
 @memoized
-def build_ar_quiver(algebra: Algebra, length_cap: int | None = None,
-                    seed: int = 0) -> ArQuiver:
+def build_ar_quiver(algebra: Algebra, length_cap: int | None = None) -> ArQuiver:
     """Nodes, hook/cohook arrows, and the second-syzygy translate."""
     nodes = strings.enumerate_strings(algebra, length_cap)
     index = {w: i for i, w in enumerate(nodes)}
@@ -74,15 +72,15 @@ def build_ar_quiver(algebra: Algebra, length_cap: int | None = None,
             if src not in index or tgt not in index:
                 raise StrcatError(f"move leaves the enumerated node set: {src} -> {tgt}")
             arrow_set.add((index[src], index[tgt], kind))
-    tau = tuple(omega_node(algebra, omega_node(algebra, i, length_cap, seed),
-                           length_cap, seed)
+    tau = tuple(omega_node(algebra, omega_node(algebra, i, length_cap), length_cap)
                 for i in range(len(nodes)))
     return ArQuiver(nodes, tuple(sorted(arrow_set)), tau)
 
 
 def omega_orbit(algebra: Algebra, node: strings.StringWord,
                 length_cap: int | None = None, seed: int = 0) -> list[strings.StringWord]:
-    """The cyclic syzygy orbit of a node; its length divides four here."""
+    """The cyclic syzygy orbit of a node; its length divides four here.
+    ``seed`` is ignored and stays accepted for callers that pass it."""
     nodes = strings.enumerate_strings(algebra, length_cap)
     start = strings.canonical(node, algebra.quiver)
     if start not in nodes:
@@ -90,7 +88,7 @@ def omega_orbit(algebra: Algebra, node: strings.StringWord,
     first = current = nodes.index(start)
     orbit = [start]
     for _ in range(12):
-        current = omega_node(algebra, current, length_cap, seed)
+        current = omega_node(algebra, current, length_cap)
         if current == first:
             return orbit
         orbit.append(nodes[current])

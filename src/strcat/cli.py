@@ -2,14 +2,15 @@
 
 Subcommands: ``algebra info``, ``strings``, ``hom``, ``ext``, ``syzygy``,
 ``arquiver``, ``classify``.  Output is a plain table by default and
-machine-readable with ``--format json|csv|dot``.  Identical flags and seed
-produce byte-identical output.
+machine-readable with ``--format json|csv|dot``.  Identical flags produce
+byte-identical output; ``--seed`` is accepted but no answer depends on it.
 
 Exit codes: 0 success, 2 bad flags or input (an unreadable ``--spec``, an
 unwritable ``--out``, a ``--seed`` or ``STRCAT_SEED`` that is not an
 integer >= 0, a ``--prime`` or spec prime that is composite or above
-``MAX_PRIME``, a ``--n`` or ``--length-cap`` below 1), 3 computation
-error, 4 verification failure under ``--verify``.
+``MAX_PRIME``, an ``--m`` outside its family's range, a ``--n`` or
+``--length-cap`` below 1), 3 computation error, 4 verification failure
+under ``--verify``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import arquiver, deformation, families, homology, strings
-from .errors import StrcatError
+from .errors import BadParameter, StrcatError
 from .quiver_core import (
     DEFAULT_PRIME,
     Algebra,
@@ -60,12 +61,15 @@ def _at_least(low: int):
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--family", choices=[*families.FAMILIES, "file"],
                         required=True)
-    bounds = ", ".join(f"{f.name}: m >= {f.m_min}" for f in families.FAMILIES.values())
+    bounds = ", ".join(f"{f.name}: {f.m_min} <= m <= {f.m_max}"
+                       for f in families.FAMILIES.values())
     parser.add_argument("--m", type=int, default=None,
-                        help=f"family parameter ({bounds})")
+                        help=f"family parameter ({bounds}; algebra dimension "
+                             f"<= {families.MAX_DIM})")
     parser.add_argument("--prime", type=_prime, default=DEFAULT_PRIME)
     parser.add_argument("--seed", type=_at_least(0), default=None,
-                        help="randomization seed; STRCAT_SEED is the fallback")
+                        help="accepted for compatibility, no answer depends on "
+                             "it; STRCAT_SEED is the fallback")
     parser.add_argument("--format", choices=["table", "json", "csv", "dot"],
                         default="table")
     parser.add_argument("--spec", default=None,
@@ -127,10 +131,10 @@ def _build_algebra(args, parser) -> Algebra:
             parser.exit(EXIT_USAGE, f"error: cannot read --spec {args.spec}: {exc!r}\n")
     if args.m is None:
         parser.error(f"--family {args.family} needs --m")
-    low = families.get(args.family).m_min
-    if args.m < low:
-        parser.error(f"--family {args.family} needs --m >= {low}")
-    return build_family(args.family, args.m, args.prime)
+    try:
+        return build_family(args.family, args.m, args.prime)
+    except BadParameter as exc:  # raised before anything is built
+        parser.error(f"--m: {exc}")
 
 
 def _names(args, algebra) -> dict:
@@ -243,7 +247,7 @@ def cmd_syzygy(args, algebra: Algebra) -> Result:
     iso_name = None
     if not rep.is_zero():
         nodes = strings.enumerate_strings(algebra, args.length_cap)
-        idx = arquiver.match_node(algebra, rep, args.length_cap, seed=args.seed)
+        idx = arquiver.match_node(algebra, rep, args.length_cap)
         names = _names(args, algebra)
         iso_name = names.get(nodes[idx], nodes[idx].literal())
     dims = rep.dim_vector()
@@ -257,7 +261,7 @@ def cmd_syzygy(args, algebra: Algebra) -> Result:
 
 
 def cmd_arquiver(args, algebra: Algebra) -> Result:
-    q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=args.seed)
+    q = arquiver.build_ar_quiver(algebra, args.length_cap)
     names = _names(args, algebra)
 
     def label(i):
@@ -275,7 +279,7 @@ def cmd_arquiver(args, algebra: Algebra) -> Result:
 
 
 def cmd_classify(args, algebra: Algebra) -> Result:
-    reports = deformation.classify(algebra, args.family, args.m, seed=args.seed)
+    reports = deformation.classify(algebra, args.family, args.m)
     rows = [[r.module, r.string, r.stable_endo_dim, r.ext1_dim, str(r.udr)]
             for r in reports]
     return Result(deformation.reports_to_json(reports), deformation.CSV_COLUMNS,
@@ -337,9 +341,9 @@ def run_verification(args, algebra: Algebra) -> list[str]:
     words = strings.enumerate_strings(algebra, args.length_cap)
     if len(words) != nodes:
         problems.append(f"string count {len(words)} != {nodes}")
-    reports = deformation.classify(algebra, args.family, args.m, seed=args.seed)
+    reports = deformation.classify(algebra, args.family, args.m)
     problems += deformation.verify_classification(reports, args.family, args.m)
-    q = arquiver.build_ar_quiver(algebra, args.length_cap, seed=args.seed)
+    q = arquiver.build_ar_quiver(algebra, args.length_cap)
     if q.node_count != nodes:
         problems.append(f"component node count {q.node_count} != {nodes}")
     if fam.tau_is_identity:
@@ -357,9 +361,9 @@ def run_verification(args, algebra: Algebra) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:
+    if args.seed is None:  # validated only: no answer depends on the seed
         try:
-            args.seed = _at_least(0)(os.environ.get("STRCAT_SEED") or "0")
+            _at_least(0)(os.environ.get("STRCAT_SEED") or "0")
         except argparse.ArgumentTypeError as exc:
             parser.exit(EXIT_USAGE, f"error: STRCAT_SEED={exc}\n")
     if args.family == "file" and args.command == "classify":

@@ -9,8 +9,9 @@ The classification runs in three layers:
    twist maps have prescribed kernels and iterated images, and the
    resulting power-series quotient transports along the syzygy orbit.
 
-Tower hypotheses are rank- and isomorphism-checked; maximality of the
-tower is assumed, not machine-checked, and the trail says so.
+Tower hypotheses are rank- and isomorphism-checked, exactly at every
+prime; maximality of the tower is assumed, not machine-checked, and the
+trail says so.
 """
 
 from __future__ import annotations
@@ -78,8 +79,7 @@ class Tower:
         return len(self.inclusions)
 
 
-def check_tower(tower: Tower, module: homology.Representation,
-                seed: int = 0) -> UdrDescriptor:
+def check_tower(tower: Tower, module: homology.Representation) -> UdrDescriptor:
     """Verify the tower hypotheses for ``module`` and report the ring.
 
     Each inclusion must be injective and each surjection surjective; the
@@ -89,7 +89,7 @@ def check_tower(tower: Tower, module: homology.Representation,
     self-extending room.  Failures come back as data, not exceptions.
     """
     base = tower.modules[0]
-    if not homology.is_isomorphic(module, base, seed=seed):
+    if not homology.is_isomorphic(module, base):
         return unresolved("module is not isomorphic to the tower base")
     for l in range(1, len(tower.modules)):
         inc = tower.inclusions[l - 1]
@@ -100,10 +100,8 @@ def check_tower(tower: Tower, module: homology.Representation,
             return unresolved(f"step {l}: surjection is not surjective")
         try:
             twist = sur.then(inc)
-            kernel_ok = homology.is_isomorphic(homology.kernel_of(twist), base,
-                                               seed=seed + l)
-            image_ok = homology.is_isomorphic(
-                homology.image_of(twist.power(l)), base, seed=seed + 100 + l)
+            kernel_ok = homology.is_isomorphic(homology.kernel_of(twist), base)
+            image_ok = homology.is_isomorphic(homology.image_of(twist.power(l)), base)
         except StrcatError as exc:
             return unresolved(f"step {l}: {exc}")
         if not kernel_ok:
@@ -189,14 +187,15 @@ def tangent_dim(algebra: Algebra, M: homology.Representation) -> int:
 
 
 @memoized
-def classify(algebra: Algebra, family: str, m: int, seed: int = 0) -> tuple[UdrReport, ...]:
+def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
     """Per-module verdicts for every string with stable endomorphism field.
 
     Tangent-zero modules get the trivial ring outright.  For the
     tangent-one modules, the family's tower certifies one representative
     and the ring transports along its syzygy orbit, which is recorded in
-    the trail.  The reports live in the algebra's memo, so a second call
-    with the same family, m and seed returns the same tuple.
+    the trail.  Every verdict is exact: the isomorphism tests take no
+    seed.  The reports live in the algebra's memo, so a second call with
+    the same family and m returns the same tuple.
     """
     fam = families.get(family)
     named = strings.family_node_names(family, m, algebra.quiver)
@@ -225,11 +224,10 @@ def classify(algebra: Algebra, family: str, m: int, seed: int = 0) -> tuple[UdrR
                 f"certification representative {rep_name} has tangent != 1")
         tower = build_tower(family, m, algebra)
         rep_word = strings.named_string(family, m, rep_name)
-        tower_desc = check_tower(tower, strings.string_module(algebra, rep_word),
-                                 seed=seed)
+        tower_desc = check_tower(tower, strings.string_module(algebra, rep_word))
         tower_label = (f"tower {' < '.join(tower.labels)} certified for {rep_name}; "
                        "maximality assumed, not machine-checked")
-        orbit = arquiver.omega_orbit(algebra, rep_word, seed=seed)
+        orbit = arquiver.omega_orbit(algebra, rep_word)
         orbit_names = [name_of[w] for w in orbit]
 
     reports = []

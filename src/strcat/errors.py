@@ -10,6 +10,11 @@ class BadPrime(StrcatError, ValueError):
     ValueError too, since that is bad input, not a failed computation."""
 
 
+class BadParameter(StrcatError, ValueError):
+    """A built-in family's ``m`` is below its least value or gives an
+    algebra above ``families.MAX_DIM``; bad input like BadPrime."""
+
+
 class DimensionBoundExceeded(StrcatError):
     """The irreducible-path basis grew past the requested bound.
 

@@ -1,10 +1,10 @@
 """The built-in families, one ``Family`` record each.
 
 Everything the package knows about a built-in family by its name lives in
-its record: how to build the algebra and from which ``m`` on, the named
-series of its strings, the size of its stable AR component and the shape
-of its translate, the tower that certifies its deformation rings, and the
-paper's closed-form classification table.  The table is data, never
+its record: how to build the algebra, for which ``m`` and at what
+dimension, the named series of its strings, the size of its stable AR
+component and the shape of its translate, the tower that certifies its
+deformation rings, and the paper's closed-form classification table.  The table is data, never
 derived from a computation: it is the oracle that ``--verify`` and the
 tests check the computed classification against.
 
@@ -19,9 +19,16 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import StrcatError
+from .errors import BadParameter, StrcatError
 from .homology import ModuleMap, Representation
 from .quiver_core import Algebra, ae1, ae2, ae3, indecomposable_projective
+
+
+# No built-in algebra may exceed this dimension.  The largest in use, ae2
+# at m = 32, has dimension 130.  Building grows about cubically (ae1 took
+# 1.1 s at dimension 129 and 10.8 s at 257 on a 2-vCPU machine), so the
+# cap refuses a runaway ``m`` before any time or memory is spent on it.
+MAX_DIM = 1024
 
 
 @dataclass(frozen=True)
@@ -29,6 +36,7 @@ class Family:
     name: str
     builder: Callable[..., Algebra]                 # (m, p) -> algebra
     m_min: int
+    dim: Callable[[int], int]                       # m -> dimension, affine in m
     series: Callable[[int], dict[str, range]]       # m -> index range per series
     word: Callable[[str, int, int], str]            # (series, index, m) -> literal
     node_count: Callable[[int], int]                # strings = AR component nodes
@@ -42,6 +50,20 @@ class Family:
     # step onto a projective, for a tower that closes with one
     projective_cap: Callable | None = None
     notes: Callable[[int, str], list[str]] = lambda m, name: []  # extra trail lines
+
+    @property
+    def m_max(self) -> int:
+        """The largest m whose algebra has dimension at most MAX_DIM."""
+        step = self.dim(self.m_min + 1) - self.dim(self.m_min)
+        return self.m_min + (MAX_DIM - self.dim(self.m_min)) // step
+
+    def check_m(self, m: int) -> int:
+        """``m`` if the family is defined there and within MAX_DIM, else
+        BadParameter; nothing is built."""
+        if not self.m_min <= m <= self.m_max:
+            raise BadParameter(f"{self.name} needs {self.m_min} <= m <= {self.m_max} "
+                               f"(algebra dimension <= {MAX_DIM}), got {m}")
+        return m
 
 
 def _ae1_projective_cap(algebra: Algebra, top: Representation):
@@ -97,7 +119,7 @@ def _ae3_expected(m: int) -> dict[str, tuple[int, int]]:
 
 
 AE1 = Family(
-    name="ae1", builder=ae1, m_min=1,
+    name="ae1", builder=ae1, m_min=1, dim=lambda m: m + 1,
     series=lambda m: {"V": range(0, m)},
     word=lambda series, index, m: ",".join(["a"] * index) or "e0",
     node_count=lambda m: m,
@@ -108,7 +130,7 @@ AE1 = Family(
 )
 
 AE2 = Family(
-    name="ae2", builder=ae2, m_min=1,
+    name="ae2", builder=ae2, m_min=1, dim=lambda m: 4 * m + 2,
     series=lambda m: {"M": range(0, 2 * m), "N": range(0, 2 * m)},
     word=_ae2_word,
     node_count=lambda m: 4 * m,
@@ -119,7 +141,7 @@ AE2 = Family(
 )
 
 AE3 = Family(
-    name="ae3", builder=ae3, m_min=2,
+    name="ae3", builder=ae3, m_min=2, dim=lambda m: m + 5,
     series=lambda m: {"V": range(1, m + 1), "X": range(1, m + 1),
                       "Y": range(1, m + 1), "U": range(0, m)},
     word=_ae3_word,

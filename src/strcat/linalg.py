@@ -103,12 +103,3 @@ def solve_in_rowspace(basis_rows, targets, p: int) -> np.ndarray | None:
     """X with X @ basis_rows == targets, or None if some target escapes."""
     y = solve_right(np.asarray(basis_rows).T, np.asarray(targets).T, p)
     return None if y is None else y.T
-
-
-def is_invertible(mat, p: int) -> bool:
-    m = np.asarray(mat)
-    if m.shape[0] != m.shape[1]:
-        return False
-    if m.shape[0] == 0:
-        return True
-    return rank(m, p) == m.shape[0]

@@ -43,10 +43,10 @@ from .errors import (
 
 DEFAULT_PRIME = 32003
 
-# Every int64 accumulation in the package (``linalg.mat_mul``, the row
-# update of ``linalg.rref``, the random combinations of ``is_isomorphic``)
-# sums at most n products of two residues below p.  With p <= MAX_PRIME,
-# n * (p - 1)**2 < 2**63 for every inner dimension n < 2**23.
+# Every int64 accumulation in the package (``linalg.mat_mul`` and the row
+# update of ``linalg.rref``) sums at most n products of two residues below
+# p.  With p <= MAX_PRIME, n * (p - 1)**2 < 2**63 for every inner
+# dimension n < 2**23.
 MAX_PRIME = 2 ** 20
 
 
@@ -491,10 +491,12 @@ def ae3(m: int, p: int = DEFAULT_PRIME) -> Algebra:
 
 
 def build_family(family: str, m: int, p: int = DEFAULT_PRIME) -> Algebra:
-    """The algebra of a built-in family (see ``strcat.families``)."""
+    """The algebra of a built-in family (see ``strcat.families``); an ``m``
+    outside the family's range raises BadParameter before any work."""
     from . import families
 
-    return families.get(family).builder(m, p)
+    fam = families.get(family)
+    return fam.builder(fam.check_m(m), p)
 
 
 # -- memo, projectives and file input ------------------------------------------

@@ -1,4 +1,5 @@
-"""Module invariants that only the tests read."""
+"""Module invariants and a plain linear-algebra oracle that only the tests
+read."""
 
 import numpy as np
 
@@ -24,3 +25,30 @@ def socle_dims(M):
         stacked = np.hstack(mats)
         out[v] = linalg.left_nullspace(stacked, p).shape[0]
     return out
+
+
+def gauss_rref(rows, p):
+    """Reduced row echelon form and pivot columns of a matrix given as a
+    list of integer rows, by Gauss-Jordan elimination on Python ints mod p.
+    The reduced form is unique, so any correct elimination must agree."""
+    m = [[int(x) % p for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inverse = pow(m[r][c], -1, p)
+        m[r] = [x * inverse % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                factor = m[i][c]
+                m[i] = [(x - factor * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+def gauss_rank(rows, p):
+    return len(gauss_rref(rows, p)[1])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -169,12 +170,26 @@ def test_cyclic_spec_without_relations_exits_3(tmp_path, capsys):
     assert "irreducible paths" in err
 
 
-def test_bad_flags_exit_2(capsys):
+def test_bad_flags_exit_2(capsys, monkeypatch):
     for family in families.FAMILIES.values():
         with pytest.raises(SystemExit) as exc:
             cli.main(["classify", "--family", family.name,
                       "--m", str(family.m_min - 1)])
         assert exc.value.code == 2
+    # an m far above the dimension cap is refused before the algebra is built
+    # (ae1 alone would otherwise list 10**9 arrow names)
+    def never_built(m, p):
+        raise AssertionError(f"builder called with m={m}")
+
+    capsys.readouterr()
+    for family in families.FAMILIES.values():
+        monkeypatch.setitem(families.FAMILIES, family.name,
+                            dataclasses.replace(family, builder=never_built))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["algebra", "info", "--family", family.name, "--m", str(10**9)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(family.m_max) in err
     with pytest.raises(SystemExit) as exc:
         cli.main(["classify", "--family", "file", "--spec", "x.json"])
     assert exc.value.code == 2

@@ -111,9 +111,9 @@ def auto_tower(algebra, base_word, seed=0):
                 if inc is None or sur is None:
                     continue
             twist = sur.then(inc)
-            if not is_isomorphic(kernel_of(twist), base, seed=seed + l):
+            if not is_isomorphic(kernel_of(twist), base):
                 continue
-            if not is_isomorphic(image_of(twist.power(l)), base, seed=seed + 50 + l):
+            if not is_isomorphic(image_of(twist.power(l)), base):
                 continue
             found = (label, cand, word, inc, sur)
             break

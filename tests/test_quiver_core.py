@@ -1,5 +1,5 @@
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from strcat import (
     Algebra,
     AlgebraMismatch,
+    BadParameter,
     BadPrime,
     DimensionBoundExceeded,
     NonTerminating,
@@ -18,7 +19,9 @@ from strcat import (
     ae1,
     ae2,
     ae3,
+    build_family,
     complete_rewriting,
+    families,
     indecomposable_projective,
     linalg,
     load_algebra_spec,
@@ -97,17 +100,31 @@ def multiply(a, b):
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_ae1_dimension_against_path_oracle(m):
-    assert ae1(m).dim == family_dimension("ae1", m) == m + 1
+    assert ae1(m).dim == family_dimension("ae1", m) == m + 1 == families.AE1.dim(m)
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_ae2_dimension_against_path_oracle(m):
-    assert ae2(m).dim == family_dimension("ae2", m) == 4 * m + 2
+    assert ae2(m).dim == family_dimension("ae2", m) == 4 * m + 2 == families.AE2.dim(m)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_ae3_dimension_against_path_oracle(m):
-    assert ae3(m).dim == family_dimension("ae3", m) == m + 5
+    assert ae3(m).dim == family_dimension("ae3", m) == m + 5 == families.AE3.dim(m)
+
+
+@pytest.mark.parametrize("family", ["ae1", "ae2", "ae3"])
+def test_build_family_refuses_m_outside_the_range_before_building(family, monkeypatch):
+    fam = families.get(family)
+    assert fam.dim(fam.m_max) <= families.MAX_DIM < fam.dim(fam.m_max + 1)
+
+    def never_built(m, p):
+        raise AssertionError(f"builder called with m={m}")
+
+    monkeypatch.setitem(families.FAMILIES, family, replace(fam, builder=never_built))
+    for m in (fam.m_min - 1, fam.m_max + 1, 10**9):
+        with pytest.raises(BadParameter):
+            build_family(family, m)
 
 
 def test_ae1_small_basis():

@@ -1,5 +1,6 @@
 """Every function, method and class that ``src/strcat`` defines is used
-there, and so is every name it imports.
+there, and so is every name it imports; and no answer can depend on a
+random draw, because nothing there touches a random number generator.
 
 A name that only tests call belongs in ``tests/``; a name that nothing
 calls belongs nowhere.  ``__init__.py`` only re-exports, so its imports do
@@ -54,3 +55,25 @@ def test_every_import_is_used():
                 if name not in used:
                     unused.append(f"{name} ({path.name}:{node.lineno})")
     assert not unused, "imported in src/strcat but never used: " + ", ".join(unused)
+
+
+def test_no_random_number_generator():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                               for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            for name in names:
+                if (name.split(".")[0] == "random" or name == "default_rng"
+                        or name.startswith("numpy.random")):
+                    found.append(f"{name} ({path.name}:{node.lineno})")
+    assert not found, "random number generation in src/strcat: " + ", ".join(found)
