@@ -4,6 +4,12 @@ A representation assigns to each vertex a free F_p module of row vectors
 and to each arrow ``a: i -> j`` a matrix of shape (dim_i, dim_j) acting
 on the right.  Everything downstream is exact dense linear algebra.
 
+Hom comes from projective presentations: ``presentation(M)`` holds M's
+projective cover, the rows of the syzygy in the cover's coordinates and a
+section of the cover, and ``hom_basis`` solves for the images of the
+cover's generators (Hom(P_v, N) = N e_v).  The same kernel rows give the
+syzygy, and stable Hom and Ext^1 are rank computations on top.
+
 Canonical homomorphisms between string modules live here as well: they
 are the combinatorial oracle for Hom dimensions, counted from substring
 cuts and realized as explicit projection-then-inclusion matrices.
@@ -12,6 +18,7 @@ cuts and realized as explicit projection-then-inclusion matrices.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,56 +197,78 @@ def identity_map(rep: Representation) -> ModuleMap:
     return ModuleMap(rep, rep, blocks, check=False)
 
 
-def map_from_flat(M: Representation, N: Representation, vec: np.ndarray) -> ModuleMap:
-    blocks = {}
-    pos = 0
-    for v in M.algebra.quiver.vertices:
-        size = M.dims[v] * N.dims[v]
-        blocks[v] = vec[pos: pos + size].reshape(M.dims[v], N.dims[v])
-        pos += size
-    return ModuleMap(M, N, blocks, check=False)
-
-
 # -- Hom spaces ----------------------------------------------------------------
 
 
+def path_action(N: Representation, v: int) -> dict[int, np.ndarray]:
+    """N(q) for every basis path q out of v, stacked per end vertex w in the
+    order of ``projective_paths(algebra, v)[w]``: an array of shape
+    (paths, dims[v], dims[w]).
+
+    The basis lists every prefix of a path before the path, so each path
+    costs one product past its prefix.  Nothing here is memoized: kept per
+    module, these matrices would outweigh every answer read from them.
+    """
+    alg = N.algebra
+    acts = {}
+    for q in alg.basis_paths_from(v):
+        if q.arrows:
+            acts[q.arrows] = linalg.mat_mul(acts[q.arrows[:-1]], N.mats[q.arrows[-1]], alg.p)
+        else:
+            acts[()] = np.eye(N.dims[v], dtype=np.int64)
+    return {w: np.array([acts[q.arrows] for q in paths], dtype=np.int64
+                        ).reshape(len(paths), N.dims[v], N.dims[w])
+            for w, paths in projective_paths(alg, v).items()}
+
+
+def _through_generators(rows: np.ndarray, gens, w: int, p: int) -> np.ndarray:
+    """``rows @ F_w`` as a linear function of the generator images.
+
+    F_w is the matrix at w of the map P0 -> N that sends each cover
+    generator g to its image n_g, so row (g, q) of F_w is n_g N(q).
+    ``gens`` holds (count, path action of N) per generator vertex, in the
+    cover's order; the result has shape (len(rows), dim N_w, unknowns).
+    """
+    parts, start = [], 0
+    for count, act in gens:
+        A = act[w]
+        block = rows[:, start: start + count * len(A)].reshape(len(rows), count, len(A))
+        start += count * len(A)
+        parts.append(np.einsum("igq,qlj->ijgl", block, A).reshape(
+            len(rows), A.shape[2], count * A.shape[1]))
+    return np.concatenate(parts, axis=2) % p
+
+
 def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
-    """A basis of Hom(M, N), from the intertwining linear system."""
+    """A basis of Hom(M, N), from a projective presentation of M.
+
+    A map M -> N is a map from M's projective cover P0 that vanishes on
+    the kernel Omega(M).  Since Hom(P_v, N) = N e_v, a map P0 -> N is the
+    image in N of each cover generator: those are the unknowns.  The
+    equations are K_w F_w = 0 at each vertex w, with K_w the rows of
+    Omega(M); each solution is read back through the cover's section.
+    """
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("modules live over different algebras")
-    alg = M.algebra
-    p = alg.p
-    verts = alg.quiver.vertices
-    sizes = {v: M.dims[v] * N.dims[v] for v in verts}
-    offset = {}
-    pos = 0
-    for v in verts:
-        offset[v] = pos
-        pos += sizes[v]
-    total = pos
-    if total == 0:
+    if M.is_zero() or N.is_zero():
         return []
-    rows = []
-    for a in alg.quiver.arrows:
-        i, j = a.source, a.target
-        n_eq = M.dims[i] * N.dims[j]
-        if n_eq == 0:
-            continue
-        block = np.zeros((n_eq, total), dtype=np.int64)
-        if sizes[i]:
-            # vec(f_i @ N_a) with row-major flattening
-            block[:, offset[i]: offset[i] + sizes[i]] += np.kron(
-                np.eye(M.dims[i], dtype=np.int64), N.mats[a.name].T)
-        if sizes[j]:
-            block[:, offset[j]: offset[j] + sizes[j]] -= np.kron(
-                M.mats[a.name], np.eye(N.dims[j], dtype=np.int64))
-        rows.append(block % p)
-    if rows:
-        system = np.vstack(rows)
-        sols = linalg.nullspace(system, p)
-    else:
-        sols = np.eye(total, dtype=np.int64)
-    return [map_from_flat(M, N, sols[k]) for k in range(sols.shape[0])]
+    p = M.algebra.p
+    verts = M.algebra.quiver.vertices
+    pres = presentation(M)
+    counts = Counter(v for v, _ in pres.generators)
+    gens = [(count, path_action(N, v)) for v, count in counts.items()]
+    unknowns = sum(count * N.dims[v] for v, count in counts.items())
+    if unknowns == 0:
+        return []
+    system = np.vstack([_through_generators(pres.kernel[w], gens, w, p).reshape(-1, unknowns)
+                        for w in verts])
+    sols = linalg.nullspace(system, p)
+    blocks = {}
+    for w in verts:
+        read = _through_generators(pres.section[w], gens, w, p).reshape(-1, unknowns)
+        blocks[w] = linalg.mat_mul(sols, read.T, p).reshape(len(sols), M.dims[w], N.dims[w])
+    return [ModuleMap(M, N, {w: b[k] for w, b in blocks.items()}, check=False)
+            for k in range(len(sols))]
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
@@ -306,9 +335,32 @@ def radical_rows(M: Representation, rows: dict[int, np.ndarray] | None = None
     return out
 
 
+@dataclass(frozen=True)
+class Presentation:
+    """The projective cover ``epi: cover -> M`` and what Hom reads off it.
+
+    ``generators`` lists the (vertex v, basis index c) of M that the cover's
+    summands P(v) map onto, in vertex order.  At each vertex w,
+    ``kernel[w]`` holds the rows of Omega(M) = ker epi in the cover's
+    coordinates and ``section[w]`` is a matrix S with S @ epi_w = I.  The
+    arrays are read-only, because the memo hands them to every caller.
+    """
+
+    cover: Representation
+    epi: ModuleMap
+    generators: tuple[tuple[int, int], ...]
+    kernel: dict[int, np.ndarray]
+    section: dict[int, np.ndarray]
+
+
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
 @memoized
-def projective_cover(M: Representation) -> tuple[Representation, ModuleMap]:
-    """The projective cover P -> M, with kernel inside rad P (verified)."""
+def presentation(M: Representation) -> Presentation:
+    """M's projective cover, its kernel rows and a section (all verified)."""
     if M.is_zero():
         raise ZeroModule("the zero module has no projective cover")
     alg = M.algebra
@@ -316,28 +368,32 @@ def projective_cover(M: Representation) -> tuple[Representation, ModuleMap]:
     # the basis vectors of M off the radical's pivots span a complement of
     # rad M, so they are a minimal generating set
     rad = radical_rows(M)
-    generators = [(v, c) for v in alg.quiver.vertices
-                  for c in range(M.dims[v]) if c not in rad[v][1]]
-    summands = [indecomposable_projective(alg, v) for v, _ in generators]
-    P, offsets = direct_sum(summands)
-    blocks = {v: np.zeros((P.dims[v], M.dims[v]), dtype=np.int64)
-              for v in alg.quiver.vertices}
-    for (gen_vertex, c), off in zip(generators, offsets):
-        for v, paths in projective_paths(alg, gen_vertex).items():
-            for i, q in enumerate(paths):
-                blocks[v][off[v] + i] = M.path_matrix(q)[c]
-    epi = ModuleMap(P, M, blocks)
-    if not epi.is_surjective():
-        raise StrcatError("projective cover map failed to be surjective")
+    generators = tuple((v, c) for v in alg.quiver.vertices
+                       for c in range(M.dims[v]) if c not in rad[v][1])
+    P, _ = direct_sum([indecomposable_projective(alg, v) for v, _ in generators])
+    acts = {v: path_action(M, v) for v in {v for v, _ in generators}}
+    # row (g, q) of the cover goes to M(q) applied to generator g
+    epi = ModuleMap(P, M, {w: np.concatenate([acts[v][w][:, c] for v, c in generators])
+                           for w in alg.quiver.vertices})
     # minimality: the kernel must sit inside rad P
     rad_P = radical_rows(P)
-    for v in alg.quiver.vertices:
-        ker_rows = linalg.left_nullspace(epi.blocks[v], p)
-        if ker_rows.shape[0] == 0:
-            continue
-        if linalg.solve_in_rowspace(rad_P[v][0], ker_rows, p) is None:
+    kernel, section = {}, {}
+    for w in alg.quiver.vertices:
+        ker_rows = linalg.left_nullspace(epi.blocks[w], p)
+        if ker_rows.shape[0] and linalg.solve_in_rowspace(rad_P[w][0], ker_rows, p) is None:
             raise StrcatError("cover kernel escapes the radical")
-    return P, epi
+        right_inverse = linalg.solve_in_rowspace(
+            epi.blocks[w], np.eye(M.dims[w], dtype=np.int64), p)
+        if right_inverse is None:
+            raise StrcatError("projective cover map failed to be surjective")
+        kernel[w], section[w] = _read_only(ker_rows), _read_only(right_inverse)
+    return Presentation(P, epi, generators, kernel, section)
+
+
+def projective_cover(M: Representation) -> tuple[Representation, ModuleMap]:
+    """The projective cover P -> M, with kernel inside rad P (verified)."""
+    pres = presentation(M)
+    return pres.cover, pres.epi
 
 
 @memoized
@@ -345,8 +401,8 @@ def syzygy(M: Representation) -> Representation:
     """Kernel of the projective cover; zero for projective (or zero) input."""
     if M.is_zero():
         return Representation.zero(M.algebra)
-    _, epi = projective_cover(M)
-    return kernel_of(epi)
+    pres = presentation(M)
+    return _induced_subrep(pres.cover, pres.kernel)
 
 
 def omega_power(M: Representation, n: int) -> Representation:
@@ -440,19 +496,49 @@ def _cuts(word, quotient: bool) -> list[tuple[int, int]]:
             if pos + length == n or word.letters[pos + length].inverse != quotient]
 
 
+def _layout(algebra, word) -> tuple[list[int], list[int]]:
+    """The vertex at each position of ``word`` and the index of that
+    position's basis vector among the module's vectors at the vertex."""
+    from .strings import word_vertices
+
+    verts = word_vertices(algebra.quiver, word)
+    local, seen = [], {}
+    for v in verts:
+        local.append(seen.get(v, 0))
+        seen[v] = local[-1] + 1
+    return verts, local
+
+
+def _entries(ch: CanonicalHom, source, target) -> frozenset[tuple[int, int, int]]:
+    """(vertex, source index, target index) of each 1 in the matrix of
+    ``ch``, given the ``_layout`` of its source and target words."""
+    (verts_s, local_s), (verts_t, local_t) = source, target
+    ns, nt = len(verts_s) - 1, len(verts_t) - 1
+    out = []
+    for k in range(ch.length + 1):
+        j_s = (ns - (ch.source_pos + k)) if ch.source_flip else ch.source_pos + k
+        j_t = (nt - (ch.target_pos + k)) if ch.target_flip else ch.target_pos + k
+        if verts_t[j_t] != verts_s[j_s]:
+            raise StrcatError("cut does not align vertexwise")
+        out.append((verts_s[j_s], local_s[j_s], local_t[j_t]))
+    return frozenset(out)
+
+
 def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
     """All canonical homomorphisms M[S] -> M[T], one per distinct map.
 
     Cuts agreeing only up to orientation flips realize the same matrix and
-    are reported once.  The count equals dim Hom(M[S], M[T]).
+    are reported once; two cuts give the same matrix exactly when they put
+    their 1s in the same entries.  The count equals dim Hom(M[S], M[T]).
     """
     from .strings import is_string, subword, word_vertices
 
     for w in (S, T):
         if not is_string(w, algebra):
             raise StrcatError(f"{w} is not a string over this algebra")
+    source, target = _layout(algebra, S), _layout(algebra, T)
     out: list[CanonicalHom] = []
-    seen: set[bytes] = set()
+    seen: set[frozenset] = set()
     for s_flip, t_flip in itertools.product((False, True), repeat=2):
         ws = S.inverse() if s_flip else S
         wt = T.inverse() if t_flip else T
@@ -472,7 +558,7 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
                 elif subword(wt, tpos, length) != piece:
                     continue
                 ch = CanonicalHom(algebra, S, T, s_flip, t_flip, spos, tpos, length)
-                key = realize_canonical(ch).flatten().tobytes()
+                key = _entries(ch, source, target)
                 if key not in seen:
                     seen.add(key)
                     out.append(ch)
@@ -481,25 +567,13 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
 
 def realize_canonical(ch: CanonicalHom) -> ModuleMap:
     """The explicit matrix of a canonical homomorphism."""
-    from .strings import string_module, word_vertices
+    from .strings import string_module
 
     algebra = ch.algebra
     M = string_module(algebra, ch.source)
     N = string_module(algebra, ch.target)
-    ns, nt = ch.source.length, ch.target.length
-    verts_s = word_vertices(algebra.quiver, ch.source)
-    verts_t = word_vertices(algebra.quiver, ch.target)
-
-    def local_index(verts, j):
-        return sum(1 for k in range(j) if verts[k] == verts[j])
-
     blocks = {v: np.zeros((M.dims[v], N.dims[v]), dtype=np.int64)
               for v in algebra.quiver.vertices}
-    for k in range(ch.length + 1):
-        j_s = (ns - (ch.source_pos + k)) if ch.source_flip else ch.source_pos + k
-        j_t = (nt - (ch.target_pos + k)) if ch.target_flip else ch.target_pos + k
-        v = verts_s[j_s]
-        if verts_t[j_t] != v:
-            raise StrcatError("cut does not align vertexwise")
-        blocks[v][local_index(verts_s, j_s), local_index(verts_t, j_t)] = 1
+    for v, i, j in _entries(ch, _layout(algebra, ch.source), _layout(algebra, ch.target)):
+        blocks[v][i, j] = 1
     return ModuleMap(M, N, blocks)

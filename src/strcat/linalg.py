@@ -30,16 +30,20 @@ def rref(mat, p: int) -> tuple[np.ndarray, list[int]]:
     for c in range(cols):
         if r >= rows:
             break
-        hits = np.nonzero(m[r:, c])[0]
+        hits = m[r:, c].nonzero()[0]
         if hits.size == 0:
             continue
         piv = hits[0] + r
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
         m[r] = (m[r] * pow(int(m[r, c]), -1, p)) % p
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % p
+        # one update clears column c in every other row; the pivot row is
+        # zero left of c, so only the columns from c on change
+        col = m[:, c].copy()
+        col[r] = 0
+        hit = col.nonzero()[0]
+        if hit.size:
+            m[hit, c:] = (m[hit, c:] - np.outer(col[hit], m[r, c:])) % p
         pivots.append(c)
         r += 1
     return m, pivots
@@ -61,12 +65,10 @@ def nullspace(mat, p: int) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
     r, pivots = rref(m, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-r[i, fc]) % p
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[:, pivots] = -r[: len(pivots), free].T % p
+    basis[np.arange(free.size), free] = 1
     return basis
 
 

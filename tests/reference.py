@@ -1,10 +1,11 @@
-"""Module invariants and a plain linear-algebra oracle that only the tests
+"""Module invariants and plain linear-algebra oracles that only the tests
 read."""
 
 import numpy as np
 
 from strcat import linalg
-from strcat.homology import radical_rows
+from strcat.errors import AlgebraMismatch
+from strcat.homology import ModuleMap, radical_rows
 
 
 def top_dims(M):
@@ -52,3 +53,56 @@ def gauss_rref(rows, p):
 
 def gauss_rank(rows, p):
     return len(gauss_rref(rows, p)[1])
+
+
+def map_from_flat(M, N, vec):
+    """The map M -> N whose blocks, vertex by vertex and row-major, are the
+    entries of ``vec``."""
+    blocks = {}
+    pos = 0
+    for v in M.algebra.quiver.vertices:
+        size = M.dims[v] * N.dims[v]
+        blocks[v] = vec[pos: pos + size].reshape(M.dims[v], N.dims[v])
+        pos += size
+    return ModuleMap(M, N, blocks, check=False)
+
+
+def kronecker_hom_basis(M, N):
+    """A basis of Hom(M, N) from the intertwining system f_i N_a = M_a f_j
+    over every arrow a: i -> j, with the dim M * dim N block entries as
+    unknowns.  It shares no step with the presentation in ``hom_basis``."""
+    if M.algebra is not N.algebra:
+        raise AlgebraMismatch("modules live over different algebras")
+    alg = M.algebra
+    p = alg.p
+    verts = alg.quiver.vertices
+    sizes = {v: M.dims[v] * N.dims[v] for v in verts}
+    offset = {}
+    pos = 0
+    for v in verts:
+        offset[v] = pos
+        pos += sizes[v]
+    total = pos
+    if total == 0:
+        return []
+    rows = []
+    for a in alg.quiver.arrows:
+        i, j = a.source, a.target
+        n_eq = M.dims[i] * N.dims[j]
+        if n_eq == 0:
+            continue
+        block = np.zeros((n_eq, total), dtype=np.int64)
+        if sizes[i]:
+            # vec(f_i @ N_a) with row-major flattening
+            block[:, offset[i]: offset[i] + sizes[i]] += np.kron(
+                np.eye(M.dims[i], dtype=np.int64), N.mats[a.name].T)
+        if sizes[j]:
+            block[:, offset[j]: offset[j] + sizes[j]] -= np.kron(
+                M.mats[a.name], np.eye(N.dims[j], dtype=np.int64))
+        rows.append(block % p)
+    if rows:
+        system = np.vstack(rows)
+        sols = linalg.nullspace(system, p)
+    else:
+        sols = np.eye(total, dtype=np.int64)
+    return [map_from_flat(M, N, sols[k]) for k in range(sols.shape[0])]

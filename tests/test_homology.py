@@ -28,9 +28,10 @@ from strcat import (
     string_module,
     syzygy,
 )
-from strcat.homology import identity_map
+from strcat.homology import identity_map, presentation
+from strcat.linalg import rank
 
-from .reference import top_dims
+from .reference import kronecker_hom_basis, top_dims
 
 
 def module(algebra, family, m, name):
@@ -59,6 +60,59 @@ def test_hom_to_simple_with_wrong_top_vanishes():
     Mb = module(A, "ae2", 2, "N1")  # the one-arrow module with top S(1)
     S0 = string_module(A, empty_word(0))
     assert hom_dim(Mb, S0) == 0
+
+
+def oracle_modules(family, m):
+    """The strings, the indecomposable projectives and the strings' first
+    syzygies of one algebra."""
+    A = build_family(family, m)
+    strings = [string_module(A, w) for w in enumerate_strings(A)]
+    projectives = [indecomposable_projective(A, v) for v in A.quiver.vertices]
+    return A, strings + projectives + [syzygy(M) for M in strings]
+
+
+ORACLE_CASES = [("ae1", 3), ("ae1", 6), ("ae2", 2), ("ae2", 3), ("ae3", 3), ("ae3", 5)]
+
+
+@pytest.mark.parametrize("family,m", ORACLE_CASES)
+def test_hom_from_presentations_matches_the_kronecker_system(family, m):
+    A, mods = oracle_modules(family, m)
+    for M in mods:
+        for N in mods:
+            basis = hom_basis(M, N)
+            assert len(basis) == len(kronecker_hom_basis(M, N)), (M, N)
+            for f in basis:
+                f.check_intertwining()
+            if basis:
+                flat = np.vstack([f.flatten() for f in basis])
+                assert rank(flat, A.p) == len(basis), (M, N)
+
+
+@pytest.mark.parametrize("family,m", ORACLE_CASES)
+def test_hom_out_of_a_projective_is_the_vertex_space(family, m):
+    # Hom(P_v, N) = N e_v
+    A, mods = oracle_modules(family, m)
+    for v in A.quiver.vertices:
+        P = indecomposable_projective(A, v)
+        for N in mods:
+            assert hom_dim(P, N) == N.dims[v]
+
+
+def test_hom_with_a_zero_module_is_empty():
+    A = ae3(3)
+    Z = Representation.zero(A)
+    M = module(A, "ae3", 3, "V1")
+    assert hom_basis(Z, M) == hom_basis(M, Z) == hom_basis(Z, Z) == []
+
+
+def test_memoized_presentation_is_read_only():
+    A = ae2(3)
+    pres = presentation(module(A, "ae2", 3, "M4"))
+    for arrays in (pres.kernel, pres.section):
+        for mat in arrays.values():
+            with pytest.raises(ValueError):
+                mat[...] = 0
+    assert presentation(module(A, "ae2", 3, "M4")) is pres
 
 
 def test_hom_basis_rejects_mixed_algebras():
@@ -289,5 +343,4 @@ def test_canonical_count_equals_hom_dim_everywhere(family, m):
             assert len(chs) == dim, (str(S), str(T))
             if chs:
                 flat = np.vstack([realize_canonical(ch).flatten() for ch in chs])
-                from strcat.linalg import rank
                 assert rank(flat, p) == dim

@@ -1,6 +1,9 @@
 from collections import Counter
+from functools import lru_cache
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from strcat import (
     CapTooSmall,
@@ -13,8 +16,10 @@ from strcat import (
     ae3,
     build_family,
     canonical,
+    canonical_homs,
     empty_word,
     enumerate_strings,
+    hom_dim,
     is_isomorphic,
     is_string,
     named_string,
@@ -22,11 +27,13 @@ from strcat import (
     string_module,
     word_vertices,
 )
+from strcat.families import get as get_family
 from strcat.strings import (
     Letter,
     StringWord,
     extensions_at_start,
     family_node_names,
+    letter_source,
     word_key,
 )
 
@@ -302,3 +309,51 @@ def test_parse_string_literal_forms():
     assert parse_string_literal("br~a", A.quiver) == word
     with pytest.raises(UnknownArrow):
         parse_string_literal("q", A.quiver)
+
+
+# -- random words ------------------------------------------------------------------
+
+
+algebra_of = lru_cache(maxsize=None)(build_family)
+
+
+@st.composite
+def random_strings(draw):
+    """An algebra of a built-in family and a string over it, grown one
+    letter at a time from a vertex; each step draws among the letters that
+    keep the walk a string."""
+    family = draw(st.sampled_from(["ae1", "ae2", "ae3"]))
+    m = draw(st.integers(get_family(family).m_min, 5))
+    A = algebra_of(family, m)
+    word = empty_word(draw(st.sampled_from(A.quiver.vertices)))
+    for _ in range(draw(st.integers(0, 12))):
+        end = word_vertices(A.quiver, word)[-1]
+        longer = [StringWord(word.letters + (l,))
+                  for a in A.quiver.arrows for l in (Letter(a.name), Letter(a.name, True))
+                  if letter_source(A.quiver, l) == end]
+        longer = [w for w in longer if is_string(w, A)]
+        if not longer:
+            break
+        word = draw(st.sampled_from(longer))
+    return A, word
+
+
+@given(random_strings())
+def test_random_strings_give_modules(case):
+    A, w = case
+    M = string_module(A, w)
+    M.check_relations()
+    assert M.total_dim == w.length + 1
+
+
+@given(random_strings())
+def test_random_string_and_its_inverse_give_isomorphic_modules(case):
+    A, w = case
+    assert is_isomorphic(string_module(A, w), string_module(A, w.inverse()))
+
+
+@given(random_strings())
+def test_random_string_endomorphisms_are_counted_by_canonical_homs(case):
+    A, w = case
+    M = string_module(A, w)
+    assert hom_dim(M, M) == len(canonical_homs(A, w, w))
