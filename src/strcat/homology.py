@@ -68,15 +68,34 @@ class Representation:
         return self.total_dim == 0
 
     def path_matrix(self, arrows, source: int | None = None) -> np.ndarray:
-        names = list(getattr(arrows, "arrows", arrows))
+        """The matrix of a path (a Path or a sequence of arrow names).
+
+        A word is multiplied as (first half) * (second half), and each
+        product is kept by its word, so a word of length L built from
+        repeated blocks, such as a**L, takes O(log L) products.  The cache
+        lives for this call only: kept per module, path matrices would
+        outweigh the answers.
+        """
+        names = tuple(getattr(arrows, "arrows", arrows))
         if not names:
             if source is None:
                 source = getattr(arrows, "source")
             return np.eye(self.dims[source], dtype=np.int64)
-        mat = self.mats[names[0]]
-        for name in names[1:]:
-            mat = linalg.mat_mul(mat, self.mats[name], self.algebra.p)
-        return mat
+        return self._word_matrix(names, {})
+
+    def _word_matrix(self, word: tuple[str, ...], products: dict) -> np.ndarray:
+        """The matrix of a nonempty word, by halves; ``products`` holds the
+        products already formed, by word.  A method rather than a recursive
+        closure, which would be a reference cycle holding the products until
+        the cyclic collector ran."""
+        if len(word) == 1:
+            return self.mats[word[0]]
+        if word not in products:
+            half = len(word) // 2
+            products[word] = linalg.mat_mul(self._word_matrix(word[:half], products),
+                                            self._word_matrix(word[half:], products),
+                                            self.algebra.p)
+        return products[word]
 
     def check_relations(self):
         """Every completed rule must hold as a matrix identity."""

@@ -81,18 +81,20 @@ class Quiver:
         for a in self.arrows:
             if a.source not in vs or a.target not in vs:
                 raise StrcatError(f"arrow {a.name} touches an undeclared vertex")
+        # name -> declaration index, set once (the dataclass is frozen)
+        object.__setattr__(self, "_positions", {n: i for i, n in enumerate(names)})
 
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index(name)]
 
     def arrow_index(self, name: str) -> int:
-        for i, a in enumerate(self.arrows):
-            if a.name == name:
-                return i
-        raise StrcatError(f"unknown arrow {name!r}")
+        try:
+            return self._positions[name]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise StrcatError(f"unknown arrow {name!r}") from None
 
     def has_arrow(self, name: str) -> bool:
-        return any(a.name == name for a in self.arrows)
+        return name in self._positions
 
     def arrows_from(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.source == v]
@@ -166,39 +168,73 @@ class RewriteRule:
         return f"{self.lhs} -> {self.coeff}*{self.rhs}"
 
 
-def _concat(p: Path, q: Path) -> Path | None:
-    if p.target != q.source:
-        return None
-    if not p.arrows:
-        return q
-    if not q.arrows:
-        return p
-    return Path(p.source, q.target, p.arrows + q.arrows)
-
-
 class _Rewriter:
-    """Reduces coeff * path modulo an oriented rule set to one term or None."""
+    """Reduces coeff * path modulo an oriented rule set to one term or None.
 
-    def __init__(self, quiver: Quiver, p: int, step_cap: int):
-        self.quiver = quiver
+    ``rules`` keeps insertion order.  ``add`` and ``remove`` also keep the
+    left sides in a trie over arrow names.  A node is [children by arrow
+    name, the rules whose left side ends there with their insertion ranks,
+    a lower bound on the arrows still needed to reach such an end below].
+    A redex search walks the trie from each position and stops where the
+    path is too short to finish any left side, instead of comparing every
+    rule at every position.
+    """
+
+    def __init__(self, p: int, step_cap: int):
         self.p = p
         self.step_cap = step_cap
         self.rules: list[RewriteRule] = []
+        self._trie: list = [{}, [], 0]
+        self._added = 0
+        self._longest = 0  # an upper bound on the left-side lengths
 
-    def _find_redex(self, path: Path) -> tuple[int, RewriteRule] | None:
+    def add(self, rule: RewriteRule):
+        self.rules.append(rule)
+        lhs = rule.lhs.arrows
+        node = self._trie
+        for depth, name in enumerate(lhs, 1):
+            node = node[0].setdefault(name, [{}, [], len(lhs)])
+            node[2] = min(node[2], len(lhs) - depth)
+        node[1].append((self._added, rule))
+        self._added += 1
+        self._longest = max(self._longest, len(lhs))
+
+    def remove(self, rule: RewriteRule):
+        """Remove the first rule equal to ``rule``.  The needed-arrow bounds
+        and ``_longest`` are left as they were, so they stay bounds."""
+        self.rules.remove(rule)
+        node = self._trie
+        for name in rule.lhs.arrows:
+            node = node[0][name]
+        ends = node[1]
+        del ends[next(i for i, (_, r) in enumerate(ends) if r == rule)]
+
+    def _find_redex(self, path: Path, exclude: RewriteRule | None = None,
+                    start: int = 0) -> tuple[int, RewriteRule] | None:
+        """The leftmost position from ``start`` on where a rule other than
+        ``exclude`` matches, and the first such rule in insertion order."""
         arrows = path.arrows
-        for pos in range(len(arrows)):
-            for rule in self.rules:
-                k = rule.lhs.length
-                if arrows[pos : pos + k] == rule.lhs.arrows:
-                    return pos, rule
+        n = len(arrows)
+        for pos in range(start, n):
+            children = self._trie[0]
+            best = None
+            for i in range(pos, n):
+                node = children.get(arrows[i])
+                if node is None or node[2] >= n - i:  # fewer arrows left than needed
+                    break
+                children, ends, _ = node
+                for entry in ends:
+                    if entry[1] is not exclude and (best is None or entry[0] < best[0]):
+                        best = entry
+            if best is not None:
+                return pos, best[1]
         return None
 
     def reduce_path(self, path: Path, coeff: int = 1) -> tuple[Path, int] | None:
         coeff %= self.p
-        steps = 0
+        steps = start = 0
         while coeff:
-            hit = self._find_redex(path)
+            hit = self._find_redex(path, start=start)
             if hit is None:
                 return path, coeff
             steps += 1
@@ -207,11 +243,13 @@ class _Rewriter:
             pos, rule = hit
             if rule.rhs is None:
                 return None
-            left = path.arrows[:pos]
-            right = path.arrows[pos + rule.lhs.length :]
-            path = make_path(self.quiver, left + rule.rhs.arrows + right,
-                             base_vertex=path.source)
+            # a rule keeps its endpoints, so the rewritten word composes
+            arrows = path.arrows
+            path = Path(path.source, path.target,
+                        arrows[:pos] + rule.rhs.arrows + arrows[pos + len(rule.lhs.arrows):])
             coeff = coeff * rule.coeff % self.p
+            # the prefix before pos held no redex, so a new one overlaps pos
+            start = max(0, pos - self._longest + 1)
         return None
 
 
@@ -249,7 +287,7 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
         raise StrcatError("dim_bound must be >= 1")
     require_prime(p)
 
-    rw = _Rewriter(quiver, p, step_cap=200 + 40 * dim_bound)
+    rw = _Rewriter(p, step_cap=200 + 40 * dim_bound)
     pending = sorted(rules, key=lambda r: path_key(quiver, r.lhs))
     resolution_cap = 10 * dim_bound
     resolutions = 0
@@ -267,7 +305,7 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
         resolutions += 1
         if resolutions > resolution_cap:
             raise NonTerminating("completion exceeded its resolution cap")
-        rw.rules.append(rule)
+        rw.add(rule)
 
     def add_interreduced(rule: RewriteRule | None) -> bool:
         if rule is None:
@@ -279,11 +317,9 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
         while changed:
             changed = False
             for old in list(rw.rules):
-                others = _Rewriter(quiver, p, rw.step_cap)
-                others.rules = [r for r in rw.rules if r is not old]
-                if others._find_redex(old.lhs) is not None or (
+                if rw._find_redex(old.lhs, exclude=old) is not None or (
                         old.rhs is not None and rw._find_redex(old.rhs)):
-                    rw.rules.remove(old)
+                    rw.remove(old)
                     newr = reduce_rule(old)
                     if newr is not None:
                         add_rule(newr)
@@ -358,10 +394,19 @@ class Algebra:
     The presentation, basis and multiplication table are fixed at
     construction; ``memo`` fills in with results derived from them (see
     ``memoized``) as they are first asked for.  ``basis`` lists the
-    irreducible paths, trivial paths first.  The product of basis elements
-    i and j is ``prod_coeff[i, j]`` times basis element ``prod_index[i, j]``;
-    index ``dim`` stands for zero, and row and column ``dim`` are zero, so
-    the table composes with itself.
+    irreducible paths, trivial paths first, shorter before longer.  The
+    product of basis elements i and j is ``prod_coeff[i, j]`` times basis
+    element ``prod_index[i, j]``; index ``dim`` stands for zero, and row and
+    column ``dim`` are zero, so the table composes with itself.
+
+    The table is built from shorter products.  ``act_index``/``act_coeff``
+    (shape ``(dim+1, arrows)``, row ``dim`` zero) give basis element k
+    times arrow x, one reduction each.  The basis is closed under prefixes,
+    so basis path j is a basis path j' times an arrow a, and column j of
+    the table is column j' acted on by a; the column of e_v is the identity
+    on the paths ending at v.  Completion makes the rewriting confluent, so
+    every entry is the normal form of the concatenation, for dim * arrows
+    reductions instead of dim**2.
     """
 
     def __init__(self, quiver: Quiver, p: int, rules: tuple[RewriteRule, ...],
@@ -373,15 +418,29 @@ class Algebra:
         self._rw = _rw
         self.dim = n = len(basis)
         self.index = {path: i for i, path in enumerate(basis)}
+        arrows = quiver.arrows
+        self.act_index = np.full((n + 1, len(arrows)), n, dtype=np.int64)
+        self.act_coeff = np.zeros((n + 1, len(arrows)), dtype=np.int64)
+        for k, q in enumerate(basis):
+            for x, a in enumerate(arrows):
+                if q.target == a.source:
+                    term = self.reduce_path(Path(q.source, a.target, q.arrows + (a.name,)))
+                    if term is not None:
+                        self.act_index[k, x] = self.index[term[0]]
+                        self.act_coeff[k, x] = term[1]
         self.prod_index = np.full((n + 1, n + 1), n, dtype=np.int64)
         self.prod_coeff = np.zeros((n + 1, n + 1), dtype=np.int64)
-        for i, pi in enumerate(basis):
-            for j, pj in enumerate(basis):
-                prod = _concat(pi, pj)
-                term = None if prod is None else self.reduce_path(prod)
-                if term is not None:
-                    self.prod_index[i, j] = self.index[term[0]]
-                    self.prod_coeff[i, j] = term[1]
+        for j, q in enumerate(basis):
+            if not q.arrows:
+                rows = [i for i, pi in enumerate(basis) if pi.target == q.source]
+                self.prod_index[rows, j] = rows
+                self.prod_coeff[rows, j] = 1
+                continue
+            x = quiver.arrow_index(q.arrows[-1])
+            prefix = self.index[Path(q.source, arrows[x].source, q.arrows[:-1])]
+            col = self.prod_index[:, prefix]
+            self.prod_index[:, j] = self.act_index[col, x]
+            self.prod_coeff[:, j] = self.prod_coeff[:, prefix] * self.act_coeff[col, x] % p
         self._check_idempotents()
         self.verify_associativity()
         self.socle_rules = self._socle_quotient_rules()
@@ -428,11 +487,8 @@ class Algebra:
         sides of a binomial rule lie in it, so the quotient is monomial.
         """
         gens = {r.lhs for r in self.rules}
-        for path in self.basis:
-            if path.length == 0:
-                continue
-            if all(self.reduce_path(_concat(path, Path(a.source, a.target, (a.name,)))) is None
-                   for a in self.quiver.arrows_from(path.target)):
+        for k, path in enumerate(self.basis):
+            if path.length and (self.act_index[k] == self.dim).all():
                 gens.add(path)
         return tuple(sorted(gens, key=lambda q: path_key(self.quiver, q)))
 
@@ -547,12 +603,14 @@ def indecomposable_projective(algebra: Algebra, vertex: int):
     local = {v: {q: i for i, q in enumerate(ps)} for v, ps in by_vertex.items()}
     dims = {v: len(ps) for v, ps in by_vertex.items()}
     mats = {}
-    for a in algebra.quiver.arrows:
+    for x, a in enumerate(algebra.quiver.arrows):
         mat = np.zeros((dims[a.source], dims[a.target]), dtype=np.int64)
         for q in by_vertex[a.source]:
-            term = algebra.reduce_path(_concat(q, Path(a.source, a.target, (a.name,))))
-            if term is not None:
-                mat[local[a.source][q], local[a.target][term[0]]] = term[1]
+            k = algebra.index[q]
+            target = algebra.act_index[k, x]
+            if target < algebra.dim:
+                mat[local[a.source][q], local[a.target][algebra.basis[target]]] = \
+                    algebra.act_coeff[k, x]
         mats[a.name] = mat
     return homology.Representation(algebra, dims, mats)
 

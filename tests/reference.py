@@ -6,6 +6,7 @@ import numpy as np
 from strcat import linalg
 from strcat.errors import AlgebraMismatch
 from strcat.homology import ModuleMap, radical_rows
+from strcat.quiver_core import Path, path_key, projective_paths
 
 
 def top_dims(M):
@@ -106,3 +107,98 @@ def kronecker_hom_basis(M, N):
     else:
         sols = np.eye(total, dtype=np.int64)
     return [map_from_flat(M, N, sols[k]) for k in range(sols.shape[0])]
+
+
+# -- the algebra and its modules, one reduction or product at a time ------------
+
+
+def reduced_concatenation(algebra, p, q):
+    """The normal form of the path p then q, by rewriting; None if they do
+    not compose or the product is zero."""
+    if p.target != q.source:
+        return None
+    return algebra.reduce_path(Path(p.source, q.target, p.arrows + q.arrows))
+
+
+def arrow_path(a):
+    return Path(a.source, a.target, (a.name,))
+
+
+def reduced_tables(algebra):
+    """``prod_index`` and ``prod_coeff`` filled entry by entry, each the
+    normal form of a concatenation of two basis paths."""
+    n = algebra.dim
+    index = np.full((n + 1, n + 1), n, dtype=np.int64)
+    coeff = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for i, p in enumerate(algebra.basis):
+        for j, q in enumerate(algebra.basis):
+            term = reduced_concatenation(algebra, p, q)
+            if term is not None:
+                index[i, j], coeff[i, j] = algebra.index[term[0]], term[1]
+    return index, coeff
+
+
+def reduced_socle_rules(algebra):
+    """The completed left sides plus every nontrivial basis path that each
+    arrow, appended and reduced, sends to zero."""
+    quiver = algebra.quiver
+    gens = {r.lhs for r in algebra.rules}
+    for path in algebra.basis:
+        if path.arrows and all(reduced_concatenation(algebra, path, arrow_path(a)) is None
+                               for a in quiver.arrows_from(path.target)):
+            gens.add(path)
+    return tuple(sorted(gens, key=lambda q: path_key(quiver, q)))
+
+
+def reduced_projective_mats(algebra, vertex):
+    """The arrow matrices of P(vertex), each entry the reduced product of a
+    basis path and an arrow."""
+    by_vertex = projective_paths(algebra, vertex)
+    mats = {}
+    for a in algebra.quiver.arrows:
+        rows, cols = by_vertex[a.source], by_vertex[a.target]
+        mat = np.zeros((len(rows), len(cols)), dtype=np.int64)
+        for i, q in enumerate(rows):
+            term = reduced_concatenation(algebra, q, arrow_path(a))
+            if term is not None:
+                mat[i, cols.index(term[0])] = term[1]
+        mats[a.name] = mat
+    return mats
+
+
+def folded_path_matrix(M, names, source):
+    """The matrix of a word on M, multiplied from the left one arrow at a
+    time, starting from the identity at ``source``."""
+    mat = np.eye(M.dims[source], dtype=np.int64)
+    for name in names:
+        mat = mat @ M.mats[name] % M.algebra.p
+    return mat
+
+
+def scanned_redex(rules, path, exclude=None, start=0):
+    """The leftmost position from ``start`` where a rule other than
+    ``exclude`` matches, and the first such rule in list order, by
+    comparing every rule at every position."""
+    arrows = path.arrows
+    for pos in range(start, len(arrows)):
+        for rule in rules:
+            k = len(rule.lhs.arrows)
+            if rule is not exclude and arrows[pos: pos + k] == rule.lhs.arrows:
+                return pos, rule
+    return None
+
+
+def scanned_reduction(rules, path, p):
+    """Rewrite at the redex ``scanned_redex`` names until none is left: the
+    normal form (path, coeff), or None.  The rules must decrease paths in
+    the path order, so that this ends."""
+    coeff = 1
+    while (hit := scanned_redex(rules, path)) is not None:
+        pos, rule = hit
+        if rule.rhs is None:
+            return None
+        arrows = path.arrows
+        path = Path(path.source, path.target,
+                    arrows[:pos] + rule.rhs.arrows + arrows[pos + len(rule.lhs.arrows):])
+        coeff = coeff * rule.coeff % p
+    return path, coeff

@@ -1,3 +1,7 @@
+import gc
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -28,10 +32,12 @@ from strcat import (
     string_module,
     syzygy,
 )
+from strcat import linalg
 from strcat.homology import identity_map, presentation
 from strcat.linalg import rank
+from strcat.quiver_core import make_path
 
-from .reference import kronecker_hom_basis, top_dims
+from .reference import folded_path_matrix, kronecker_hom_basis, top_dims
 
 
 def module(algebra, family, m, name):
@@ -344,3 +350,60 @@ def test_canonical_count_equals_hom_dim_everywhere(family, m):
             if chs:
                 flat = np.vstack([realize_canonical(ch).flatten() for ch in chs])
                 assert rank(flat, p) == dim
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 6), ("ae2", 3), ("ae3", 5)])
+def test_path_matrix_equals_a_left_to_right_fold(family, m):
+    A = build_family(family, m)
+    modules = ([indecomposable_projective(A, v) for v in A.quiver.vertices]
+               + [string_module(A, w) for w in enumerate_strings(A)])
+    rng = random.Random(5)
+    for M in modules:
+        for v in A.quiver.vertices:
+            for length in range(2 * A.dim + 1):
+                names, at = [], v
+                for _ in range(length):  # a random walk of this length from v
+                    a = rng.choice(A.quiver.arrows_from(at))
+                    names.append(a.name)
+                    at = a.target
+                want = folded_path_matrix(M, names, v)
+                path = make_path(A.quiver, names, base_vertex=v)
+                assert np.array_equal(M.path_matrix(path), want), (M, names)
+                if names:
+                    assert np.array_equal(M.path_matrix(names), want), (M, names)
+
+
+def test_relation_check_multiplies_logarithmically(monkeypatch):
+    # the longest string of ae1(96) meets the rule a^97 -> 0; halving with
+    # products kept by word takes at most 2 * ceil(log2 L) products for a
+    # word of length L (at most two distinct lengths per halving level),
+    # where a left-to-right fold takes L - 1 = 96
+    A = ae1(96)
+    M = string_module(A, max(enumerate_strings(A), key=lambda w: w.length))
+    calls = []
+    mat_mul = linalg.mat_mul
+
+    def counted(a, b, p):
+        calls.append(None)
+        return mat_mul(a, b, p)
+
+    monkeypatch.setattr(linalg, "mat_mul", counted)
+    M.check_relations()
+    words = [r.lhs for r in A.rules] + [r.rhs for r in A.rules if r.rhs is not None]
+    bound = sum(2 * math.ceil(math.log2(w.length)) for w in words if w.length > 1)
+    assert [w.length for w in words] == [97] and bound == 14
+    assert 0 < len(calls) <= bound
+
+
+def test_path_matrix_keeps_no_products_after_the_call():
+    # products held in a reference cycle would wait for the cyclic
+    # collector, and between collections they pile up in peak memory
+    A = ae1(8)
+    M = string_module(A, max(enumerate_strings(A), key=lambda w: w.length))
+    gc.collect()
+    gc.disable()
+    try:
+        assert not M.path_matrix(["a"] * 9).any()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -32,12 +32,20 @@ from strcat import (
 from strcat.quiver_core import (
     DEFAULT_PRIME,
     MAX_PRIME,
+    _Rewriter,
     memoized,
     path_key,
     require_prime,
 )
 
 from .oracles import all_paths, contains_word, family_dimension, monomial_dimension
+from .reference import (
+    reduced_projective_mats,
+    reduced_socle_rules,
+    reduced_tables,
+    scanned_redex,
+    scanned_reduction,
+)
 
 
 @dataclass(eq=False)
@@ -323,6 +331,50 @@ def test_table_entries_are_reduced_concatenations(family, m):
             assert got == want, (str(pi), str(pj))
 
 
+SMALL_FAMILIES = ([("ae1", m) for m in range(1, 9)] + [("ae2", m) for m in range(1, 5)]
+                  + [("ae3", m) for m in range(2, 7)])
+
+
+def assert_tables_equal_direct_reduction(A):
+    index, coeff = reduced_tables(A)
+    assert np.array_equal(A.prod_index, index) and np.array_equal(A.prod_coeff, coeff)
+    assert A.socle_rules == reduced_socle_rules(A)
+    for v in A.quiver.vertices:
+        mats = indecomposable_projective(A, v).mats
+        want = reduced_projective_mats(A, v)
+        assert mats.keys() == want.keys()
+        assert all(np.array_equal(mats[name], want[name]) for name in want), v
+
+
+@pytest.mark.parametrize("family,m", SMALL_FAMILIES)
+def test_tables_socle_rules_and_projectives_equal_direct_reduction(family, m):
+    assert_tables_equal_direct_reduction(build_family(family, m))
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 64), ("ae2", 16), ("ae3", 64)])
+def test_table_build_reduces_once_per_basis_path_and_arrow(family, m, monkeypatch):
+    # the table is grown from the arrow action: one reduction per (basis
+    # path, arrow), not one per pair of basis paths
+    inside, calls = [False], []
+    reduce_path, init = _Rewriter.reduce_path, Algebra.__init__
+
+    def counted_reduce(self, *args, **kwargs):
+        calls.extend([None] * inside[0])
+        return reduce_path(self, *args, **kwargs)
+
+    def traced_init(self, *args, **kwargs):
+        inside[0] = True
+        try:
+            init(self, *args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(_Rewriter, "reduce_path", counted_reduce)
+    monkeypatch.setattr(Algebra, "__init__", traced_init)
+    A = build_family(family, m)
+    assert 0 < len(calls) <= A.dim * len(A.quiver.arrows)
+
+
 def test_corrupted_table_fails_associativity_at_first_bad_triple():
     A = ae2(2)
     a, b = (A.index[make_path(A.quiver, [x])] for x in "ab")
@@ -390,6 +442,75 @@ def test_completion_of_random_specs_matches_the_oracles(spec):
     rng = random.Random(7)
     for path, want in zip(paths, normal_forms):
         assert _random_reduce(A, path, rng) == want, str(path)
+
+
+def built_or_skipped(spec):
+    try:
+        return load_algebra_spec(spec)
+    except (DimensionBoundExceeded, NonTerminating):
+        assume(False)
+
+
+@given(spec=small_specs())
+def test_tables_of_random_specs_equal_direct_reduction(spec):
+    assert_tables_equal_direct_reduction(built_or_skipped(spec))
+
+
+@given(spec=small_specs())
+def test_redex_search_of_random_specs_matches_a_scan(spec):
+    A = built_or_skipped(spec)
+    rw = A._rw
+    arrows = [(a["name"], a["from"], a["to"]) for a in spec["arrows"]]
+    longest = max(r.lhs.length for r in rw.rules) if rw.rules else 1
+    paths = [make_path(A.quiver, names, base_vertex=s)
+             for names, s, _ in all_paths(spec["vertices"], arrows, longest + 2)][:300]
+    for path in paths:
+        assert rw._find_redex(path) == scanned_redex(rw.rules, path), str(path)
+        for rule in rw.rules:
+            assert (rw._find_redex(path, exclude=rule)
+                    == scanned_redex(rw.rules, path, exclude=rule)), (str(path), str(rule))
+
+
+@given(data=st.data())
+def test_redex_search_keeps_insertion_order_through_removals(data):
+    # overlapping and repeated left sides, so that several rules match at one
+    # position and the first one in list order must win
+    arrows = [("x", 0, 0), ("y", 0, 0)]
+    q = make_quiver([0], arrows)
+    words = [names for names, _, _ in all_paths([0], arrows, 3) if names]
+    rw = _Rewriter(DEFAULT_PRIME, step_cap=100)
+    for _ in range(data.draw(st.integers(1, 12))):
+        if rw.rules and data.draw(st.booleans()):
+            rw.remove(data.draw(st.sampled_from(rw.rules)))
+        else:
+            rw.add(RewriteRule(make_path(q, data.draw(st.sampled_from(words)))))
+    for names, _, _ in all_paths([0], arrows, 5):
+        path = make_path(q, names, base_vertex=0)
+        for start in range(len(names) + 1):
+            assert (rw._find_redex(path, start=start)
+                    == scanned_redex(rw.rules, path, start=start)), (names, start)
+        for rule in rw.rules:
+            assert rw._find_redex(path, exclude=rule) == scanned_redex(rw.rules, path,
+                                                                        exclude=rule)
+
+
+@given(data=st.data())
+def test_reduction_matches_a_leftmost_scan(data):
+    # rules that shrink paths in the path order, so every reduction ends; a
+    # rewrite can create a redex that starts before it
+    arrows = [("x", 0, 0), ("y", 0, 0)]
+    q = make_quiver([0], arrows)
+    paths = [make_path(q, names, base_vertex=0) for names, _, _ in all_paths([0], arrows, 6)]
+    rw = _Rewriter(DEFAULT_PRIME, step_cap=100)
+    for _ in range(data.draw(st.integers(1, 5))):
+        lhs = data.draw(st.sampled_from([w for w in paths if 1 <= w.length <= 3]))
+        smaller = [w for w in paths if path_key(q, w) < path_key(q, lhs)]
+        rhs = data.draw(st.sampled_from([None] + smaller))
+        coeff = None if rhs is None else data.draw(st.integers(1, DEFAULT_PRIME - 1))
+        rw.add(RewriteRule(lhs, coeff, rhs))
+    for path in paths:
+        assert rw.reduce_path(path) == scanned_reduction(rw.rules, path, DEFAULT_PRIME), \
+            str(path)
 
 
 def test_rule_whose_right_side_contains_its_left_side_is_rejected():
