@@ -120,9 +120,17 @@ def _canonical_map(algebra: Algebra, source: strings.StringWord,
                    target: strings.StringWord, injective: bool) -> homology.ModuleMap:
     """The unique canonical homomorphism M[source] -> M[target] that is
     injective (an inclusion) or, with ``injective`` false, surjective (a
-    projection)."""
+    projection).
+
+    A canonical homomorphism through a common substring of length L has
+    rank L + 1, and a string of length L has a module of dimension L + 1,
+    so only a cut as long as the source (or the target) can be injective
+    (or surjective); only those are realized and checked.
+    """
+    full = source.length if injective else target.length
     maps = [homology.realize_canonical(ch)
-            for ch in homology.canonical_homs(algebra, source, target)]
+            for ch in homology.canonical_homs(algebra, source, target)
+            if ch.length == full]
     found = [f for f in maps if (f.is_injective() if injective else f.is_surjective())]
     if len(found) != 1:
         kind = "inclusion" if injective else "projection"

@@ -26,10 +26,11 @@ from .quiver_core import Algebra, ae1, ae2, ae3, indecomposable_projective
 
 # No built-in algebra may exceed this dimension.  The largest in use, ae2
 # at m = 32, has dimension 130.  On a 2-vCPU Xeon, building ae1 takes
-# 0.08 s at dimension 129, 0.6 s at 257, 5 s at 512 and 41 s at 1024
-# (ae3 43 s at 1024); the exhaustive associativity check over dim**3
-# triples is most of that above a few hundred.  The cap refuses a runaway
-# ``m`` before any time or memory is spent on it.
+# 0.014 s at dimension 129, 0.05 s at 257, 0.17 s at 512 and 0.6 s at 1024
+# (ae2 0.5 s and ae3 1.3 s at 1024); the associativity certificate costs one
+# dim**2 plane per generator, and above a few hundred most of an ae3 build
+# is rewriting its long loop powers.  The cap refuses a runaway ``m``
+# before any time or memory is spent on it.
 MAX_DIM = 1024
 
 

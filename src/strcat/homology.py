@@ -17,6 +17,7 @@ cuts and realized as explicit projection-then-inclusion matrices.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -34,6 +35,54 @@ def _field_block(mat, shape: tuple[int, int], p: int, what: str, key) -> np.ndar
     if mat.shape != shape:
         raise StrcatError(f"{what} {key} has shape {mat.shape}, wanted {shape}")
     return mat
+
+
+def _halved(word: tuple[str, ...], leaf, product, products: dict):
+    """The value of a nonempty word as (first half) * (second half).
+
+    ``leaf`` gives the value of one arrow, ``product`` multiplies two
+    values (dense matrices or maps), and ``products`` holds the products
+    already formed, by word.  A module-level function rather than a
+    recursive closure, which would be a reference cycle holding the
+    products until the cyclic collector ran.
+    """
+    if len(word) == 1:
+        return leaf(word[0])
+    if word not in products:
+        half = len(word) // 2
+        products[word] = product(_halved(word[:half], leaf, product, products),
+                                 _halved(word[half:], leaf, product, products))
+    return products[word]
+
+
+def _compose(first, then, p: int):
+    """The map ``first`` followed by ``then``, as ``(cols, vals)`` pairs
+    with their zero sentinel rows (see ``Representation._row_maps``)."""
+    cols, vals = first
+    return then[0][cols], vals * then[1][cols] % p
+
+
+def _identity_map(n: int):
+    vals = np.ones(n + 1, dtype=np.int64)
+    vals[n] = 0
+    return np.arange(n + 1, dtype=np.int64), vals
+
+
+def _matrices_agree(left, right, coeff, p: int) -> bool:
+    """left == coeff * right, where a missing right side is zero."""
+    if right is None:
+        return not left.any()
+    return np.array_equal(left, coeff * right % p)
+
+
+def _maps_agree(left, right, coeff, p: int) -> bool:
+    """The same test for maps: the values agree, and so do the columns
+    wherever the value is nonzero."""
+    if right is None:
+        return not np.count_nonzero(left[1])
+    live = left[1] != 0
+    return (np.array_equal(left[1], coeff * right[1] % p)
+            and np.array_equal(left[0][live], right[0][live]))
 
 
 class Representation:
@@ -81,34 +130,59 @@ class Representation:
             if source is None:
                 source = getattr(arrows, "source")
             return np.eye(self.dims[source], dtype=np.int64)
-        return self._word_matrix(names, {})
-
-    def _word_matrix(self, word: tuple[str, ...], products: dict) -> np.ndarray:
-        """The matrix of a nonempty word, by halves; ``products`` holds the
-        products already formed, by word.  A method rather than a recursive
-        closure, which would be a reference cycle holding the products until
-        the cyclic collector ran."""
-        if len(word) == 1:
-            return self.mats[word[0]]
-        if word not in products:
-            half = len(word) // 2
-            products[word] = linalg.mat_mul(self._word_matrix(word[:half], products),
-                                            self._word_matrix(word[half:], products),
-                                            self.algebra.p)
-        return products[word]
+        p = self.algebra.p
+        return _halved(names, self.mats.__getitem__,
+                       lambda x, y: linalg.mat_mul(x, y, p), {})
 
     def check_relations(self):
-        """Every completed rule must hold as a matrix identity."""
+        """Every completed rule must hold as a matrix identity.
+
+        When every arrow matrix has at most one nonzero entry per row, as
+        for string modules and indecomposable projectives, each matrix is
+        read as a map (see ``_row_maps``) and the words of the rules are
+        composed as maps, in time linear in the dimensions.  Otherwise,
+        say after a change of basis, the words are multiplied as dense
+        matrices.  Either way a word is formed by halves, and no product
+        outlives the call.
+        """
         p = self.algebra.p
+        maps = self._row_maps()
+        if maps is None:
+            value, agree = self.path_matrix, _matrices_agree
+        else:
+            value = functools.partial(self._path_map, maps=maps, products={})
+            agree = _maps_agree
         for rule in self.algebra.rules:
-            left = self.path_matrix(rule.lhs)
-            if rule.rhs is None:
-                if left.any():
-                    raise StrcatError(f"rule {rule} fails on this representation")
-            else:
-                right = (rule.coeff * self.path_matrix(rule.rhs)) % p
-                if not np.array_equal(left, right):
-                    raise StrcatError(f"rule {rule} fails on this representation")
+            right = None if rule.rhs is None else value(rule.rhs)
+            if not agree(value(rule.lhs), right, rule.coeff, p):
+                raise StrcatError(f"rule {rule} fails on this representation")
+
+    def _path_map(self, path, maps: dict, products: dict):
+        """The map of a path, composed by halves from the arrow maps."""
+        if not path.arrows:
+            return _identity_map(self.dims[path.source])
+        p = self.algebra.p
+        return _halved(path.arrows, maps.__getitem__, lambda f, g: _compose(f, g, p),
+                       products)
+
+    def _row_maps(self) -> dict | None:
+        """Each arrow's matrix as a map ``(cols, vals)``: row i goes to
+        column ``cols[i]`` scaled by ``vals[i]``.  A zero row, and the extra
+        sentinel row at the end, go to the column past the last one with
+        value 0, so a killed vector stays killed under composition.  None
+        when some matrix has two nonzero entries in a row."""
+        maps = {}
+        for name, mat in self.mats.items():
+            rows, cols = np.nonzero(mat)
+            n, width = mat.shape
+            map_cols = np.full(n + 1, width, dtype=np.int64)
+            map_vals = np.zeros(n + 1, dtype=np.int64)
+            map_cols[rows] = cols
+            map_vals[rows] = mat[rows, cols]
+            if np.count_nonzero(map_vals) < len(rows):  # a row held two entries
+                return None
+            maps[name] = map_cols, map_vals
+        return maps
 
     def __repr__(self) -> str:
         return f"Representation(dim_vector={self.dim_vector()})"

@@ -407,6 +407,14 @@ class Algebra:
     on the paths ending at v.  Completion makes the rewriting confluent, so
     every entry is the normal form of the concatenation, for dim * arrows
     reductions instead of dim**2.
+
+    Construction then checks the table.  The trivial paths must be
+    orthogonal idempotents, and associativity is certified over the
+    generators (trivial paths and arrows): each basis path z'*a is the
+    table's product of z' and a, and (x*y)*g == x*(y*g) for all basis x, y
+    and generators g, which gives every triple by induction on the length
+    of the third factor (see ``verify_associativity``).  That is dim**2
+    work per generator instead of dim**3.
     """
 
     def __init__(self, quiver: Quiver, p: int, rules: tuple[RewriteRule, ...],
@@ -460,8 +468,63 @@ class Algebra:
                 raise StrcatError("trivial paths are not orthogonal idempotents")
 
     def verify_associativity(self) -> bool:
-        """Exhaustively check (a*b)*c == a*(b*c) on basis triples, a whole
-        (j, k) plane per i; an error names the first bad triple."""
+        """Check (x*y)*z == x*(y*z) on every basis triple; an error names
+        the lexicographically first bad triple.
+
+        The check is a certificate over the generators, the trivial paths
+        and the arrows in the basis.  Products are compared as terms
+        (index, coeff mod p), and the zero row and column of the table must
+        be (dim, 0), so that a zero product stays zero:
+
+        (G) every nontrivial basis path z is z'*a for a basis path z' and an
+            arrow a, and the table gives z'*a = 1*z;
+        (C) (x*y)*g == x*(y*g) for all basis x, y and every generator g.
+
+        These give every triple, by induction on the length of z.  Trivial
+        z are generators; for z = z'*a, (C) and the induction hypothesis
+        give x*(y*(z'a)) = x*((y*z')*a) = (x*(y*z'))*a = ((x*y)*z')*a =
+        (x*y)*(z'*a).  The certificate costs one (dim, dim) plane per
+        generator.  Only when it fails does the exhaustive scan run, one
+        (y, z) plane per x, to find the first bad triple, if there is one.
+        """
+        if not self._certify_associativity():
+            self._scan_associativity()
+        return True
+
+    def _certify_associativity(self) -> bool:
+        """Whether (G) and (C) of ``verify_associativity`` hold."""
+        n, p = self.dim, self.p
+        index, coeff = self.prod_index, self.prod_coeff
+        if ((index[n] != n).any() or (index[:, n] != n).any()
+                or coeff[n].any() or coeff[:, n].any()):
+            return False
+        gens, paths, prefixes, lasts = [], [], [], []
+        for z, path in enumerate(self.basis):
+            if path.length <= 1:
+                gens.append(z)
+            if path.length:
+                a = self.quiver.arrow(path.arrows[-1])
+                prefix = self.index.get(Path(path.source, a.source, path.arrows[:-1]))
+                last = self.index.get(Path(a.source, a.target, (a.name,)))
+                if prefix is None or last is None:
+                    return False
+                paths.append(z)
+                prefixes.append(prefix)
+                lasts.append(last)
+        if (index[prefixes, lasts] != paths).any() or (coeff[prefixes, lasts] != 1).any():
+            return False
+        xy_index, xy_coeff = index[:n, :n], coeff[:n, :n]
+        for g in gens:
+            yg_index, yg_coeff = index[:n, g], coeff[:n, g]
+            if ((index[xy_index, g] != index[:n, yg_index]).any()
+                    or (xy_coeff * coeff[xy_index, g] % p
+                        != yg_coeff * coeff[:n, yg_index] % p).any()):
+                return False
+        return True
+
+    def _scan_associativity(self):
+        """Check every basis triple, a whole (j, k) plane per i; an error
+        names the first bad triple."""
         n, p = self.dim, self.p
         index, coeff = self.prod_index, self.prod_coeff
         jk_index, jk_coeff = index[:n, :n], coeff[:n, :n]
@@ -476,7 +539,6 @@ class Algebra:
                 j, k = bad[0]
                 raise StrcatError(
                     f"multiplication not associative at triple {(i, int(j), int(k))}")
-        return True
 
     def _socle_quotient_rules(self) -> tuple[Path, ...]:
         """Monomial rules presenting the algebra modulo its socle.

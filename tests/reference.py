@@ -202,3 +202,37 @@ def scanned_reduction(rules, path, p):
                     arrows[:pos] + rule.rhs.arrows + arrows[pos + len(rule.lhs.arrows):])
         coeff = coeff * rule.coeff % p
     return path, coeff
+
+
+def first_failing_rule(M):
+    """The first completed rule, in the algebra's order, that fails on M,
+    with both sides multiplied out as dense left-to-right folds; None when
+    every rule holds."""
+    p = M.algebra.p
+    for rule in M.algebra.rules:
+        left = folded_path_matrix(M, rule.lhs.arrows, rule.lhs.source)
+        if rule.rhs is None:
+            right = np.zeros_like(left)
+        else:
+            right = rule.coeff * folded_path_matrix(M, rule.rhs.arrows, rule.rhs.source) % p
+        if not np.array_equal(left, right):
+            return rule
+    return None
+
+
+def first_bad_triple(algebra):
+    """The first basis triple (i, j, k), in lexicographic order, at which
+    the table's (i*j)*k and i*(j*k) differ as terms (index, coeff mod p);
+    None when there is none.  One triple at a time, on Python ints."""
+    n, p = algebra.dim, algebra.p
+    index, coeff = algebra.prod_index.tolist(), algebra.prod_coeff.tolist()
+    for i in range(n):
+        for j in range(n):
+            ij, c_ij = index[i][j], coeff[i][j]
+            for k in range(n):
+                jk, c_jk = index[j][k], coeff[j][k]
+                left = (index[ij][k], c_ij * coeff[ij][k] % p)
+                right = (index[i][jk], c_jk * coeff[i][jk] % p)
+                if left != right:
+                    return i, j, k
+    return None

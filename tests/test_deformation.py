@@ -26,6 +26,7 @@ from strcat import (
     string_module,
     tangent_dim,
 )
+from strcat import families, homology
 from strcat.deformation import (
     _canonical_map,
     expected_classification,
@@ -206,6 +207,23 @@ def test_tower_certifies_the_loop_cycle_family(m):
     assert tower.labels == [f"V{m - l}" for l in range(m)]
     S0 = string_module(A, named_string("ae3", m, f"V{m}"))
     assert check_tower(tower, S0) == power_series_quotient(m)
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 24), ("ae2", 12), ("ae3", 16)])
+def test_tower_realizes_only_the_inclusion_and_projection_of_each_step(family, m,
+                                                                      monkeypatch):
+    calls = []
+    realize = homology.realize_canonical
+
+    def counted(ch):
+        calls.append(ch)
+        return realize(ch)
+
+    monkeypatch.setattr(homology, "realize_canonical", counted)
+    tower = build_tower(family, m)
+    steps = len(families.get(family).tower(m)) - 1
+    assert steps == tower.steps - (family == "ae1")  # ae1 closes on P(0)
+    assert len(calls) == 2 * steps
 
 
 def test_check_tower_rejects_wrong_base():

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from strcat import (
     AlgebraMismatch,
@@ -32,12 +33,18 @@ from strcat import (
     string_module,
     syzygy,
 )
-from strcat import linalg
+from strcat import homology, linalg
 from strcat.homology import identity_map, presentation
 from strcat.linalg import rank
-from strcat.quiver_core import make_path
+from strcat.quiver_core import load_algebra_spec, make_path
 
-from .reference import folded_path_matrix, kronecker_hom_basis, top_dims
+from .reference import (
+    first_failing_rule,
+    folded_path_matrix,
+    kronecker_hom_basis,
+    top_dims,
+)
+from .test_strings import random_strings
 
 
 def module(algebra, family, m, name):
@@ -377,22 +384,32 @@ def test_relation_check_multiplies_logarithmically(monkeypatch):
     # the longest string of ae1(96) meets the rule a^97 -> 0; halving with
     # products kept by word takes at most 2 * ceil(log2 L) products for a
     # word of length L (at most two distinct lengths per halving level),
-    # where a left-to-right fold takes L - 1 = 96
+    # where a left-to-right fold takes L - 1 = 96.  path_matrix multiplies
+    # dense matrices; check_relations composes the same halves as maps
     A = ae1(96)
     M = string_module(A, max(enumerate_strings(A), key=lambda w: w.length))
-    calls = []
-    mat_mul = linalg.mat_mul
+    calls, compositions = [], []
+    mat_mul, compose = linalg.mat_mul, homology._compose
 
     def counted(a, b, p):
         calls.append(None)
         return mat_mul(a, b, p)
 
+    def counted_compose(f, g, p):
+        compositions.append(None)
+        return compose(f, g, p)
+
     monkeypatch.setattr(linalg, "mat_mul", counted)
-    M.check_relations()
+    monkeypatch.setattr(homology, "_compose", counted_compose)
     words = [r.lhs for r in A.rules] + [r.rhs for r in A.rules if r.rhs is not None]
     bound = sum(2 * math.ceil(math.log2(w.length)) for w in words if w.length > 1)
     assert [w.length for w in words] == [97] and bound == 14
-    assert 0 < len(calls) <= bound
+    for rule in A.rules:
+        assert not M.path_matrix(rule.lhs).any()
+    assert 0 < len(calls) <= bound and not compositions
+    calls.clear()
+    M.check_relations()
+    assert not calls and 0 < len(compositions) <= bound
 
 
 def test_path_matrix_keeps_no_products_after_the_call():
@@ -407,3 +424,113 @@ def test_path_matrix_keeps_no_products_after_the_call():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def assert_relation_check_matches_a_dense_fold(M):
+    """check_relations on M passes exactly when every rule holds as a
+    left-to-right product of dense matrices, and otherwise names the first
+    rule that fails."""
+    rule = first_failing_rule(M)
+    if rule is None:
+        M.check_relations()
+    else:
+        with pytest.raises(StrcatError) as err:
+            M.check_relations()
+        assert str(err.value) == f"rule {rule} fails on this representation"
+
+
+def monomial_corruptions(M):
+    """Copies of M with one nonzero entry of one arrow matrix moved to each
+    other column of its row, or doubled; each keeps at most one nonzero
+    entry per row."""
+    for name, mat in M.mats.items():
+        for i, j in zip(*np.nonzero(mat)):
+            changed = [mat.copy()]
+            changed[0][i, j] = 2 * mat[i, j] % M.algebra.p
+            for k in range(mat.shape[1]):
+                if k != j:
+                    moved = mat.copy()
+                    moved[i, j], moved[i, k] = 0, mat[i, j]
+                    changed.append(moved)
+            for new in changed:
+                yield Representation(M.algebra, M.dims, {**M.mats, name: new}, check=False)
+
+
+def assert_map_check_agrees_on_corruptions(M):
+    assert M._row_maps() is not None
+    assert first_failing_rule(M) is None
+    M.check_relations()
+    verdicts = set()
+    for C in monomial_corruptions(M):
+        assert C._row_maps() is not None  # still checked by composing maps
+        assert_relation_check_matches_a_dense_fold(C)
+        verdicts.add(first_failing_rule(C) is None)
+    return verdicts
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 6), ("ae2", 3), ("ae3", 5)])
+def test_map_relation_check_agrees_with_a_dense_fold(family, m):
+    A = build_family(family, m)
+    modules = ([indecomposable_projective(A, v) for v in A.quiver.vertices]
+               + [string_module(A, w) for w in enumerate_strings(A)])
+    verdicts = set()
+    for M in modules:
+        verdicts |= assert_map_check_agrees_on_corruptions(M)
+    assert verdicts == {True, False}  # both verdicts occur
+
+
+@given(random_strings())
+def test_map_relation_check_of_random_strings_agrees_with_a_dense_fold(case):
+    A, w = case
+    assert_map_check_agrees_on_corruptions(string_module(A, w))
+
+
+def test_map_relation_check_reads_a_trivial_right_side_as_the_identity():
+    # x -> 3*e0 survives completion, so the check compares x with 3 * identity
+    A = load_algebra_spec({
+        "vertices": [0, 1],
+        "arrows": [{"name": "x", "from": 0, "to": 0}, {"name": "y", "from": 0, "to": 1}],
+        "rules": [{"lhs": ["x"], "rhs": {"coeff": 3, "path": []}}],
+        "dim_bound": 4})
+    assert [str(r) for r in A.rules] == ["x -> 3*e0"]
+    verdicts = set()
+    for v in A.quiver.vertices:
+        verdicts |= assert_map_check_agrees_on_corruptions(indecomposable_projective(A, v))
+    assert verdicts == {True, False}
+
+
+def test_relation_check_of_a_module_after_a_change_of_basis():
+    # conjugating at vertex 0 by g = L U, with L and U the lower and upper
+    # unitriangular matrices of ones (inverses: the identity minus the sub-
+    # or superdiagonal), fills rows with several entries, so the check
+    # multiplies dense matrices
+    A = ae3(5)
+    M = max((string_module(A, w) for w in enumerate_strings(A)), key=lambda M: M.dims[0])
+    n = M.dims[0]
+    assert n >= 3
+    ones = np.ones((n, n), dtype=np.int64)
+    g = np.tril(ones) @ np.triu(ones)
+    eye = np.eye(n, dtype=np.int64)
+    g_inv = (eye - np.eye(n, k=1, dtype=np.int64)) @ (eye - np.eye(n, k=-1, dtype=np.int64))
+    assert np.array_equal(g @ g_inv, eye)
+    mats = {}
+    for a in A.quiver.arrows:
+        mat = M.mats[a.name]
+        if a.source == 0:
+            mat = g_inv @ mat
+        if a.target == 0:
+            mat = mat @ g
+        mats[a.name] = mat % A.p
+    N = Representation(A, M.dims, mats)
+    assert N._row_maps() is None
+    assert first_failing_rule(N) is None
+    assert is_isomorphic(M, N)
+    failed = 0
+    for name, mat in N.mats.items():
+        for i, j in np.ndindex(*mat.shape):
+            changed = mat.copy()
+            changed[i, j] = (changed[i, j] + 1) % A.p
+            C = Representation(A, N.dims, {**N.mats, name: changed}, check=False)
+            assert_relation_check_matches_a_dense_fold(C)
+            failed += first_failing_rule(C) is not None
+    assert failed

@@ -40,6 +40,7 @@ from strcat.quiver_core import (
 
 from .oracles import all_paths, contains_word, family_dimension, monomial_dimension
 from .reference import (
+    first_bad_triple,
     reduced_projective_mats,
     reduced_socle_rules,
     reduced_tables,
@@ -384,6 +385,62 @@ def test_corrupted_table_fails_associativity_at_first_bad_triple():
         A.verify_associativity()
 
 
+def table_corruptions(A, rng):
+    """Single-entry changes (table, i, j, new value) of the multiplication
+    table, the zero row and column included: each index moved to another
+    basis element or to zero, each coefficient doubled, zeroed and
+    replaced by a nonzero one."""
+    n, p = A.dim, A.p
+    for i, j in np.ndindex(n + 1, n + 1):
+        yield A.prod_index, i, j, (A.prod_index[i, j] + rng.randrange(1, n + 1)) % (n + 1)
+        yield A.prod_coeff, i, j, 2 * A.prod_coeff[i, j] % p
+        yield A.prod_coeff, i, j, 0
+        yield A.prod_coeff, i, j, rng.randrange(1, p)
+
+
+def assert_associativity_verdict_matches_a_scan(A, corruptions):
+    """After each change, verify_associativity passes exactly when the
+    triple-by-triple scan finds nothing, and otherwise names its triple;
+    returns the set of verdicts seen."""
+    verdicts = set()
+    for table, i, j, value in corruptions:
+        old = table[i, j]
+        table[i, j] = value
+        try:
+            want = first_bad_triple(A)
+            if want is None:
+                assert A.verify_associativity()
+            else:
+                with pytest.raises(StrcatError) as err:
+                    A.verify_associativity()
+                assert str(err.value) == f"multiplication not associative at triple {want}"
+            verdicts.add(want is None)
+        finally:
+            table[i, j] = old
+    return verdicts
+
+
+@pytest.mark.parametrize("family,m", [("ae1", m) for m in range(1, 6)]
+                         + [("ae2", m) for m in range(1, 3)]
+                         + [("ae3", m) for m in range(2, 5)])
+def test_associativity_verdicts_on_corrupted_tables_match_a_scan(family, m):
+    A = build_family(family, m)
+    assert first_bad_triple(A) is None
+    verdicts = assert_associativity_verdict_matches_a_scan(
+        A, list(table_corruptions(A, random.Random(m))))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 64), ("ae2", 16), ("ae3", 64)])
+def test_associativity_of_a_sound_table_is_certified_without_a_scan(family, m, monkeypatch):
+    def scan(self):
+        raise AssertionError("the exhaustive scan ran")
+
+    monkeypatch.setattr(Algebra, "_scan_associativity", scan)
+    A = build_family(family, m)
+    assert A.verify_associativity()
+
+
 @st.composite
 def small_specs(draw, dim_bound=8):
     """Quivers with at most 2 vertices and 3 arrows, up to 5 monomial rules
@@ -454,6 +511,16 @@ def built_or_skipped(spec):
 @given(spec=small_specs())
 def test_tables_of_random_specs_equal_direct_reduction(spec):
     assert_tables_equal_direct_reduction(built_or_skipped(spec))
+
+
+@given(spec=small_specs(), seed=st.integers(0, 2 ** 16))
+def test_associativity_verdicts_on_corrupted_random_tables_match_a_scan(spec, seed):
+    A = built_or_skipped(spec)
+    assert first_bad_triple(A) is None
+    rng = random.Random(seed)
+    corruptions = list(table_corruptions(A, rng))
+    assert_associativity_verdict_matches_a_scan(A, rng.sample(corruptions,
+                                                              min(30, len(corruptions))))
 
 
 @given(spec=small_specs())
