@@ -6,9 +6,12 @@ on the right.  Everything downstream is exact dense linear algebra.
 
 Hom comes from projective presentations: ``presentation(M)`` holds M's
 projective cover, the rows of the syzygy in the cover's coordinates and a
-section of the cover, and ``hom_basis`` solves for the images of the
+section of the cover, and the Hom system solves for the images of the
 cover's generators (Hom(P_v, N) = N e_v).  The same kernel rows give the
-syzygy, and stable Hom and Ext^1 are rank computations on top.
+syzygy.  Dimensions come from ranks: ``hom_dim`` is the system's unknowns
+less its rank, and ``stable_hom_dim`` and ``ext1_dim`` subtract the rank
+of the lifted solutions composed with the cover, as arrays.  Maps are
+realised as ``ModuleMap``s only on request, by ``hom_basis``.
 
 Canonical homomorphisms between string modules live here as well: they
 are the combinatorial oracle for Hom dimensions, counted from substring
@@ -275,11 +278,6 @@ class ModuleMap:
     def is_zero(self) -> bool:
         return all(not blk.any() for blk in self.blocks.values())
 
-    def flatten(self) -> np.ndarray:
-        parts = [self.blocks[v].ravel()
-                 for v in self.source.algebra.quiver.vertices]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-
     def __repr__(self) -> str:
         return (f"ModuleMap({self.source.dim_vector()} -> "
                 f"{self.target.dim_vector()}, rank={self.rank()})")
@@ -332,40 +330,59 @@ def _through_generators(rows: np.ndarray, gens, w: int, p: int) -> np.ndarray:
     return np.concatenate(parts, axis=2) % p
 
 
-def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
-    """A basis of Hom(M, N), from a projective presentation of M.
+def _hom_system(M: Representation, N: Representation):
+    """The linear system of Hom(M, N) and its read-back, or None when it
+    has no unknowns.
 
     A map M -> N is a map from M's projective cover P0 that vanishes on
     the kernel Omega(M).  Since Hom(P_v, N) = N e_v, a map P0 -> N is the
     image in N of each cover generator: those are the unknowns.  The
     equations are K_w F_w = 0 at each vertex w, with K_w the rows of
-    Omega(M); each solution is read back through the cover's section.
+    Omega(M).  ``read(sols, w)`` turns solutions, one per row, into their
+    blocks at w through the cover's section: shape (len(sols), dim M_w,
+    dim N_w).
     """
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("modules live over different algebras")
     if M.is_zero() or N.is_zero():
-        return []
+        return None
     p = M.algebra.p
-    verts = M.algebra.quiver.vertices
     pres = presentation(M)
     counts = Counter(v for v, _ in pres.generators)
     gens = [(count, path_action(N, v)) for v, count in counts.items()]
     unknowns = sum(count * N.dims[v] for v, count in counts.items())
     if unknowns == 0:
-        return []
+        return None
     system = np.vstack([_through_generators(pres.kernel[w], gens, w, p).reshape(-1, unknowns)
-                        for w in verts])
-    sols = linalg.nullspace(system, p)
-    blocks = {}
-    for w in verts:
-        read = _through_generators(pres.section[w], gens, w, p).reshape(-1, unknowns)
-        blocks[w] = linalg.mat_mul(sols, read.T, p).reshape(len(sols), M.dims[w], N.dims[w])
+                        for w in M.algebra.quiver.vertices])
+
+    def read(sols: np.ndarray, w: int) -> np.ndarray:
+        back = _through_generators(pres.section[w], gens, w, p).reshape(-1, unknowns)
+        return linalg.mat_mul(sols, back.T, p).reshape(len(sols), M.dims[w], N.dims[w])
+
+    return system, read
+
+
+def hom_basis(M: Representation, N: Representation) -> list[ModuleMap]:
+    """A basis of Hom(M, N): the null space of ``_hom_system``, read back
+    as module maps."""
+    hom = _hom_system(M, N)
+    if hom is None:
+        return []
+    system, read = hom
+    sols = linalg.nullspace(system, M.algebra.p)
+    blocks = {w: read(sols, w) for w in M.algebra.quiver.vertices}
     return [ModuleMap(M, N, {w: b[k] for w, b in blocks.items()}, check=False)
             for k in range(len(sols))]
 
 
 def hom_dim(M: Representation, N: Representation) -> int:
-    return len(hom_basis(M, N))
+    """dim Hom(M, N): the unknowns of ``_hom_system`` less its rank."""
+    hom = _hom_system(M, N)
+    if hom is None:
+        return 0
+    system, _ = hom
+    return system.shape[1] - linalg.rank(system, M.algebra.p)
 
 
 # -- substructures --------------------------------------------------------------
@@ -515,20 +532,23 @@ def stable_hom_dim(M: Representation, N: Representation) -> int:
 
     A map through any projective lifts through the projective cover of N,
     so the factoring subspace is the image of Hom(M, P_N) composed with
-    the cover map.
+    the cover map.  The lifts are solved for once and composed with the
+    cover as one product per vertex; no module map is formed.
     """
-    if M.algebra is not N.algebra:
-        raise AlgebraMismatch("modules live over different algebras")
-    basis = hom_basis(M, N)
-    if not basis:
+    dim = hom_dim(M, N)
+    if not dim:
         return 0
     P, epi = projective_cover(N)
-    lifted = hom_basis(M, P)
-    if not lifted:
-        return len(basis)
+    lifted = _hom_system(M, P)
+    if lifted is None:
+        return dim
+    system, read = lifted
     p = M.algebra.p
-    composed = np.vstack([g.then(epi).flatten() for g in lifted])
-    return len(basis) - linalg.rank(composed, p)
+    sols = linalg.nullspace(system, p)
+    composed = np.hstack([linalg.mat_mul(read(sols, w), epi.blocks[w], p)
+                          .reshape(len(sols), M.dims[w] * N.dims[w])
+                          for w in M.algebra.quiver.vertices])
+    return dim - linalg.rank(composed, p)
 
 
 def ext1_dim(M: Representation, N: Representation) -> int:

@@ -65,7 +65,9 @@ def nullspace(mat, p: int) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
     r, pivots = rref(m, p)
-    free = np.setdiff1d(np.arange(cols), pivots)
+    is_free = np.ones(cols, dtype=bool)
+    is_free[pivots] = False
+    free = is_free.nonzero()[0]
     basis = np.zeros((free.size, cols), dtype=np.int64)
     basis[:, pivots] = -r[: len(pivots), free].T % p
     basis[np.arange(free.size), free] = 1

@@ -626,14 +626,26 @@ def memoized(fn):
     ``fn``'s signature with defaults applied, so ``f(A)``, ``f(A, None)``
     and ``f(A, cap=None)`` share one slot when None is the default.  An
     entry lives exactly as long as the algebra or module it belongs to;
-    there is no global cache."""
+    there is no global cache.
+
+    A call without keywords is keyed by its arguments plus the defaults of
+    the trailing parameters it leaves out, computed once here; only calls
+    with keywords, and calls that cannot bind, go through
+    ``Signature.bind``, which raises the usual TypeError for the latter."""
     signature = inspect.signature(fn)
+    params = list(signature.parameters.values())
+    positional = all(param.kind is param.POSITIONAL_OR_KEYWORD for param in params)
+    defaults = tuple(param.default for param in params)
+    required = sum(param.default is param.empty for param in params)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        args = tuple(bound.arguments.values())
+        if positional and not kwargs and required <= len(args) <= len(params):
+            args += defaults[len(args):]
+        else:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = tuple(bound.arguments.values())
         owner, *key = args
         slot = (fn.__name__, *key)
         if slot not in owner.memo:

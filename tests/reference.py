@@ -5,7 +5,7 @@ import numpy as np
 
 from strcat import linalg
 from strcat.errors import AlgebraMismatch
-from strcat.homology import ModuleMap, radical_rows
+from strcat.homology import ModuleMap, hom_basis, projective_cover, radical_rows
 from strcat.quiver_core import Path, path_key, projective_paths
 
 
@@ -54,6 +54,28 @@ def gauss_rref(rows, p):
 
 def gauss_rank(rows, p):
     return len(gauss_rref(rows, p)[1])
+
+
+def gauss_nullspace(rows, cols, p):
+    """The kernel basis read off ``gauss_rref``: per free column f, in
+    increasing order, the vector with 1 at f and minus the reduced form's
+    column f at the pivots."""
+    reduced, pivots = gauss_rref(rows, p)
+    basis = []
+    for f in (c for c in range(cols) if c not in pivots):
+        vec = [0] * cols
+        vec[f] = 1
+        for i, c in enumerate(pivots):
+            vec[c] = -reduced[i][f] % p
+        basis.append(vec)
+    return basis
+
+
+def flat_map(f):
+    """The entries of the map ``f``, vertex by vertex and row-major; the
+    inverse of ``map_from_flat``."""
+    parts = [f.blocks[v].ravel() for v in f.source.algebra.quiver.vertices]
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
 def map_from_flat(M, N, vec):
@@ -107,6 +129,17 @@ def kronecker_hom_basis(M, N):
     else:
         sols = np.eye(total, dtype=np.int64)
     return [map_from_flat(M, N, sols[k]) for k in range(sols.shape[0])]
+
+
+def composed_stable_hom_dim(M, N):
+    """dim Hom(M, N) less the rank of the maps M -> P_N -> N, each lifted
+    basis map composed with N's projective cover as a module map."""
+    basis = hom_basis(M, N)
+    if not basis:
+        return 0
+    _, epi = projective_cover(N)
+    composed = [flat_map(g.then(epi)) for g in hom_basis(M, epi.source)]
+    return len(basis) - (linalg.rank(np.vstack(composed), M.algebra.p) if composed else 0)
 
 
 # -- the algebra and its modules, one reduction or product at a time ------------

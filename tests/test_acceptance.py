@@ -29,6 +29,7 @@ from strcat.linalg import rank
 from strcat.strings import family_node_names
 
 from .oracles import family_dimension
+from .reference import flat_map
 from .test_arquiver import expected_edges, expected_tau
 
 
@@ -117,7 +118,7 @@ def test_criterion_4_dual_oracle_hom_equivalence():
                     dim = hom_dim(string_module(A, S), string_module(A, T))
                     assert len(chs) == dim, (family, m, str(S), str(T))
                     if chs:
-                        flat = np.vstack([realize_canonical(ch).flatten()
+                        flat = np.vstack([flat_map(realize_canonical(ch))
                                           for ch in chs])
                         assert rank(flat, A.p) == dim, (family, m, str(S), str(T))
                     pairs += 1

@@ -34,12 +34,14 @@ from strcat import (
     syzygy,
 )
 from strcat import homology, linalg
-from strcat.homology import identity_map, presentation
+from strcat.homology import ModuleMap, identity_map, presentation
 from strcat.linalg import rank
-from strcat.quiver_core import load_algebra_spec, make_path
+from strcat.quiver_core import DEFAULT_PRIME, load_algebra_spec, make_path
 
 from .reference import (
+    composed_stable_hom_dim,
     first_failing_rule,
+    flat_map,
     folded_path_matrix,
     kronecker_hom_basis,
     top_dims,
@@ -75,10 +77,10 @@ def test_hom_to_simple_with_wrong_top_vanishes():
     assert hom_dim(Mb, S0) == 0
 
 
-def oracle_modules(family, m):
+def oracle_modules(family, m, p=DEFAULT_PRIME):
     """The strings, the indecomposable projectives and the strings' first
     syzygies of one algebra."""
-    A = build_family(family, m)
+    A = build_family(family, m, p)
     strings = [string_module(A, w) for w in enumerate_strings(A)]
     projectives = [indecomposable_projective(A, v) for v in A.quiver.vertices]
     return A, strings + projectives + [syzygy(M) for M in strings]
@@ -97,8 +99,63 @@ def test_hom_from_presentations_matches_the_kronecker_system(family, m):
             for f in basis:
                 f.check_intertwining()
             if basis:
-                flat = np.vstack([f.flatten() for f in basis])
+                flat = np.vstack([flat_map(f) for f in basis])
                 assert rank(flat, A.p) == len(basis), (M, N)
+
+
+@pytest.mark.parametrize("family,m,p", [(family, m, DEFAULT_PRIME) for family, m in ORACLE_CASES]
+                         + [(family, m, p) for family, m in [("ae1", 3), ("ae2", 2), ("ae3", 3)]
+                            for p in (2, 3)])
+def test_dimensions_from_ranks_match_the_realised_maps(family, m, p):
+    # hom_dim, counted from a rank, equals the number of maps in both Hom
+    # bases; stable_hom_dim equals the rank left after composing each
+    # lifted basis map with the cover as a module map
+    _, mods = oracle_modules(family, m, p)
+    stable = 0
+    for M in mods:
+        for N in mods:
+            assert hom_dim(M, N) == len(hom_basis(M, N)) == len(kronecker_hom_basis(M, N)), (M, N)
+            dim = stable_hom_dim(M, N)
+            assert dim == composed_stable_hom_dim(M, N), (M, N)
+            stable += dim
+    assert stable  # some pair has a stable map
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 4), ("ae2", 3), ("ae3", 4)])
+def test_dimension_queries_build_no_maps(family, m, monkeypatch):
+    # hom_dim is a rank; stable_hom_dim and ext1_dim solve one lifted
+    # system and compose it with the cover as arrays.  Memos are warmed
+    # first, since a presentation miss builds its cover map
+    _, mods = oracle_modules(family, m)
+    maps, solves = [], []
+    init, nullspace = ModuleMap.__init__, linalg.nullspace
+
+    def counted_init(self, *args, **kwargs):
+        maps.append(None)
+        init(self, *args, **kwargs)
+
+    def counted_nullspace(mat, p):
+        solves.append(None)
+        return nullspace(mat, p)
+
+    monkeypatch.setattr(ModuleMap, "__init__", counted_init)
+    monkeypatch.setattr(linalg, "nullspace", counted_nullspace)
+    solved = 0
+    for M in mods:
+        for N in mods:
+            for X in (M, N, syzygy(M)):
+                if not X.is_zero():
+                    presentation(X)
+            maps.clear()
+            solves.clear()
+            hom_dim(M, N)
+            assert not maps and not solves, (M, N)
+            for query in (stable_hom_dim, ext1_dim):
+                query(M, N)
+                assert not maps and len(solves) <= 1, (query.__name__, M, N)
+                solved += len(solves)
+                solves.clear()
+    assert solved  # the lifted system was solved somewhere
 
 
 @pytest.mark.parametrize("family,m", ORACLE_CASES)
@@ -355,7 +412,7 @@ def test_canonical_count_equals_hom_dim_everywhere(family, m):
             dim = hom_dim(string_module(A, S), string_module(A, T))
             assert len(chs) == dim, (str(S), str(T))
             if chs:
-                flat = np.vstack([realize_canonical(ch).flatten() for ch in chs])
+                flat = np.vstack([flat_map(realize_canonical(ch)) for ch in chs])
                 assert rank(flat, p) == dim
 
 

@@ -3,12 +3,13 @@
 largest one the package accepts."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from strcat import linalg
 
-from .reference import gauss_rank, gauss_rref
+from .reference import gauss_nullspace, gauss_rank, gauss_rref
 
 PRIMES = [2, 3, 32003, 1048573]  # 1048573: the largest prime <= MAX_PRIME
 
@@ -62,6 +63,24 @@ def test_nullspace_is_a_basis_of_the_kernel(case):
     assert basis.shape == (a.shape[1] - gauss_rank(a.tolist(), p), a.shape[1])
     assert not linalg.mat_mul(a, basis.T, p).any()
     assert gauss_rank(basis.tolist(), p) == basis.shape[0]
+
+
+EDGE_MATRICES = {
+    "zero": [[0, 0, 0], [0, 0, 0]],
+    "full column rank": [[1, 2], [0, 1], [3, 4]],
+    "pivot only in the last column": [[0, 0, 1], [0, 0, 2]],
+    "single zero column": [[0], [0]],
+    "single nonzero column": [[0], [5]],
+}
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@pytest.mark.parametrize("name", EDGE_MATRICES)
+def test_nullspace_edge_cases_match_the_reference(name, p):
+    a = linalg.as_field(EDGE_MATRICES[name], p)
+    basis = linalg.nullspace(a, p)
+    assert basis.shape == (a.shape[1] - gauss_rank(a.tolist(), p), a.shape[1])
+    assert basis.tolist() == gauss_nullspace(a.tolist(), a.shape[1], p)
 
 
 @given(systems())

@@ -1,3 +1,4 @@
+import inspect
 import random
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -21,14 +22,17 @@ from strcat import (
     ae3,
     build_family,
     complete_rewriting,
+    enumerate_strings,
     families,
     indecomposable_projective,
     linalg,
     load_algebra_spec,
     make_path,
     make_quiver,
+    string_module,
     trivial_path,
 )
+from strcat.homology import presentation
 from strcat.quiver_core import (
     DEFAULT_PRIME,
     MAX_PRIME,
@@ -255,8 +259,33 @@ def test_memo_key_ignores_the_call_form():
     assert scaled(o, 3, 1) is first
     assert scaled(o, x=3, shift=None) is first
     assert scaled(o, 3, factor=1, shift=None) is first
+    assert scaled(o, 3, 1, None) is first
     assert scaled(o, 3, 2) == [6] and scaled(o, 3, factor=2) == [6]
     assert calls == [(3, 1, None), (3, 2, None)]
+    for args, kwargs in [((), {}), ((o,), {}), ((o, 3, 1, None, 0), {}),
+                         ((o, 3), {"x": 3}), ((o, 3), {"scale": 2})]:
+        with pytest.raises(TypeError):
+            scaled(*args, **kwargs)
+    assert len(calls) == 2
+
+
+def test_positional_memo_calls_do_not_bind_the_signature(monkeypatch):
+    # a call without keywords is keyed from its arguments and the defaults
+    # taken when the function was decorated
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("Signature.bind reached")
+
+    A = ae2(3)
+    words = enumerate_strings(A)
+    monkeypatch.setattr(inspect.Signature, "bind", refuse)
+    assert enumerate_strings(A) is words
+    for w in words:
+        M = string_module(A, w)
+        assert string_module(A, w) is M
+        pres = presentation(M)  # a miss: covers, projectives and their paths
+        assert presentation(M) is pres
+    with pytest.raises(AssertionError, match="Signature.bind reached"):
+        string_module(A, word=words[0])
 
 
 def test_associativity_is_exhaustively_checked():
