@@ -67,10 +67,10 @@ def test_nullspace_is_a_basis_of_the_kernel(case):
 
 EDGE_MATRICES = {
     "zero": [[0, 0, 0], [0, 0, 0]],
-    "full column rank": [[1, 2], [0, 1], [3, 4]],
-    "pivot only in the last column": [[0, 0, 1], [0, 0, 2]],
-    "single zero column": [[0], [0]],
-    "single nonzero column": [[0], [5]],
+    "full-column-rank": [[1, 2], [0, 1], [3, 4]],
+    "last-column-pivot": [[0, 0, 1], [0, 0, 2]],
+    "zero-column": [[0], [0]],
+    "nonzero-column": [[0], [5]],
 }
 
 
