@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import indexmaps, linalg
 from .errors import AlgebraMismatch, StrcatError, ZeroModule
 from .quiver_core import indecomposable_projective, memoized, projective_paths
 
@@ -40,52 +40,11 @@ def _field_block(mat, shape: tuple[int, int], p: int, what: str, key) -> np.ndar
     return mat
 
 
-def _halved(word: tuple[str, ...], leaf, product, products: dict):
-    """The value of a nonempty word as (first half) * (second half).
-
-    ``leaf`` gives the value of one arrow, ``product`` multiplies two
-    values (dense matrices or maps), and ``products`` holds the products
-    already formed, by word.  A module-level function rather than a
-    recursive closure, which would be a reference cycle holding the
-    products until the cyclic collector ran.
-    """
-    if len(word) == 1:
-        return leaf(word[0])
-    if word not in products:
-        half = len(word) // 2
-        products[word] = product(_halved(word[:half], leaf, product, products),
-                                 _halved(word[half:], leaf, product, products))
-    return products[word]
-
-
-def _compose(first, then, p: int):
-    """The map ``first`` followed by ``then``, as ``(cols, vals)`` pairs
-    with their zero sentinel rows (see ``Representation._row_maps``)."""
-    cols, vals = first
-    return then[0][cols], vals * then[1][cols] % p
-
-
-def _identity_map(n: int):
-    vals = np.ones(n + 1, dtype=np.int64)
-    vals[n] = 0
-    return np.arange(n + 1, dtype=np.int64), vals
-
-
 def _matrices_agree(left, right, coeff, p: int) -> bool:
     """left == coeff * right, where a missing right side is zero."""
     if right is None:
         return not left.any()
     return np.array_equal(left, coeff * right % p)
-
-
-def _maps_agree(left, right, coeff, p: int) -> bool:
-    """The same test for maps: the values agree, and so do the columns
-    wherever the value is nonzero."""
-    if right is None:
-        return not np.count_nonzero(left[1])
-    live = left[1] != 0
-    return (np.array_equal(left[1], coeff * right[1] % p)
-            and np.array_equal(left[0][live], right[0][live]))
 
 
 class Representation:
@@ -134,8 +93,8 @@ class Representation:
                 source = getattr(arrows, "source")
             return np.eye(self.dims[source], dtype=np.int64)
         p = self.algebra.p
-        return _halved(names, self.mats.__getitem__,
-                       lambda x, y: linalg.mat_mul(x, y, p), {})
+        return indexmaps.halved(names, self.mats.__getitem__,
+                                lambda x, y: linalg.mat_mul(x, y, p), {})
 
     def check_relations(self):
         """Every completed rule must hold as a matrix identity.
@@ -154,7 +113,7 @@ class Representation:
             value, agree = self.path_matrix, _matrices_agree
         else:
             value = functools.partial(self._path_map, maps=maps, products={})
-            agree = _maps_agree
+            agree = indexmaps.agree
         for rule in self.algebra.rules:
             right = None if rule.rhs is None else value(rule.rhs)
             if not agree(value(rule.lhs), right, rule.coeff, p):
@@ -163,17 +122,15 @@ class Representation:
     def _path_map(self, path, maps: dict, products: dict):
         """The map of a path, composed by halves from the arrow maps."""
         if not path.arrows:
-            return _identity_map(self.dims[path.source])
+            return indexmaps.identity(self.dims[path.source])
         p = self.algebra.p
-        return _halved(path.arrows, maps.__getitem__, lambda f, g: _compose(f, g, p),
-                       products)
+        return indexmaps.halved(path.arrows, maps.__getitem__,
+                                lambda f, g: indexmaps.compose(f, g, p), products)
 
     def _row_maps(self) -> dict | None:
-        """Each arrow's matrix as a map ``(cols, vals)``: row i goes to
-        column ``cols[i]`` scaled by ``vals[i]``.  A zero row, and the extra
-        sentinel row at the end, go to the column past the last one with
-        value 0, so a killed vector stays killed under composition.  None
-        when some matrix has two nonzero entries in a row."""
+        """Each arrow's matrix as an index map ``(cols, vals)`` (see
+        ``strcat.indexmaps``); None when some matrix has two nonzero
+        entries in a row."""
         maps = {}
         for name, mat in self.mats.items():
             rows, cols = np.nonzero(mat)

@@ -5,9 +5,10 @@ An algebra is presented by a quiver together with monomial rules
 resolves all rule overlaps so that every path has a unique normal form;
 the irreducible paths form the basis.  Every rule sends a path to zero or
 to a scalar times one path, so a normal form is one term (path, coeff)
-or zero, and so is the product of two basis elements: the multiplication
-table is two integer arrays, the basis index and the coefficient of each
-product.
+or zero, and so is a basis path times an arrow: the algebra's right
+action on its basis is two integer arrays of shape (dim+1, arrows), the
+basis index and the coefficient of each such product.  Construction
+certifies that table against the rules (``Algebra.verify_associativity``).
 
 Built-in presentations:
 
@@ -34,6 +35,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
+from . import indexmaps
 from .errors import (
     BadPrime,
     DimensionBoundExceeded,
@@ -186,7 +188,7 @@ class _Rewriter:
         self.rules: list[RewriteRule] = []
         self._trie: list = [{}, [], 0]
         self._added = 0
-        self._longest = 0  # an upper bound on the left-side lengths
+        self._lengths: set[int] = set()  # the left-side lengths ever added
 
     def add(self, rule: RewriteRule):
         self.rules.append(rule)
@@ -197,17 +199,24 @@ class _Rewriter:
             node[2] = min(node[2], len(lhs) - depth)
         node[1].append((self._added, rule))
         self._added += 1
-        self._longest = max(self._longest, len(lhs))
+        self._lengths.add(len(lhs))
 
     def remove(self, rule: RewriteRule):
         """Remove the first rule equal to ``rule``.  The needed-arrow bounds
-        and ``_longest`` are left as they were, so they stay bounds."""
+        and ``_lengths`` are left as they were, so they stay lower bounds
+        and a superset of the lengths."""
         self.rules.remove(rule)
         node = self._trie
         for name in rule.lhs.arrows:
             node = node[0][name]
         ends = node[1]
         del ends[next(i for i, (_, r) in enumerate(ends) if r == rule)]
+
+    def suffix_start(self, n: int) -> int:
+        """Where a redex that ends at the last of n arrows can start at the
+        earliest: a search from there suffices when the first n - 1 arrows
+        are irreducible."""
+        return n - max((k for k in self._lengths if k <= n), default=0)
 
     def _find_redex(self, path: Path, exclude: RewriteRule | None = None,
                     start: int = 0) -> tuple[int, RewriteRule] | None:
@@ -230,9 +239,12 @@ class _Rewriter:
                 return pos, best[1]
         return None
 
-    def reduce_path(self, path: Path, coeff: int = 1) -> tuple[Path, int] | None:
+    def reduce_path(self, path: Path, coeff: int = 1,
+                    start: int = 0) -> tuple[Path, int] | None:
+        """The normal form of coeff * path; ``path`` must hold no redex
+        that starts before ``start``."""
         coeff %= self.p
-        steps = start = 0
+        steps = 0
         while coeff:
             hit = self._find_redex(path, start=start)
             if hit is None:
@@ -249,7 +261,7 @@ class _Rewriter:
                         arrows[:pos] + rule.rhs.arrows + arrows[pos + len(rule.lhs.arrows):])
             coeff = coeff * rule.coeff % self.p
             # the prefix before pos held no redex, so a new one overlaps pos
-            start = max(0, pos - self._longest + 1)
+            start = max(0, pos - max(self._lengths) + 1)
         return None
 
 
@@ -363,22 +375,16 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
 
 
 def _irreducible_paths(quiver: Quiver, rw: _Rewriter, dim_bound: int) -> tuple[Path, ...]:
-    lhs_words = [r.lhs.arrows for r in rw.rules]
-
-    def tail_blocked(word: tuple[str, ...]) -> bool:
-        return any(word[len(word) - len(l):] == l for l in lhs_words
-                   if len(l) <= len(word))
-
     basis: list[Path] = [trivial_path(v) for v in quiver.vertices]
     frontier = list(basis)
     while frontier:
         nxt: list[Path] = []
         for path in frontier:
+            start = rw.suffix_start(path.length + 1)
             for a in quiver.arrows_from(path.target):
-                word = path.arrows + (a.name,)
-                if tail_blocked(word):
-                    continue
-                nxt.append(Path(path.source, a.target, word))
+                word = Path(path.source, a.target, path.arrows + (a.name,))
+                if rw._find_redex(word, start=start) is None:
+                    nxt.append(word)
         basis.extend(nxt)
         if len(basis) > dim_bound:
             raise DimensionBoundExceeded(
@@ -391,30 +397,21 @@ def _irreducible_paths(quiver: Quiver, rw: _Rewriter, dim_bound: int) -> tuple[P
 class Algebra:
     """A finite dimensional bound quiver algebra over a prime field.
 
-    The presentation, basis and multiplication table are fixed at
+    The presentation, basis and arrow-action table are fixed at
     construction; ``memo`` fills in with results derived from them (see
     ``memoized``) as they are first asked for.  ``basis`` lists the
-    irreducible paths, trivial paths first, shorter before longer.  The
-    product of basis elements i and j is ``prod_coeff[i, j]`` times basis
-    element ``prod_index[i, j]``; index ``dim`` stands for zero, and row and
-    column ``dim`` are zero, so the table composes with itself.
+    irreducible paths, trivial paths first, shorter before longer.  Every
+    rule sends a path to zero or to a scalar times one path, so basis path
+    k times arrow x is one term: ``act_coeff[k, x]`` times basis path
+    ``act_index[k, x]``, where index ``dim`` stands for zero.  The two
+    arrays have shape ``(dim+1, arrows)`` and row ``dim`` is zero, so each
+    column is an index map (see ``strcat.indexmaps``), and a longer path
+    acts as the composite of its arrows' maps.
 
-    The table is built from shorter products.  ``act_index``/``act_coeff``
-    (shape ``(dim+1, arrows)``, row ``dim`` zero) give basis element k
-    times arrow x, one reduction each.  The basis is closed under prefixes,
-    so basis path j is a basis path j' times an arrow a, and column j of
-    the table is column j' acted on by a; the column of e_v is the identity
-    on the paths ending at v.  Completion makes the rewriting confluent, so
-    every entry is the normal form of the concatenation, for dim * arrows
-    reductions instead of dim**2.
-
-    Construction then checks the table.  The trivial paths must be
-    orthogonal idempotents, and associativity is certified over the
-    generators (trivial paths and arrows): each basis path z'*a is the
-    table's product of z' and a, and (x*y)*g == x*(y*g) for all basis x, y
-    and generators g, which gives every triple by induction on the length
-    of the third factor (see ``verify_associativity``).  That is dim**2
-    work per generator instead of dim**3.
+    Each entry is one reduction, dim * arrows in all.  A basis path holds
+    no redex, so one must end at the new arrow, and the search starts one
+    left-side length before it.  Construction then certifies the table
+    (see ``verify_associativity``).
     """
 
     def __init__(self, quiver: Quiver, p: int, rules: tuple[RewriteRule, ...],
@@ -430,115 +427,91 @@ class Algebra:
         self.act_index = np.full((n + 1, len(arrows)), n, dtype=np.int64)
         self.act_coeff = np.zeros((n + 1, len(arrows)), dtype=np.int64)
         for k, q in enumerate(basis):
+            start = _rw.suffix_start(q.length + 1)
             for x, a in enumerate(arrows):
                 if q.target == a.source:
-                    term = self.reduce_path(Path(q.source, a.target, q.arrows + (a.name,)))
+                    term = _rw.reduce_path(Path(q.source, a.target, q.arrows + (a.name,)),
+                                           1, start)
                     if term is not None:
                         self.act_index[k, x] = self.index[term[0]]
                         self.act_coeff[k, x] = term[1]
-        self.prod_index = np.full((n + 1, n + 1), n, dtype=np.int64)
-        self.prod_coeff = np.zeros((n + 1, n + 1), dtype=np.int64)
-        for j, q in enumerate(basis):
-            if not q.arrows:
-                rows = [i for i, pi in enumerate(basis) if pi.target == q.source]
-                self.prod_index[rows, j] = rows
-                self.prod_coeff[rows, j] = 1
-                continue
-            x = quiver.arrow_index(q.arrows[-1])
-            prefix = self.index[Path(q.source, arrows[x].source, q.arrows[:-1])]
-            col = self.prod_index[:, prefix]
-            self.prod_index[:, j] = self.act_index[col, x]
-            self.prod_coeff[:, j] = self.prod_coeff[:, prefix] * self.act_coeff[col, x] % p
-        self._check_idempotents()
         self.verify_associativity()
         self.socle_rules = self._socle_quotient_rules()
         self.memo: dict = {}
 
     # -- construction checks -------------------------------------------------
 
-    def _check_idempotents(self):
-        for v in self.quiver.vertices:
-            if trivial_path(v) not in self.index:
-                raise StrcatError("trivial paths must be irreducible")
-        trivs = [self.index[trivial_path(v)] for v in self.quiver.vertices]
-        for i, j in itertools.product(trivs, repeat=2):
-            got = (self.prod_index[i, j], self.prod_coeff[i, j])
-            want = (i, 1) if i == j else (self.dim, 0)
-            if got != want:
-                raise StrcatError("trivial paths are not orthogonal idempotents")
-
     def verify_associativity(self) -> bool:
-        """Check (x*y)*z == x*(y*z) on every basis triple; an error names
-        the lexicographically first bad triple.
+        """Certify that the act table is the algebra's right action on its
+        basis: True, or a StrcatError naming the failing entry, basis path
+        or rule.  The conditions are
 
-        The check is a certificate over the generators, the trivial paths
-        and the arrows in the basis.  Products are compared as terms
-        (index, coeff mod p), and the zero row and column of the table must
-        be (dim, 0), so that a zero product stays zero:
+        (Z) row ``dim`` is zero, and a coefficient (in 0..p-1) is 0 exactly
+            where the index is ``dim``;
+        (V) a nonzero entry k*a needs target(k) = source(a), and it lands on
+            a basis path from source(k) to target(a);
+        (G) the trivial paths are basis paths, and every other basis path
+            z = z'*a has a basis path z' with ``act[z', a] == (z, 1)``;
+        (R) every completed rule l -> c*r holds when l and r are composed
+            as index maps over all dim+1 rows, a trivial r being the
+            identity on the basis paths that end at its vertex.
 
-        (G) every nontrivial basis path z is z'*a for a basis path z' and an
-            arrow a, and the table gives z'*a = 1*z;
-        (C) (x*y)*g == x*(y*g) for all basis x, y and every generator g.
-
-        These give every triple, by induction on the length of z.  Trivial
-        z are generators; for z = z'*a, (C) and the induction hypothesis
-        give x*(y*(z'a)) = x*((y*z')*a) = (x*(y*z'))*a = ((x*y)*z')*a =
-        (x*y)*(z'*a).  The certificate costs one (dim, dim) plane per
-        generator.  Only when it fails does the exhaustive scan run, one
-        (y, z) plane per x, to find the first bad triple, if there is one.
+        Why they suffice (Bergman's diamond lemma, Adv. Math. 29, 1978): by
+        (Z) and (V) the arrows act on the span W of the basis, and by (R)
+        the algebra A acts, so x -> (sum of the trivial paths) * x is a map
+        phi: A -> W of right modules.  Let psi: W -> A send each basis path
+        to itself.  Then psi(phi(x)) = x on every path x: on basis paths by
+        (G) and induction on length, and on any other path x = u*l*w, which
+        holds a left side l -> c*r because the basis is every irreducible
+        path, phi(x) = c*phi(u*r*w) while x = c*u*r*w in A, by induction
+        along the terminating rewriting.  So phi is one to one, onto by
+        (G), and the table is A's right regular action; in particular A is
+        associative, with the basis as a basis.  The work is linear in dim
+        per halving of each rule's words, and the largest array is
+        (dim+1) x arrows.
         """
-        if not self._certify_associativity():
-            self._scan_associativity()
-        return True
-
-    def _certify_associativity(self) -> bool:
-        """Whether (G) and (C) of ``verify_associativity`` hold."""
         n, p = self.dim, self.p
-        index, coeff = self.prod_index, self.prod_coeff
-        if ((index[n] != n).any() or (index[:, n] != n).any()
-                or coeff[n].any() or coeff[:, n].any()):
-            return False
-        gens, paths, prefixes, lasts = [], [], [], []
+        index, coeff = self.act_index, self.act_coeff
+        arrows = self.quiver.arrows
+
+        def first(bad, what):
+            if bad.any():
+                k, x = np.argwhere(bad)[0]
+                row = self.basis[k] if k < n else "zero"
+                raise StrcatError(f"act table: {row} times {arrows[x].name} {what}")
+
+        zero = index == n
+        first((index < 0) | (index > n) | (coeff < 0) | (coeff >= p) | (zero != (coeff == 0)),
+              "is neither zero nor a nonzero multiple of a basis path")
+        first((np.arange(n + 1) == n)[:, None] & ~zero, "is not zero")
+        ends = np.array([(q.source, q.target) for q in self.basis] + [(-1, -1)])
+        first(~zero & ((ends[:, 1:] != [a.source for a in arrows])
+                       | (ends[index, 0] != ends[:, :1])
+                       | (ends[index, 1] != [a.target for a in arrows])),
+              "does not compose or keep its endpoints")
+        if any(trivial_path(v) not in self.index for v in self.quiver.vertices):
+            raise StrcatError("act table: a trivial path is not a basis path")
         for z, path in enumerate(self.basis):
-            if path.length <= 1:
-                gens.append(z)
-            if path.length:
-                a = self.quiver.arrow(path.arrows[-1])
-                prefix = self.index.get(Path(path.source, a.source, path.arrows[:-1]))
-                last = self.index.get(Path(a.source, a.target, (a.name,)))
-                if prefix is None or last is None:
-                    return False
-                paths.append(z)
-                prefixes.append(prefix)
-                lasts.append(last)
-        if (index[prefixes, lasts] != paths).any() or (coeff[prefixes, lasts] != 1).any():
-            return False
-        xy_index, xy_coeff = index[:n, :n], coeff[:n, :n]
-        for g in gens:
-            yg_index, yg_coeff = index[:n, g], coeff[:n, g]
-            if ((index[xy_index, g] != index[:n, yg_index]).any()
-                    or (xy_coeff * coeff[xy_index, g] % p
-                        != yg_coeff * coeff[:n, yg_index] % p).any()):
-                return False
-        return True
+            if path.arrows:
+                x = self.quiver.arrow_index(path.arrows[-1])
+                prefix = self.index.get(Path(path.source, arrows[x].source, path.arrows[:-1]))
+                if prefix is None or index[prefix, x] != z or coeff[prefix, x] != 1:
+                    raise StrcatError(f"act table: basis path {path} is not its prefix "
+                                      f"times {arrows[x].name}")
+        maps = {a.name: (index[:, x], coeff[:, x]) for x, a in enumerate(arrows)}
+        products: dict = {}
 
-    def _scan_associativity(self):
-        """Check every basis triple, a whole (j, k) plane per i; an error
-        names the first bad triple."""
-        n, p = self.dim, self.p
-        index, coeff = self.prod_index, self.prod_coeff
-        jk_index, jk_coeff = index[:n, :n], coeff[:n, :n]
-        for i in range(n):
-            ij_index, ij_coeff = index[i, :n], coeff[i, :n]
-            left_index = index[ij_index, :n]
-            left_coeff = ij_coeff[:, None] * coeff[ij_index, :n] % p
-            right_index = index[i, jk_index]
-            right_coeff = jk_coeff * coeff[i, jk_index] % p
-            bad = np.argwhere((left_index != right_index) | (left_coeff != right_coeff))
-            if len(bad):
-                j, k = bad[0]
-                raise StrcatError(
-                    f"multiplication not associative at triple {(i, int(j), int(k))}")
+        def value(path):
+            if not path.arrows:
+                return indexmaps.identity(n, ends[:n, 1] == path.source)
+            return indexmaps.halved(path.arrows, maps.__getitem__,
+                                    lambda f, g: indexmaps.compose(f, g, p), products)
+
+        for rule in self.rules:
+            right = None if rule.rhs is None else value(rule.rhs)
+            if not indexmaps.agree(value(rule.lhs), right, rule.coeff, p):
+                raise StrcatError(f"act table: rule {rule} fails on it")
+        return True
 
     def _socle_quotient_rules(self) -> tuple[Path, ...]:
         """Monomial rules presenting the algebra modulo its socle.

@@ -158,8 +158,9 @@ def arrow_path(a):
 
 
 def reduced_tables(algebra):
-    """``prod_index`` and ``prod_coeff`` filled entry by entry, each the
-    normal form of a concatenation of two basis paths."""
+    """The products of two basis paths, filled entry by entry as the
+    ``(dim+1)×(dim+1)`` arrays (index, coeff) of their normal forms, index
+    ``dim`` standing for zero."""
     n = algebra.dim
     index = np.full((n + 1, n + 1), n, dtype=np.int64)
     coeff = np.zeros((n + 1, n + 1), dtype=np.int64)
@@ -168,6 +169,41 @@ def reduced_tables(algebra):
             term = reduced_concatenation(algebra, p, q)
             if term is not None:
                 index[i, j], coeff[i, j] = algebra.index[term[0]], term[1]
+    return index, coeff
+
+
+def reduced_act_tables(algebra):
+    """``act_index`` and ``act_coeff`` filled entry by entry, each the normal
+    form of a basis path times an arrow."""
+    n, arrows = algebra.dim, algebra.quiver.arrows
+    index = np.full((n + 1, len(arrows)), n, dtype=np.int64)
+    coeff = np.zeros((n + 1, len(arrows)), dtype=np.int64)
+    for k, p in enumerate(algebra.basis):
+        for x, a in enumerate(arrows):
+            term = reduced_concatenation(algebra, p, arrow_path(a))
+            if term is not None:
+                index[k, x], coeff[k, x] = algebra.index[term[0]], term[1]
+    return index, coeff
+
+
+def grown_product_table(algebra):
+    """The products of two basis paths grown from the act table, one column
+    per basis path: the column of e_v is the identity on the paths ending
+    at v, and the column of z'*a is the column of z' acted on by a."""
+    n, p = algebra.dim, algebra.p
+    index = np.full((n + 1, n + 1), n, dtype=np.int64)
+    coeff = np.zeros((n + 1, n + 1), dtype=np.int64)
+    for j, q in enumerate(algebra.basis):
+        if not q.arrows:
+            rows = [i for i, b in enumerate(algebra.basis) if b.target == q.source]
+            index[rows, j], coeff[rows, j] = rows, 1
+            continue
+        x = algebra.quiver.arrow_index(q.arrows[-1])
+        a = algebra.quiver.arrows[x]
+        prefix = algebra.index[Path(q.source, a.source, q.arrows[:-1])]
+        col = index[:, prefix]
+        index[:, j] = algebra.act_index[col, x]
+        coeff[:, j] = coeff[:, prefix] * algebra.act_coeff[col, x] % p
     return index, coeff
 
 
@@ -253,12 +289,13 @@ def first_failing_rule(M):
     return None
 
 
-def first_bad_triple(algebra):
+def first_bad_triple(index, coeff, p):
     """The first basis triple (i, j, k), in lexicographic order, at which
-    the table's (i*j)*k and i*(j*k) differ as terms (index, coeff mod p);
-    None when there is none.  One triple at a time, on Python ints."""
-    n, p = algebra.dim, algebra.p
-    index, coeff = algebra.prod_index.tolist(), algebra.prod_coeff.tolist()
+    the product table's (i*j)*k and i*(j*k) differ as terms (index, coeff
+    mod p); None when there is none.  One triple at a time, on Python
+    ints."""
+    n = len(index) - 1
+    index, coeff = index.tolist(), coeff.tolist()
     for i in range(n):
         for j in range(n):
             ij, c_ij = index[i][j], coeff[i][j]

@@ -33,7 +33,7 @@ from strcat import (
     string_module,
     syzygy,
 )
-from strcat import homology, linalg
+from strcat import indexmaps, linalg
 from strcat.homology import ModuleMap, identity_map, presentation
 from strcat.linalg import rank
 from strcat.quiver_core import DEFAULT_PRIME, load_algebra_spec, make_path
@@ -446,7 +446,7 @@ def test_relation_check_multiplies_logarithmically(monkeypatch):
     A = ae1(96)
     M = string_module(A, max(enumerate_strings(A), key=lambda w: w.length))
     calls, compositions = [], []
-    mat_mul, compose = linalg.mat_mul, homology._compose
+    mat_mul, compose = linalg.mat_mul, indexmaps.compose
 
     def counted(a, b, p):
         calls.append(None)
@@ -457,7 +457,7 @@ def test_relation_check_multiplies_logarithmically(monkeypatch):
         return compose(f, g, p)
 
     monkeypatch.setattr(linalg, "mat_mul", counted)
-    monkeypatch.setattr(homology, "_compose", counted_compose)
+    monkeypatch.setattr(indexmaps, "compose", counted_compose)
     words = [r.lhs for r in A.rules] + [r.rhs for r in A.rules if r.rhs is not None]
     bound = sum(2 * math.ceil(math.log2(w.length)) for w in words if w.length > 1)
     assert [w.length for w in words] == [97] and bound == 14

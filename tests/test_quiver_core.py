@@ -1,5 +1,7 @@
 import inspect
 import random
+import re
+import tracemalloc
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
 
@@ -45,6 +47,8 @@ from strcat.quiver_core import (
 from .oracles import all_paths, contains_word, family_dimension, monomial_dimension
 from .reference import (
     first_bad_triple,
+    grown_product_table,
+    reduced_act_tables,
     reduced_projective_mats,
     reduced_socle_rules,
     reduced_tables,
@@ -291,6 +295,7 @@ def test_positional_memo_calls_do_not_bind_the_signature(monkeypatch):
 def test_associativity_is_exhaustively_checked():
     for A in (ae1(5), ae2(2), ae3(4)):
         assert A.verify_associativity()
+        assert first_bad_triple(*grown_product_table(A), A.p) is None
 
 
 def _random_reduce(algebra, path, rng):
@@ -346,19 +351,19 @@ def test_table_entries_are_reduced_concatenations(family, m):
 
     A = build_family(family, m)
     rng = random.Random(99)
-    assert A.prod_index.shape == A.prod_coeff.shape == (A.dim + 1, A.dim + 1)
-    assert (A.prod_index[A.dim] == A.dim).all() and (A.prod_index[:, A.dim] == A.dim).all()
-    assert not A.prod_coeff[A.dim].any() and not A.prod_coeff[:, A.dim].any()
-    for i, pi in enumerate(A.basis):
-        for j, pj in enumerate(A.basis):
+    n, arrows = A.dim, A.quiver.arrows
+    assert A.act_index.shape == A.act_coeff.shape == (n + 1, len(arrows))
+    assert (A.act_index[n] == n).all() and not A.act_coeff[n].any()
+    for k, q in enumerate(A.basis):
+        for x, a in enumerate(arrows):
             want = {}
-            if pi.target == pj.source:
-                prod = make_path(A.quiver, pi.arrows + pj.arrows, base_vertex=pi.source)
-                want = _random_reduce(A, prod, rng)
-            k, c = A.prod_index[i, j], A.prod_coeff[i, j]
-            assert (k == A.dim and c == 0) or (k < A.dim and c != 0)
-            got = {} if k == A.dim else {A.basis[k]: c}
-            assert got == want, (str(pi), str(pj))
+            if q.target == a.source:
+                want = _random_reduce(A, make_path(A.quiver, q.arrows + (a.name,),
+                                                   base_vertex=q.source), rng)
+            i, c = A.act_index[k, x], A.act_coeff[k, x]
+            assert (i == n and c == 0) or (i < n and c != 0)
+            got = {} if i == n else {A.basis[i]: c}
+            assert got == want, (str(q), a.name)
 
 
 SMALL_FAMILIES = ([("ae1", m) for m in range(1, 9)] + [("ae2", m) for m in range(1, 5)]
@@ -366,8 +371,15 @@ SMALL_FAMILIES = ([("ae1", m) for m in range(1, 9)] + [("ae2", m) for m in range
 
 
 def assert_tables_equal_direct_reduction(A):
+    """The act table, the product table grown from it, the socle rules and
+    the projectives all equal direct reduction, and the grown product table
+    is associative triple by triple."""
+    index, coeff = reduced_act_tables(A)
+    assert np.array_equal(A.act_index, index) and np.array_equal(A.act_coeff, coeff)
+    grown = grown_product_table(A)
     index, coeff = reduced_tables(A)
-    assert np.array_equal(A.prod_index, index) and np.array_equal(A.prod_coeff, coeff)
+    assert np.array_equal(grown[0], index) and np.array_equal(grown[1], coeff)
+    assert first_bad_triple(*grown, A.p) is None
     assert A.socle_rules == reduced_socle_rules(A)
     for v in A.quiver.vertices:
         mats = indecomposable_projective(A, v).mats
@@ -405,69 +417,128 @@ def test_table_build_reduces_once_per_basis_path_and_arrow(family, m, monkeypatc
     assert 0 < len(calls) <= A.dim * len(A.quiver.arrows)
 
 
-def test_corrupted_table_fails_associativity_at_first_bad_triple():
+def test_corrupted_act_table_names_the_basis_path_it_breaks():
     A = ae2(2)
     a, b = (A.index[make_path(A.quiver, [x])] for x in "ab")
-    assert (a, b) == (2, 3) and A.basis[A.prod_index[a, b]] == make_path(A.quiver, ["a", "b"])
-    A.prod_coeff[a, b] = 2  # (a*b)*a = 2 aba but a*(b*a) = aba
-    with pytest.raises(StrcatError, match=r"triple \(2, 3, 2\)"):
+    x = A.quiver.arrow_index("b")
+    assert A.basis[A.act_index[a, x]] == make_path(A.quiver, ["a", "b"])
+    A.act_coeff[a, x] = 2  # a*b = 2 ab, so ab is not its prefix a times b
+    with pytest.raises(StrcatError, match=r"^act table: basis path a\*b is not its prefix "
+                                          r"times b$"):
         A.verify_associativity()
 
 
-def table_corruptions(A, rng):
-    """Single-entry changes (table, i, j, new value) of the multiplication
-    table, the zero row and column included: each index moved to another
-    basis element or to zero, each coefficient doubled, zeroed and
-    replaced by a nonzero one."""
+@pytest.mark.parametrize("m", range(1, 6))
+def test_a_cyclic_group_table_on_ae1_is_rejected_at_its_rule(m):
+    # a^(m+1) := e0 turns the table of ae1(m) into the regular action of
+    # k[Z/(m+1)], which is associative, so a product-table certificate
+    # accepts it; the rule a^(m+1) -> 0 does not hold on it
+    A = ae1(m)
+    top = A.index[make_path(A.quiver, ["a"] * m)]
+    A.act_index[top, 0], A.act_coeff[top, 0] = A.index[trivial_path(0)], 1
+    assert first_bad_triple(*grown_product_table(A), A.p) is None
+    rule = "*".join(["a"] * (m + 1)) + " -> 0"
+    with pytest.raises(StrcatError, match=rf"^act table: rule {re.escape(rule)} fails on it$"):
+        A.verify_associativity()
+
+
+def test_entries_off_the_quiver_are_rejected():
+    # without rules, only the zero row and the endpoint conditions see these
+    A = load_algebra_spec({"vertices": [0, 1, 2],
+                           "arrows": [{"name": "a", "from": 0, "to": 1},
+                                      {"name": "b", "from": 1, "to": 2}],
+                           "rules": [], "dim_bound": 6})
+    assert [str(q) for q in A.basis] == ["e0", "e1", "e2", "a", "b", "a*b"]
+    e0, e1, a, ab = (A.index[make_path(A.quiver, w, base_vertex=v)]
+                     for w, v in [([], 0), ([], 1), (["a"], 0), (["a", "b"], 0)])
+    # each change breaks one endpoint condition only: the path it acts on
+    # ends elsewhere, the product ends elsewhere, or it starts elsewhere
+    for k, x, value, message in [(e1, 0, e1, "e1 times a does not compose"),
+                                 (e0, 0, e0, "e0 times a does not compose"),
+                                 (e1, 1, ab, "e1 times b does not compose"),
+                                 (A.dim, 0, a, "zero times a is not zero")]:
+        old = A.act_index[k, x], A.act_coeff[k, x]
+        A.act_index[k, x], A.act_coeff[k, x] = value, 1
+        with pytest.raises(StrcatError, match=f"^act table: {message}"):
+            A.verify_associativity()
+        A.act_index[k, x], A.act_coeff[k, x] = old
+    assert A.verify_associativity()
+
+
+def test_a_trivial_right_side_is_the_identity_on_its_vertex():
+    # x -> 3*e0 compares x with 3 times the identity on the paths ending
+    # at 0; e1 and y end at 1, and x kills them
+    A = load_algebra_spec({
+        "vertices": [0, 1],
+        "arrows": [{"name": "x", "from": 0, "to": 0}, {"name": "y", "from": 0, "to": 1}],
+        "rules": [{"lhs": ["x"], "rhs": {"coeff": 3, "path": []}}],
+        "dim_bound": 4})
+    assert [str(r) for r in A.rules] == ["x -> 3*e0"]
+    assert A.verify_associativity()
+    e0, x = A.index[trivial_path(0)], A.quiver.arrow_index("x")
+    assert (A.act_index[e0, x], A.act_coeff[e0, x]) == (e0, 3)
+    A.act_coeff[e0, x] = 2
+    with pytest.raises(StrcatError, match=r"^act table: rule x -> 3\*e0 fails on it$"):
+        A.verify_associativity()
+
+
+def act_table_corruptions(A, rng):
+    """Single-entry changes (table, k, x, new value) of the act table, its
+    zero row included: each index moved to another basis path or to zero,
+    each coefficient doubled, zeroed and replaced by a nonzero one."""
     n, p = A.dim, A.p
-    for i, j in np.ndindex(n + 1, n + 1):
-        yield A.prod_index, i, j, (A.prod_index[i, j] + rng.randrange(1, n + 1)) % (n + 1)
-        yield A.prod_coeff, i, j, 2 * A.prod_coeff[i, j] % p
-        yield A.prod_coeff, i, j, 0
-        yield A.prod_coeff, i, j, rng.randrange(1, p)
+    for k, x in np.ndindex(*A.act_index.shape):
+        yield A.act_index, k, x, (A.act_index[k, x] + rng.randrange(1, n + 1)) % (n + 1)
+        yield A.act_coeff, k, x, 2 * A.act_coeff[k, x] % p
+        yield A.act_coeff, k, x, 0
+        yield A.act_coeff, k, x, rng.randrange(1, p)
 
 
 def assert_associativity_verdict_matches_a_scan(A, corruptions):
-    """After each change, verify_associativity passes exactly when the
-    triple-by-triple scan finds nothing, and otherwise names its triple;
-    returns the set of verdicts seen."""
+    """After each change, verify_associativity passes exactly when a scan
+    of the table finds every entry equal to its direct reduction, so every
+    change that moves an entry is rejected; returns the set of verdicts."""
+    reduced = reduced_act_tables(A)
     verdicts = set()
-    for table, i, j, value in corruptions:
-        old = table[i, j]
-        table[i, j] = value
+    for table, k, x, value in corruptions:
+        old = table[k, x]
+        table[k, x] = value
         try:
-            want = first_bad_triple(A)
-            if want is None:
+            sound = all(np.array_equal(got, want)
+                        for got, want in zip((A.act_index, A.act_coeff), reduced))
+            if sound:
                 assert A.verify_associativity()
             else:
-                with pytest.raises(StrcatError) as err:
+                with pytest.raises(StrcatError, match="^act table: "):
                     A.verify_associativity()
-                assert str(err.value) == f"multiplication not associative at triple {want}"
-            verdicts.add(want is None)
+            verdicts.add(sound)
         finally:
-            table[i, j] = old
+            table[k, x] = old
     return verdicts
 
 
-@pytest.mark.parametrize("family,m", [("ae1", m) for m in range(1, 6)]
-                         + [("ae2", m) for m in range(1, 3)]
-                         + [("ae3", m) for m in range(2, 5)])
+@pytest.mark.parametrize("family,m", SMALL_FAMILIES)
 def test_associativity_verdicts_on_corrupted_tables_match_a_scan(family, m):
     A = build_family(family, m)
-    assert first_bad_triple(A) is None
     verdicts = assert_associativity_verdict_matches_a_scan(
-        A, list(table_corruptions(A, random.Random(m))))
-    assert verdicts == {True, False}
+        A, list(act_table_corruptions(A, random.Random(m))))
+    assert False in verdicts
 
 
-@pytest.mark.parametrize("family,m", [("ae1", 64), ("ae2", 16), ("ae3", 64)])
-def test_associativity_of_a_sound_table_is_certified_without_a_scan(family, m, monkeypatch):
-    def scan(self):
-        raise AssertionError("the exhaustive scan ran")
-
-    monkeypatch.setattr(Algebra, "_scan_associativity", scan)
+@pytest.mark.parametrize("family,m", [("ae1", 512), ("ae2", 128), ("ae3", 512)])
+def test_certificate_holds_less_than_a_square_table(family, m):
+    # the certificate works on (dim+1) x arrows tables and maps of dim+1
+    # rows; one (dim+1) x (dim+1) int64 table would outweigh all of it
     A = build_family(family, m)
-    assert A.verify_associativity()
+    tracemalloc.start()
+    try:
+        assert A.verify_associativity()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (A.dim + 1) ** 2
+    arrays = [v for v in vars(A).values() if isinstance(v, np.ndarray)]
+    assert max(v.size for v in arrays) == (A.dim + 1) * len(A.quiver.arrows)
 
 
 @st.composite
@@ -545,11 +616,16 @@ def test_tables_of_random_specs_equal_direct_reduction(spec):
 @given(spec=small_specs(), seed=st.integers(0, 2 ** 16))
 def test_associativity_verdicts_on_corrupted_random_tables_match_a_scan(spec, seed):
     A = built_or_skipped(spec)
-    assert first_bad_triple(A) is None
-    rng = random.Random(seed)
-    corruptions = list(table_corruptions(A, rng))
-    assert_associativity_verdict_matches_a_scan(A, rng.sample(corruptions,
-                                                              min(30, len(corruptions))))
+    assert A.verify_associativity()
+    assert_associativity_verdict_matches_a_scan(A, act_table_corruptions(A, random.Random(seed)))
+
+
+def assert_suffix_search_matches_a_scan(rw, path):
+    """When the path less its last arrow holds no redex, a search from
+    ``suffix_start`` finds what a scan of every position finds."""
+    if path.arrows and scanned_redex(rw.rules, replace(path, arrows=path.arrows[:-1])) is None:
+        start = rw.suffix_start(path.length)
+        assert rw._find_redex(path, start=start) == scanned_redex(rw.rules, path), str(path)
 
 
 @given(spec=small_specs())
@@ -562,6 +638,7 @@ def test_redex_search_of_random_specs_matches_a_scan(spec):
              for names, s, _ in all_paths(spec["vertices"], arrows, longest + 2)][:300]
     for path in paths:
         assert rw._find_redex(path) == scanned_redex(rw.rules, path), str(path)
+        assert_suffix_search_matches_a_scan(rw, path)
         for rule in rw.rules:
             assert (rw._find_redex(path, exclude=rule)
                     == scanned_redex(rw.rules, path, exclude=rule)), (str(path), str(rule))
@@ -582,6 +659,7 @@ def test_redex_search_keeps_insertion_order_through_removals(data):
             rw.add(RewriteRule(make_path(q, data.draw(st.sampled_from(words)))))
     for names, _, _ in all_paths([0], arrows, 5):
         path = make_path(q, names, base_vertex=0)
+        assert_suffix_search_matches_a_scan(rw, path)
         for start in range(len(names) + 1):
             assert (rw._find_redex(path, start=start)
                     == scanned_redex(rw.rules, path, start=start)), (names, start)
@@ -605,8 +683,10 @@ def test_reduction_matches_a_leftmost_scan(data):
         coeff = None if rhs is None else data.draw(st.integers(1, DEFAULT_PRIME - 1))
         rw.add(RewriteRule(lhs, coeff, rhs))
     for path in paths:
-        assert rw.reduce_path(path) == scanned_reduction(rw.rules, path, DEFAULT_PRIME), \
-            str(path)
+        want = scanned_reduction(rw.rules, path, DEFAULT_PRIME)
+        assert rw.reduce_path(path) == want, str(path)
+        if path.arrows and scanned_redex(rw.rules, replace(path, arrows=path.arrows[:-1])) is None:
+            assert rw.reduce_path(path, 1, rw.suffix_start(path.length)) == want, str(path)
 
 
 def test_rule_whose_right_side_contains_its_left_side_is_rejected():
