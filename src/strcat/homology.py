@@ -8,7 +8,12 @@ Hom comes from projective presentations: ``presentation(M)`` holds M's
 projective cover, the rows of the syzygy in the cover's coordinates and a
 section of the cover, and the Hom system solves for the images of the
 cover's generators (Hom(P_v, N) = N e_v).  The same kernel rows give the
-syzygy.  Dimensions come from ranks: ``hom_dim`` is the system's unknowns
+syzygy.  A presentation eliminates at most once per vertex: one reduction
+of [epi_w^T | I] gives the kernel rows and the section, minimality is one
+product against the RREF of rad P, the radical of a module whose arrow
+matrices have one nonzero entry per row is read off its columns, and a
+sub-representation reads its arrow matrices off the unit columns of its
+basis.  Dimensions come from ranks: ``hom_dim`` is the system's unknowns
 less its rank, and ``stable_hom_dim`` and ``ext1_dim`` subtract the rank
 of the lifted solutions composed with the cover, as arrays.  Maps are
 realised as ``ModuleMap``s only on request, by ``hom_basis``.
@@ -345,16 +350,24 @@ def hom_dim(M: Representation, N: Representation) -> int:
 # -- substructures --------------------------------------------------------------
 
 
-def _induced_subrep(parent: Representation, rows: dict[int, np.ndarray]) -> Representation:
-    """Representation on a per-vertex row subspace closed under the arrows."""
+def _induced_subrep(parent: Representation, rows: dict[int, np.ndarray],
+                    units: dict[int, np.ndarray]) -> Representation:
+    """Representation on a per-vertex row subspace closed under the arrows.
+
+    ``rows[v]`` is a basis that is the identity on the columns
+    ``units[v]``, as a null-space basis is on its free columns and an RREF
+    on its pivots.  A vector x of the span is then ``x[:, units[v]] @
+    rows[v]``, so each arrow's coefficients are read off its moved rows
+    and closure is one product.
+    """
     alg = parent.algebra
     p = alg.p
     dims = {v: rows[v].shape[0] for v in rows}
     mats = {}
     for a in alg.quiver.arrows:
         moved = linalg.mat_mul(rows[a.source], parent.mats[a.name], p)
-        coeffs = linalg.solve_in_rowspace(rows[a.target], moved, p)
-        if coeffs is None:
+        coeffs = moved[:, units[a.target]]
+        if not np.array_equal(linalg.mat_mul(coeffs, rows[a.target], p), moved):
             raise StrcatError("subspace is not closed under the arrow action")
         mats[a.name] = coeffs
     return Representation(alg, dims, mats, check=False)
@@ -363,15 +376,20 @@ def _induced_subrep(parent: Representation, rows: dict[int, np.ndarray]) -> Repr
 def kernel_of(f: ModuleMap) -> Representation:
     """The kernel sub-representation of a module map."""
     p = f.source.algebra.p
-    rows = {v: linalg.left_nullspace(f.blocks[v], p) for v in f.blocks}
-    return _induced_subrep(f.source, rows)
+    rows, units = {}, {}
+    for v, block in f.blocks.items():
+        rows[v], units[v] = linalg.kernel_rows(*linalg.rref(block.T, p), p)
+    return _induced_subrep(f.source, rows, units)
 
 
 def image_of(f: ModuleMap) -> Representation:
     """The image sub-representation inside the target."""
     p = f.source.algebra.p
-    rows = {v: linalg.row_space(f.blocks[v], p) for v in f.blocks}
-    return _induced_subrep(f.target, rows)
+    rows, units = {}, {}
+    for v, block in f.blocks.items():
+        reduced, units[v] = linalg.rref(block, p)
+        rows[v] = reduced[: len(units[v])]
+    return _induced_subrep(f.target, rows, units)
 
 
 # -- covers and syzygies ---------------------------------------------------------
@@ -385,14 +403,31 @@ def radical_rows(M: Representation, rows: dict[int, np.ndarray] | None = None
     radical at v is spanned by the images of its vectors under the arrows
     into v.  Each vertex gets a basis of that span in reduced row echelon
     form together with its pivot columns.
+
+    When every arrow matrix of M has at most one nonzero entry per row (see
+    ``Representation._row_maps``), as for string modules, projectives and
+    the covers built from them, each image row is a multiple of a unit
+    vector.  The radical of M at v is then the span of the unit vectors on
+    the columns those rows hit, and its RREF is those unit rows in column
+    order, with no elimination.  Any other module is reduced by ``rref``.
     """
     alg = M.algebra
     p = alg.p
+    maps = M._row_maps() if rows is None else None
     out = {}
     for v in alg.quiver.vertices:
+        into = alg.quiver.arrows_into(v)
+        if maps is not None:
+            hit = np.zeros(M.dims[v], dtype=bool)
+            for a in into:
+                cols, vals = maps[a.name]
+                hit[cols[vals != 0]] = True
+            pivots = hit.nonzero()[0]
+            out[v] = (np.eye(M.dims[v], dtype=np.int64)[pivots], pivots.tolist())
+            continue
         moved = [M.mats[a.name] if rows is None
                  else linalg.mat_mul(rows[a.source], M.mats[a.name], p)
-                 for a in alg.quiver.arrows_into(v)]
+                 for a in into]
         stacked = np.vstack(moved) if moved else np.zeros((0, M.dims[v]), dtype=np.int64)
         if stacked.size:
             reduced, pivots = linalg.rref(stacked, p)
@@ -409,14 +444,17 @@ class Presentation:
     ``generators`` lists the (vertex v, basis index c) of M that the cover's
     summands P(v) map onto, in vertex order.  At each vertex w,
     ``kernel[w]`` holds the rows of Omega(M) = ker epi in the cover's
-    coordinates and ``section[w]`` is a matrix S with S @ epi_w = I.  The
-    arrays are read-only, because the memo hands them to every caller.
+    coordinates, which are the identity on the columns ``free[w]``, and
+    ``section[w]`` is a matrix S with S @ epi_w = I.  Both come from one
+    elimination of [epi_w^T | I]; see ``presentation``.  The arrays are
+    read-only, because the memo hands them to every caller.
     """
 
     cover: Representation
     epi: ModuleMap
     generators: tuple[tuple[int, int], ...]
     kernel: dict[int, np.ndarray]
+    free: dict[int, np.ndarray]
     section: dict[int, np.ndarray]
 
 
@@ -427,7 +465,16 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
 
 @memoized
 def presentation(M: Representation) -> Presentation:
-    """M's projective cover, its kernel rows and a section (all verified)."""
+    """M's projective cover, its kernel rows and a section (all verified).
+
+    At each vertex w one elimination of [epi_w^T | I] gives everything.
+    The identity block makes every row a pivot row, and epi_w is onto
+    exactly when every pivot lies in the left block, which is then
+    rref(epi_w^T): the kernel rows are read off it, and the right block
+    holds the section.  The cover is minimal when the kernel lies in
+    rad P, whose RREF R with pivots piv (from ``radical_rows``) contains
+    a row set K exactly when K == K[:, piv] @ R: one product.
+    """
     if M.is_zero():
         raise ZeroModule("the zero module has no projective cover")
     alg = M.algebra
@@ -442,19 +489,22 @@ def presentation(M: Representation) -> Presentation:
     # row (g, q) of the cover goes to M(q) applied to generator g
     epi = ModuleMap(P, M, {w: np.concatenate([acts[v][w][:, c] for v, c in generators])
                            for w in alg.quiver.vertices})
-    # minimality: the kernel must sit inside rad P
     rad_P = radical_rows(P)
-    kernel, section = {}, {}
+    kernel, free, section = {}, {}, {}
     for w in alg.quiver.vertices:
-        ker_rows = linalg.left_nullspace(epi.blocks[w], p)
-        if ker_rows.shape[0] and linalg.solve_in_rowspace(rad_P[w][0], ker_rows, p) is None:
-            raise StrcatError("cover kernel escapes the radical")
-        right_inverse = linalg.solve_in_rowspace(
-            epi.blocks[w], np.eye(M.dims[w], dtype=np.int64), p)
-        if right_inverse is None:
+        n, m = epi.blocks[w].shape
+        reduced, pivots = linalg.rref(
+            np.hstack([epi.blocks[w].T, np.eye(m, dtype=np.int64)]), p)
+        if pivots and pivots[-1] >= n:
             raise StrcatError("projective cover map failed to be surjective")
-        kernel[w], section[w] = _read_only(ker_rows), _read_only(right_inverse)
-    return Presentation(P, epi, generators, kernel, section)
+        ker_rows, ker_free = linalg.kernel_rows(reduced[:, :n], pivots, p)
+        rad_rows, rad_pivots = rad_P[w]
+        if not np.array_equal(linalg.mat_mul(ker_rows[:, rad_pivots], rad_rows, p), ker_rows):
+            raise StrcatError("cover kernel escapes the radical")
+        right_inverse = np.zeros((n, m), dtype=np.int64)
+        right_inverse[pivots] = reduced[:, n:]
+        kernel[w], free[w], section[w] = map(_read_only, (ker_rows, ker_free, right_inverse.T))
+    return Presentation(P, epi, generators, kernel, free, section)
 
 
 def projective_cover(M: Representation) -> tuple[Representation, ModuleMap]:
@@ -469,7 +519,7 @@ def syzygy(M: Representation) -> Representation:
     if M.is_zero():
         return Representation.zero(M.algebra)
     pres = presentation(M)
-    return _induced_subrep(pres.cover, pres.kernel)
+    return _induced_subrep(pres.cover, pres.kernel, pres.free)
 
 
 def omega_power(M: Representation, n: int) -> Representation:

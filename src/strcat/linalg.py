@@ -64,46 +64,19 @@ def nullspace(mat, p: int) -> np.ndarray:
         return np.zeros((0, 0), dtype=np.int64)
     if rows == 0:
         return np.eye(cols, dtype=np.int64)
-    r, pivots = rref(m, p)
+    return kernel_rows(*rref(m, p), p)[0]
+
+
+def kernel_rows(reduced: np.ndarray, pivots: list[int], p: int) -> tuple[np.ndarray, np.ndarray]:
+    """The null-space basis read off a reduced row echelon form and its
+    pivots, with the free columns: per free column f, in increasing order,
+    the row with 1 at f and minus the reduced form's column f at the
+    pivots.  The rows are the identity on the free columns."""
+    cols = reduced.shape[1]
     is_free = np.ones(cols, dtype=bool)
     is_free[pivots] = False
     free = is_free.nonzero()[0]
     basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[:, pivots] = -r[: len(pivots), free].T % p
+    basis[:, pivots] = -reduced[: len(pivots), free].T % p
     basis[np.arange(free.size), free] = 1
-    return basis
-
-
-def left_nullspace(mat, p: int) -> np.ndarray:
-    """Rows x with x @ mat == 0."""
-    return nullspace(np.asarray(mat).T, p)
-
-
-def row_space(mat, p: int) -> np.ndarray:
-    """A row basis (in RREF) of the row space of ``mat``."""
-    m = as_field(mat, p)
-    if m.shape[0] == 0 or m.shape[1] == 0:
-        return np.zeros((0, m.shape[1]), dtype=np.int64)
-    r, pivots = rref(m, p)
-    return r[: len(pivots)]
-
-
-def solve_right(a, b, p: int) -> np.ndarray | None:
-    """X with a @ X == b, or None when the system is inconsistent."""
-    a = as_field(a, p)
-    b = as_field(b, p)
-    rows, cols = a.shape
-    aug = np.hstack([a, b])
-    r, pivots = rref(aug, p)
-    if any(c >= cols for c in pivots):
-        return None
-    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
-    for i, pc in enumerate(pivots):
-        x[pc] = r[i, cols:]
-    return x
-
-
-def solve_in_rowspace(basis_rows, targets, p: int) -> np.ndarray | None:
-    """X with X @ basis_rows == targets, or None if some target escapes."""
-    y = solve_right(np.asarray(basis_rows).T, np.asarray(targets).T, p)
-    return None if y is None else y.T
+    return basis, free

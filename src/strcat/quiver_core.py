@@ -31,6 +31,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -375,22 +376,27 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
 
 
 def _irreducible_paths(quiver: Quiver, rw: _Rewriter, dim_bound: int) -> tuple[Path, ...]:
-    basis: list[Path] = [trivial_path(v) for v in quiver.vertices]
-    frontier = list(basis)
-    while frontier:
-        nxt: list[Path] = []
-        for path in frontier:
-            start = rw.suffix_start(path.length + 1)
-            for a in quiver.arrows_from(path.target):
-                word = Path(path.source, a.target, path.arrows + (a.name,))
-                if rw._find_redex(word, start=start) is None:
-                    nxt.append(word)
-        basis.extend(nxt)
+    """The irreducible paths in ``path_key`` order, breadth first.
+
+    Each length is sorted on its own, keyed by the arrow indices grown
+    from the parent's key, then the source: ``path_key`` without its
+    length, and without mapping every arrow again."""
+    basis: list[Path] = []
+    level = sorted((((), v), trivial_path(v)) for v in quiver.vertices)
+    while level:
+        basis.extend(path for _, path in level)
         if len(basis) > dim_bound:
             raise DimensionBoundExceeded(
                 f"more than {dim_bound} irreducible paths")
-        frontier = nxt
-    basis.sort(key=lambda q: path_key(quiver, q))
+        nxt = []
+        for (indices, source), path in level:
+            start = rw.suffix_start(path.length + 1)
+            for a in quiver.arrows_from(path.target):
+                word = Path(source, a.target, path.arrows + (a.name,))
+                if rw._find_redex(word, start=start) is None:
+                    nxt.append(((indices + (quiver.arrow_index(a.name),), source), word))
+        nxt.sort(key=itemgetter(0))
+        level = nxt
     return tuple(basis)
 
 

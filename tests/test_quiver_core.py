@@ -130,6 +130,27 @@ def test_ae3_dimension_against_path_oracle(m):
     assert ae3(m).dim == family_dimension("ae3", m) == m + 5 == families.AE3.dim(m)
 
 
+def assert_basis_in_path_key_order(A):
+    assert list(A.basis) == sorted(A.basis, key=lambda q: path_key(A.quiver, q))
+
+
+@pytest.mark.parametrize("family,m", [(family, m) for family, fam in families.FAMILIES.items()
+                                      for m in range(fam.m_min, 9)])
+def test_family_basis_is_in_path_key_order(family, m):
+    assert_basis_in_path_key_order(build_family(family, m))
+
+
+def test_basis_order_ignores_the_declared_vertex_order():
+    spec = {"vertices": [2, 0, 1],
+            "arrows": [{"name": "c", "from": 2, "to": 0}, {"name": "a", "from": 0, "to": 1},
+                       {"name": "b", "from": 1, "to": 2}],
+            "rules": [{"lhs": ["a", "b", "c"], "rhs": None}, {"lhs": ["b", "c", "a"], "rhs": None},
+                      {"lhs": ["c", "a", "b"], "rhs": None}], "dim_bound": 12}
+    A = load_algebra_spec(spec)
+    assert [str(q) for q in A.basis[:3]] == ["e0", "e1", "e2"]
+    assert_basis_in_path_key_order(A)
+
+
 @pytest.mark.parametrize("family", ["ae1", "ae2", "ae3"])
 def test_build_family_refuses_m_outside_the_range_before_building(family, monkeypatch):
     fam = families.get(family)
@@ -606,6 +627,11 @@ def built_or_skipped(spec):
         return load_algebra_spec(spec)
     except (DimensionBoundExceeded, NonTerminating):
         assume(False)
+
+
+@given(spec=small_specs())
+def test_basis_of_random_specs_is_in_path_key_order(spec):
+    assert_basis_in_path_key_order(built_or_skipped(spec))
 
 
 @given(spec=small_specs())
