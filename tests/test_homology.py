@@ -188,20 +188,11 @@ def test_hom_with_a_zero_module_is_empty():
 def test_memoized_presentation_is_read_only():
     A = ae2(3)
     pres = presentation(module(A, "ae2", 3, "M4"))
-    for arrays in (pres.kernel, pres.section):
+    for arrays in (pres.kernel, pres.free, pres.section):
         for mat in arrays.values():
             with pytest.raises(ValueError):
                 mat[...] = 0
     assert presentation(module(A, "ae2", 3, "M4")) is pres
-
-
-def presented_modules(family, m, p):
-    """The strings, the indecomposable projectives and the first three
-    syzygies of each string of one algebra."""
-    A = build_family(family, m, p)
-    strings = [string_module(A, w) for w in enumerate_strings(A)]
-    projectives = [indecomposable_projective(A, v) for v in A.quiver.vertices]
-    return A, strings + projectives + [omega_power(M, n) for M in strings for n in (1, 2, 3)]
 
 
 def changed_basis(M):
@@ -218,6 +209,13 @@ def changed_basis(M):
                                         for a in alg.quiver.arrows})
 
 
+def assert_radical_rows_equal(got, want):
+    assert got.keys() == want.keys()
+    for v, (rows, pivots) in want.items():
+        assert got[v][1] == pivots
+        assert got[v][0].shape == rows.shape and np.array_equal(got[v][0], rows)
+
+
 @pytest.mark.parametrize("family,m,p", [(family, m, p) for family, m in ORACLE_CASES
                                         for p in (2, 3, DEFAULT_PRIME)])
 def test_presentations_match_the_eliminations_they_replace(family, m, p):
@@ -225,11 +223,12 @@ def test_presentations_match_the_eliminations_they_replace(family, m, p):
     # of a monomial module read off its columns, and the syzygy's arrow
     # matrices read at the kernel's free columns: each equal to the route
     # it replaced; the strings after a change of basis are not monomial
-    A, mods = presented_modules(family, m, p)
-    changed = [changed_basis(M) for M in mods[:len(enumerate_strings(A))]]
+    A, mods = oracle_modules(family, m, p)
+    strings = mods[:len(enumerate_strings(A))]
+    changed = [changed_basis(M) for M in strings]
     # over F_2 every changed string of ae2(2) is still monomial
     assert any(N._row_maps() is None for N in changed) or (family, m, p) == ("ae2", 2, 2)
-    for M in mods + changed:
+    for M in mods + [omega_power(M, n) for M in strings for n in (2, 3)] + changed:
         assert_radical_rows_equal(radical_rows(M), eliminated_radical_rows(M))
         if M.is_zero():
             continue
@@ -246,13 +245,6 @@ def test_presentations_match_the_eliminations_they_replace(family, m, p):
         assert omega.dims == want.dims
         for name, mat in want.mats.items():
             assert np.array_equal(omega.mats[name], mat), (M, name)
-
-
-def assert_radical_rows_equal(got, want):
-    assert got.keys() == want.keys()
-    for v, (rows, pivots) in want.items():
-        assert got[v][1] == pivots
-        assert got[v][0].shape == rows.shape and np.array_equal(got[v][0], rows)
 
 
 @pytest.mark.parametrize("family,m", [("ae1", 6), ("ae2", 3), ("ae3", 5)])
