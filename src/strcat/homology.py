@@ -14,9 +14,10 @@ product against the RREF of rad P, the radical of a module whose arrow
 matrices have one nonzero entry per row is read off its columns, and a
 sub-representation reads its arrow matrices off the unit columns of its
 basis.  Dimensions come from ranks: ``hom_dim`` is the system's unknowns
-less its rank, and ``stable_hom_dim`` and ``ext1_dim`` subtract the rank
-of the lifted solutions composed with the cover, as arrays.  Maps are
-realised as ``ModuleMap``s only on request, by ``hom_basis``.
+less its rank.  Hom(M, -) of 0 -> Omega N -> P_N -> N -> 0 and Hom(-, N)
+of 0 -> Omega M -> P_M -> M -> 0 make ``stable_hom_dim`` and ``ext1_dim``
+alternating sums of such dimensions.  Maps are realised as ``ModuleMap``s
+only on request, by ``hom_basis``.
 
 Canonical homomorphisms between string modules live here as well: they
 are the combinatorial oracle for Hom dimensions, counted from substring
@@ -159,28 +160,23 @@ class Representation:
         return cls(algebra, {}, {}, check=False)
 
 
-def direct_sum(reps: list[Representation]) -> tuple[Representation, list[dict[int, int]]]:
-    """Block sum; also returns each summand's per-vertex row offset."""
+def direct_sum(reps: list[Representation]) -> Representation:
+    """Block sum of the summands, in order."""
     if not reps:
         raise StrcatError("direct_sum needs at least one summand")
     algebra = reps[0].algebra
-    offsets: list[dict[int, int]] = []
-    dims = {v: 0 for v in algebra.quiver.vertices}
-    for rep in reps:
-        if rep.algebra is not algebra:
-            raise AlgebraMismatch("summands live over different algebras")
-        offsets.append(dict(dims))
-        for v in algebra.quiver.vertices:
-            dims[v] += rep.dims[v]
+    if any(rep.algebra is not algebra for rep in reps):
+        raise AlgebraMismatch("summands live over different algebras")
+    dims = {v: sum(rep.dims[v] for rep in reps) for v in algebra.quiver.vertices}
     mats = {}
     for a in algebra.quiver.arrows:
-        mat = np.zeros((dims[a.source], dims[a.target]), dtype=np.int64)
-        for rep, off in zip(reps, offsets):
-            rs, rt = rep.dims[a.source], rep.dims[a.target]
-            mat[off[a.source]: off[a.source] + rs,
-                off[a.target]: off[a.target] + rt] = rep.mats[a.name]
-        mats[a.name] = mat
-    return Representation(algebra, dims, mats, check=False), offsets
+        mats[a.name] = mat = np.zeros((dims[a.source], dims[a.target]), dtype=np.int64)
+        i = j = 0
+        for rep in reps:
+            rows, cols = rep.mats[a.name].shape
+            mat[i: i + rows, j: j + cols] = rep.mats[a.name]
+            i, j = i + rows, j + cols
+    return Representation(algebra, dims, mats, check=False)
 
 
 class ModuleMap:
@@ -484,7 +480,7 @@ def presentation(M: Representation) -> Presentation:
     rad = radical_rows(M)
     generators = tuple((v, c) for v in alg.quiver.vertices
                        for c in range(M.dims[v]) if c not in rad[v][1])
-    P, _ = direct_sum([indecomposable_projective(alg, v) for v, _ in generators])
+    P = direct_sum([indecomposable_projective(alg, v) for v, _ in generators])
     acts = {v: path_action(M, v) for v in {v for v, _ in generators}}
     # row (g, q) of the cover goes to M(q) applied to generator g
     epi = ModuleMap(P, M, {w: np.concatenate([acts[v][w][:, c] for v, c in generators])
@@ -537,30 +533,28 @@ def omega_power(M: Representation, n: int) -> Representation:
 def stable_hom_dim(M: Representation, N: Representation) -> int:
     """dim Hom(M, N) minus the maps factoring through a projective.
 
-    A map through any projective lifts through the projective cover of N,
-    so the factoring subspace is the image of Hom(M, P_N) composed with
-    the cover map.  The lifts are solved for once and composed with the
-    cover as one product per vertex; no module map is formed.
+    A map through any projective lifts through the projective cover P_N,
+    so the factoring maps are the image of Hom(M, P_N), whose kernel is
+    Hom(M, Omega N) by the exact sequence 0 -> Hom(M, Omega N) ->
+    Hom(M, P_N) -> Hom(M, N).  Three Hom ranks give the answer.
     """
     dim = hom_dim(M, N)
     if not dim:
         return 0
-    P, epi = projective_cover(N)
-    lifted = _hom_system(M, P)
-    if lifted is None:
-        return dim
-    system, read = lifted
-    p = M.algebra.p
-    sols = linalg.nullspace(system, p)
-    composed = np.hstack([linalg.mat_mul(read(sols, w), epi.blocks[w], p)
-                          .reshape(len(sols), M.dims[w] * N.dims[w])
-                          for w in M.algebra.quiver.vertices])
-    return dim - linalg.rank(composed, p)
+    P, _ = projective_cover(N)
+    return dim - hom_dim(M, P) + hom_dim(M, syzygy(N))
 
 
 def ext1_dim(M: Representation, N: Representation) -> int:
-    """dim Ext^1(M, N), computed as stable Hom out of the syzygy of M."""
-    return stable_hom_dim(syzygy(M), N)
+    """dim Ext^1(M, N) over any algebra, from the exact sequence 0 ->
+    Hom(M, N) -> Hom(P_M, N) -> Hom(Omega M, N) -> Ext^1(M, N) -> 0 (as
+    Ext^1(P_M, N) = 0), with Hom(P(v), N) = N e_v for each summand of P_M.
+    """
+    dim = hom_dim(M, N)
+    if M.is_zero():
+        return 0
+    covered = sum(N.dims[v] for v, _ in presentation(M).generators)
+    return hom_dim(syzygy(M), N) - covered + dim
 
 
 # -- isomorphism testing -------------------------------------------------------------

@@ -268,6 +268,21 @@ def test_non_self_injective_spec_exits_3(tmp_path, capsys):
     assert err.startswith("error: no node matches") and len(err.splitlines()) == 1
 
 
+def test_ext_on_a_spec_that_is_not_self_injective(tmp_path, capsys):
+    # over the path algebra 0 -> 1, 0 -> S1 -> P(0) -> S0 -> 0 does not split
+    spec = {
+        "vertices": [0, 1],
+        "arrows": [{"name": "a", "from": 0, "to": 1}],
+        "rules": [],
+        "dim_bound": 3,
+    }
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "ext", "--family", "file", "--spec", str(path), "e0", "e1")
+    assert code == 0
+    assert out == "dim Ext1(e0, e1) = 1\n"
+
+
 def test_verify_reuses_the_commands_work(capsys, monkeypatch):
     # the command's AR quiver and classification sit in the algebra's
     # memo, so --verify identifies each node's syzygy only once
