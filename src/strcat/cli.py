@@ -23,8 +23,6 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import arquiver, deformation, families, homology, strings
 from .errors import BadParameter, StrcatError
 from .quiver_core import (
@@ -171,23 +169,11 @@ class Result:
     dot: str | None = None       # --format dot
 
 
-def _radical_series(rep: homology.Representation) -> list[dict[int, int]]:
-    """Composition multiplicities of each radical layer, top first."""
-    vertices = rep.algebra.quiver.vertices
-    layers = []
-    rows = {v: np.eye(rep.dims[v], dtype=np.int64) for v in vertices}
-    while any(r.shape[0] for r in rows.values()):
-        rad = {v: r for v, (r, _) in homology.radical_rows(rep, rows).items()}
-        layers.append({v: rows[v].shape[0] - rad[v].shape[0] for v in vertices})
-        rows = rad
-    return layers
-
-
 def cmd_algebra_info(args, algebra: Algebra) -> Result:
     projectives = {}
     for v in algebra.quiver.vertices:
         P = indecomposable_projective(algebra, v)
-        series = _radical_series(P)
+        series = homology.radical_series(P)
         projectives[str(v)] = {
             "dim": P.total_dim,
             "dim_vector": list(P.dim_vector()),

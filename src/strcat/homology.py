@@ -13,10 +13,13 @@ of [epi_w^T | I] gives the kernel rows and the section, minimality is one
 product against the RREF of rad P, the radical of a module whose arrow
 matrices have one nonzero entry per row is read off its columns, and a
 sub-representation reads its arrow matrices off the unit columns of its
-basis.  Dimensions come from ranks: ``hom_dim`` is the system's unknowns
-less its rank.  Hom(M, -) of 0 -> Omega N -> P_N -> N -> 0 and Hom(-, N)
-of 0 -> Omega M -> P_M -> M -> 0 make ``stable_hom_dim`` and ``ext1_dim``
-alternating sums of such dimensions.  Maps are realised as ``ModuleMap``s
+basis.  Such a module's radical series is counted off the same index
+maps, one layer of live basis vectors at a time, with no elimination;
+the maps are computed once per module and kept in its memo.  Dimensions
+come from ranks: ``hom_dim`` is the system's unknowns less its rank.
+Hom(M, -) of 0 -> Omega N -> P_N -> N -> 0 and Hom(-, N) of 0 -> Omega M
+-> P_M -> M -> 0 make ``stable_hom_dim`` and ``ext1_dim`` alternating
+sums of such dimensions.  Maps are realised as ``ModuleMap``s
 only on request, by ``hom_basis``.
 
 Canonical homomorphisms between string modules live here as well: they
@@ -133,10 +136,12 @@ class Representation:
         return indexmaps.halved(path.arrows, maps.__getitem__,
                                 lambda f, g: indexmaps.compose(f, g, p), products)
 
+    @memoized
     def _row_maps(self) -> dict | None:
         """Each arrow's matrix as an index map ``(cols, vals)`` (see
         ``strcat.indexmaps``); None when some matrix has two nonzero
-        entries in a row."""
+        entries in a row.  Computed once per module; the arrays are
+        read-only, because the memo hands them to every caller."""
         maps = {}
         for name, mat in self.mats.items():
             rows, cols = np.nonzero(mat)
@@ -147,7 +152,7 @@ class Representation:
             map_vals[rows] = mat[rows, cols]
             if np.count_nonzero(map_vals) < len(rows):  # a row held two entries
                 return None
-            maps[name] = map_cols, map_vals
+            maps[name] = _read_only(map_cols), _read_only(map_vals)
         return maps
 
     def __repr__(self) -> str:
@@ -391,14 +396,12 @@ def image_of(f: ModuleMap) -> Representation:
 # -- covers and syzygies ---------------------------------------------------------
 
 
-def radical_rows(M: Representation, rows: dict[int, np.ndarray] | None = None
-                 ) -> dict[int, tuple[np.ndarray, list[int]]]:
-    """The radical of a submodule of M, vertex by vertex.
+def radical_rows(M: Representation) -> dict[int, tuple[np.ndarray, list[int]]]:
+    """The radical of M, vertex by vertex.
 
-    The submodule is spanned by ``rows`` (all of M when omitted); its
-    radical at v is spanned by the images of its vectors under the arrows
-    into v.  Each vertex gets a basis of that span in reduced row echelon
-    form together with its pivot columns.
+    The radical at v is spanned by the images of M under the arrows into v.
+    Each vertex gets a basis of that span in reduced row echelon form
+    together with its pivot columns.
 
     When every arrow matrix of M has at most one nonzero entry per row (see
     ``Representation._row_maps``), as for string modules, projectives and
@@ -409,7 +412,7 @@ def radical_rows(M: Representation, rows: dict[int, np.ndarray] | None = None
     """
     alg = M.algebra
     p = alg.p
-    maps = M._row_maps() if rows is None else None
+    maps = M._row_maps()
     out = {}
     for v in alg.quiver.vertices:
         into = alg.quiver.arrows_into(v)
@@ -421,9 +424,7 @@ def radical_rows(M: Representation, rows: dict[int, np.ndarray] | None = None
             pivots = hit.nonzero()[0]
             out[v] = (np.eye(M.dims[v], dtype=np.int64)[pivots], pivots.tolist())
             continue
-        moved = [M.mats[a.name] if rows is None
-                 else linalg.mat_mul(rows[a.source], M.mats[a.name], p)
-                 for a in into]
+        moved = [M.mats[a.name] for a in into]
         stacked = np.vstack(moved) if moved else np.zeros((0, M.dims[v]), dtype=np.int64)
         if stacked.size:
             reduced, pivots = linalg.rref(stacked, p)
@@ -431,6 +432,36 @@ def radical_rows(M: Representation, rows: dict[int, np.ndarray] | None = None
         else:
             out[v] = (np.zeros((0, M.dims[v]), dtype=np.int64), [])
     return out
+
+
+def radical_series(M: Representation) -> list[dict[int, int]]:
+    """The multiplicity of each simple in each radical layer of M, top
+    first, for a module whose arrow matrices have at most one nonzero entry
+    per row (see ``Representation._row_maps``).
+
+    Each radical power rad^i M is then spanned by basis vectors: rad^0 M by
+    all of them, and rad^(i+1) M by those that the arrow maps send the
+    vectors of rad^i M to with a nonzero value, since the images of a
+    submodule under the arrows span its radical.  So every layer is a
+    count of live basis vectors, with no elimination.
+    """
+    maps = M._row_maps()
+    if maps is None:
+        raise StrcatError("the radical series needs arrow matrices with at most "
+                          "one nonzero entry per row")
+    quiver = M.algebra.quiver
+    live = {v: np.ones(M.dims[v], dtype=bool) for v in quiver.vertices}
+    layers = []
+    while any(mask.any() for mask in live.values()):
+        rad = {v: np.zeros(M.dims[v], dtype=bool) for v in quiver.vertices}
+        for a in quiver.arrows:
+            cols, vals = maps[a.name]
+            rad[a.target][cols[:-1][live[a.source] & (vals[:-1] != 0)]] = True
+        layers.append({v: int(live[v].sum() - rad[v].sum()) for v in quiver.vertices})
+        if not any(layers[-1].values()):
+            raise StrcatError("the arrows do not act nilpotently on this module")
+        live = rad
+    return layers
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,15 @@ its socle; the resulting string modules are exactly the non-projective
 indecomposables of the algebras this package builds, and they are genuine
 modules over the full algebra (checked on construction).
 
+Being a string is a local condition (Butler and Ringel, Comm. Algebra 15,
+1987): consecutive letters compose and do not cancel, and no run of
+direct letters, nor of inverse ones, contains a socle rule.  The
+enumeration and the hook and cohook moves grow strings one letter at a
+time at the start, and ``_extend`` checks only what the new letter can
+break, in O(rules * longest rule) whatever the length of the word.
+``is_string`` checks a whole word, and stays the check on words from
+outside: ``string_module``, ``canonical_homs`` and ``class_moves``.
+
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
 ``b,r~,a``; trivial words print as ``e0``, ``e1``.
 
@@ -164,14 +173,33 @@ def is_string(word: StringWord, algebra: Algebra) -> bool:
 
 
 def _extend(word: StringWord, letter: Letter, algebra: Algebra) -> StringWord | None:
+    """``letter`` followed by ``word`` when that is a string, else None.
+
+    ``word`` must already be a string: only what the new letter can break
+    is checked.  The letter must end where the word starts and must not
+    undo the word's first letter, and no socle rule may match a window of
+    the new first run that holds the new letter.  A direct run reads its
+    arrows in order, so that window is the first k names; an inverse run
+    reads them backwards, so it is the reversed first k.  The cost is
+    O(rules * longest rule), whatever the length of the word.
+    """
     if word.is_trivial:
-        # the walk carries no letters, so check composability here
         if letter_target(algebra.quiver, letter) != word.vertex:
             return None
-        new = StringWord((letter,))
     else:
-        new = StringWord((letter,) + word.letters)
-    return new if is_string(new, algebra) else None
+        first = word.letters[0]
+        if letter_target(algebra.quiver, letter) != letter_source(algebra.quiver, first):
+            return None
+        if letter == first.flipped():
+            return None
+    letters = (letter,) + word.letters
+    for rule in algebra.socle_rules:
+        window = letters[:rule.length]
+        if len(window) == rule.length and all(l.inverse == letter.inverse for l in window):
+            names = tuple(l.arrow for l in (reversed(window) if letter.inverse else window))
+            if names == rule.arrows:
+                return None
+    return StringWord(letters)
 
 
 @memoized
@@ -195,13 +223,9 @@ def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[
         length += 1
         nxt = []
         for w in frontier:
-            start = word_vertices(quiver, w)[0]
             for a in quiver.arrows:
                 for inv in (False, True):
-                    l = Letter(a.name, inv)
-                    if letter_target(quiver, l) != start:
-                        continue
-                    got = _extend(w, l, algebra)
+                    got = _extend(w, Letter(a.name, inv), algebra)
                     if got is not None:
                         nxt.append(got)
         if nxt and length >= length_cap:
@@ -262,7 +286,9 @@ def extensions_at_start(word: StringWord, algebra: Algebra, hook: bool) -> list[
     """Hook extensions D~ g w, whose junction arrow g points into the old
     part, so the old module embeds into the new one; or, with ``hook``
     false, cohook extensions D g~ w, whose junction points away from the
-    old part, so the new module projects onto the old one."""
+    old part, so the new module projects onto the old one.
+
+    ``word`` must be a string, as for ``_extend``."""
     out = []
     for a in algebra.quiver.arrows:
         first = _extend(word, Letter(a.name, not hook), algebra)
@@ -275,8 +301,11 @@ def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, St
     """All one-step moves of the class: (source, target, kind) triples.
 
     Hook moves give an arrow from the word to its extension; cohook moves
-    give an arrow from the extension to the word.
+    give an arrow from the extension to the word.  A word that is not a
+    string has no moves.
     """
+    if not is_string(word, algebra):
+        return []
     quiver = algebra.quiver
     node = canonical(word, quiver)
     seen = set()

@@ -13,6 +13,10 @@ import numpy as np
 
 ORACLE_PRIME = 2147483647  # 2^31 - 1
 
+# (family, m) of the algebras on which the tests compare each computation
+# with its oracle
+ORACLE_CASES = [("ae1", 3), ("ae1", 6), ("ae2", 2), ("ae2", 3), ("ae3", 3), ("ae3", 5)]
+
 
 def all_paths(vertices, arrows, max_len):
     """Composable arrow-name sequences up to max_len, with endpoints."""

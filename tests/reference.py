@@ -13,6 +13,7 @@ from strcat.homology import (
     radical_rows,
 )
 from strcat.quiver_core import Path, path_key, projective_paths
+from strcat.strings import StringWord, is_string, letter_target
 
 
 def top_dims(M):
@@ -72,6 +73,35 @@ def eliminated_radical_rows(M):
         reduced, pivots = linalg.rref(stacked, alg.p)
         out[v] = reduced[: len(pivots)], pivots
     return out
+
+
+def eliminated_radical_series(M):
+    """``radical_series(M)`` by elimination alone: rad^(i+1) M is the row
+    space of the images of rad^i M under the arrows into each vertex,
+    brought to reduced row echelon form by ``gauss_rref``; each layer
+    counts the rows lost."""
+    alg = M.algebra
+    rows = {v: np.eye(M.dims[v], dtype=np.int64) for v in alg.quiver.vertices}
+    layers = []
+    while any(len(r) for r in rows.values()):
+        rad = {}
+        for v in alg.quiver.vertices:
+            moved = [row for a in alg.quiver.arrows_into(v)
+                     for row in (rows[a.source] @ M.mats[a.name] % alg.p).tolist()]
+            reduced, pivots = gauss_rref(moved, alg.p)
+            rad[v] = np.array(reduced[:len(pivots)], dtype=np.int64).reshape(len(pivots), M.dims[v])
+        layers.append({v: len(rows[v]) - len(rad[v]) for v in alg.quiver.vertices})
+        rows = rad
+    return layers
+
+
+def rescanned_extension(word, letter, algebra):
+    """``letter`` followed by ``word`` when that walk is a string, judged by
+    ``is_string`` on the whole new word; None otherwise."""
+    if word.is_trivial and letter_target(algebra.quiver, letter) != word.vertex:
+        return None
+    new = StringWord((letter,) + word.letters)
+    return new if is_string(new, algebra) else None
 
 
 def solved_subrep(parent, rows):

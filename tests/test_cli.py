@@ -26,6 +26,24 @@ def test_algebra_info_radical_series(capsys):
     assert "P(0): dim 4, radical series S0 | S0 | S0 | S0" in out
 
 
+def test_algebra_info_eliminates_nothing(capsys, monkeypatch):
+    # the projectives' arrow matrices have one nonzero entry per row, so
+    # their radical layers are counted off index maps
+    from strcat import linalg
+
+    calls = []
+    rref = linalg.rref
+
+    def counted_rref(mat, p):
+        calls.append(mat.shape)
+        return rref(mat, p)
+
+    monkeypatch.setattr(linalg, "rref", counted_rref)
+    code, out, _ = run(capsys, "algebra", "info", "--family", "ae3", "--m", "16")
+    assert code == 0 and "P(0): dim" in out
+    assert not calls
+
+
 def test_strings_listing(capsys):
     code, out, _ = run(capsys, "strings", "--family", "ae2", "--m", "2",
                        "--format", "json")

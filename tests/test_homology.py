@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from strcat import (
     AlgebraMismatch,
@@ -34,19 +35,23 @@ from strcat import (
     syzygy,
 )
 from strcat import homology, indexmaps, linalg
+from strcat.families import get as get_family
 from strcat.homology import (
     ModuleMap,
     direct_sum,
     identity_map,
     presentation,
     radical_rows,
+    radical_series,
 )
 from strcat.linalg import rank
 from strcat.quiver_core import DEFAULT_PRIME, load_algebra_spec, make_path
 
+from .oracles import ORACLE_CASES
 from .reference import (
     composed_stable_hom_dim,
     eliminated_radical_rows,
+    eliminated_radical_series,
     first_failing_rule,
     flat_map,
     folded_path_matrix,
@@ -56,6 +61,7 @@ from .reference import (
     solved_subrep,
     top_dims,
 )
+from .test_quiver_core import built_or_skipped, small_specs
 from .test_strings import random_strings
 
 
@@ -94,9 +100,6 @@ def oracle_modules(family, m, p=DEFAULT_PRIME):
     strings = [string_module(A, w) for w in enumerate_strings(A)]
     projectives = [indecomposable_projective(A, v) for v in A.quiver.vertices]
     return A, strings + projectives + [syzygy(M) for M in strings]
-
-
-ORACLE_CASES = [("ae1", 3), ("ae1", 6), ("ae2", 2), ("ae2", 3), ("ae3", 3), ("ae3", 5)]
 
 
 @pytest.mark.parametrize("family,m", ORACLE_CASES)
@@ -282,6 +285,55 @@ def test_a_monomial_presentation_eliminates_once_per_vertex(family, m, monkeypat
         assert not calls, M
 
 
+def assert_radical_series_match_an_elimination(A):
+    for v in A.quiver.vertices:
+        P = indecomposable_projective(A, v)
+        series = radical_series(P)
+        assert series == eliminated_radical_series(P), v
+        assert sum(sum(layer.values()) for layer in series) == P.total_dim
+
+
+@pytest.mark.parametrize("family,m,p", [(family, m, p) for family in ("ae1", "ae2", "ae3")
+                                        for m in range(get_family(family).m_min, 9)
+                                        for p in (2, 3, DEFAULT_PRIME)])
+def test_radical_series_of_projectives_match_an_elimination(family, m, p):
+    # each layer read off the live basis vectors equals the layer that
+    # elimination of the radical powers gives
+    assert_radical_series_match_an_elimination(build_family(family, m, p))
+
+
+@given(spec=small_specs(), p=st.sampled_from([2, 3, DEFAULT_PRIME]))
+def test_radical_series_of_random_projectives_match_an_elimination(spec, p):
+    assert_radical_series_match_an_elimination(built_or_skipped({**spec, "prime": p}))
+
+
+def test_radical_series_needs_a_monomial_module():
+    A = ae3(5)
+    M = max((string_module(A, w) for w in enumerate_strings(A)), key=lambda M: M.dims[0])
+    N = changed_basis(M)
+    assert N._row_maps() is None
+    with pytest.raises(StrcatError, match="one nonzero entry per row"):
+        radical_series(N)
+
+
+def test_radical_series_rejects_arrows_that_do_not_act_nilpotently():
+    # the identity on the loop a of ae1 satisfies no relation of the
+    # algebra, and its radical never shrinks
+    A = ae1(2)
+    M = Representation(A, {0: 1}, {"a": np.eye(1, dtype=np.int64)}, check=False)
+    with pytest.raises(StrcatError, match="nilpotently"):
+        radical_series(M)
+
+
+def test_row_maps_are_computed_once_and_read_only():
+    A = ae3(5)
+    P = indecomposable_projective(A, 0)
+    maps = P._row_maps()
+    assert P._row_maps() is maps
+    for cols, vals in maps.values():
+        assert not cols.flags.writeable and not vals.flags.writeable
+
+
 def test_a_cover_map_that_misses_a_vertex_is_not_surjective(monkeypatch):
     # a radical that claims the top of S1 leaves P(0) as the cover of
     # S0 + S1, which is onto at vertex 0 and zero at vertex 1
@@ -289,8 +341,8 @@ def test_a_cover_map_that_misses_a_vertex_is_not_surjective(monkeypatch):
     M = direct_sum([string_module(A, empty_word(v)) for v in (0, 1)])
     real = homology.radical_rows
 
-    def claims_the_top_of_s1(rep, rows=None):
-        out = real(rep, rows)
+    def claims_the_top_of_s1(rep):
+        out = real(rep)
         if rep is M:
             out[1] = (np.eye(1, dtype=np.int64), [0])
         return out
@@ -307,8 +359,8 @@ def test_a_kernel_outside_the_cover_radical_is_rejected(monkeypatch):
     M = string_module(A, empty_word(0))
     real = homology.radical_rows
 
-    def no_cover_radical(rep, rows=None):
-        out = real(rep, rows)
+    def no_cover_radical(rep):
+        out = real(rep)
         if rep is not M:
             out = {v: (rad[:0], []) for v, (rad, _) in out.items()}
         return out

@@ -27,17 +27,23 @@ from strcat import (
     string_module,
     word_vertices,
 )
+from strcat import strings
 from strcat.families import get as get_family
+from strcat.quiver_core import DEFAULT_PRIME
 from strcat.strings import (
     Letter,
     StringWord,
+    _extend,
+    class_moves,
     extensions_at_start,
     family_node_names,
     letter_source,
     word_key,
 )
 
-from .reference import socle_dims, top_dims
+from .oracles import ORACLE_CASES
+from .reference import rescanned_extension, socle_dims, top_dims
+from .test_quiver_core import built_or_skipped, small_specs
 
 
 class OnPeak(StrcatError):
@@ -266,9 +272,6 @@ def test_hook_cohook_web_connects_every_string_to_a_simple(family, m):
     # a trivial string; the nested inverse-loop strings of ae3 only occur
     # as bases of moves, never as extensions, so the web is traversed in
     # both roles
-    from strcat import build_family
-    from strcat.strings import class_moves
-
     A = build_family(family, m)
     nodes = set(enumerate_strings(A))
     neighbors = {w: set() for w in nodes}
@@ -287,6 +290,60 @@ def test_hook_cohook_web_connects_every_string_to_a_simple(family, m):
                     nxt.append(got)
         frontier = nxt
     assert reached == nodes
+
+
+def all_letters(algebra):
+    return [Letter(a.name, inverse) for a in algebra.quiver.arrows for inverse in (False, True)]
+
+
+def assert_extension_matches_a_rescan(algebra, longest):
+    """On every string of length at most ``longest``, in both orientations
+    and grown by ``rescanned_extension``, prepending any letter by
+    ``_extend`` gives what a whole-word ``is_string`` check gives."""
+    level = [empty_word(v) for v in algebra.quiver.vertices]
+    for _ in range(longest + 1):
+        longer = []
+        for w in level:
+            for letter in all_letters(algebra):
+                want = rescanned_extension(w, letter, algebra)
+                assert _extend(w, letter, algebra) == want, (str(w), str(letter))
+                if want is not None:
+                    longer.append(want)
+        level = longer
+
+
+@pytest.mark.parametrize("family,m,p", [(family, m, p) for family, m in ORACLE_CASES
+                                        for p in (2, 3, DEFAULT_PRIME)])
+def test_extension_checks_only_the_new_letter(family, m, p):
+    A = build_family(family, m, p)
+    longest = max(w.length for w in enumerate_strings(A))
+    assert_extension_matches_a_rescan(A, longest + 1)
+
+
+@given(spec=small_specs(), p=st.sampled_from([2, 3, DEFAULT_PRIME]))
+def test_extension_of_random_strings_checks_only_the_new_letter(spec, p):
+    assert_extension_matches_a_rescan(built_or_skipped({**spec, "prime": p}), 4)
+
+
+def test_enumeration_never_rescans_a_word(monkeypatch):
+    calls = []
+    real = strings.is_string
+
+    def counted(word, algebra):
+        calls.append(word)
+        return real(word, algebra)
+
+    monkeypatch.setattr(strings, "is_string", counted)
+    assert max(w.length for w in enumerate_strings(build_family("ae3", 16))) > 1
+    assert not calls
+
+
+def test_a_word_that_is_not_a_string_has_no_moves():
+    A = ae3(3)
+    for text in ("b,r", "a,a~", "r~,b~"):
+        word = lit(text, A)
+        assert not is_string(word, A)
+        assert class_moves(A, word) == []
 
 
 def test_named_string_words():
