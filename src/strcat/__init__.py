@@ -36,7 +36,6 @@ from .homology import (
     image_of,
     is_isomorphic,
     kernel_of,
-    omega_power,
     projective_cover,
     realize_canonical,
     stable_hom_dim,

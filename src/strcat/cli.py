@@ -9,8 +9,14 @@ Exit codes: 0 success, 2 bad flags or input (an unreadable ``--spec``, an
 unwritable ``--out``, a ``--seed`` or ``STRCAT_SEED`` that is not an
 integer >= 0, a ``--prime`` or spec prime that is composite or above
 ``MAX_PRIME``, an ``--m`` outside its family's range, a ``--n`` or
-``--length-cap`` below 1), 3 computation error, 4 verification failure
-under ``--verify``.
+``--length-cap`` below 1, a spec whose prime, ``dim_bound`` or rule
+coefficient is not an integer, whose ``dim_bound`` lies outside
+1..``MAX_DIM``, or whose quiver or rules cannot be built), 3 computation
+error, 4 verification failure under ``--verify``.
+
+``syzygy --n`` takes at most as many syzygies as the algebra has strings,
+whatever n: a zero syzygy ends the walk, and so does the first power
+isomorphic to the module, after which n is taken mod that period.
 """
 
 from __future__ import annotations
@@ -227,9 +233,32 @@ def _pair_command(args, algebra: Algebra, compute, label: str) -> Result:
                   f"dim {label}({args.source}, {args.target}) = {dim}\n")
 
 
+def _omega_power(algebra: Algebra, M, n: int, length_cap):
+    """Omega^n M up to isomorphism, from at most n syzygies and at most as
+    many as the algebra has strings.
+
+    A zero syzygy stays zero, and once Omega^k M is isomorphic to M for
+    some k < n, Omega^n M is Omega^(n mod k) M.  On a self-injective
+    algebra Omega permutes the strings, so one of the two happens within
+    that many steps; when neither does, the algebra is not self-injective
+    and the walk raises."""
+    powers = [M]
+    for k in range(1, n + 1):
+        rep = homology.syzygy(powers[-1])
+        if k == n or rep.is_zero():
+            return rep
+        if homology.is_isomorphic(rep, M):
+            return powers[n % k]
+        if k >= len(strings.enumerate_strings(algebra, length_cap)):
+            raise StrcatError(f"Omega^{k} of the module is neither zero nor isomorphic "
+                              "to it; the algebra is not self-injective")
+        powers.append(rep)
+
+
 def cmd_syzygy(args, algebra: Algebra) -> Result:
     w = _resolve_module(args, algebra, args.module)
-    rep = homology.omega_power(strings.string_module(algebra, w), args.n)
+    rep = _omega_power(algebra, strings.string_module(algebra, w), args.n,
+                       args.length_cap)
     iso_name = None
     if not rep.is_zero():
         nodes = strings.enumerate_strings(algebra, args.length_cap)

@@ -12,7 +12,8 @@ class BadPrime(StrcatError, ValueError):
 
 class BadParameter(StrcatError, ValueError):
     """A built-in family's ``m`` is below its least value or gives an
-    algebra above ``families.MAX_DIM``; bad input like BadPrime."""
+    algebra above ``quiver_core.MAX_DIM``, or an algebra spec's quiver,
+    rules, prime or ``dim_bound`` are malformed; bad input like BadPrime."""
 
 
 class DimensionBoundExceeded(StrcatError):

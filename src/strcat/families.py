@@ -21,17 +21,7 @@ import numpy as np
 
 from .errors import BadParameter, StrcatError
 from .homology import ModuleMap, Representation
-from .quiver_core import Algebra, ae1, ae2, ae3, indecomposable_projective
-
-
-# No built-in algebra may exceed this dimension.  The largest in use, ae2
-# at m = 32, has dimension 130.  On a 2-vCPU Xeon, building ae1 takes
-# 0.008 s at dimension 129, 0.02 s at 257, 0.04 s at 512 and 0.14 s at 1024
-# (ae2 0.08 s and ae3 0.18 s at 1024), of which the act-table certificate
-# is 0.6 ms at dimension 129 and 7-14 ms at 1024; above a few hundred,
-# most of a build is sorting the basis into the path order.  The cap
-# refuses a runaway ``m`` before any time or memory is spent on it.
-MAX_DIM = 1024
+from .quiver_core import MAX_DIM, Algebra, ae1, ae2, ae3, indecomposable_projective
 
 
 @dataclass(frozen=True)

@@ -24,13 +24,16 @@ only on request, by ``hom_basis``.
 
 Canonical homomorphisms between string modules live here as well: they
 are the combinatorial oracle for Hom dimensions, counted from substring
-cuts and realized as explicit projection-then-inclusion matrices.
+cuts and realized as explicit projection-then-inclusion matrices.  A cut
+pairs a quotient window of the source word, read as given, with an equal
+submodule window of the target word read either way; reversing both
+words would only reverse the cut and keep its matrix.  Its 1s are placed
+by ``strings.word_layout``, the numbering ``string_module`` builds on.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
@@ -549,15 +552,6 @@ def syzygy(M: Representation) -> Representation:
     return _induced_subrep(pres.cover, pres.kernel, pres.free)
 
 
-def omega_power(M: Representation, n: int) -> Representation:
-    if n < 1:
-        raise StrcatError("omega_power needs n >= 1")
-    out = M
-    for _ in range(n):
-        out = syzygy(out)
-    return out
-
-
 # -- stable Hom and Ext ------------------------------------------------------------
 
 
@@ -615,53 +609,38 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
 class CanonicalHom:
     """A substring cut realizing a projection-then-inclusion map.
 
-    The common substring sits at ``source_pos`` in the chosen orientation
-    of the source word and at ``target_pos`` in the chosen orientation of
-    the target word; flips record which orientations were used.
+    The common substring sits at ``source_pos`` in the source word and at
+    ``target_pos`` in the target word, read backwards when ``target_flip``.
     """
 
     algebra: object
     source: object
     target: object
-    source_flip: bool
     target_flip: bool
     source_pos: int
     target_pos: int
     length: int
 
 
-def _cuts(word, quotient: bool) -> list[tuple[int, int]]:
-    """Windows (pos, length) of ``word`` that are a quotient of its module
-    (inverse letter before the window, direct letter after) or, with
-    ``quotient`` false, a submodule (direct letter before, inverse after)."""
-    n = word.length
+def _cuts(letters, quotient: bool) -> list[tuple[int, int]]:
+    """Windows (pos, length) of the word with these letters that are a
+    quotient of its module (inverse letter before, direct letter after) or,
+    with ``quotient`` false, a submodule (direct before, inverse after)."""
+    n = len(letters)
     return [(pos, length) for pos in range(n + 1)
-            if pos == 0 or word.letters[pos - 1].inverse == quotient
+            if pos == 0 or letters[pos - 1].inverse == quotient
             for length in range(n + 1 - pos)
-            if pos + length == n or word.letters[pos + length].inverse != quotient]
-
-
-def _layout(algebra, word) -> tuple[list[int], list[int]]:
-    """The vertex at each position of ``word`` and the index of that
-    position's basis vector among the module's vectors at the vertex."""
-    from .strings import word_vertices
-
-    verts = word_vertices(algebra.quiver, word)
-    local, seen = [], {}
-    for v in verts:
-        local.append(seen.get(v, 0))
-        seen[v] = local[-1] + 1
-    return verts, local
+            if pos + length == n or letters[pos + length].inverse != quotient]
 
 
 def _entries(ch: CanonicalHom, source, target) -> frozenset[tuple[int, int, int]]:
     """(vertex, source index, target index) of each 1 in the matrix of
-    ``ch``, given the ``_layout`` of its source and target words."""
+    ``ch``, given the ``word_layout`` of its source and target words."""
     (verts_s, local_s), (verts_t, local_t) = source, target
-    ns, nt = len(verts_s) - 1, len(verts_t) - 1
+    nt = len(verts_t) - 1
     out = []
     for k in range(ch.length + 1):
-        j_s = (ns - (ch.source_pos + k)) if ch.source_flip else ch.source_pos + k
+        j_s = ch.source_pos + k
         j_t = (nt - (ch.target_pos + k)) if ch.target_flip else ch.target_pos + k
         if verts_t[j_t] != verts_s[j_s]:
             raise StrcatError("cut does not align vertexwise")
@@ -672,37 +651,33 @@ def _entries(ch: CanonicalHom, source, target) -> frozenset[tuple[int, int, int]
 def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
     """All canonical homomorphisms M[S] -> M[T], one per distinct map.
 
-    Cuts agreeing only up to orientation flips realize the same matrix and
-    are reported once; two cuts give the same matrix exactly when they put
-    their 1s in the same entries.  The count equals dim Hom(M[S], M[T]).
+    Reversing both words reverses a cut and keeps its matrix, so S is read
+    as given and T both ways.  Two cuts give the same matrix exactly when
+    they put their 1s in the same entries; each matrix is reported once.
+    The count equals dim Hom(M[S], M[T]).
     """
-    from .strings import is_string, subword, word_vertices
+    from .strings import is_string, word_layout
 
     for w in (S, T):
         if not is_string(w, algebra):
             raise StrcatError(f"{w} is not a string over this algebra")
-    source, target = _layout(algebra, S), _layout(algebra, T)
+    source, target = word_layout(algebra.quiver, S), word_layout(algebra.quiver, T)
+    s_cuts = _cuts(S.letters, quotient=True)
     out: list[CanonicalHom] = []
     seen: set[frozenset] = set()
-    for s_flip, t_flip in itertools.product((False, True), repeat=2):
-        ws = S.inverse() if s_flip else S
-        wt = T.inverse() if t_flip else T
-        vs = word_vertices(algebra.quiver, ws)
-        vt = word_vertices(algebra.quiver, wt)
-        s_cuts = _cuts(ws, quotient=True)
-        t_cuts = _cuts(wt, quotient=False)
-        by_len: dict[int, list[tuple[int, int]]] = {}
-        for cut in t_cuts:
-            by_len.setdefault(cut[1], []).append(cut)
+    for t_flip in (False, True):
+        lt = T.inverse().letters if t_flip else T.letters
+        vt = target[0][::-1] if t_flip else target[0]
+        by_len: dict[int, list[int]] = {}
+        for tpos, length in _cuts(lt, quotient=False):
+            by_len.setdefault(length, []).append(tpos)
         for spos, length in s_cuts:
-            piece = subword(ws, spos, length) if length else None
-            for tpos, _ in by_len.get(length, []):
-                if length == 0:
-                    if vs[spos] != vt[tpos]:
-                        continue
-                elif subword(wt, tpos, length) != piece:
+            piece = S.letters[spos: spos + length]
+            for tpos in by_len.get(length, []):
+                # an empty cut matches on its vertex alone
+                if vt[tpos] != source[0][spos] or lt[tpos: tpos + length] != piece:
                     continue
-                ch = CanonicalHom(algebra, S, T, s_flip, t_flip, spos, tpos, length)
+                ch = CanonicalHom(algebra, S, T, t_flip, spos, tpos, length)
                 key = _entries(ch, source, target)
                 if key not in seen:
                     seen.add(key)
@@ -712,13 +687,15 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
 
 def realize_canonical(ch: CanonicalHom) -> ModuleMap:
     """The explicit matrix of a canonical homomorphism."""
-    from .strings import string_module
+    from .strings import string_module, word_layout
 
     algebra = ch.algebra
     M = string_module(algebra, ch.source)
     N = string_module(algebra, ch.target)
     blocks = {v: np.zeros((M.dims[v], N.dims[v]), dtype=np.int64)
               for v in algebra.quiver.vertices}
-    for v, i, j in _entries(ch, _layout(algebra, ch.source), _layout(algebra, ch.target)):
+    layouts = (word_layout(algebra.quiver, ch.source),
+               word_layout(algebra.quiver, ch.target))
+    for v, i, j in _entries(ch, *layouts):
         blocks[v][i, j] = 1
     return ModuleMap(M, N, blocks)

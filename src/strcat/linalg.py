@@ -58,13 +58,7 @@ def rank(mat, p: int) -> int:
 
 def nullspace(mat, p: int) -> np.ndarray:
     """Rows spanning {v : mat @ v == 0} over F_p."""
-    m = as_field(mat, p)
-    rows, cols = m.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    if rows == 0:
-        return np.eye(cols, dtype=np.int64)
-    return kernel_rows(*rref(m, p), p)[0]
+    return kernel_rows(*rref(mat, p), p)[0]
 
 
 def kernel_rows(reduced: np.ndarray, pivots: list[int], p: int) -> tuple[np.ndarray, np.ndarray]:

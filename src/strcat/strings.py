@@ -25,6 +25,7 @@ index ranges and their words are part of the family's record in
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,10 +110,16 @@ def word_vertices(quiver: Quiver, word: StringWord) -> list[int]:
     return verts
 
 
-def subword(word: StringWord, pos: int, length: int) -> StringWord:
-    if length < 1:
-        raise StrcatError("subword needs length >= 1; empties carry a vertex")
-    return StringWord(word.letters[pos: pos + length])
+def word_layout(quiver: Quiver, word: StringWord) -> tuple[list[int], list[int]]:
+    """The vertex at each position of the walk, and the index of that
+    position's basis vector among the string module's vectors at the
+    vertex."""
+    verts = word_vertices(quiver, word)
+    local, seen = [], Counter()
+    for v in verts:
+        local.append(seen[v])
+        seen[v] += 1
+    return verts, local
 
 
 def word_key(quiver: Quiver, word: StringWord) -> tuple:
@@ -246,12 +253,8 @@ def string_module(algebra: Algebra, word: StringWord) -> homology.Representation
     if not is_string(word, algebra):
         raise NotAString(f"{word} is not a string over this algebra")
     quiver = algebra.quiver
-    verts = word_vertices(quiver, word)
-    local: list[int] = []
-    counts = {v: 0 for v in quiver.vertices}
-    for v in verts:
-        local.append(counts[v])
-        counts[v] += 1
+    verts, local = word_layout(quiver, word)
+    counts = Counter(verts)
     mats = {a.name: np.zeros((counts[a.source], counts[a.target]), dtype=np.int64)
             for a in quiver.arrows}
     for j, l in enumerate(word.letters):

@@ -1,6 +1,8 @@
 """Module invariants and plain linear-algebra oracles that only the tests
 read."""
 
+import itertools
+
 import numpy as np
 
 from strcat import linalg
@@ -11,9 +13,10 @@ from strcat.homology import (
     hom_basis,
     projective_cover,
     radical_rows,
+    syzygy,
 )
 from strcat.quiver_core import Path, path_key, projective_paths
-from strcat.strings import StringWord, is_string, letter_target
+from strcat.strings import StringWord, is_string, letter_target, word_layout
 
 
 def top_dims(M):
@@ -393,3 +396,62 @@ def first_bad_triple(index, coeff, p):
                 if left != right:
                     return i, j, k
     return None
+
+
+def omega_power(M, n):
+    """Omega^n M, from n syzygies in a row."""
+    for _ in range(n):
+        M = syzygy(M)
+    return M
+
+
+def four_orientation_canonical_homs(algebra, S, T):
+    """Canonical homomorphisms M[S] -> M[T] searched over all four
+    orientation pairs (S or its inverse) x (T or its inverse), as records
+    (source_flip, target_flip, source_pos, target_pos, length), one per
+    distinct matrix, in search order.  Cuts are compared as subwords of
+    the flipped words, and a record's matrix is keyed by the entries of
+    its 1s in the layouts of S and T."""
+    def cuts(word, quotient):
+        n = word.length
+        return [(pos, length) for pos in range(n + 1)
+                if pos == 0 or word.letters[pos - 1].inverse == quotient
+                for length in range(n + 1 - pos)
+                if pos + length == n or word.letters[pos + length].inverse != quotient]
+
+    (verts_s, local_s) = word_layout(algebra.quiver, S)
+    (verts_t, local_t) = word_layout(algebra.quiver, T)
+    ns, nt = len(verts_s) - 1, len(verts_t) - 1
+
+    def entries(s_flip, t_flip, spos, tpos, length):
+        out = []
+        for k in range(length + 1):
+            j_s = (ns - (spos + k)) if s_flip else spos + k
+            j_t = (nt - (tpos + k)) if t_flip else tpos + k
+            assert verts_t[j_t] == verts_s[j_s], "cut does not align vertexwise"
+            out.append((verts_s[j_s], local_s[j_s], local_t[j_t]))
+        return frozenset(out)
+
+    out, seen = [], set()
+    for s_flip, t_flip in itertools.product((False, True), repeat=2):
+        ws = S.inverse() if s_flip else S
+        wt = T.inverse() if t_flip else T
+        vs = verts_s[::-1] if s_flip else verts_s
+        vt = verts_t[::-1] if t_flip else verts_t
+        by_len = {}
+        for cut in cuts(wt, quotient=False):
+            by_len.setdefault(cut[1], []).append(cut)
+        for spos, length in cuts(ws, quotient=True):
+            piece = StringWord(ws.letters[spos: spos + length]) if length else None
+            for tpos, _ in by_len.get(length, []):
+                if length == 0:
+                    if vs[spos] != vt[tpos]:
+                        continue
+                elif StringWord(wt.letters[tpos: tpos + length]) != piece:
+                    continue
+                record = (s_flip, t_flip, spos, tpos, length)
+                key = entries(*record)
+                if key not in seen:
+                    seen.add(key)
+                    out.append(record)
+    return out

@@ -18,7 +18,6 @@ from strcat import (
     hom_dim,
     indecomposable_projective,
     is_isomorphic,
-    omega_power,
     realize_canonical,
     stable_hom_dim,
     string_module,
@@ -29,7 +28,7 @@ from strcat.linalg import rank
 from strcat.strings import family_node_names
 
 from .oracles import family_dimension
-from .reference import flat_map
+from .reference import flat_map, omega_power
 from .test_arquiver import expected_edges, expected_tau
 
 

@@ -13,13 +13,14 @@ from strcat import (
     is_isomorphic,
     named_string,
     omega_orbit,
-    omega_power,
     string_module,
     to_dot,
 )
 from strcat import strings
 from strcat.deformation import verify_classification
 from strcat.strings import family_node_names
+
+from .reference import omega_power
 
 
 def expected_edges(family, m):

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from strcat import cli, families
+from strcat import cli, families, homology, quiver_core
 
 
 def run(capsys, *argv):
@@ -153,16 +153,19 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     assert err
 
 
+# a well-formed spec; each malformed one below changes one of its keys
+LOOP_SPEC = {
+    "vertices": [0],
+    "arrows": [{"name": "a", "from": 0, "to": 0}],
+    "rules": [{"lhs": ["a", "a", "a"], "rhs": None}],
+    "prime": 32003,
+    "dim_bound": 3,
+}
+
+
 def test_file_algebra_path(tmp_path, capsys):
-    spec = {
-        "vertices": [0],
-        "arrows": [{"name": "a", "from": 0, "to": 0}],
-        "rules": [{"lhs": ["a", "a", "a"], "rhs": None}],
-        "prime": 32003,
-        "dim_bound": 3,
-    }
     path = tmp_path / "alg.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(LOOP_SPEC))
     code, out, _ = run(capsys, "algebra", "info", "--family", "file",
                        "--spec", str(path))
     assert code == 0 and "dim: 3" in out
@@ -261,6 +264,50 @@ def test_bad_spec_file_exits_2(tmp_path, capsys, content):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("change,stage", [
+    ({"dim_bound": 0}, "bound"),
+    ({"dim_bound": -3}, "bound"),
+    ({"dim_bound": quiver_core.MAX_DIM + 1}, "bound"),
+    ({"dim_bound": 16000}, "bound"),
+    ({"dim_bound": True}, "type"),
+    ({"dim_bound": 1.5}, "type"),
+    ({"prime": 3.7}, "type"),
+    ({"prime": True}, "type"),
+    ({"rules": [{"lhs": ["a", "a", "a"], "rhs": {"coeff": 1.5, "path": ["a"]}}]}, "type"),
+    ({"rules": [{"lhs": ["z"], "rhs": None}]}, "build"),
+    ({"arrows": [{"name": "a", "from": 0, "to": 7}]}, "build"),
+    ({"vertices": [0, 0]}, "build"),
+    ({"arrows": [{"name": "a", "from": 0, "to": 0}] * 2}, "build"),
+    ({"vertices": [0, 1], "arrows": [{"name": "a", "from": 0, "to": 0},
+                                     {"name": "b", "from": 0, "to": 1}],
+      "rules": [{"lhs": ["a", "b"], "rhs": {"coeff": 1, "path": ["a"]}}]}, "build"),
+], ids=["dim-bound-0", "dim-bound-negative", "dim-bound-above-cap", "dim-bound-16000",
+        "dim-bound-true", "dim-bound-fraction", "prime-fraction", "prime-true",
+        "coeff-fraction", "unknown-arrow", "undeclared-vertex", "duplicate-vertex",
+        "duplicate-arrow", "rule-endpoints"])
+def test_malformed_spec_exits_2_before_completion(tmp_path, capsys, monkeypatch,
+                                                  change, stage):
+    # the type and bound of prime and dim_bound are checked first, then the
+    # quiver and rules are built; completion is never entered
+    def never_completed(*args, **kwargs):
+        raise AssertionError("complete_rewriting entered")
+
+    monkeypatch.setattr(quiver_core, "complete_rewriting", never_completed)
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps({**LOOP_SPEC, **change}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["algebra", "info", "--family", "file", "--spec", str(path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    if stage == "build":
+        assert "spec:" in captured.err
+    else:
+        assert ("prime" if "prime" in change else
+                "dim_bound" if "dim_bound" in change else "coeff") in captured.err
+
+
 def test_env_seed_fallback(capsys, monkeypatch):
     monkeypatch.setenv("STRCAT_SEED", "17")
     code, out, _ = run(capsys, "classify", "--family", "ae1", "--m", "1",
@@ -284,6 +331,76 @@ def test_non_self_injective_spec_exits_3(tmp_path, capsys):
     code, out, err = run(capsys, "arquiver", "--family", "file", "--spec", str(path))
     assert code == 3 and out == ""
     assert err.startswith("error: no node matches") and len(err.splitlines()) == 1
+
+
+def count_syzygies(monkeypatch) -> list:
+    """The modules that ``homology.syzygy`` is called on from now on."""
+    calls = []
+    syzygy = homology.syzygy
+
+    def counted(M):
+        calls.append(M)
+        return syzygy(M)
+
+    monkeypatch.setattr(homology, "syzygy", counted)
+    return calls
+
+
+@pytest.mark.parametrize("big", [10**9, 10**9 + 3])
+@pytest.mark.parametrize("family,m,name,period", [
+    ("ae1", 5, "V2", 1), ("ae1", 5, "V1", 2), ("ae2", 3, "M1", 4), ("ae3", 3, "X1", 4)])
+def test_syzygy_of_a_large_power_reduces_n_mod_the_period(capsys, monkeypatch, family,
+                                                          m, name, period, big):
+    # Omega^k M = M at the period k, so Omega^big M is Omega^(big mod k) M,
+    # found after at most k + 1 syzygies
+    small = big % period or period
+    code, out, _ = run(capsys, "syzygy", "--family", family, "--m", str(m), name,
+                       "--n", str(small), "--format", "json")
+    want = json.loads(out)
+    assert code == 0 and want["n"] == small
+    calls = count_syzygies(monkeypatch)
+    code, out, _ = run(capsys, "syzygy", "--family", family, "--m", str(m), name,
+                       "--n", str(big), "--format", "json")
+    got = json.loads(out)
+    assert code == 0 and got.pop("n") == big
+    want.pop("n")
+    assert got == want
+    assert len(calls) <= period + 1
+
+
+def spec_file(tmp_path, arrows, rules=()):
+    """A spec file for these (name, source, target) arrows over vertices
+    0..max, with these rules."""
+    spec = {"vertices": list(range(max(max(s, t) for _, s, t in arrows) + 1)),
+            "arrows": [{"name": n, "from": s, "to": t} for n, s, t in arrows],
+            "rules": list(rules), "dim_bound": 8}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+@pytest.mark.parametrize("n", ["2", "3", str(10**9)])
+def test_syzygy_stops_at_zero(tmp_path, capsys, n):
+    # over the path algebra 0 -> 1 -> 2, Omega(S0) = P(1) and Omega^2(S0) = 0
+    spec = spec_file(tmp_path, [("a", 0, 1), ("b", 1, 2)])
+    code, out, _ = run(capsys, "syzygy", "--family", "file", "--spec", spec, "e0",
+                       "--n", n)
+    assert code == 0
+    assert out == f"Omega^{n}(e0) has dimension vector (0, 0, 0)\n"
+
+
+def test_syzygy_walk_that_never_closes_exits_3(tmp_path, capsys, monkeypatch):
+    # with a^2 = ab = 0 at the loop a: 0 -> 0 and b: 0 -> 1, Omega(S0) is
+    # S0 + S1 and so is every later syzygy: never zero, never S0 again
+    spec = spec_file(tmp_path, [("a", 0, 0), ("b", 0, 1)],
+                     rules=[{"lhs": ["a", "a"], "rhs": None},
+                            {"lhs": ["a", "b"], "rhs": None}])
+    calls = count_syzygies(monkeypatch)
+    code, out, err = run(capsys, "syzygy", "--family", "file", "--spec", spec, "e0",
+                         "--n", str(10**9))
+    assert code == 3 and out == ""
+    assert "not self-injective" in err and len(err.splitlines()) == 1
+    assert 1 <= len(calls) <= 2  # the spec has two strings, e0 and e1
 
 
 def test_ext_on_a_spec_that_is_not_self_injective(tmp_path, capsys):

@@ -27,7 +27,6 @@ from strcat import (
     is_isomorphic,
     kernel_of,
     named_string,
-    omega_power,
     projective_cover,
     realize_canonical,
     stable_hom_dim,
@@ -55,7 +54,9 @@ from .reference import (
     first_failing_rule,
     flat_map,
     folded_path_matrix,
+    four_orientation_canonical_homs,
     kronecker_hom_basis,
+    omega_power,
     left_nullspace,
     solve_in_rowspace,
     solved_subrep,
@@ -618,6 +619,24 @@ def test_canonical_count_equals_hom_dim_everywhere(family, m):
             if chs:
                 flat = np.vstack([flat_map(realize_canonical(ch)) for ch in chs])
                 assert rank(flat, p) == dim
+
+
+@pytest.mark.parametrize("family,m,p", [(family, m, p) for family, m in ORACLE_CASES
+                                        for p in (2, 3, DEFAULT_PRIME)])
+def test_canonical_homs_match_the_four_orientation_search(family, m, p):
+    # reversing both words reverses a cut and keeps its matrix, so the
+    # source read as given finds every map the four orientation pairs find,
+    # in the same order
+    A = build_family(family, m, p)
+    words = enumerate_strings(A)
+    words += tuple(w.inverse() for w in words if not w.is_trivial)
+    for S in words:
+        for T in words:
+            want = four_orientation_canonical_homs(A, S, T)
+            assert all(not s_flip for s_flip, *_ in want)
+            got = [(False, ch.target_flip, ch.source_pos, ch.target_pos, ch.length)
+                   for ch in canonical_homs(A, S, T)]
+            assert got == want, (str(S), str(T))
 
 
 @pytest.mark.parametrize("family,m", [("ae1", 6), ("ae2", 3), ("ae3", 5)])

@@ -1,6 +1,7 @@
 from collections import Counter
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -196,6 +197,26 @@ def test_string_module_shapes():
     Mb = string_module(B, lit("b", B))
     assert top_dims(Mb) == {0: 0, 1: 1}    # top S(1)
     assert socle_dims(Mb) == {0: 1, 1: 0}  # socle S(0)
+
+
+@pytest.mark.parametrize("family,m", ORACLE_CASES)
+def test_string_module_places_its_matrices_by_word_layout(family, m):
+    # letter j joins positions j and j + 1; its 1 sits at their indices in
+    # the layout, read from the arrow's source to its target
+    A = build_family(family, m)
+    for w in enumerate_strings(A):
+        for word in (w, w.inverse()):
+            verts, local = strings.word_layout(A.quiver, word)
+            assert verts == word_vertices(A.quiver, word)
+            assert local == [verts[:j].count(v) for j, v in enumerate(verts)]
+            M = string_module(A, word)
+            assert M.dims == {v: verts.count(v) for v in A.quiver.vertices}
+            want = {name: np.zeros_like(mat) for name, mat in M.mats.items()}
+            for j, letter in enumerate(word.letters):
+                src, tgt = (j + 1, j) if letter.inverse else (j, j + 1)
+                want[letter.arrow][local[src], local[tgt]] = 1
+            for name, mat in M.mats.items():
+                assert np.array_equal(mat, want[name]), (str(word), name)
 
 
 def peaks_and_deeps(quiver, word):
