@@ -47,9 +47,6 @@ from .quiver_core import (
     Path,
     Quiver,
     RewriteRule,
-    ae1,
-    ae2,
-    ae3,
     build_family,
     complete_rewriting,
     indecomposable_projective,

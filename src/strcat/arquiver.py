@@ -35,10 +35,10 @@ class ArQuiver:
 @memoized
 def nodes_by_dim_vector(algebra: Algebra, length_cap: int | None = None) -> dict:
     """(index, word) of each node, grouped by the dimension vector of its
-    module."""
+    module, read off the word."""
     groups = {}
     for i, w in enumerate(strings.enumerate_strings(algebra, length_cap)):
-        groups.setdefault(strings.string_module(algebra, w).dim_vector(), []).append((i, w))
+        groups.setdefault(strings.word_dim_vector(algebra.quiver, w), []).append((i, w))
     return groups
 
 
@@ -79,20 +79,21 @@ def build_ar_quiver(algebra: Algebra, length_cap: int | None = None) -> ArQuiver
 
 def omega_orbit(algebra: Algebra, node: strings.StringWord,
                 length_cap: int | None = None, seed: int = 0) -> list[strings.StringWord]:
-    """The cyclic syzygy orbit of a node; its length divides four here.
-    ``seed`` is ignored and stays accepted for callers that pass it."""
+    """The cyclic syzygy orbit of a node, which closes within as many steps
+    as there are nodes when Omega permutes them, as on a self-injective
+    algebra; else StrcatError.  ``seed`` is ignored, kept for callers."""
     nodes = strings.enumerate_strings(algebra, length_cap)
     start = strings.canonical(node, algebra.quiver)
     if start not in nodes:
         raise StrcatError(f"{start} is not an enumerated string")
     first = current = nodes.index(start)
     orbit = [start]
-    for _ in range(12):
+    for _ in nodes:
         current = omega_node(algebra, current, length_cap)
         if current == first:
             return orbit
         orbit.append(nodes[current])
-    raise StrcatError("syzygy orbit did not close after 12 steps")
+    raise StrcatError(f"syzygy orbit did not close after {len(nodes)} steps")
 
 
 def to_dot(q: ArQuiver, labels: dict[strings.StringWord, str] | None = None) -> str:

@@ -5,14 +5,9 @@ Subcommands: ``algebra info``, ``strings``, ``hom``, ``ext``, ``syzygy``,
 machine-readable with ``--format json|csv|dot``.  Identical flags produce
 byte-identical output; ``--seed`` is accepted but no answer depends on it.
 
-Exit codes: 0 success, 2 bad flags or input (an unreadable ``--spec``, an
-unwritable ``--out``, a ``--seed`` or ``STRCAT_SEED`` that is not an
-integer >= 0, a ``--prime`` or spec prime that is composite or above
-``MAX_PRIME``, an ``--m`` outside its family's range, a ``--n`` or
-``--length-cap`` below 1, a spec whose prime, ``dim_bound`` or rule
-coefficient is not an integer, whose ``dim_bound`` lies outside
-1..``MAX_DIM``, or whose quiver or rules cannot be built), 3 computation
-error, 4 verification failure under ``--verify``.
+Exit codes: 0 success, 2 bad flags or input, refused before any
+completion (the README's *Command line* section lists every case), 3
+computation error, 4 verification failure under ``--verify``.
 
 ``syzygy --n`` takes at most as many syzygies as the algebra has strings,
 whatever n: a zero syzygy ends the walk, and so does the first power
@@ -211,11 +206,9 @@ def cmd_algebra_info(args, algebra: Algebra) -> Result:
 def cmd_strings(args, algebra: Algebra) -> Result:
     words = strings.enumerate_strings(algebra, args.length_cap)
     names = _names(args, algebra)
-    rows = []
-    for w in words:
-        rep = strings.string_module(algebra, w)
-        rows.append([names.get(w, ""), w.literal(), w.length,
-                     "(" + ",".join(map(str, rep.dim_vector())) + ")"])
+    rows = [[names.get(w, ""), w.literal(), w.length,
+             "(" + ",".join(map(str, strings.word_dim_vector(algebra.quiver, w))) + ")"]
+            for w in words]
     header = ["name", "string", "length", "dim_vector"]
     payload = [{"name": r[0] or None, "string": r[1], "length": r[2],
                 "dim_vector": r[3]} for r in rows]

@@ -1,12 +1,17 @@
 """The built-in families, one ``Family`` record each.
 
 Everything the package knows about a built-in family by its name lives in
-its record: how to build the algebra, for which ``m`` and at what
-dimension, the named series of its strings, the size of its stable AR
-component and the shape of its translate, the tower that certifies its
-deformation rings, and the paper's closed-form classification table.  The table is data, never
+its record: its presentation as a spec (the quiver and rules of the
+``--family file`` JSON format, which ``quiver_core.build_family`` builds
+as it builds any spec), for which ``m`` and at what dimension, the named
+series of its strings, the size of its stable AR component and the shape
+of its translate, the tower that certifies its deformation rings, and the
+paper's closed-form classification table.  The table is data, never
 derived from a computation: it is the oracle that ``--verify`` and the
 tests check the computed classification against.
+
+The three presentations are symmetric algebras of finite representation
+type whose non-projective indecomposables are string modules.
 
 Series names map to words written in the command line's string-literal
 syntax (``b,r~,a``; ``e0`` is the trivial word at vertex 0).
@@ -21,13 +26,14 @@ import numpy as np
 
 from .errors import BadParameter, StrcatError
 from .homology import ModuleMap, Representation
-from .quiver_core import MAX_DIM, Algebra, ae1, ae2, ae3, indecomposable_projective
+from .quiver_core import MAX_DIM, Algebra, indecomposable_projective
 
 
 @dataclass(frozen=True)
 class Family:
     name: str
-    builder: Callable[..., Algebra]                 # (m, p) -> algebra
+    # m -> {"vertices", "arrows", "rules"} in the --family file JSON format
+    spec: Callable[[int], dict]
     m_min: int
     dim: Callable[[int], int]                       # m -> dimension, affine in m
     series: Callable[[int], dict[str, range]]       # m -> index range per series
@@ -66,6 +72,23 @@ def _ae1_projective_cap(algebra: Algebra, top: Representation):
     inc = np.eye(m, m + 1, k=1, dtype=np.int64)  # the walk basis embeds as the radical
     sur = np.eye(m + 1, m, dtype=np.int64)       # kill the socle path
     return "P(0)", ModuleMap(top, P, {0: inc}), ModuleMap(P, top, {0: sur})
+
+
+def _ae2_spec(m: int) -> dict:
+    return {"vertices": [0, 1],
+            "arrows": [{"name": "a", "from": 0, "to": 1}, {"name": "b", "from": 1, "to": 0}],
+            "rules": [{"lhs": ["a", "b"] * m + ["a"], "rhs": None},
+                      {"lhs": ["b", "a"] * m + ["b"], "rhs": None}]}
+
+
+def _ae3_spec(m: int) -> dict:
+    # oriented ab -> r^m so that the loop powers are the normal forms;
+    # completion derives r^(m+1) -> 0
+    return {"vertices": [0, 1],
+            "arrows": [{"name": "r", "from": 0, "to": 0}, {"name": "a", "from": 0, "to": 1},
+                       {"name": "b", "from": 1, "to": 0}],
+            "rules": [{"lhs": ["r", "a"], "rhs": None}, {"lhs": ["b", "r"], "rhs": None},
+                      {"lhs": ["a", "b"], "rhs": {"coeff": 1, "path": ["r"] * m}}]}
 
 
 def _ae2_word(series: str, index: int, m: int) -> str:
@@ -112,7 +135,9 @@ def _ae3_expected(m: int) -> dict[str, tuple[int, int]]:
 
 
 AE1 = Family(
-    name="ae1", builder=ae1, m_min=1, dim=lambda m: m + 1,
+    name="ae1", m_min=1, dim=lambda m: m + 1,
+    spec=lambda m: {"vertices": [0], "arrows": [{"name": "a", "from": 0, "to": 0}],
+                    "rules": [{"lhs": ["a"] * (m + 1), "rhs": None}]},
     series=lambda m: {"V": range(0, m)},
     word=lambda series, index, m: ",".join(["a"] * index) or "e0",
     node_count=lambda m: m,
@@ -123,7 +148,7 @@ AE1 = Family(
 )
 
 AE2 = Family(
-    name="ae2", builder=ae2, m_min=1, dim=lambda m: 4 * m + 2,
+    name="ae2", m_min=1, dim=lambda m: 4 * m + 2, spec=_ae2_spec,
     series=lambda m: {"M": range(0, 2 * m), "N": range(0, 2 * m)},
     word=_ae2_word,
     node_count=lambda m: 4 * m,
@@ -134,7 +159,7 @@ AE2 = Family(
 )
 
 AE3 = Family(
-    name="ae3", builder=ae3, m_min=2, dim=lambda m: m + 5,
+    name="ae3", m_min=2, dim=lambda m: m + 5, spec=_ae3_spec,
     series=lambda m: {"V": range(1, m + 1), "X": range(1, m + 1),
                       "Y": range(1, m + 1), "U": range(0, m)},
     word=_ae3_word,

@@ -10,17 +10,9 @@ action on its basis is two integer arrays of shape (dim+1, arrows), the
 basis index and the coefficient of each such product.  Construction
 certifies that table against the rules (``Algebra.verify_associativity``).
 
-Built-in presentations:
-
-* ``ae1(m)``: one vertex, one loop ``a``, rule a^(m+1) -> 0.
-* ``ae2(m)``: arrows a: 0->1 and b: 1->0, rules (ab)^m a -> 0 and
-  (ba)^m b -> 0.
-* ``ae3(m)``: loop ``r`` at 0 plus a: 0->1, b: 1->0, rules ra -> 0,
-  br -> 0 and ab -> r^m.  Completion derives r^(m+1) -> 0.
-
-All three are symmetric algebras of finite representation type; every
-homological routine in the package runs over them exactly, for any
-desk-scale parameter m.
+The built-in families are specs too: ``build_family`` hands the quiver
+and rules in a family's record (``strcat.families``) to
+``load_algebra_spec``, the path every ``--family file`` input takes.
 """
 
 from __future__ import annotations
@@ -30,6 +22,7 @@ import inspect
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -80,20 +73,37 @@ class Arrow(NamedTuple):
     target: int
 
 
+TRIVIAL_LITERAL = re.compile(r"e(\d+)")
+_ARROW_NAME = re.compile(r"(?!e\d+$)[^,~\s]+")
+
+
 @dataclass(frozen=True)
 class Quiver:
+    """Vertices are integers >= 0.  A string literal (``strcat.strings``)
+    joins arrow names with commas, marks an inverse with ``~``, strips
+    whitespace and reads ``TRIVIAL_LITERAL`` as a trivial word, so an arrow
+    name holds none of those and is not of that form (``_ARROW_NAME``);
+    then every path and string prints as a literal that reads back."""
+
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
 
     def __post_init__(self):
+        for v in self.vertices:
+            if type(v) is not int or v < 0:
+                raise StrcatError(f"vertex {v!r} is not an integer >= 0")
         if len(set(self.vertices)) != len(self.vertices):
             raise StrcatError("duplicate vertex ids")
         names = [a.name for a in self.arrows]
+        for name in names:
+            if not isinstance(name, str) or not _ARROW_NAME.fullmatch(name):
+                raise StrcatError(f"arrow name {name!r} is empty, holds ',', '~' or "
+                                  "whitespace, or is e<digits>")
         if len(set(names)) != len(names):
             raise StrcatError("duplicate arrow names")
         vs = set(self.vertices)
         for a in self.arrows:
-            if a.source not in vs or a.target not in vs:
+            if any(type(v) is not int or v not in vs for v in (a.source, a.target)):
                 raise StrcatError(f"arrow {a.name} touches an undeclared vertex")
         # name -> declaration index, set once (the dataclass is frozen)
         object.__setattr__(self, "_positions", {n: i for i, n in enumerate(names)})
@@ -558,53 +568,15 @@ class Algebra:
                 f"arrows={len(self.quiver.arrows)}, p={self.p})")
 
 
-# -- built-in families --------------------------------------------------------
-
-
-def ae1(m: int, p: int = DEFAULT_PRIME) -> Algebra:
-    """One loop ``a`` with a^(m+1) = 0; dimension m + 1."""
-    if m < 1:
-        raise StrcatError("ae1 needs m >= 1")
-    q = make_quiver([0], [("a", 0, 0)])
-    rule = RewriteRule(make_path(q, ["a"] * (m + 1)))
-    return complete_rewriting(q, [rule], dim_bound=m + 1, p=p)
-
-
-def ae2(m: int, p: int = DEFAULT_PRIME) -> Algebra:
-    """Two vertices joined both ways; (ab)^m a = (ba)^m b = 0; dim 4m + 2."""
-    if m < 1:
-        raise StrcatError("ae2 needs m >= 1")
-    q = make_quiver([0, 1], [("a", 0, 1), ("b", 1, 0)])
-    ab = ["a", "b"] * m + ["a"]
-    ba = ["b", "a"] * m + ["b"]
-    rules = [RewriteRule(make_path(q, ab)), RewriteRule(make_path(q, ba))]
-    return complete_rewriting(q, rules, dim_bound=4 * m + 2, p=p)
-
-
-def ae3(m: int, p: int = DEFAULT_PRIME) -> Algebra:
-    """Loop ``r`` at 0 plus a: 0->1, b: 1->0; ra = br = 0 and ab = r^m.
-
-    The binomial rule is oriented ab -> r^m so the loop powers survive as
-    normal forms; completion then derives r^(m+1) -> 0.  Dimension m + 5.
-    """
-    if m < 2:
-        raise StrcatError("ae3 needs m >= 2")
-    q = make_quiver([0, 1], [("r", 0, 0), ("a", 0, 1), ("b", 1, 0)])
-    rules = [
-        RewriteRule(make_path(q, ["r", "a"])),
-        RewriteRule(make_path(q, ["b", "r"])),
-        RewriteRule(make_path(q, ["a", "b"]), 1, make_path(q, ["r"] * m)),
-    ]
-    return complete_rewriting(q, rules, dim_bound=m + 5, p=p)
-
-
 def build_family(family: str, m: int, p: int = DEFAULT_PRIME) -> Algebra:
-    """The algebra of a built-in family (see ``strcat.families``); an ``m``
+    """The algebra of a built-in family (see ``strcat.families``), built
+    from the family's spec as a ``--family file`` input is; an ``m``
     outside the family's range raises BadParameter before any work."""
     from . import families
 
     fam = families.get(family)
-    return fam.builder(fam.check_m(m), p)
+    return load_algebra_spec({**fam.spec(fam.check_m(m)), "prime": p,
+                              "dim_bound": fam.dim(m)})
 
 
 # -- memo, projectives and file input ------------------------------------------
@@ -694,20 +666,22 @@ def load_algebra_spec(source) -> Algebra:
     keys vertices, arrows ({"name","from","to"}), rules ({"lhs": [names],
     "rhs": null | {"coeff": int, "path": [names]}}), prime, dim_bound.
 
-    A ``prime``, ``dim_bound`` or coefficient that is not an integer, a
-    ``dim_bound`` outside 1..MAX_DIM, and a quiver or rule that cannot be
-    built raise BadParameter before completion starts; completion itself
-    raises as ``complete_rewriting`` does.
+    A spec that is not an object, a ``prime``, ``dim_bound`` or coefficient
+    that is not an integer, a ``dim_bound`` outside 1..MAX_DIM, and a quiver
+    (see ``Quiver`` for vertices and names) or rule that cannot be built
+    raise BadParameter before completion, which raises as
+    ``complete_rewriting`` does.
     """
-    if isinstance(source, Mapping):
-        data = source
-    else:
+    data = source
+    if not isinstance(source, Mapping):
         text = str(source)
         if text.lstrip().startswith("{"):
             data = json.loads(text)
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
+        if not isinstance(data, Mapping):
+            raise BadParameter(f"spec must be a JSON object, got {type(data).__name__}")
     p = _spec_integer(data.get("prime", DEFAULT_PRIME), "spec prime")
     dim_bound = _spec_integer(data["dim_bound"], "spec dim_bound")
     if not 1 <= dim_bound <= MAX_DIM:

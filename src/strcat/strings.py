@@ -15,7 +15,8 @@ break, in O(rules * longest rule) whatever the length of the word.
 outside: ``string_module``, ``canonical_homs`` and ``class_moves``.
 
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
-``b,r~,a``; trivial words print as ``e0``, ``e1``.
+``b,r~,a``; trivial words print as ``e0``, ``e1``.  Every printed word
+reads back (``parse_string_literal``), one-letter words of long names too.
 
 Every built-in family names its strings in a few series; the names, their
 index ranges and their words are part of the family's record in
@@ -38,7 +39,7 @@ from .errors import (
     StrcatError,
     UnknownArrow,
 )
-from .quiver_core import Algebra, Quiver, memoized
+from .quiver_core import TRIVIAL_LITERAL, Algebra, Quiver, memoized
 
 
 @dataclass(frozen=True)
@@ -108,6 +109,13 @@ def word_vertices(quiver: Quiver, word: StringWord) -> list[int]:
     for l in word.letters:
         verts.append(letter_target(quiver, l))
     return verts
+
+
+def word_dim_vector(quiver: Quiver, word: StringWord) -> tuple[int, ...]:
+    """The dimension vector of the string module: how often the walk visits
+    each vertex, in vertex order."""
+    visits = Counter(word_vertices(quiver, word))
+    return tuple(visits[v] for v in quiver.vertices)
 
 
 def word_layout(quiver: Quiver, word: StringWord) -> tuple[list[int], list[int]]:
@@ -331,18 +339,14 @@ def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, St
 _NAME_RE = re.compile(r"^([A-Za-z])(\d+)$")
 
 
-def parse_module_name(text: str) -> tuple[str, int]:
-    m = _NAME_RE.match(text.strip())
-    if not m:
-        raise IndexOutOfRange(f"cannot parse module name {text!r}")
-    return m.group(1).upper(), int(m.group(2))
-
-
 def named_string(family: str, m: int, name) -> StringWord:
     """The string for a series name such as V2, M3, X1, U0, or a (series,
     index) pair."""
     if isinstance(name, str):
-        series, index = parse_module_name(name)
+        parsed = _NAME_RE.match(name.strip())
+        if not parsed:
+            raise IndexOutOfRange(f"cannot parse module name {name!r}")
+        series, index = parsed.group(1).upper(), int(parsed.group(2))
     else:
         series, index = name
     fam = families.get(family)
@@ -361,7 +365,7 @@ def family_node_names(family: str, m: int, quiver: Quiver) -> list[tuple[str, St
 
 def _parse_literal(text: str) -> StringWord:
     text = text.strip()
-    m = re.match(r"^e(\d+)$", text)
+    m = TRIVIAL_LITERAL.fullmatch(text)
     if m:
         return empty_word(int(m.group(1)))
     if "," in text:
@@ -375,7 +379,12 @@ def _parse_literal(text: str) -> StringWord:
 
 
 def parse_string_literal(text: str, quiver: Quiver) -> StringWord:
-    """Parse ``b,r~,a`` style literals; ``e0`` gives the trivial word."""
+    """Parse ``b,r~,a`` style literals; ``e0`` gives the trivial word, and
+    a literal without commas that is an arrow name, ``~`` or not, is that
+    one letter, so ``w.literal()`` reads back as ``w`` for every word."""
+    name = text.strip().removesuffix("~")
+    if "," not in name and quiver.has_arrow(name):
+        return StringWord((Letter(name, name != text.strip()),))
     word = _parse_literal(text)
     if word.is_trivial and word.vertex not in quiver.vertices:
         raise UnknownArrow(f"unknown vertex {word.vertex}")

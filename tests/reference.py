@@ -15,8 +15,35 @@ from strcat.homology import (
     radical_rows,
     syzygy,
 )
-from strcat.quiver_core import Path, path_key, projective_paths
+from strcat.quiver_core import (
+    DEFAULT_PRIME,
+    Path,
+    RewriteRule,
+    complete_rewriting,
+    make_path,
+    make_quiver,
+    path_key,
+    projective_paths,
+)
 from strcat.strings import StringWord, is_string, letter_target, word_layout
+
+
+def hand_built(family, m, p=DEFAULT_PRIME):
+    """The family's algebra with its quiver and rules written out by hand,
+    not read from its spec."""
+    if family == "ae1":
+        q = make_quiver([0], [("a", 0, 0)])
+        rules = [RewriteRule(make_path(q, ["a"] * (m + 1)))]
+    elif family == "ae2":
+        q = make_quiver([0, 1], [("a", 0, 1), ("b", 1, 0)])
+        rules = [RewriteRule(make_path(q, ["a", "b"] * m + ["a"])),
+                 RewriteRule(make_path(q, ["b", "a"] * m + ["b"]))]
+    else:
+        q = make_quiver([0, 1], [("r", 0, 0), ("a", 0, 1), ("b", 1, 0)])
+        rules = [RewriteRule(make_path(q, ["r", "a"])), RewriteRule(make_path(q, ["b", "r"])),
+                 RewriteRule(make_path(q, ["a", "b"]), 1, make_path(q, ["r"] * m))]
+    dim = {"ae1": m + 1, "ae2": 4 * m + 2, "ae3": m + 5}[family]
+    return complete_rewriting(q, rules, dim_bound=dim, p=p)
 
 
 def top_dims(M):

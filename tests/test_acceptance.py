@@ -9,7 +9,6 @@ import time
 import numpy as np
 
 from strcat import (
-    ae3,
     build_ar_quiver,
     build_family,
     canonical_homs,
@@ -27,6 +26,7 @@ from strcat.deformation import power_series_quotient, trivial_ring
 from strcat.linalg import rank
 from strcat.strings import family_node_names
 
+from .builders import ae3
 from .oracles import family_dimension
 from .reference import flat_map, omega_power
 from .test_arquiver import expected_edges, expected_tau

@@ -3,23 +3,24 @@ from dataclasses import FrozenInstanceError
 import pytest
 
 from strcat import (
-    ae1,
-    ae2,
-    ae3,
+    StrcatError,
     build_ar_quiver,
     build_family,
     classify,
+    empty_word,
     enumerate_strings,
     is_isomorphic,
+    load_algebra_spec,
     named_string,
     omega_orbit,
     string_module,
     to_dot,
 )
-from strcat import strings
+from strcat import arquiver, strings
 from strcat.deformation import verify_classification
 from strcat.strings import family_node_names
 
+from .builders import ae1, ae2, ae3
 from .reference import omega_power
 
 
@@ -127,10 +128,10 @@ def test_small_primes_give_the_same_quiver_and_table(family, m, p):
 
 @pytest.mark.parametrize("family,m", [("ae1", 8), ("ae2", 4), ("ae3", 8)])
 def test_matching_fetches_only_candidate_modules(family, m, monkeypatch):
-    # one lookup per node for the dimension-vector index, one for each
-    # node's own module, and one per candidate of the right dimension
-    # vector (no dimension vector here has more than two nodes); a scan
-    # over every node would make about n^2 / 2
+    # one lookup for each node's own module and one per candidate of the
+    # right dimension vector (no dimension vector here has more than two
+    # nodes); the dimension-vector index reads words and builds no module,
+    # and a scan over every node would make about n^2 / 2
     fetched = []
     original = strings.string_module
 
@@ -141,7 +142,7 @@ def test_matching_fetches_only_candidate_modules(family, m, monkeypatch):
     monkeypatch.setattr(strings, "string_module", counted)
     A = build_family(family, m)
     n = len(build_ar_quiver(A).nodes)
-    assert len(fetched) <= 4 * n, (family, m, len(fetched))
+    assert len(fetched) <= 3 * n, (family, m, len(fetched))
 
 
 def test_shared_results_cannot_be_changed():
@@ -186,6 +187,40 @@ def test_omega_orbits():
     orbit = omega_orbit(C, named_string("ae3", 3, "U0"))
     names = {w: n for n, w in family_node_names("ae3", 3, C.quiver)}
     assert [names[w] for w in orbit] == ["U0", "X3", "V1", "Y3"]
+
+
+def nakayama_spec(n=7):
+    """The cyclic Nakayama algebra on n vertices, arrows x0..x(n-1) around
+    the cycle, every path of length 3 zero: self-injective, with 2n strings
+    (the vertices and the arrows) in one Omega-orbit."""
+    return {"vertices": list(range(n)),
+            "arrows": [{"name": f"x{i}", "from": i, "to": (i + 1) % n} for i in range(n)],
+            "rules": [{"lhs": [f"x{(i + k) % n}" for k in range(3)], "rhs": None}
+                      for i in range(n)],
+            "dim_bound": 3 * n}
+
+
+def test_omega_orbit_is_bounded_by_the_node_count_not_a_constant():
+    A = load_algebra_spec(nakayama_spec())
+    orbit = omega_orbit(A, empty_word(0))
+    assert len(orbit) == len(enumerate_strings(A)) == 14
+    assert len(set(orbit)) == 14
+
+
+def test_omega_orbit_that_never_closes_raises(monkeypatch):
+    # Omega sends the start to node 1 and node 1 to itself, so the walk
+    # never returns to the start; it stops after as many steps as nodes
+    A = ae1(3)
+    steps = []
+
+    def stuck(algebra, i, length_cap=None):
+        steps.append(i)
+        return 1
+
+    monkeypatch.setattr(arquiver, "omega_node", stuck)
+    with pytest.raises(StrcatError, match="did not close after 3 steps"):
+        omega_orbit(A, empty_word(0))
+    assert len(steps) == len(enumerate_strings(A)) == 3
 
 
 def test_dot_output_is_deterministic_and_shaped():

@@ -12,6 +12,12 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def cli_json(capsys, *argv):
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 0, err
+    return json.loads(out)
+
+
 def test_algebra_info_reports_dimension(capsys):
     code, out, _ = run(capsys, "algebra", "info", "--family", "ae3", "--m", "2")
     assert code == 0
@@ -199,13 +205,13 @@ def test_bad_flags_exit_2(capsys, monkeypatch):
         assert exc.value.code == 2
     # an m far above the dimension cap is refused before the algebra is built
     # (ae1 alone would otherwise list 10**9 arrow names)
-    def never_built(m, p):
-        raise AssertionError(f"builder called with m={m}")
+    def never_built(m):
+        raise AssertionError(f"spec asked for with m={m}")
 
     capsys.readouterr()
     for family in families.FAMILIES.values():
         monkeypatch.setitem(families.FAMILIES, family.name,
-                            dataclasses.replace(family, builder=never_built))
+                            dataclasses.replace(family, spec=never_built))
         with pytest.raises(SystemExit) as exc:
             cli.main(["algebra", "info", "--family", family.name, "--m", str(10**9)])
         assert exc.value.code == 2
@@ -251,8 +257,9 @@ def test_unusable_prime_flag_exits_2(capsys, prime):
     json.dumps({"vertices": [0], "arrows": [], "prime": 4, "dim_bound": 3}),
     json.dumps({"vertices": [0], "arrows": [], "prime": 2147483647,
                 "dim_bound": 3}),
+    json.dumps([1, 2]),
 ], ids=["missing-file", "invalid-json", "no-dim-bound", "wrong-type",
-        "composite-prime", "prime-above-bound"])
+        "composite-prime", "prime-above-bound", "not-an-object"])
 def test_bad_spec_file_exits_2(tmp_path, capsys, content):
     path = tmp_path / "alg.json"
     if content is not None:
@@ -281,10 +288,19 @@ def test_bad_spec_file_exits_2(tmp_path, capsys, content):
     ({"vertices": [0, 1], "arrows": [{"name": "a", "from": 0, "to": 0},
                                      {"name": "b", "from": 0, "to": 1}],
       "rules": [{"lhs": ["a", "b"], "rhs": {"coeff": 1, "path": ["a"]}}]}, "build"),
+    *[({"vertices": [v], "arrows": [{"name": "a", "from": v, "to": v}]}, "build")
+      for v in ("x", 0.5, True, -1)],
+    ({"vertices": [0, 1], "arrows": [{"name": "a", "from": True, "to": True}]}, "build"),
+    *[({"arrows": [{"name": name, "from": 0, "to": 0}],
+        "rules": [{"lhs": [name] * 3, "rhs": None}]}, "build")
+      for name in ("a,b", "a~", "a b", "", "e0", "e12", 7)],
 ], ids=["dim-bound-0", "dim-bound-negative", "dim-bound-above-cap", "dim-bound-16000",
         "dim-bound-true", "dim-bound-fraction", "prime-fraction", "prime-true",
         "coeff-fraction", "unknown-arrow", "undeclared-vertex", "duplicate-vertex",
-        "duplicate-arrow", "rule-endpoints"])
+        "duplicate-arrow", "rule-endpoints", "vertex-string", "vertex-fraction",
+        "vertex-true", "vertex-negative", "arrow-from-true", "name-comma", "name-tilde",
+        "name-space", "name-empty", "name-trivial-e0", "name-trivial-e12",
+        "name-number"])
 def test_malformed_spec_exits_2_before_completion(tmp_path, capsys, monkeypatch,
                                                   change, stage):
     # the type and bound of prime and dim_bound are checked first, then the
@@ -472,3 +488,79 @@ def test_output_file(tmp_path, capsys):
                        "--format", "dot", "--out", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("digraph")
+
+
+def test_strings_reads_dimension_vectors_off_the_words(capsys, monkeypatch):
+    from strcat import strings
+
+    calls = []
+    monkeypatch.setattr(strings, "string_module", lambda *args: calls.append(args))
+    rows = cli_json(capsys, "strings", "--family", "ae1", "--m", "96")
+    assert len(rows) == 96 and rows[-1]["dim_vector"] == "(96)"
+    assert calls == []
+
+
+def test_every_printed_literal_reads_back(tmp_path, capsys):
+    # one-letter strings over arrows named x0..x6 print without a comma
+    from .test_arquiver import nakayama_spec
+
+    path = tmp_path / "nakayama.json"
+    path.write_text(json.dumps(nakayama_spec()))
+    spec = ["--family", "file", "--spec", str(path)]
+    literals = [row["string"] for row in cli_json(capsys, "strings", *spec)]
+    assert "x0" in literals and len(literals) == 14
+    for literal in literals:
+        got = cli_json(capsys, "hom", *spec, "--string", literal, literal)
+        assert got["dim"] >= 1, literal
+
+
+def relabel(rows, names):
+    """Rows of labels with each series name replaced by its literal, sorted."""
+    return sorted([names.get(x, x) for x in row] for row in rows)
+
+
+FAMILY_SPEC_CASES = [(fam.name, m, p) for fam in families.FAMILIES.values()
+                     for m in range(fam.m_min, 5) for p in (2, 3, 32003)]
+
+
+@pytest.mark.parametrize("family,m,p", FAMILY_SPEC_CASES)
+def test_family_spec_through_the_file_path_matches_the_family(tmp_path, capsys,
+                                                              family, m, p):
+    # the family's spec, written to a file with its prime and dimension,
+    # gives the family's answers: the same algebra, strings, AR quiver,
+    # Hom, Ext and syzygies, apart from names and the family and m fields
+    fam = families.get(family)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({**fam.spec(m), "prime": p, "dim_bound": fam.dim(m)}))
+    builtin = ["--family", family, "--m", str(m), "--prime", str(p)]
+    spec = ["--family", "file", "--spec", str(path)]
+
+    def both(*command):
+        return [cli_json(capsys, *command, *flags) for flags in (builtin, spec)]
+
+    info, spec_info = both("algebra", "info")
+    assert (info.pop("family"), info.pop("m")) == (family, m)
+    assert (spec_info.pop("family"), spec_info.pop("m")) == ("file", None)
+    assert info == spec_info
+
+    rows, spec_rows = both("strings")
+    names = {row.pop("name"): row["string"] for row in rows}
+    assert [row.pop("name") for row in spec_rows] == [None] * len(rows)
+    assert rows == spec_rows
+
+    quiver, spec_quiver = both("arquiver")
+    for key in ("arrows", "tau"):
+        assert relabel(quiver[key], names) == spec_quiver[key]
+    assert sorted(names[x] for x in quiver["nodes"]) == spec_quiver["nodes"]
+
+    # the shortest, a middle and the longest string, each with itself and
+    # the next (Omega^2 is the translate, compared above)
+    literals = [rows[k]["string"] for k in (0, len(rows) // 2, -1)]
+    for i, source in enumerate(literals):
+        for target in (source, literals[(i + 1) % 3]):
+            for command in ("hom", "ext"):
+                got, want = both(command, "--string", source, target)
+                assert got == want, (command, source, target)
+        got, want = both("syzygy", "--string", source)
+        got["isomorphic_to"] = names.get(got["isomorphic_to"], got["isomorphic_to"])
+        assert got == want, source

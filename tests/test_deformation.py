@@ -5,9 +5,6 @@ from strcat import (
     ModuleMap,
     StrcatError,
     Tower,
-    ae1,
-    ae2,
-    ae3,
     build_family,
     build_tower,
     canonical,
@@ -36,6 +33,8 @@ from strcat.deformation import (
     verify_classification,
 )
 from strcat.strings import family_node_names
+
+from .builders import ae1, ae2, ae3
 
 
 class NoSequenceFound(StrcatError):

@@ -12,9 +12,6 @@ from strcat import (
     Representation,
     StrcatError,
     ZeroModule,
-    ae1,
-    ae2,
-    ae3,
     build_family,
     canonical_homs,
     empty_word,
@@ -46,6 +43,7 @@ from strcat.homology import (
 from strcat.linalg import rank
 from strcat.quiver_core import DEFAULT_PRIME, load_algebra_spec, make_path
 
+from .builders import ae1, ae2, ae3
 from .oracles import ORACLE_CASES
 from .reference import (
     composed_stable_hom_dim,

@@ -19,9 +19,6 @@ from strcat import (
     NonTerminating,
     RewriteRule,
     StrcatError,
-    ae1,
-    ae2,
-    ae3,
     build_family,
     complete_rewriting,
     enumerate_strings,
@@ -44,10 +41,12 @@ from strcat.quiver_core import (
     require_prime,
 )
 
+from .builders import ae1, ae2, ae3
 from .oracles import all_paths, contains_word, family_dimension, monomial_dimension
 from .reference import (
     first_bad_triple,
     grown_product_table,
+    hand_built,
     reduced_act_tables,
     reduced_projective_mats,
     reduced_socle_rules,
@@ -156,13 +155,25 @@ def test_build_family_refuses_m_outside_the_range_before_building(family, monkey
     fam = families.get(family)
     assert fam.dim(fam.m_max) <= families.MAX_DIM < fam.dim(fam.m_max + 1)
 
-    def never_built(m, p):
-        raise AssertionError(f"builder called with m={m}")
+    def never_built(m):
+        raise AssertionError(f"spec asked for with m={m}")
 
-    monkeypatch.setitem(families.FAMILIES, family, replace(fam, builder=never_built))
+    monkeypatch.setitem(families.FAMILIES, family, replace(fam, spec=never_built))
     for m in (fam.m_min - 1, fam.m_max + 1, 10**9):
         with pytest.raises(BadParameter):
             build_family(family, m)
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("family,m", [("ae1", m) for m in (1, 2, 24, 96, 1023)]
+                         + [("ae2", m) for m in (1, 2, 12, 32, 255)]
+                         + [("ae3", m) for m in (2, 3, 16, 96, 1019)])
+def test_family_spec_builds_the_hand_written_presentation(family, m, p):
+    A, B = build_family(family, m, p), hand_built(family, m, p)
+    assert A.quiver == B.quiver and A.basis == B.basis and A.rules == B.rules
+    assert A.socle_rules == B.socle_rules
+    assert np.array_equal(A.act_index, B.act_index)
+    assert np.array_equal(A.act_coeff, B.act_coeff)
 
 
 def test_ae1_small_basis():

@@ -3,7 +3,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from strcat import (
@@ -12,9 +12,6 @@ from strcat import (
     NotAString,
     StrcatError,
     UnknownArrow,
-    ae1,
-    ae2,
-    ae3,
     build_family,
     canonical,
     canonical_homs,
@@ -23,6 +20,7 @@ from strcat import (
     hom_dim,
     is_isomorphic,
     is_string,
+    load_algebra_spec,
     named_string,
     parse_string_literal,
     string_module,
@@ -42,8 +40,10 @@ from strcat.strings import (
     word_key,
 )
 
+from .builders import ae1, ae2, ae3
 from .oracles import ORACLE_CASES
 from .reference import rescanned_extension, socle_dims, top_dims
+from .test_arquiver import nakayama_spec
 from .test_quiver_core import built_or_skipped, small_specs
 
 
@@ -387,6 +387,39 @@ def test_parse_string_literal_forms():
     assert parse_string_literal("br~a", A.quiver) == word
     with pytest.raises(UnknownArrow):
         parse_string_literal("q", A.quiver)
+    # a literal without commas that names an arrow is that one letter
+    B = load_algebra_spec(nakayama_spec())
+    assert parse_string_literal("x0", B.quiver) == StringWord((Letter("x0"),))
+    assert parse_string_literal(" x6~ ", B.quiver) == StringWord((Letter("x6", True),))
+    assert parse_string_literal("x0,x1", B.quiver).length == 2
+    with pytest.raises(UnknownArrow):
+        parse_string_literal("x0x1", B.quiver)
+
+
+def assert_literals_read_back(algebra):
+    for w in enumerate_strings(algebra):
+        for word in {w, w.inverse()}:
+            assert parse_string_literal(word.literal(), algebra.quiver) == word, word
+
+
+def test_literals_of_the_nakayama_strings_read_back():
+    assert_literals_read_back(load_algebra_spec(nakayama_spec()))
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 1), ("ae1", 5), ("ae2", 1), ("ae2", 3),
+                                      ("ae3", 2), ("ae3", 5)])
+def test_literals_of_the_family_strings_read_back(family, m):
+    assert_literals_read_back(build_family(family, m))
+
+
+@given(spec=small_specs())
+def test_literals_of_random_spec_strings_read_back(spec):
+    # arrow names x0, x1, ...: a one-letter word prints without a comma
+    A = built_or_skipped(spec)
+    try:
+        assert_literals_read_back(A)
+    except CapTooSmall:
+        assume(False)
 
 
 # -- random words ------------------------------------------------------------------
