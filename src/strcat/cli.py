@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -82,6 +83,7 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="treat module arguments as raw string literals")
 
 
+@functools.cache  # built on first use, not at import; main reuses it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="strcat",

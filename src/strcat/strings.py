@@ -7,12 +7,14 @@ modules over the full algebra (checked on construction).
 
 Being a string is a local condition (Butler and Ringel, Comm. Algebra 15,
 1987): consecutive letters compose and do not cancel, and no run of
-direct letters, nor of inverse ones, contains a socle rule.  The
-enumeration and the hook and cohook moves grow strings one letter at a
-time at the start, and ``_extend`` checks only what the new letter can
-break, in O(rules * longest rule) whatever the length of the word.
-``is_string`` checks a whole word, and stays the check on words from
-outside: ``string_module``, ``canonical_homs`` and ``class_moves``.
+direct letters, nor of inverse ones, contains a socle rule.  ``_fits``
+states it once, letter by letter: a letter composes with the next one, is
+not undone by it, and starts no socle-rule window of its own run.
+``is_string`` applies it at every letter of a word from outside
+(``string_module``, ``canonical_homs``, ``class_moves``).  The enumeration
+and the hook and cohook moves grow strings one letter at a time at the
+start, so ``_extend`` applies it at the new first letter only, in
+O(rules * longest rule) whatever the length of the word.
 
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
 ``b,r~,a``; trivial words print as ``e0``, ``e1``.  Every printed word
@@ -64,6 +66,8 @@ class StringWord:
     def __post_init__(self):
         if not self.letters and self.vertex is None:
             raise StrcatError("a trivial word needs its base vertex")
+        if self.letters and self.vertex is not None:
+            raise StrcatError("a nonempty word has no base vertex")
 
     @property
     def length(self) -> int:
@@ -144,77 +148,65 @@ def canonical(word: StringWord, quiver: Quiver) -> StringWord:
     return min(word, inv, key=lambda w: word_key(quiver, w))
 
 
-def is_string(word: StringWord, algebra: Algebra) -> bool:
-    """Whether the word is a valid string for the socle-quotient rules."""
-    quiver = algebra.quiver
-    if word.is_trivial:
-        if word.vertex not in quiver.vertices:
-            raise UnknownArrow(f"unknown vertex {word.vertex}")
-        return True
+def _known(word: StringWord, quiver: Quiver) -> StringWord:
+    """``word``, once its base vertex or every arrow it names is in the
+    quiver; raises UnknownArrow otherwise."""
+    if word.is_trivial and word.vertex not in quiver.vertices:
+        raise UnknownArrow(f"unknown vertex {word.vertex}")
     for l in word.letters:
         if not quiver.has_arrow(l.arrow):
             raise UnknownArrow(f"unknown arrow {l.arrow!r}")
-    for x, y in zip(word.letters, word.letters[1:]):
-        if letter_target(quiver, x) != letter_source(quiver, y):
-            return False
-        if y == x.flipped():
-            return False
-    forbidden = [r.arrows for r in algebra.socle_rules]
+    return word
 
-    def run_ok(names: tuple[str, ...]) -> bool:
-        for lhs in forbidden:
-            k = len(lhs)
-            if k > len(names):
-                continue
-            for i in range(len(names) - k + 1):
-                if names[i: i + k] == lhs:
-                    return False
-        return True
 
-    run: list[str] = []
-    direction = None
-    for l in list(word.letters) + [None]:
-        d = None if l is None else l.inverse
-        if d == direction:
-            run.append(l.arrow)
-            continue
-        if run:
-            names = tuple(reversed(run)) if direction else tuple(run)
-            if not run_ok(names):
+def _fits(letters: tuple[Letter, ...], algebra: Algebra, stop: int = 1) -> bool:
+    """Whether each of the first ``stop`` letters ends where the next one
+    starts, is not undone by it, and starts no window of its own run that
+    spells a socle rule: the next k names of a direct run, the reversed
+    next k of an inverse one.  Every window starts at some letter, so at
+    every letter this is the whole string condition.  Each letter costs
+    O(rules * longest rule)."""
+    quiver = algebra.quiver
+    for i in range(stop):
+        x = letters[i]
+        if i + 1 < len(letters):
+            y = letters[i + 1]
+            if (letter_target(quiver, x) != letter_source(quiver, y)
+                    or (y.arrow == x.arrow and y.inverse != x.inverse)):
                 return False
-        run = [] if l is None else [l.arrow]
-        direction = d
+        for rule in algebra.socle_rules:
+            names = rule.arrows
+            if i + len(names) > len(letters) or names[-1 if x.inverse else 0] != x.arrow:
+                continue
+            window = letters[i:i + len(names)]
+            if all(l.inverse == x.inverse and l.arrow == name for l, name in
+                   zip(reversed(window) if x.inverse else window, names)):
+                return False
     return True
+
+
+def is_string(word: StringWord, algebra: Algebra) -> bool:
+    """Whether the word is a valid string for the socle-quotient rules."""
+    _known(word, algebra.quiver)
+    return word.is_trivial or _fits(word.letters, algebra, stop=word.length)
 
 
 def _extend(word: StringWord, letter: Letter, algebra: Algebra) -> StringWord | None:
     """``letter`` followed by ``word`` when that is a string, else None.
 
-    ``word`` must already be a string: only what the new letter can break
-    is checked.  The letter must end where the word starts and must not
-    undo the word's first letter, and no socle rule may match a window of
-    the new first run that holds the new letter.  A direct run reads its
-    arrows in order, so that window is the first k names; an inverse run
-    reads them backwards, so it is the reversed first k.  The cost is
-    O(rules * longest rule), whatever the length of the word.
-    """
-    if word.is_trivial:
-        if letter_target(algebra.quiver, letter) != word.vertex:
-            return None
-    else:
-        first = word.letters[0]
-        if letter_target(algebra.quiver, letter) != letter_source(algebra.quiver, first):
-            return None
-        if letter == first.flipped():
-            return None
+    ``word`` must already be a string, so only the new letter is checked:
+    it must end where the word starts, and ``_fits`` judges the rest."""
+    if word.is_trivial and letter_target(algebra.quiver, letter) != word.vertex:
+        return None
     letters = (letter,) + word.letters
-    for rule in algebra.socle_rules:
-        window = letters[:rule.length]
-        if len(window) == rule.length and all(l.inverse == letter.inverse for l in window):
-            names = tuple(l.arrow for l in (reversed(window) if letter.inverse else window))
-            if names == rule.arrows:
-                return None
-    return StringWord(letters)
+    return StringWord(letters) if _fits(letters, algebra) else None
+
+
+def _prepended(word: StringWord, algebra: Algebra, directions: tuple[bool, ...]) -> list[StringWord]:
+    """Every string ``letter`` + ``word`` whose letter's ``inverse`` flag is
+    in ``directions``, in arrow order; ``word`` must be a string."""
+    return [got for a in algebra.quiver.arrows for inv in directions
+            if (got := _extend(word, Letter(a.name, inv), algebra)) is not None]
 
 
 @memoized
@@ -236,13 +228,7 @@ def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[
     length = 0
     while frontier:
         length += 1
-        nxt = []
-        for w in frontier:
-            for a in quiver.arrows:
-                for inv in (False, True):
-                    got = _extend(w, Letter(a.name, inv), algebra)
-                    if got is not None:
-                        nxt.append(got)
+        nxt = [got for w in frontier for got in _prepended(w, algebra, (False, True))]
         if nxt and length >= length_cap:
             raise CapTooSmall(
                 f"strings of length {length_cap} still appear at the cap")
@@ -278,13 +264,8 @@ def string_module(algebra: Algebra, word: StringWord) -> homology.Representation
 
 def _grow_directed(word: StringWord, algebra: Algebra, inverse: bool) -> StringWord:
     """Prepend the maximal run of letters of one direction."""
-    quiver = algebra.quiver
     while True:
-        candidates = []
-        for a in quiver.arrows:
-            got = _extend(word, Letter(a.name, inverse), algebra)
-            if got is not None:
-                candidates.append(got)
+        candidates = _prepended(word, algebra, (inverse,))
         if not candidates:
             return word
         if len(candidates) > 1:
@@ -300,12 +281,8 @@ def extensions_at_start(word: StringWord, algebra: Algebra, hook: bool) -> list[
     old part, so the new module projects onto the old one.
 
     ``word`` must be a string, as for ``_extend``."""
-    out = []
-    for a in algebra.quiver.arrows:
-        first = _extend(word, Letter(a.name, not hook), algebra)
-        if first is not None:
-            out.append(_grow_directed(first, algebra, inverse=hook))
-    return out
+    return [_grow_directed(first, algebra, inverse=hook)
+            for first in _prepended(word, algebra, (not hook,))]
 
 
 def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, StringWord, str]]:
@@ -372,6 +349,8 @@ def _parse_literal(text: str) -> StringWord:
         tokens = [t.strip() for t in text.split(",") if t.strip()]
     else:
         tokens = re.findall(r"[^~]~?", text)
+        if "".join(tokens) != text:
+            raise StrcatError(f"stray '~' in string literal {text!r}")
     if not tokens:
         raise StrcatError("empty string literal")
     return StringWord(tuple(Letter(t.removesuffix("~"), t.endswith("~"))
@@ -385,10 +364,4 @@ def parse_string_literal(text: str, quiver: Quiver) -> StringWord:
     name = text.strip().removesuffix("~")
     if "," not in name and quiver.has_arrow(name):
         return StringWord((Letter(name, name != text.strip()),))
-    word = _parse_literal(text)
-    if word.is_trivial and word.vertex not in quiver.vertices:
-        raise UnknownArrow(f"unknown vertex {word.vertex}")
-    for l in word.letters:
-        if not quiver.has_arrow(l.arrow):
-            raise UnknownArrow(f"unknown arrow {l.arrow!r}")
-    return word
+    return _known(_parse_literal(text), quiver)

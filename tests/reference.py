@@ -25,7 +25,7 @@ from strcat.quiver_core import (
     path_key,
     projective_paths,
 )
-from strcat.strings import StringWord, is_string, letter_target, word_layout
+from strcat.strings import StringWord, letter_source, letter_target, word_layout
 
 
 def hand_built(family, m, p=DEFAULT_PRIME):
@@ -125,13 +125,51 @@ def eliminated_radical_series(M):
     return layers
 
 
+def scanned_is_string(word, algebra):
+    """Whether a word over the quiver's arrows is a string: consecutive
+    letters compose and do not cancel, and no maximal run of one direction,
+    read along its arrows, contains a socle rule."""
+    quiver = algebra.quiver
+    if word.is_trivial:
+        return word.vertex in quiver.vertices
+    for x, y in zip(word.letters, word.letters[1:]):
+        if letter_target(quiver, x) != letter_source(quiver, y):
+            return False
+        if y == x.flipped():
+            return False
+    forbidden = [r.arrows for r in algebra.socle_rules]
+
+    def run_ok(names):
+        for lhs in forbidden:
+            k = len(lhs)
+            for i in range(len(names) - k + 1):
+                if names[i: i + k] == lhs:
+                    return False
+        return True
+
+    run = []
+    direction = None
+    for l in list(word.letters) + [None]:
+        d = None if l is None else l.inverse
+        if d == direction:
+            run.append(l.arrow)
+            continue
+        if run:
+            names = tuple(reversed(run)) if direction else tuple(run)
+            if not run_ok(names):
+                return False
+        run = [] if l is None else [l.arrow]
+        direction = d
+    return True
+
+
 def rescanned_extension(word, letter, algebra):
     """``letter`` followed by ``word`` when that walk is a string, judged by
-    ``is_string`` on the whole new word; None otherwise."""
+    ``scanned_is_string`` on the whole new word; None otherwise."""
     if word.is_trivial and letter_target(algebra.quiver, letter) != word.vertex:
         return None
     new = StringWord((letter,) + word.letters)
-    return new if is_string(new, algebra) else None
+    return new if scanned_is_string(new, algebra) else None
 
 
 def solved_subrep(parent, rows):

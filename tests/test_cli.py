@@ -73,6 +73,14 @@ def test_hom_with_raw_literals(capsys):
     assert json.loads(out)["dim"] == 3
 
 
+@pytest.mark.parametrize("literal", ["~b", "b~~"])
+def test_stray_tilde_in_a_literal_exits_3(capsys, literal):
+    code, out, err = run(capsys, "hom", "--family", "ae3", "--m", "3",
+                         "--string", literal, "b")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_ext_command(capsys):
     code, out, _ = run(capsys, "ext", "--family", "ae3", "--m", "3",
                        "V3", "V3", "--format", "json")
@@ -458,6 +466,18 @@ def test_verify_reuses_the_commands_work(capsys, monkeypatch):
         code, _, err = run(capsys, command, "--family", "ae3", "--m", "3", "--verify")
         assert code == 0 and not err
         assert calls == {"match_node": nodes, "class_moves": nodes}, command
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    calls = []
+    add_common = cli._add_common
+    monkeypatch.setattr(cli, "_add_common",
+                        lambda parser: calls.append(parser) or add_common(parser))
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        code, out, _ = run(capsys, "hom", "--family", "ae1", "--m", "2", "V0", "V1")
+        assert code == 0 and "dim Hom(V0, V1)" in out
+    assert len(calls) == 7  # one per subcommand
 
 
 def test_bad_env_seed_exits_2(capsys, monkeypatch):

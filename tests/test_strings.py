@@ -1,3 +1,4 @@
+import itertools
 from collections import Counter
 from functools import lru_cache
 
@@ -42,7 +43,7 @@ from strcat.strings import (
 
 from .builders import ae1, ae2, ae3
 from .oracles import ORACLE_CASES
-from .reference import rescanned_extension, socle_dims, top_dims
+from .reference import rescanned_extension, scanned_is_string, socle_dims, top_dims
 from .test_arquiver import nakayama_spec
 from .test_quiver_core import built_or_skipped, small_specs
 
@@ -333,8 +334,11 @@ def assert_extension_matches_a_rescan(algebra, longest):
         level = longer
 
 
-@pytest.mark.parametrize("family,m,p", [(family, m, p) for family, m in ORACLE_CASES
-                                        for p in (2, 3, DEFAULT_PRIME)])
+ORACLE_CASES_AT_PRIMES = [(family, m, p) for family, m in ORACLE_CASES
+                          for p in (2, 3, DEFAULT_PRIME)]
+
+
+@pytest.mark.parametrize("family,m,p", ORACLE_CASES_AT_PRIMES)
 def test_extension_checks_only_the_new_letter(family, m, p):
     A = build_family(family, m, p)
     longest = max(w.length for w in enumerate_strings(A))
@@ -344,6 +348,33 @@ def test_extension_checks_only_the_new_letter(family, m, p):
 @given(spec=small_specs(), p=st.sampled_from([2, 3, DEFAULT_PRIME]))
 def test_extension_of_random_strings_checks_only_the_new_letter(spec, p):
     assert_extension_matches_a_rescan(built_or_skipped({**spec, "prime": p}), 4)
+
+
+def assert_is_string_matches_a_scan(algebra, longest):
+    """On each trivial word and on every word of at most ``longest``
+    letters, composable or not, ``is_string`` agrees with a whole-word scan
+    of its runs."""
+    letters = all_letters(algebra)
+    words = [empty_word(v) for v in algebra.quiver.vertices]
+    words += [StringWord(w) for k in range(1, longest + 1)
+              for w in itertools.product(letters, repeat=k)]
+    for w in words:
+        assert is_string(w, algebra) == scanned_is_string(w, algebra), str(w)
+
+
+@pytest.mark.parametrize("family,m,p", ORACLE_CASES_AT_PRIMES)
+def test_is_string_of_every_short_word_matches_a_scan(family, m, p):
+    # every socle rule and one letter more, where that stays under about
+    # 22 000 words: all of ae1's and ae2's rules are reached, r^5 but not
+    # r^6 of ae3 m=5, in either direction
+    A = build_family(family, m, p)
+    longest = max(r.length for r in A.socle_rules) + 1
+    assert_is_string_matches_a_scan(A, min(longest, {"ae1": 8, "ae2": 7, "ae3": 5}[family]))
+
+
+@given(spec=small_specs(), p=st.sampled_from([2, 3, DEFAULT_PRIME]))
+def test_is_string_of_every_short_random_word_matches_a_scan(spec, p):
+    assert_is_string_matches_a_scan(built_or_skipped({**spec, "prime": p}), 4)
 
 
 def test_enumeration_never_rescans_a_word(monkeypatch):
@@ -367,6 +398,13 @@ def test_a_word_that_is_not_a_string_has_no_moves():
         assert class_moves(A, word) == []
 
 
+def test_a_nonempty_word_has_no_base_vertex():
+    with pytest.raises(StrcatError, match="no base vertex"):
+        StringWord((Letter("a"),), 0)
+    with pytest.raises(StrcatError, match="needs its base vertex"):
+        StringWord()
+
+
 def test_named_string_words():
     assert named_string("ae2", 2, "M3").literal() == "a,b,a"
     assert named_string("ae3", 3, "U0") == empty_word(1)
@@ -387,6 +425,10 @@ def test_parse_string_literal_forms():
     assert parse_string_literal("br~a", A.quiver) == word
     with pytest.raises(UnknownArrow):
         parse_string_literal("q", A.quiver)
+    # a '~' that follows no letter is refused, not dropped
+    for text in ("~b", "b~~", "br~~a", "~"):
+        with pytest.raises(StrcatError, match="stray '~'"):
+            parse_string_literal(text, A.quiver)
     # a literal without commas that names an arrow is that one letter
     B = load_algebra_spec(nakayama_spec())
     assert parse_string_literal("x0", B.quiver) == StringWord((Letter("x0"),))
