@@ -2,7 +2,7 @@
 symmetric string algebras: string combinatorics, syzygies, stable Hom,
 Auslander-Reiten quivers, and universal deformation ring classification."""
 
-from .arquiver import ArQuiver, build_ar_quiver, omega_orbit, to_dot
+from .arquiver import ArQuiver, build_ar_quiver, omega_orbit
 from .deformation import (
     Tower,
     UdrDescriptor,
@@ -10,7 +10,6 @@ from .deformation import (
     build_tower,
     check_tower,
     classify,
-    tangent_dim,
 )
 from .errors import (
     AlgebraMismatch,

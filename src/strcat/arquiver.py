@@ -4,7 +4,8 @@ Nodes are the string classes (the non-projective indecomposables); solid
 arrows are the canonical inclusions into hook extensions and projections
 out of cohook extensions.  ``omega_node`` names the node isomorphic to
 each node's syzygy, once per node, by isomorphism tests; the translate
-and the syzygy orbits both follow it.
+and the syzygy orbits both follow it.  The quiver is data; ``strcat.cli``
+labels and renders it.
 
 The translate is Omega^2, the AR translate only for symmetric algebras
 like the built-in families.  On an algebra that is not self-injective a
@@ -94,25 +95,3 @@ def omega_orbit(algebra: Algebra, node: strings.StringWord,
             return orbit
         orbit.append(nodes[current])
     raise StrcatError(f"syzygy orbit did not close after {len(nodes)} steps")
-
-
-def to_dot(q: ArQuiver, labels: dict[strings.StringWord, str] | None = None) -> str:
-    """Deterministic DOT text; solid h/c arrows, dashed non-identity tau."""
-    def label(i: int) -> str:
-        w = q.nodes[i]
-        if labels and w in labels:
-            return labels[w]
-        return w.literal()
-
-    lines = ["digraph ar_quiver {", "  rankdir=BT;"]
-    for i in range(len(q.nodes)):
-        lines.append(f'  "{label(i)}";')
-    solid = sorted((label(s), label(t), kind) for s, t, kind in q.arrows)
-    for s, t, kind in solid:
-        lines.append(f'  "{s}" -> "{t}" [label="{kind[0]}"];')
-    dashed = sorted((label(i), label(q.tau[i]))
-                    for i in range(len(q.nodes)) if q.tau[i] != i)
-    for s, t in dashed:
-        lines.append(f'  "{s}" -> "{t}" [style=dashed, label="tau"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -4,6 +4,8 @@ Subcommands: ``algebra info``, ``strings``, ``hom``, ``ext``, ``syzygy``,
 ``arquiver``, ``classify``.  Output is a plain table by default and
 machine-readable with ``--format json|csv|dot``.  Identical flags produce
 byte-identical output; ``--seed`` is accepted but no answer depends on it.
+This is the one module that turns results into text: the others return
+data, and each command here renders it in every format it has.
 
 Exit codes: 0 success, 2 bad flags or input, refused before any
 completion (the README's *Command line* section lists every case), 3
@@ -23,7 +25,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import arquiver, deformation, families, homology, strings
 from .errors import BadParameter, StrcatError
@@ -138,11 +140,11 @@ def _build_algebra(args, parser) -> Algebra:
         parser.error(f"--m: {exc}")
 
 
-def _names(args, algebra) -> dict:
-    if args.family == "file":
-        return {}
-    pairs = strings.family_node_names(args.family, args.m, algebra.quiver)
-    return {w: n for n, w in pairs}
+def _labeller(args, algebra):
+    """A node's label: its family name, else (on a spec file) its literal."""
+    names = {} if args.family == "file" else {
+        w: n for n, w in strings.family_node_names(args.family, args.m, algebra.quiver)}
+    return lambda w: names.get(w) or w.literal()
 
 
 def _resolve_module(args, algebra, text: str):
@@ -207,8 +209,9 @@ def cmd_algebra_info(args, algebra: Algebra) -> Result:
 
 def cmd_strings(args, algebra: Algebra) -> Result:
     words = strings.enumerate_strings(algebra, args.length_cap)
-    names = _names(args, algebra)
-    rows = [[names.get(w, ""), w.literal(), w.length,
+    label = _labeller(args, algebra)
+    # every string of a built-in family is named, and none of a spec file
+    rows = [["" if args.family == "file" else label(w), w.literal(), w.length,
              "(" + ",".join(map(str, strings.word_dim_vector(algebra.quiver, w))) + ")"]
             for w in words]
     header = ["name", "string", "length", "dim_vector"]
@@ -258,8 +261,7 @@ def cmd_syzygy(args, algebra: Algebra) -> Result:
     if not rep.is_zero():
         nodes = strings.enumerate_strings(algebra, args.length_cap)
         idx = arquiver.match_node(algebra, rep, args.length_cap)
-        names = _names(args, algebra)
-        iso_name = names.get(nodes[idx], nodes[idx].literal())
+        iso_name = _labeller(args, algebra)(nodes[idx])
     dims = rep.dim_vector()
     return Result({"module": args.module, "n": args.n, "dim_vector": list(dims),
                    "isomorphic_to": iso_name},
@@ -270,31 +272,45 @@ def cmd_syzygy(args, algebra: Algebra) -> Result:
                   + (f", isomorphic to {iso_name}\n" if iso_name else "\n"))
 
 
+def _dot_id(text: str) -> str:
+    """A quoted DOT ID, with backslash and double quote escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def cmd_arquiver(args, algebra: Algebra) -> Result:
     q = arquiver.build_ar_quiver(algebra, args.length_cap)
-    names = _names(args, algebra)
-
-    def label(i):
-        return names.get(q.nodes[i], q.nodes[i].literal())
-
+    label = _labeller(args, algebra)
+    labels = [label(w) for w in q.nodes]
     header = ["source", "target", "kind"]
-    rows = sorted([label(s), label(t), kind] for s, t, kind in q.arrows)
-    tau_rows = sorted([label(i), label(q.tau[i])] for i in range(q.node_count))
-    payload = {"nodes": sorted(label(i) for i in range(q.node_count)),
-               "arrows": rows,
-               "tau": tau_rows}
+    rows = sorted([labels[s], labels[t], kind] for s, t, kind in q.arrows)
+    tau_rows = sorted([labels[i], labels[j]] for i, j in enumerate(q.tau))
+    payload = {"nodes": sorted(labels), "arrows": rows, "tau": tau_rows}
     table = (_table(rows, header)
              + "tau: " + ", ".join(f"{a}->{b}" for a, b in tau_rows) + "\n")
-    return Result(payload, header, rows, table, dot=arquiver.to_dot(q, names))
+    # nodes in node order; solid h/c arrows, dashed tau where it moves a node
+    dot = ["digraph ar_quiver {", "  rankdir=BT;"]
+    dot += [f"  {_dot_id(n)};" for n in labels]
+    dot += [f'  {_dot_id(s)} -> {_dot_id(t)} [label="{kind[0]}"];'
+            for s, t, kind in rows]
+    dot += [f'  {_dot_id(s)} -> {_dot_id(t)} [style=dashed, label="tau"];'
+            for s, t in tau_rows if s != t]
+    return Result(payload, header, rows, table, "\n".join(dot + ["}"]) + "\n")
 
 
 def cmd_classify(args, algebra: Algebra) -> Result:
     reports = deformation.classify(algebra, args.family, args.m)
-    rows = [[r.module, r.string, r.stable_endo_dim, r.ext1_dim, str(r.udr)]
+    # the udr entry keeps the fields its kind has: none, exponent or reason
+    payload = [{**asdict(r), "udr": {k: v for k, v in asdict(r.udr).items()
+                                     if v is not None}} for r in reports]
+    header = ["module", "string", "stable_endo_dim", "ext1_dim",
+              "udr_kind", "udr_exponent", "trail"]
+    rows = [[r.module, r.string, r.stable_endo_dim, r.ext1_dim, r.udr.kind,
+             "" if r.udr.exponent is None else r.udr.exponent, "; ".join(r.trail)]
             for r in reports]
-    return Result(deformation.reports_to_json(reports), deformation.CSV_COLUMNS,
-                  [deformation.report_csv_row(r) for r in reports],
-                  _table(rows, ["module", "string", "stable_endo", "ext1", "udr"]))
+    table = [[r.module, r.string, r.stable_endo_dim, r.ext1_dim, str(r.udr)]
+             for r in reports]
+    return Result(payload, header, rows,
+                  _table(table, ["module", "string", "stable_endo", "ext1", "udr"]))
 
 
 # command -> (its name in messages, computes its Result, has dot output)

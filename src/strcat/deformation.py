@@ -11,7 +11,8 @@ The classification runs in three layers:
 
 Tower hypotheses are rank- and isomorphism-checked, exactly at every
 prime; maximality of the tower is assumed, not machine-checked, and the
-trail says so.
+trail says so.  Reports are data; ``strcat.cli`` renders them as a table,
+JSON or CSV.
 """
 
 from __future__ import annotations
@@ -40,13 +41,6 @@ class UdrDescriptor:
         if self.kind == "power_series_quotient":
             return f"k[[x]]/(x^{self.exponent})"
         return f"unresolved: {self.reason}"
-
-    def to_json(self) -> dict:
-        if self.kind == "power_series_quotient":
-            return {"kind": self.kind, "exponent": self.exponent}
-        if self.kind == "unresolved":
-            return {"kind": self.kind, "reason": self.reason}
-        return {"kind": "k"}
 
 
 def trivial_ring() -> UdrDescriptor:
@@ -178,21 +172,6 @@ class UdrReport:
     udr: UdrDescriptor
     trail: tuple[str, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "module": self.module,
-            "string": self.string,
-            "stable_endo_dim": self.stable_endo_dim,
-            "ext1_dim": self.ext1_dim,
-            "udr": self.udr.to_json(),
-            "trail": list(self.trail),
-        }
-
-
-def tangent_dim(algebra: Algebra, M: homology.Representation) -> int:
-    """Dimension of the deformation tangent space: self-extensions."""
-    return homology.ext1_dim(M, M)
-
 
 @memoized
 def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
@@ -219,7 +198,7 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
         if sed == 1:
             kept.append((name, w, rep, sed))
 
-    exts = {name: tangent_dim(algebra, rep) for name, _, rep, _ in kept}
+    exts = {name: homology.ext1_dim(rep, rep) for name, _, rep, _ in kept}
     tangent_one = [name for name, _, _, _ in kept if exts[name] == 1]
 
     orbit_names: list[str] = []
@@ -278,17 +257,3 @@ def verify_classification(reports: tuple[UdrReport, ...], family: str, m: int) -
         if got[name] != expected[name]:
             problems.append(f"{name}: computed {got[name]}, expected {expected[name]}")
     return problems
-
-
-def reports_to_json(reports: tuple[UdrReport, ...]) -> list[dict]:
-    return [r.to_json() for r in reports]
-
-
-CSV_COLUMNS = ["module", "string", "stable_endo_dim", "ext1_dim",
-               "udr_kind", "udr_exponent", "trail"]
-
-
-def report_csv_row(r: UdrReport) -> list:
-    return [r.module, r.string, r.stable_endo_dim, r.ext1_dim,
-            r.udr.kind, "" if r.udr.exponent is None else r.udr.exponent,
-            "; ".join(r.trail)]

@@ -656,11 +656,10 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
     they put their 1s in the same entries; each matrix is reported once.
     The count equals dim Hom(M[S], M[T]).
     """
-    from .strings import is_string, word_layout
+    from .strings import string_module, word_layout
 
-    for w in (S, T):
-        if not is_string(w, algebra):
-            raise StrcatError(f"{w} is not a string over this algebra")
+    for w in (S, T):  # NotAString unless w is a string; checked once per word
+        string_module(algebra, w)
     source, target = word_layout(algebra.quiver, S), word_layout(algebra.quiver, T)
     s_cuts = _cuts(S.letters, quotient=True)
     out: list[CanonicalHom] = []

@@ -11,7 +11,7 @@ direct letters, nor of inverse ones, contains a socle rule.  ``_fits``
 states it once, letter by letter: a letter composes with the next one, is
 not undone by it, and starts no socle-rule window of its own run.
 ``is_string`` applies it at every letter of a word from outside
-(``string_module``, ``canonical_homs``, ``class_moves``).  The enumeration
+(``string_module``, which ``canonical_homs`` calls, and ``class_moves``).  The enumeration
 and the hook and cohook moves grow strings one letter at a time at the
 start, so ``_extend`` applies it at the new first letter only, in
 O(rules * longest rule) whatever the length of the word.

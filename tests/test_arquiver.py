@@ -1,3 +1,5 @@
+import json
+import re
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -14,9 +16,8 @@ from strcat import (
     named_string,
     omega_orbit,
     string_module,
-    to_dot,
 )
-from strcat import arquiver, strings
+from strcat import arquiver, cli, strings
 from strcat.deformation import verify_classification
 from strcat.strings import family_node_names
 
@@ -223,26 +224,59 @@ def test_omega_orbit_that_never_closes_raises(monkeypatch):
     assert len(steps) == len(enumerate_strings(A)) == 3
 
 
-def test_dot_output_is_deterministic_and_shaped():
-    A = ae1(3)
-    q = build_ar_quiver(A)
-    names = {w: n for n, w in family_node_names("ae1", 3, A.quiver)}
-    text = to_dot(q, names)
-    assert text == to_dot(build_ar_quiver(ae1(3)), names)
+def dot_of(tmp_path, capsys, *args, spec=None):
+    """``arquiver --format dot`` through the command line, on a spec
+    written to a file when one is given."""
+    if spec is not None:
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        args = ("--family", "file", "--spec", str(path))
+    assert cli.main(["arquiver", *args, "--format", "dot"]) == 0
+    return capsys.readouterr().out
+
+
+def test_dot_output_is_deterministic_and_shaped(tmp_path, capsys):
+    text = dot_of(tmp_path, capsys, "--family", "ae1", "--m", "3")
+    assert text == dot_of(tmp_path, capsys, "--family", "ae1", "--m", "3")
     solid = [line for line in text.splitlines() if "label=\"h\"" in line
              or "label=\"c\"" in line]
     assert len(solid) == 4
     assert "tau" not in text  # identity translate draws no dashed arrows
 
-    single = build_ar_quiver(ae1(1))
-    out = to_dot(single)
+    # one loop a with a^2 = 0: the one string is e0, a node with no arrows
+    single = {"vertices": [0], "arrows": [{"name": "a", "from": 0, "to": 0}],
+              "rules": [{"lhs": ["a", "a"], "rhs": None}], "dim_bound": 2}
+    out = dot_of(tmp_path, capsys, spec=single)
     assert out.count("->") == 0 and out.count('"e0"') == 1
 
 
-def test_dot_tau_edges_for_swapping_translate():
-    A = ae2(1)
-    q = build_ar_quiver(A)
-    names = {w: n for n, w in family_node_names("ae2", 1, A.quiver)}
-    text = to_dot(q, names)
+def test_dot_tau_edges_for_swapping_translate(tmp_path, capsys):
+    text = dot_of(tmp_path, capsys, "--family", "ae2", "--m", "1")
     dashed = [line for line in text.splitlines() if "dashed" in line]
     assert len(dashed) == 4
+
+
+DOT_ID = r'"((?:[^"\\]|\\.)*)"'
+
+
+def test_dot_ids_escape_quotes_and_backslashes(tmp_path, capsys):
+    # loops x" and y\ with cube zero, on two vertices: the strings are
+    # e0, x", e1 and y\, and every quoted ID must read back to its literal
+    spec = {"vertices": [0, 1],
+            "arrows": [{"name": 'x"', "from": 0, "to": 0},
+                       {"name": "y\\", "from": 1, "to": 1}],
+            "rules": [{"lhs": ['x"'] * 3, "rhs": None},
+                      {"lhs": ["y\\"] * 3, "rhs": None}],
+            "dim_bound": 6}
+    lines = dot_of(tmp_path, capsys, spec=spec).splitlines()
+
+    def unescape(text):
+        return re.sub(r"\\(.)", r"\1", text)
+
+    nodes = [unescape(re.fullmatch(f"  {DOT_ID};", line).group(1))
+             for line in lines if line.endswith('";')]
+    assert nodes == ["e0", "e1", 'x"', "y\\"]
+    edges = [re.fullmatch(f"  {DOT_ID} -> {DOT_ID} " + r"\[.*\];", line)
+             for line in lines if "->" in line]
+    assert edges and all(edges)
+    assert {unescape(e.group(i)) for e in edges for i in (1, 2)} <= set(nodes)

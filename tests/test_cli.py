@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
@@ -127,6 +129,34 @@ def test_classify_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("module,string,stable_endo_dim")
     assert len(lines) == 3
+
+
+def test_classify_renders_an_unresolved_report(capsys, monkeypatch):
+    # no family leaves a module unresolved and no golden file holds this
+    # shape, so one report of ae3 m=3 is replaced by an unresolved one
+    from strcat import deformation
+
+    reason = "no tower reached this module"
+    real = deformation.classify(quiver_core.build_family("ae3", 3), "ae3", 3)
+    i = next(i for i, r in enumerate(real) if r.udr.exponent is not None)
+    name = real[i].module
+    reports = (*real[:i], dataclasses.replace(real[i], udr=deformation.unresolved(reason)),
+               *real[i + 1:])
+    monkeypatch.setattr(deformation, "classify", lambda *args: reports)
+    argv = ("classify", "--family", "ae3", "--m", "3")
+    by_name = {r["module"]: r for r in cli_json(capsys, *argv)}
+    assert by_name[name]["udr"] == {"kind": "unresolved", "reason": reason}
+    assert sum(r["udr"]["kind"] == "unresolved" for r in by_name.values()) == 1
+
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert code == 0 and header[4:6] == ["udr_kind", "udr_exponent"]
+    by_name = {row[0]: dict(zip(header, row)) for row in rows}
+    assert by_name[name]["udr_kind"] == "unresolved"
+    assert by_name[name]["udr_exponent"] == ""
+
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and f"unresolved: {reason}" in out
 
 
 def test_determinism_across_runs(capsys):

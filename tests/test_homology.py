@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from strcat import (
     AlgebraMismatch,
+    NotAString,
     Representation,
     StrcatError,
     ZeroModule,
@@ -30,7 +31,7 @@ from strcat import (
     string_module,
     syzygy,
 )
-from strcat import homology, indexmaps, linalg
+from strcat import homology, indexmaps, linalg, strings
 from strcat.families import get as get_family
 from strcat.homology import (
     ModuleMap,
@@ -617,6 +618,37 @@ def test_canonical_count_equals_hom_dim_everywhere(family, m):
             if chs:
                 flat = np.vstack([flat_map(realize_canonical(ch)) for ch in chs])
                 assert rank(flat, p) == dim
+
+
+@pytest.mark.parametrize("family,m", ORACLE_CASES)
+def test_canonical_homs_check_each_word_once(family, m, monkeypatch):
+    # the words are checked through the memoized string_module, so a loop
+    # over pairs runs the whole-word test once per distinct word
+    A = build_family(family, m)
+    words = enumerate_strings(A)
+    words += tuple(w.inverse() for w in words if not w.is_trivial)
+    checked = []
+    real = strings.is_string
+
+    def counted(word, algebra):
+        checked.append(word)
+        return real(word, algebra)
+
+    monkeypatch.setattr(strings, "is_string", counted)
+    for S in words:
+        for T in words:
+            canonical_homs(A, S, T)
+    assert checked and len(checked) == len(set(checked)) <= len(words)
+    assert set(checked) <= set(words)
+
+
+def test_canonical_homs_refuse_a_word_that_is_not_a_string():
+    A = ae3(3)
+    good = named_string("ae3", 3, "U0")
+    bad = strings.parse_string_literal("a,a~", A.quiver)
+    for S, T in ((bad, good), (good, bad)):
+        with pytest.raises(NotAString, match="is not a string over this algebra"):
+            canonical_homs(A, S, T)
 
 
 @pytest.mark.parametrize("family,m,p", [(family, m, p) for family, m in ORACLE_CASES

@@ -3,7 +3,10 @@ there, and so is every name it imports; and no answer can depend on a
 random draw, because nothing there touches a random number generator.
 
 A name that only tests call belongs in ``tests/``; a name that nothing
-calls belongs nowhere.  ``__init__.py`` only re-exports, so its imports do
+calls belongs nowhere.  ``cli.py`` is the one module that writes text:
+no other module prints, writes to ``sys.stdout`` or ``sys.stderr``,
+imports ``csv`` or serializes with ``json.dump``/``json.dumps`` (reading
+a spec with ``json.load``/``json.loads`` is fine).  ``__init__.py`` only re-exports, so its imports do
 not count as uses and are not checked.  An import kept on purpose carries
 ``# noqa: F401`` on its line.
 """
@@ -77,3 +80,29 @@ def test_no_random_number_generator():
                         or name.startswith("numpy.random")):
                     found.append(f"{name} ({path.name}:{node.lineno})")
     assert not found, "random number generation in src/strcat: " + ", ".join(found)
+
+
+# what writes output; only cli.py may name these
+OUTPUT = {"print", "csv", "sys.stdout", "sys.stderr", "json.dump", "json.dumps"}
+
+
+def test_only_the_command_line_writes_output():
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [f"{node.module}.{alias.name}"
+                                               for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            else:
+                continue
+            found += [f"{name} ({path.name}:{node.lineno})"
+                      for name in names if name in OUTPUT]
+    assert not found, "output written outside cli.py: " + ", ".join(found)
