@@ -180,7 +180,8 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
     Tangent-zero modules get the trivial ring outright.  For the
     tangent-one modules, the family's tower certifies one representative
     and the ring transports along its syzygy orbit, which is recorded in
-    the trail.  Every verdict is exact: the isomorphism tests take no
+    the trail; a tower that fails its check is named there with the reason
+    it fails.  Every verdict is exact: the isomorphism tests take no
     seed.  The reports live in the algebra's memo, so a second call with
     the same family and m returns the same tuple.
     """
@@ -212,8 +213,10 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
         tower = build_tower(family, m, algebra)
         rep_word = strings.named_string(family, m, rep_name)
         tower_desc = check_tower(tower, strings.string_module(algebra, rep_word))
-        tower_label = (f"tower {' < '.join(tower.labels)} certified for {rep_name}; "
-                       "maximality assumed, not machine-checked")
+        tower_label = f"tower {' < '.join(tower.labels)} " + (
+            f"not certified for {rep_name}: {tower_desc.reason}"
+            if tower_desc.kind == "unresolved" else
+            f"certified for {rep_name}; maximality assumed, not machine-checked")
         orbit = arquiver.omega_orbit(algebra, rep_word)
         orbit_names = [name_of[w] for w in orbit]
 

@@ -652,35 +652,31 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
     """All canonical homomorphisms M[S] -> M[T], one per distinct map.
 
     Reversing both words reverses a cut and keeps its matrix, so S is read
-    as given and T both ways.  Two cuts give the same matrix exactly when
-    they put their 1s in the same entries; each matrix is reported once.
-    The count equals dim Hom(M[S], M[T]).
+    as given and T both ways.  Distinct cuts give distinct matrices, except
+    that an empty cut is found in both readings, so T read backwards adds
+    only cuts of positive length.  The count equals dim Hom(M[S], M[T]).
     """
-    from .strings import string_module, word_layout
+    from .strings import string_module, word_vertices
 
     for w in (S, T):  # NotAString unless w is a string; checked once per word
         string_module(algebra, w)
-    source, target = word_layout(algebra.quiver, S), word_layout(algebra.quiver, T)
+    verts_s, verts_t = word_vertices(algebra.quiver, S), word_vertices(algebra.quiver, T)
     s_cuts = _cuts(S.letters, quotient=True)
     out: list[CanonicalHom] = []
-    seen: set[frozenset] = set()
     for t_flip in (False, True):
         lt = T.inverse().letters if t_flip else T.letters
-        vt = target[0][::-1] if t_flip else target[0]
+        vt = verts_t[::-1] if t_flip else verts_t
         by_len: dict[int, list[int]] = {}
         for tpos, length in _cuts(lt, quotient=False):
-            by_len.setdefault(length, []).append(tpos)
+            if length or not t_flip:
+                by_len.setdefault(length, []).append(tpos)
         for spos, length in s_cuts:
             piece = S.letters[spos: spos + length]
             for tpos in by_len.get(length, []):
                 # an empty cut matches on its vertex alone
-                if vt[tpos] != source[0][spos] or lt[tpos: tpos + length] != piece:
+                if vt[tpos] != verts_s[spos] or lt[tpos: tpos + length] != piece:
                     continue
-                ch = CanonicalHom(algebra, S, T, t_flip, spos, tpos, length)
-                key = _entries(ch, source, target)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(ch)
+                out.append(CanonicalHom(algebra, S, T, t_flip, spos, tpos, length))
     return out
 
 

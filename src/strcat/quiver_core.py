@@ -2,13 +2,15 @@
 
 An algebra is presented by a quiver together with monomial rules
 (path -> 0) and binomial rules (path -> scalar * path).  Completion
-resolves all rule overlaps so that every path has a unique normal form;
-the irreducible paths form the basis.  Every rule sends a path to zero or
-to a scalar times one path, so a normal form is one term (path, coeff)
-or zero, and so is a basis path times an arrow: the algebra's right
-action on its basis is two integer arrays of shape (dim+1, arrows), the
-basis index and the coefficient of each such product.  Construction
-certifies that table against the rules (``Algebra.verify_associativity``).
+resolves a queue of critical pairs, each rule pair once, so that every
+path has a unique normal form; the irreducible paths form the basis.
+Every rule sends a path to zero or to a scalar times one path, so a
+normal form is one term (path, coeff) or zero, and so is a basis path
+times an arrow: the algebra's right action on its basis is two integer
+arrays of shape (dim+1, arrows), the basis index and the coefficient of
+each such product.  One breadth-first pass of such products gives both
+the basis and the table, and construction certifies that table against
+the rules (``Algebra.verify_associativity``).
 
 The built-in families are specs too: ``build_family`` hands the quiver
 and rules in a family's record (``strcat.families``) to
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import functools
 import inspect
-import itertools
 import json
 import math
 import re
+from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
@@ -119,9 +121,6 @@ class Quiver:
 
     def has_arrow(self, name: str) -> bool:
         return name in self._positions
-
-    def arrows_from(self, v: int) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == v]
 
     def arrows_into(self, v: int) -> list[Arrow]:
         return [a for a in self.arrows if a.target == v]
@@ -313,6 +312,15 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
                        dim_bound: int, p: int = DEFAULT_PRIME) -> "Algebra":
     """Complete the rule set to confluence and build the algebra.
 
+    Each rule that joins the set queues its critical pairs with every live
+    rule, itself included, in both orders.  The queue is resolved first in,
+    first out: every overlap of a pair's left sides is reduced both ways
+    under the rules of the moment, and a difference joins the set as a new
+    rule.  A pair whose rule interreduction has since removed is skipped,
+    since the rebuilt rule queued its own pairs when it was added.  So each
+    critical pair is resolved once, and an empty queue leaves every pair of
+    live rules resolved, which is confluence.
+
     Raises DimensionBoundExceeded when more than ``dim_bound`` irreducible
     paths appear, and NonTerminating when completion or rewriting runs
     past its caps.
@@ -322,103 +330,65 @@ def complete_rewriting(quiver: Quiver, rules: Iterable[RewriteRule],
     require_prime(p)
 
     rw = _Rewriter(p, step_cap=200 + 40 * dim_bound)
-    pending = sorted(rules, key=lambda r: path_key(quiver, r.lhs))
+    pairs: deque[tuple[RewriteRule, RewriteRule]] = deque()
     resolution_cap = 10 * dim_bound
     resolutions = 0
-
-    def reduce(term: tuple[Path, int] | None) -> tuple[Path, int] | None:
-        return None if term is None else rw.reduce_path(*term)
 
     def reduce_rule(rule: RewriteRule) -> RewriteRule | None:
         """The rule lhs -> coeff * rhs re-derived under the current rules."""
         rhs = None if rule.rhs is None else rw.reduce_path(rule.rhs, rule.coeff)
         return _orient(quiver, rw.reduce_path(rule.lhs), rhs, p, rule.lhs)
 
-    def add_rule(rule: RewriteRule):
+    def add_rule(rule: RewriteRule | None) -> bool:
         nonlocal resolutions
+        if rule is None:
+            return False
         resolutions += 1
         if resolutions > resolution_cap:
             raise NonTerminating("completion exceeded its resolution cap")
         rw.add(rule)
-
-    def add_interreduced(rule: RewriteRule | None) -> bool:
-        if rule is None:
-            return False
-        add_rule(rule)
-        # interreduce: rebuild any rule whose left side another rule reduces
-        # or whose right side any rule reduces (so x -> x*x never settles)
-        changed = True
-        while changed:
-            changed = False
-            for old in list(rw.rules):
-                if rw._find_redex(old.lhs, exclude=old) is not None or (
-                        old.rhs is not None and rw._find_redex(old.rhs)):
-                    rw.remove(old)
-                    newr = reduce_rule(old)
-                    if newr is not None:
-                        add_rule(newr)
-                    changed = True
-                    break
+        for r in rw.rules:
+            pairs.append((rule, r))
+            if r is not rule:
+                pairs.append((r, rule))
         return True
 
-    for r in pending:
+    def unsettled(rule: RewriteRule) -> bool:
+        """Whether another rule reduces the left side or any rule the right
+        side (so x -> x*x never settles)."""
+        return rw._find_redex(rule.lhs, exclude=rule) is not None or (
+            rule.rhs is not None and rw._find_redex(rule.rhs) is not None)
+
+    def add_interreduced(rule: RewriteRule | None):
+        if add_rule(rule):
+            # interreduce: rebuild the first unsettled rule until none is left
+            while (old := next(filter(unsettled, rw.rules), None)) is not None:
+                rw.remove(old)
+                add_rule(reduce_rule(old))
+
+    for r in sorted(rules, key=lambda r: path_key(quiver, r.lhs)):
         add_interreduced(reduce_rule(r))
 
-    # resolve critical pairs until no overlap yields a new relation
-    while True:
-        new_relations = []  # pairs of reduced terms x == y
-        snapshot = sorted(rw.rules, key=lambda r: path_key(quiver, r.lhs))
-        for r1, r2 in itertools.product(snapshot, repeat=2):
-            a1, a2 = r1.lhs.arrows, r2.lhs.arrows
-            for k in range(1, min(len(a1), len(a2))):
-                if a1[len(a1) - k :] != a2[:k]:
-                    continue
-                via1 = via2 = None
-                if r1.rhs is not None:
-                    via1 = rw.reduce_path(make_path(quiver, r1.rhs.arrows + a2[k:],
-                                                    base_vertex=r1.lhs.source), r1.coeff)
-                if r2.rhs is not None:
-                    via2 = rw.reduce_path(make_path(quiver, a1[: len(a1) - k] + r2.rhs.arrows,
-                                                    base_vertex=r1.lhs.source), r2.coeff)
-                if via1 != via2:
-                    new_relations.append((via1, via2))
-        if not new_relations:
-            break
-        progressed = False
-        for x, y in new_relations:
-            if add_interreduced(_orient(quiver, reduce(x), reduce(y), p)):
-                progressed = True
-        if not progressed:
-            break
+    while pairs:
+        r1, r2 = pairs.popleft()
+        if r1 not in rw.rules or r2 not in rw.rules:
+            continue
+        a1, a2 = r1.lhs.arrows, r2.lhs.arrows
+        for k in range(1, min(len(a1), len(a2))):
+            if a1[len(a1) - k :] != a2[:k]:
+                continue
+            via1 = via2 = None
+            if r1.rhs is not None:
+                via1 = rw.reduce_path(make_path(quiver, r1.rhs.arrows + a2[k:],
+                                                base_vertex=r1.lhs.source), r1.coeff)
+            if r2.rhs is not None:
+                via2 = rw.reduce_path(make_path(quiver, a1[: len(a1) - k] + r2.rhs.arrows,
+                                                base_vertex=r1.lhs.source), r2.coeff)
+            if via1 != via2:
+                add_interreduced(_orient(quiver, via1, via2, p))
 
-    basis = _irreducible_paths(quiver, rw, dim_bound)
     return Algebra(quiver, p, tuple(sorted(rw.rules, key=lambda r: path_key(quiver, r.lhs))),
-                   basis, rw)
-
-
-def _irreducible_paths(quiver: Quiver, rw: _Rewriter, dim_bound: int) -> tuple[Path, ...]:
-    """The irreducible paths in ``path_key`` order, breadth first.
-
-    Each length is sorted on its own, keyed by the arrow indices grown
-    from the parent's key, then the source: ``path_key`` without its
-    length, and without mapping every arrow again."""
-    basis: list[Path] = []
-    level = sorted((((), v), trivial_path(v)) for v in quiver.vertices)
-    while level:
-        basis.extend(path for _, path in level)
-        if len(basis) > dim_bound:
-            raise DimensionBoundExceeded(
-                f"more than {dim_bound} irreducible paths")
-        nxt = []
-        for (indices, source), path in level:
-            start = rw.suffix_start(path.length + 1)
-            for a in quiver.arrows_from(path.target):
-                word = Path(source, a.target, path.arrows + (a.name,))
-                if rw._find_redex(word, start=start) is None:
-                    nxt.append(((indices + (quiver.arrow_index(a.name),), source), word))
-        nxt.sort(key=itemgetter(0))
-        level = nxt
-    return tuple(basis)
+                   rw, dim_bound)
 
 
 class Algebra:
@@ -435,33 +405,52 @@ class Algebra:
     column is an index map (see ``strcat.indexmaps``), and a longer path
     acts as the composite of its arrows' maps.
 
-    Each entry is one reduction, dim * arrows in all.  A basis path holds
-    no redex, so one must end at the new arrow, and the search starts one
-    left-side length before it.  Construction then certifies the table
+    Basis and table come from one breadth-first pass over the completed
+    rules ``rw``: one reduction per (basis path, arrow), searched from one
+    left-side length before the new arrow, since a basis path holds no
+    redex.  A product that comes back as itself with coefficient 1 is a
+    basis path one arrow longer.  Each length is sorted on its own by the
+    arrow indices grown from the parent's key, then the source
+    (``path_key`` less its length).  More than ``dim_bound`` basis paths
+    raise DimensionBoundExceeded.  Construction then certifies the table
     (see ``verify_associativity``).
     """
 
     def __init__(self, quiver: Quiver, p: int, rules: tuple[RewriteRule, ...],
-                 basis: tuple[Path, ...], _rw: _Rewriter):
+                 rw: _Rewriter, dim_bound: int):
         self.quiver = quiver
         self.p = p
         self.rules = rules
-        self.basis = basis
-        self._rw = _rw
+        self._rw = rw
+        arrows = quiver.arrows
+        basis: list[Path] = []
+        products = []  # (basis position, arrow index, normal form)
+        level = sorted((((), v), trivial_path(v)) for v in quiver.vertices)
+        while level:
+            basis.extend(path for _, path in level)
+            if len(basis) > dim_bound:
+                raise DimensionBoundExceeded(f"more than {dim_bound} irreducible paths")
+            nxt = []
+            for k, ((indices, source), q) in enumerate(level, len(basis) - len(level)):
+                start = rw.suffix_start(q.length + 1)
+                for x, a in enumerate(arrows):
+                    if a.source == q.target:
+                        word = Path(source, a.target, q.arrows + (a.name,))
+                        term = rw.reduce_path(word, 1, start)
+                        if term == (word, 1):
+                            nxt.append(((indices + (x,), source), word))
+                        products.append((k, x, term))
+            nxt.sort(key=itemgetter(0))
+            level = nxt
+        self.basis = tuple(basis)
         self.dim = n = len(basis)
         self.index = {path: i for i, path in enumerate(basis)}
-        arrows = quiver.arrows
         self.act_index = np.full((n + 1, len(arrows)), n, dtype=np.int64)
         self.act_coeff = np.zeros((n + 1, len(arrows)), dtype=np.int64)
-        for k, q in enumerate(basis):
-            start = _rw.suffix_start(q.length + 1)
-            for x, a in enumerate(arrows):
-                if q.target == a.source:
-                    term = _rw.reduce_path(Path(q.source, a.target, q.arrows + (a.name,)),
-                                           1, start)
-                    if term is not None:
-                        self.act_index[k, x] = self.index[term[0]]
-                        self.act_coeff[k, x] = term[1]
+        for k, x, term in products:
+            if term is not None:
+                self.act_index[k, x] = self.index[term[0]]
+                self.act_coeff[k, x] = term[1]
         self.verify_associativity()
         self.socle_rules = self._socle_quotient_rules()
         self.memo: dict = {}

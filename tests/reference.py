@@ -57,7 +57,7 @@ def socle_dims(M):
     p = alg.p
     out = {}
     for v in alg.quiver.vertices:
-        mats = [M.mats[a.name] for a in alg.quiver.arrows_from(v)]
+        mats = [M.mats[a.name] for a in alg.quiver.arrows if a.source == v]
         if not mats or M.dims[v] == 0:
             out[v] = M.dims[v]
             continue
@@ -369,7 +369,7 @@ def reduced_socle_rules(algebra):
     gens = {r.lhs for r in algebra.rules}
     for path in algebra.basis:
         if path.arrows and all(reduced_concatenation(algebra, path, arrow_path(a)) is None
-                               for a in quiver.arrows_from(path.target)):
+                               for a in quiver.arrows if a.source == path.target):
             gens.add(path)
     return tuple(sorted(gens, key=lambda q: path_key(quiver, q)))
 

@@ -159,6 +159,31 @@ def test_classify_renders_an_unresolved_report(capsys, monkeypatch):
     assert code == 0 and f"unresolved: {reason}" in out
 
 
+def test_classify_trail_names_a_tower_that_is_not_certified(capsys, monkeypatch):
+    # every built-in tower certifies, so check_tower is made to fail on ae3 m=3;
+    # the orbit rows carry its reason in JSON and CSV, and claim no certificate
+    from strcat import deformation
+
+    reason = "step 2: twist kernel is not the base module"
+    monkeypatch.setattr(deformation, "check_tower",
+                        lambda *args: deformation.unresolved(reason))
+    said = f"not certified for {families.get('ae3').tower(3)[0]}: {reason}"
+    argv = ("classify", "--family", "ae3", "--m", "3")
+    orbit = [r for r in cli_json(capsys, *argv) if r["ext1_dim"] == 1]
+    assert len(orbit) == 4
+    for r in orbit:
+        assert r["udr"] == {"kind": "unresolved", "reason": reason}
+        assert any(line.endswith(said) for line in r["trail"])
+        assert "certified for" not in "; ".join(r["trail"]).replace(said, "")
+
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out))
+    trails = [row[-1] for row in rows if row[3] == "1"]
+    assert code == 0 and header[-1] == "trail" and len(trails) == 4
+    for trail in trails:
+        assert said in trail and "certified for" not in trail.replace(said, "")
+
+
 def test_determinism_across_runs(capsys):
     args = ("classify", "--family", "ae3", "--m", "2", "--format", "json",
             "--seed", "5")

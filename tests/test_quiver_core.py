@@ -31,6 +31,7 @@ from strcat import (
     string_module,
     trivial_path,
 )
+from strcat import quiver_core
 from strcat.homology import presentation
 from strcat.quiver_core import (
     DEFAULT_PRIME,
@@ -427,14 +428,25 @@ def test_tables_socle_rules_and_projectives_equal_direct_reduction(family, m):
 
 @pytest.mark.parametrize("family,m", [("ae1", 64), ("ae2", 16), ("ae3", 64)])
 def test_table_build_reduces_once_per_basis_path_and_arrow(family, m, monkeypatch):
-    # the table is grown from the arrow action: one reduction per (basis
-    # path, arrow), not one per pair of basis paths
-    inside, calls = [False], []
-    reduce_path, init = _Rewriter.reduce_path, Algebra.__init__
+    # basis and table come from one pass after completion: one reduction per
+    # (basis path, arrow) that composes, not one per pair of basis paths, and
+    # no redex search of their own; every search outside a reduction is
+    # completion's interreduction check of a live rule's side
+    inside, depth, calls, stray = [False], [0], [], []
+    reduce_path, find_redex, init = _Rewriter.reduce_path, _Rewriter._find_redex, Algebra.__init__
 
     def counted_reduce(self, *args, **kwargs):
         calls.extend([None] * inside[0])
-        return reduce_path(self, *args, **kwargs)
+        depth[0] += 1
+        try:
+            return reduce_path(self, *args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    def checked_find(self, path, *args, **kwargs):
+        if not depth[0] and not any(path in (r.lhs, r.rhs) for r in self.rules):
+            stray.append(str(path))
+        return find_redex(self, path, *args, **kwargs)
 
     def traced_init(self, *args, **kwargs):
         inside[0] = True
@@ -444,9 +456,37 @@ def test_table_build_reduces_once_per_basis_path_and_arrow(family, m, monkeypatc
             inside[0] = False
 
     monkeypatch.setattr(_Rewriter, "reduce_path", counted_reduce)
+    monkeypatch.setattr(_Rewriter, "_find_redex", checked_find)
     monkeypatch.setattr(Algebra, "__init__", traced_init)
     A = build_family(family, m)
-    assert 0 < len(calls) <= A.dim * len(A.quiver.arrows)
+    assert len(calls) == sum(a.source == q.target for q in A.basis for a in A.quiver.arrows)
+    assert not stray
+
+
+@pytest.mark.parametrize("m", [2, 3, 8])
+def test_completion_resolves_each_critical_pair_once(m, monkeypatch):
+    # ae3's binomial rule a*b -> r^m overlaps b*r -> 0 and r*a -> 0 once each,
+    # and each overlap builds the word r^(m+1) once; a second pass over the
+    # same pairs would build it again
+    inside, words = [False], []
+    make, complete = quiver_core.make_path, quiver_core.complete_rewriting
+
+    def counted_make(*args, **kwargs):
+        path = make(*args, **kwargs)
+        words.extend([path.arrows] * inside[0])
+        return path
+
+    def traced_complete(*args, **kwargs):
+        inside[0] = True
+        try:
+            return complete(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(quiver_core, "make_path", counted_make)
+    monkeypatch.setattr(quiver_core, "complete_rewriting", traced_complete)
+    build_family("ae3", m)
+    assert words == [("r",) * (m + 1)] * 2
 
 
 def test_corrupted_act_table_names_the_basis_path_it_breaks():
