@@ -4,6 +4,8 @@ Subcommands: ``algebra info``, ``strings``, ``hom``, ``ext``, ``syzygy``,
 ``arquiver``, ``classify``.  Output is a plain table by default and
 machine-readable with ``--format json|csv|dot``.  Identical flags produce
 byte-identical output; ``--seed`` is accepted but no answer depends on it.
+A flag the algebra would ignore (``--m`` or ``--prime`` with ``--family
+file``, ``--spec`` with a built-in family) is refused.
 This is the one module that turns results into text: the others return
 data, and each command here renders it in every format it has.
 
@@ -23,7 +25,6 @@ import csv
 import functools
 import io
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 
@@ -68,10 +69,11 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--m", type=int, default=None,
                         help=f"family parameter ({bounds}; algebra dimension "
                              f"<= {families.MAX_DIM})")
-    parser.add_argument("--prime", type=_prime, default=DEFAULT_PRIME)
+    parser.add_argument("--prime", type=_prime, default=None,
+                        help=f"a built-in family's prime (default {DEFAULT_PRIME})")
     parser.add_argument("--seed", type=_at_least(0), default=None,
-                        help="accepted for compatibility, no answer depends on "
-                             "it; STRCAT_SEED is the fallback")
+                        help="an integer >= 0, accepted for compatibility; no "
+                             "answer depends on it")
     parser.add_argument("--format", choices=["table", "json", "csv", "dot"],
                         default="table")
     parser.add_argument("--spec", default=None,
@@ -128,14 +130,21 @@ def _build_algebra(args, parser) -> Algebra:
     if args.family == "file":
         if not args.spec:
             parser.error("--family file needs --spec")
+        for flag, value in (("--m", args.m), ("--prime", args.prime)):
+            if value is not None:
+                parser.error(f"{flag} does not apply to --family file: the spec "
+                             "fixes the algebra and its prime")
         try:
             return load_algebra_spec(args.spec)
         except (OSError, ValueError, KeyError, TypeError) as exc:
             parser.exit(EXIT_USAGE, f"error: cannot read --spec {args.spec}: {exc!r}\n")
+    if args.spec is not None:
+        parser.error(f"--spec needs --family file, not --family {args.family}")
     if args.m is None:
         parser.error(f"--family {args.family} needs --m")
     try:
-        return build_family(args.family, args.m, args.prime)
+        return build_family(args.family, args.m,
+                            DEFAULT_PRIME if args.prime is None else args.prime)
     except BadParameter as exc:  # raised before anything is built
         parser.error(f"--m: {exc}")
 
@@ -387,11 +396,6 @@ def run_verification(args, algebra: Algebra) -> list[str]:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.seed is None:  # validated only: no answer depends on the seed
-        try:
-            _at_least(0)(os.environ.get("STRCAT_SEED") or "0")
-        except argparse.ArgumentTypeError as exc:
-            parser.exit(EXIT_USAGE, f"error: STRCAT_SEED={exc}\n")
     if args.family == "file" and args.command == "classify":
         parser.error("classify needs a built-in family")
     if args.family == "file" and args.verify:

@@ -21,10 +21,11 @@ from dataclasses import dataclass, field
 
 from . import arquiver, families, homology, strings
 from .errors import StrcatError
-from .quiver_core import Algebra, build_family, memoized
-# indecomposable_projective is unused here but stays importable from this
-# module: perfbench's tracer test checks that this alias is rebound
-from .quiver_core import indecomposable_projective  # noqa: F401
+from .quiver_core import Algebra, memoized
+# build_family and indecomposable_projective are unused here but stay
+# importable from this module: perfbench's tracer test checks that these
+# aliases are rebound
+from .quiver_core import build_family, indecomposable_projective  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,7 @@ def _canonical_map(algebra: Algebra, source: strings.StringWord,
     return found[0]
 
 
-def build_tower(family: str, m: int, algebra: Algebra | None = None) -> Tower:
+def build_tower(family: str, m: int, algebra: Algebra) -> Tower:
     """The certification tower for the family's tangent-one representative.
 
     The family's record names the ladder of strings, joined by canonical
@@ -141,8 +142,6 @@ def build_tower(family: str, m: int, algebra: Algebra | None = None) -> Tower:
     record has one.
     """
     fam = families.get(family)
-    if algebra is None:
-        algebra = build_family(family, m)
     labels = fam.tower(m)
     words = [strings.named_string(family, m, n) for n in labels]
     modules = [strings.string_module(algebra, w) for w in words]

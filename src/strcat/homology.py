@@ -241,9 +241,6 @@ class ModuleMap:
     def is_surjective(self) -> bool:
         return self.rank() == self.target.total_dim
 
-    def is_zero(self) -> bool:
-        return all(not blk.any() for blk in self.blocks.values())
-
     def __repr__(self) -> str:
         return (f"ModuleMap({self.source.dim_vector()} -> "
                 f"{self.target.dim_vector()}, rank={self.rank()})")
@@ -633,21 +630,6 @@ def _cuts(letters, quotient: bool) -> list[tuple[int, int]]:
             if pos + length == n or letters[pos + length].inverse != quotient]
 
 
-def _entries(ch: CanonicalHom, source, target) -> frozenset[tuple[int, int, int]]:
-    """(vertex, source index, target index) of each 1 in the matrix of
-    ``ch``, given the ``word_layout`` of its source and target words."""
-    (verts_s, local_s), (verts_t, local_t) = source, target
-    nt = len(verts_t) - 1
-    out = []
-    for k in range(ch.length + 1):
-        j_s = ch.source_pos + k
-        j_t = (nt - (ch.target_pos + k)) if ch.target_flip else ch.target_pos + k
-        if verts_t[j_t] != verts_s[j_s]:
-            raise StrcatError("cut does not align vertexwise")
-        out.append((verts_s[j_s], local_s[j_s], local_t[j_t]))
-    return frozenset(out)
-
-
 def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
     """All canonical homomorphisms M[S] -> M[T], one per distinct map.
 
@@ -681,7 +663,8 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
 
 
 def realize_canonical(ch: CanonicalHom) -> ModuleMap:
-    """The explicit matrix of a canonical homomorphism."""
+    """The explicit matrix of a canonical homomorphism: a 1 from each
+    position of the cut in the source to its position in the target."""
     from .strings import string_module, word_layout
 
     algebra = ch.algebra
@@ -689,8 +672,13 @@ def realize_canonical(ch: CanonicalHom) -> ModuleMap:
     N = string_module(algebra, ch.target)
     blocks = {v: np.zeros((M.dims[v], N.dims[v]), dtype=np.int64)
               for v in algebra.quiver.vertices}
-    layouts = (word_layout(algebra.quiver, ch.source),
-               word_layout(algebra.quiver, ch.target))
-    for v, i, j in _entries(ch, *layouts):
-        blocks[v][i, j] = 1
+    verts_s, local_s = word_layout(algebra.quiver, ch.source)
+    verts_t, local_t = word_layout(algebra.quiver, ch.target)
+    nt = len(verts_t) - 1
+    for k in range(ch.length + 1):
+        j_s = ch.source_pos + k
+        j_t = (nt - (ch.target_pos + k)) if ch.target_flip else ch.target_pos + k
+        if verts_t[j_t] != verts_s[j_s]:
+            raise StrcatError("cut does not align vertexwise")
+        blocks[verts_s[j_s]][local_s[j_s], local_t[j_t]] = 1
     return ModuleMap(M, N, blocks)

@@ -10,7 +10,8 @@ times an arrow: the algebra's right action on its basis is two integer
 arrays of shape (dim+1, arrows), the basis index and the coefficient of
 each such product.  One breadth-first pass of such products gives both
 the basis and the table, and construction certifies that table against
-the rules (``Algebra.verify_associativity``).
+the rules (``Algebra.verify_associativity``).  The rewriter serves
+construction only: a built algebra multiplies through its act table.
 
 The built-in families are specs too: ``build_family`` hands the quiver
 and rules in a family's record (``strcat.families``) to
@@ -413,7 +414,7 @@ class Algebra:
     arrow indices grown from the parent's key, then the source
     (``path_key`` less its length).  More than ``dim_bound`` basis paths
     raise DimensionBoundExceeded.  Construction then certifies the table
-    (see ``verify_associativity``).
+    (see ``verify_associativity``); ``rw`` is not kept.
     """
 
     def __init__(self, quiver: Quiver, p: int, rules: tuple[RewriteRule, ...],
@@ -421,7 +422,6 @@ class Algebra:
         self.quiver = quiver
         self.p = p
         self.rules = rules
-        self._rw = rw
         arrows = quiver.arrows
         basis: list[Path] = []
         products = []  # (basis position, arrow index, normal form)
@@ -545,10 +545,6 @@ class Algebra:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def reduce_path(self, path: Path) -> tuple[Path, int] | None:
-        """The normal form of ``path``: one term (path, coeff), or None."""
-        return self._rw.reduce_path(path)
-
     def basis_paths_from(self, v: int) -> list[Path]:
         return [q for q in self.basis if q.source == v]
 
@@ -577,7 +573,7 @@ def memoized(fn):
     ``fn``'s signature with defaults applied, so ``f(A)``, ``f(A, None)``
     and ``f(A, cap=None)`` share one slot when None is the default.  An
     entry lives exactly as long as the algebra or module it belongs to;
-    there is no global cache.
+    no result is kept in a global cache.
 
     A call without keywords is keyed by its arguments plus the defaults of
     the trailing parameters it leaves out, computed once here; only calls

@@ -142,10 +142,20 @@ def word_key(quiver: Quiver, word: StringWord) -> tuple:
     return (word.length, letters, -1)
 
 
+def _keyed_canonical(word: StringWord, quiver: Quiver) -> tuple[tuple, StringWord]:
+    """``(word_key, word)`` of ``canonical(word, quiver)``.  The inverse's key
+    is the word's letter codes reversed with each direction flipped, so
+    the inverse word is built only when it is strictly smaller."""
+    key = word_key(quiver, word)
+    length, codes, last = key
+    flipped = (length, tuple((not inv, x) for inv, x in reversed(codes)), last)
+    return (flipped, word.inverse()) if flipped < key else (key, word)
+
+
 def canonical(word: StringWord, quiver: Quiver) -> StringWord:
-    """The smaller of the word and its inverse under the word order."""
-    inv = word.inverse()
-    return min(word, inv, key=lambda w: word_key(quiver, w))
+    """The smaller of the word and its inverse under the word order, the
+    word itself on a tie."""
+    return _keyed_canonical(word, quiver)[1]
 
 
 def _known(word: StringWord, quiver: Quiver) -> StringWord:
@@ -234,8 +244,8 @@ def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[
                 f"strings of length {length_cap} still appear at the cap")
         words.extend(nxt)
         frontier = nxt
-    classes = {canonical(w, quiver) for w in words}
-    return tuple(sorted(classes, key=lambda w: word_key(quiver, w)))
+    classes = dict(_keyed_canonical(w, quiver) for w in words)  # a key names one word
+    return tuple(classes[key] for key in sorted(classes))
 
 
 # -- string modules -------------------------------------------------------------
@@ -316,16 +326,12 @@ def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, St
 _NAME_RE = re.compile(r"^([A-Za-z])(\d+)$")
 
 
-def named_string(family: str, m: int, name) -> StringWord:
-    """The string for a series name such as V2, M3, X1, U0, or a (series,
-    index) pair."""
-    if isinstance(name, str):
-        parsed = _NAME_RE.match(name.strip())
-        if not parsed:
-            raise IndexOutOfRange(f"cannot parse module name {name!r}")
-        series, index = parsed.group(1).upper(), int(parsed.group(2))
-    else:
-        series, index = name
+def named_string(family: str, m: int, name: str) -> StringWord:
+    """The string for a series name such as V2, M3, X1, U0."""
+    parsed = _NAME_RE.match(name.strip())
+    if not parsed:
+        raise IndexOutOfRange(f"cannot parse module name {name!r}")
+    series, index = parsed.group(1).upper(), int(parsed.group(2))
     fam = families.get(family)
     ranges = fam.series(m)
     if series not in ranges or index not in ranges[series]:
@@ -336,8 +342,9 @@ def named_string(family: str, m: int, name) -> StringWord:
 
 def family_node_names(family: str, m: int, quiver: Quiver) -> list[tuple[str, StringWord]]:
     """(name, canonical word) for every node, in report order."""
-    return [(f"{series}{i}", canonical(named_string(family, m, (series, i)), quiver))
-            for series, rng in families.get(family).series(m).items() for i in rng]
+    fam = families.get(family)
+    return [(f"{series}{i}", canonical(_parse_literal(fam.word(series, i, m)), quiver))
+            for series, rng in fam.series(m).items() for i in rng]
 
 
 def _parse_literal(text: str) -> StringWord:

@@ -300,12 +300,19 @@ def composed_stable_hom_dim(M, N):
 # -- the algebra and its modules, one reduction or product at a time ------------
 
 
+def normal_form(algebra, path):
+    """The normal form of ``path``, one term (path, coeff) or None, by
+    ``scanned_reduction`` over the completed rules ``algebra.rules``; it
+    shares no step with the act table or the rewriter that built it."""
+    return scanned_reduction(algebra.rules, path, algebra.p)
+
+
 def reduced_concatenation(algebra, p, q):
-    """The normal form of the path p then q, by rewriting; None if they do
-    not compose or the product is zero."""
+    """The normal form of the path p then q; None if they do not compose
+    or the product is zero."""
     if p.target != q.source:
         return None
-    return algebra.reduce_path(Path(p.source, q.target, p.arrows + q.arrows))
+    return normal_form(algebra, Path(p.source, q.target, p.arrows + q.arrows))
 
 
 def arrow_path(a):
@@ -412,12 +419,15 @@ def scanned_redex(rules, path, exclude=None, start=0):
     return None
 
 
-def scanned_reduction(rules, path, p):
+def scanned_reduction(rules, path, p, step_cap=10_000):
     """Rewrite at the redex ``scanned_redex`` names until none is left: the
-    normal form (path, coeff), or None.  The rules must decrease paths in
-    the path order, so that this ends."""
+    normal form (path, coeff), or None.  The rules must terminate; more
+    than ``step_cap`` rewrites fail the calling test."""
     coeff = 1
-    while (hit := scanned_redex(rules, path)) is not None:
+    for _ in range(step_cap + 1):
+        hit = scanned_redex(rules, path)
+        if hit is None:
+            return path, coeff
         pos, rule = hit
         if rule.rhs is None:
             return None
@@ -425,7 +435,7 @@ def scanned_reduction(rules, path, p):
         path = Path(path.source, path.target,
                     arrows[:pos] + rule.rhs.arrows + arrows[pos + len(rule.lhs.arrows):])
         coeff = coeff * rule.coeff % p
-    return path, coeff
+    raise AssertionError(f"no normal form within {step_cap} rewrites")
 
 
 def first_failing_rule(M):

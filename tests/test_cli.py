@@ -387,14 +387,6 @@ def test_malformed_spec_exits_2_before_completion(tmp_path, capsys, monkeypatch,
                 "dim_bound" if "dim_bound" in change else "coeff") in captured.err
 
 
-def test_env_seed_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("STRCAT_SEED", "17")
-    code, out, _ = run(capsys, "classify", "--family", "ae1", "--m", "1",
-                       "--format", "json")
-    assert code == 0
-    assert json.loads(out)[0]["module"] == "V0"
-
-
 def test_non_self_injective_spec_exits_3(tmp_path, capsys):
     # the path algebra 0 -> 1 -> 2: Omega(S0) is projective, so the syzygy
     # of a string module need not be a node
@@ -535,15 +527,41 @@ def test_main_builds_its_parser_once(capsys, monkeypatch):
     assert len(calls) == 7  # one per subcommand
 
 
-def test_bad_env_seed_exits_2(capsys, monkeypatch):
-    for seed in ("abc", "-5"):
+def test_strcat_seed_in_the_environment_changes_nothing(capsys, monkeypatch):
+    argv = ["classify", "--family", "ae1", "--m", "2", "--format", "json"]
+    monkeypatch.delenv("STRCAT_SEED", raising=False)
+    want = run(capsys, *argv)
+    assert want[0] == 0 and json.loads(want[1])[0]["module"] == "V0"
+    for seed in ("abc", "-5", "17"):
         monkeypatch.setenv("STRCAT_SEED", seed)
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["classify", "--family", "ae1", "--m", "2"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert run(capsys, *argv) == want, seed
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "file", "--spec", "{spec}", "--prime", "3"],
+    ["--family", "file", "--spec", "{spec}", "--m", "7"],
+    ["--family", "file", "--spec", "{spec}", "--prime", "3", "--m", "7"],
+    ["--family", "file", "--spec", "{spec}", "--prime", "32003"],
+    ["--family", "ae1", "--m", "2", "--spec", "{spec}"],
+    ["--family", "ae3", "--m", "3", "--prime", "3", "--spec", "{spec}"],
+])
+def test_flags_the_algebra_ignores_exit_2_before_any_build(tmp_path, capsys,
+                                                           monkeypatch, argv):
+    # a spec fixes its algebra and prime, and a built-in family has no spec
+    def never_built(*args, **kwargs):
+        raise AssertionError("an algebra was built")
+
+    path = tmp_path / "alg.json"
+    path.write_text(json.dumps(LOOP_SPEC))
+    monkeypatch.setattr(cli, "load_algebra_spec", never_built)
+    monkeypatch.setattr(cli, "build_family", never_built)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["algebra", "info", *[a.format(spec=path) for a in argv],
+                  "--format", "json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("error:") == 1
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

@@ -220,7 +220,7 @@ def test_tower_realizes_only_the_inclusion_and_projection_of_each_step(family, m
         return realize(ch)
 
     monkeypatch.setattr(homology, "realize_canonical", counted)
-    tower = build_tower(family, m)
+    tower = build_tower(family, m, build_family(family, m))
     steps = len(families.get(family).tower(m)) - 1
     assert steps == tower.steps - (family == "ae1")  # ae1 closes on P(0)
     assert len(calls) == 2 * steps

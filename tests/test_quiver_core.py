@@ -43,11 +43,18 @@ from strcat.quiver_core import (
 )
 
 from .builders import ae1, ae2, ae3
-from .oracles import all_paths, contains_word, family_dimension, monomial_dimension
+from .oracles import (
+    ORACLE_CASES,
+    all_paths,
+    contains_word,
+    family_dimension,
+    monomial_dimension,
+)
 from .reference import (
     first_bad_triple,
     grown_product_table,
     hand_built,
+    normal_form,
     reduced_act_tables,
     reduced_projective_mats,
     reduced_socle_rules,
@@ -83,7 +90,7 @@ def as_dict(term):
 
 def elem_from_path(algebra, path):
     vec = np.zeros(algebra.dim, dtype=np.int64)
-    for q, c in as_dict(algebra.reduce_path(path)).items():
+    for q, c in as_dict(normal_form(algebra, path)).items():
         vec[algebra.index[q]] = c
     return AlgebraElem(algebra, vec)
 
@@ -97,8 +104,8 @@ def unit(algebra):
 
 def multiply(a, b):
     """Bilinear extension of the product of basis paths: the normal form of
-    their concatenation, reduced by rewriting rather than read from the
-    algebra's multiplication table."""
+    their concatenation, reduced by scanning the rules rather than read
+    from the algebra's act table."""
     if a.algebra is not b.algebra:
         raise AlgebraMismatch("elements live over different algebras")
     alg = a.algebra
@@ -110,7 +117,7 @@ def multiply(a, b):
                 continue
             cij = int(a.coeffs[i]) * int(b.coeffs[j])
             prod = make_path(alg.quiver, pi.arrows + pj.arrows, base_vertex=pi.source)
-            for q, c in as_dict(alg.reduce_path(prod)).items():
+            for q, c in as_dict(normal_form(alg, prod)).items():
                 out[alg.index[q]] = (out[alg.index[q]] + cij * c) % alg.p
     return AlgebraElem(alg, out)
 
@@ -209,13 +216,13 @@ def test_ae3_completion_derives_loop_nilpotency():
         A = ae3(m)
         lhs = {r.lhs.arrows: r for r in A.rules}
         assert ("r",) * (m + 1) in lhs and lhs[("r",) * (m + 1)].rhs is None
-        assert A.reduce_path(make_path(A.quiver, ["r"] * (m + 1))) is None
+        assert normal_form(A, make_path(A.quiver, ["r"] * (m + 1))) is None
 
 
 def test_ae3_binomial_normal_form():
     A = ae3(4)
-    ab = A.reduce_path(make_path(A.quiver, ["a", "b"]))
-    rm = A.reduce_path(make_path(A.quiver, ["r"] * 4))
+    ab = normal_form(A, make_path(A.quiver, ["a", "b"]))
+    rm = normal_form(A, make_path(A.quiver, ["r"] * 4))
     assert ab == rm and ab is not None
 
 
@@ -371,7 +378,7 @@ def test_confluence_under_random_reduction_orders(family, m):
     rng = random.Random(1234)
     for names, s, t in all_paths(list(A.quiver.vertices), arrows, 2 * longest):
         path = make_path(A.quiver, names, base_vertex=s)
-        expected = as_dict(A.reduce_path(path))
+        expected = as_dict(normal_form(A, path))
         for _ in range(4):
             assert _random_reduce(A, path, rng) == expected
 
@@ -424,6 +431,39 @@ def assert_tables_equal_direct_reduction(A):
 @pytest.mark.parametrize("family,m", SMALL_FAMILIES)
 def test_tables_socle_rules_and_projectives_equal_direct_reduction(family, m):
     assert_tables_equal_direct_reduction(build_family(family, m))
+
+
+def act_table_value(A, path):
+    """``path`` as (basis index, coeff) read off the act table alone: the
+    trivial path at its source acted on by each of its arrows in turn,
+    index ``dim`` with coefficient 0 standing for zero."""
+    k, c = A.index[trivial_path(path.source)], 1
+    for name in path.arrows:
+        x = A.quiver.arrow_index(name)
+        k, c = A.act_index[k, x], c * A.act_coeff[k, x] % A.p
+    return int(k), int(c)
+
+
+def assert_act_table_gives_every_normal_form(A, paths):
+    for path in paths:
+        term = normal_form(A, path)
+        want = (A.dim, 0) if term is None else (A.index[term[0]], term[1])
+        assert act_table_value(A, path) == want, str(path)
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("family,m", ORACLE_CASES)
+def test_act_table_is_the_only_multiplication(family, m, p):
+    # the act table gives the scanned normal form of every path up to twice
+    # the longest basis path, and the algebra keeps no rewriter to ask instead
+    A = build_family(family, m, p)
+    assert not any(isinstance(v, _Rewriter) for v in vars(A).values())
+    assert not hasattr(A, "reduce_path")
+    longest = max(q.length for q in A.basis)
+    arrows = [(a.name, a.source, a.target) for a in A.quiver.arrows]
+    assert_act_table_gives_every_normal_form(
+        A, [make_path(A.quiver, names, base_vertex=s)
+            for names, s, _ in all_paths(list(A.quiver.vertices), arrows, 2 * longest)])
 
 
 @pytest.mark.parametrize("family,m", [("ae1", 64), ("ae2", 16), ("ae3", 64)])
@@ -655,22 +695,19 @@ def small_specs(draw, dim_bound=8):
 @given(spec=small_specs())
 def test_completion_of_random_specs_matches_the_oracles(spec):
     arrows = [(a["name"], a["from"], a["to"]) for a in spec["arrows"]]
-    try:
-        A = load_algebra_spec(spec)
-        longest = max(q.length for q in A.basis)
-        paths = [make_path(A.quiver, names, base_vertex=s)
-                 for names, s, _ in all_paths(spec["vertices"], arrows, 2 * longest)]
-        assume(len(paths) <= 400)
-        normal_forms = [as_dict(A.reduce_path(q)) for q in paths]
-    except (DimensionBoundExceeded, NonTerminating):
-        assume(False)
+    A = built_or_skipped(spec)
+    longest = max(q.length for q in A.basis)
+    paths = [make_path(A.quiver, names, base_vertex=s)
+             for names, s, _ in all_paths(spec["vertices"], arrows, 2 * longest)]
+    assume(len(paths) <= 400)
     if all(r["rhs"] is None for r in spec["rules"]):
         monomials = [tuple(r["lhs"]) for r in spec["rules"]]
         assert A.dim == monomial_dimension(spec["vertices"], arrows, monomials,
                                            longest + 2)
+    assert_act_table_gives_every_normal_form(A, paths)
     rng = random.Random(7)
-    for path, want in zip(paths, normal_forms):
-        assert _random_reduce(A, path, rng) == want, str(path)
+    for path in paths:
+        assert _random_reduce(A, path, rng) == as_dict(normal_form(A, path)), str(path)
 
 
 def built_or_skipped(spec):
@@ -708,7 +745,9 @@ def assert_suffix_search_matches_a_scan(rw, path):
 @given(spec=small_specs())
 def test_redex_search_of_random_specs_matches_a_scan(spec):
     A = built_or_skipped(spec)
-    rw = A._rw
+    rw = _Rewriter(A.p, step_cap=100)  # over the completed rules, in their order
+    for rule in A.rules:
+        rw.add(rule)
     arrows = [(a["name"], a["from"], a["to"]) for a in spec["arrows"]]
     longest = max(r.lhs.length for r in rw.rules) if rw.rules else 1
     paths = [make_path(A.quiver, names, base_vertex=s)

@@ -155,6 +155,31 @@ def test_named_strings_cover_the_enumeration(family, m):
     assert named == set(enumerate_strings(A))
 
 
+def smaller_orientation(word, quiver):
+    return min(word, word.inverse(), key=lambda w: word_key(quiver, w))
+
+
+@pytest.mark.parametrize("family,m", ORACLE_CASES)
+def test_canonical_is_the_smaller_orientation(family, m):
+    # every string, and every word one letter longer at either end, string or not
+    A = build_family(family, m)
+    letters = [Letter(a.name, inv) for a in A.quiver.arrows for inv in (False, True)]
+    for w in enumerate_strings(A):
+        longer = [StringWord(ext) for l in letters for ext in ((l,) + w.letters, w.letters + (l,))]
+        for word in [w, w.inverse()] + longer:
+            assert canonical(word, A.quiver) == smaller_orientation(word, A.quiver), str(word)
+
+
+@given(st.lists(st.tuples(st.sampled_from("rab"), st.booleans()), max_size=8),
+       st.sampled_from([0, 1]))
+def test_canonical_of_any_word_is_the_smaller_orientation(letters, vertex):
+    # the letters need not compose; a word such as r,r~ is its own inverse
+    quiver = algebra_of("ae3", 3).quiver
+    word = (StringWord(tuple(Letter(a, inv) for a, inv in letters)) if letters
+            else empty_word(vertex))
+    assert canonical(word, quiver) == smaller_orientation(word, quiver)
+
+
 def test_enumeration_is_sorted_and_deterministic():
     A = ae3(3)
     words = enumerate_strings(A)
