@@ -387,6 +387,14 @@ def test_malformed_spec_exits_2_before_completion(tmp_path, capsys, monkeypatch,
                 "dim_bound" if "dim_bound" in change else "coeff") in captured.err
 
 
+def test_env_seed_fallback(capsys, monkeypatch):
+    monkeypatch.setenv("STRCAT_SEED", "17")
+    code, out, _ = run(capsys, "classify", "--family", "ae1", "--m", "1",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["module"] == "V0"
+
+
 def test_non_self_injective_spec_exits_3(tmp_path, capsys):
     # the path algebra 0 -> 1 -> 2: Omega(S0) is projective, so the syzygy
     # of a string module need not be a node
