@@ -15,11 +15,11 @@ from .errors import (
     AlgebraMismatch,
     BadParameter,
     BadPrime,
-    CapTooSmall,
     DimensionBoundExceeded,
     IndexOutOfRange,
     NonTerminating,
     NotAString,
+    RepresentationInfinite,
     StrcatError,
     UnknownArrow,
     ZeroModule,

@@ -34,63 +34,58 @@ class ArQuiver:
 
 
 @memoized
-def nodes_by_dim_vector(algebra: Algebra, length_cap: int | None = None) -> dict:
+def nodes_by_dim_vector(algebra: Algebra) -> dict:
     """(index, word) of each node, grouped by the dimension vector of its
     module, read off the word."""
     groups = {}
-    for i, w in enumerate(strings.enumerate_strings(algebra, length_cap)):
+    for i, w in enumerate(strings.enumerate_strings(algebra)):
         groups.setdefault(strings.word_dim_vector(algebra.quiver, w), []).append((i, w))
     return groups
 
 
-def match_node(algebra: Algebra, rep: homology.Representation,
-               length_cap: int | None = None) -> int:
+def match_node(algebra: Algebra, rep: homology.Representation) -> int:
     """Index of the unique node isomorphic to ``rep``; only nodes with
     ``rep``'s dimension vector are tested."""
     dv = rep.dim_vector()
-    for i, w in nodes_by_dim_vector(algebra, length_cap).get(dv, []):
+    for i, w in nodes_by_dim_vector(algebra).get(dv, []):
         if homology.is_isomorphic(rep, strings.string_module(algebra, w)):
             return i
     raise StrcatError(f"no node matches a module of dimension vector {dv}")
 
 
 @memoized
-def omega_node(algebra: Algebra, i: int, length_cap: int | None = None) -> int:
+def omega_node(algebra: Algebra, i: int) -> int:
     """Index of the node isomorphic to the syzygy of node ``i``."""
-    node = strings.enumerate_strings(algebra, length_cap)[i]
+    node = strings.enumerate_strings(algebra)[i]
     rep = homology.syzygy(strings.string_module(algebra, node))
-    return match_node(algebra, rep, length_cap)
+    return match_node(algebra, rep)
 
 
 @memoized
-def build_ar_quiver(algebra: Algebra, length_cap: int | None = None) -> ArQuiver:
+def build_ar_quiver(algebra: Algebra) -> ArQuiver:
     """Nodes, hook/cohook arrows, and the second-syzygy translate."""
-    nodes = strings.enumerate_strings(algebra, length_cap)
+    nodes = strings.enumerate_strings(algebra)
     index = {w: i for i, w in enumerate(nodes)}
-    arrow_set = set()
-    for w in nodes:
-        for src, tgt, kind in strings.class_moves(algebra, w):
-            if src not in index or tgt not in index:
-                raise StrcatError(f"move leaves the enumerated node set: {src} -> {tgt}")
-            arrow_set.add((index[src], index[tgt], kind))
-    tau = tuple(omega_node(algebra, omega_node(algebra, i, length_cap), length_cap)
-                for i in range(len(nodes)))
+    # a move joins two canonical strings, and the enumeration has them all
+    arrow_set = {(index[src], index[tgt], kind) for w in nodes
+                 for src, tgt, kind in strings.class_moves(algebra, w)}
+    tau = tuple(omega_node(algebra, omega_node(algebra, i)) for i in range(len(nodes)))
     return ArQuiver(nodes, tuple(sorted(arrow_set)), tau)
 
 
 def omega_orbit(algebra: Algebra, node: strings.StringWord,
-                length_cap: int | None = None, seed: int = 0) -> list[strings.StringWord]:
+                seed: int = 0) -> list[strings.StringWord]:
     """The cyclic syzygy orbit of a node, which closes within as many steps
     as there are nodes when Omega permutes them, as on a self-injective
     algebra; else StrcatError.  ``seed`` is ignored, kept for callers."""
-    nodes = strings.enumerate_strings(algebra, length_cap)
+    nodes = strings.enumerate_strings(algebra)
     start = strings.canonical(node, algebra.quiver)
     if start not in nodes:
         raise StrcatError(f"{start} is not an enumerated string")
     first = current = nodes.index(start)
     orbit = [start]
     for _ in nodes:
-        current = omega_node(algebra, current, length_cap)
+        current = omega_node(algebra, current)
         if current == first:
             return orbit
         orbit.append(nodes[current])

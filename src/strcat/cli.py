@@ -11,11 +11,13 @@ data, and each command here renders it in every format it has.
 
 Exit codes: 0 success, 2 bad flags or input, refused before any
 completion (the README's *Command line* section lists every case), 3
-computation error, 4 verification failure under ``--verify``.
+computation error, infinitely many strings among them, 4 verification
+failure under ``--verify``.
 
 ``syzygy --n`` takes at most as many syzygies as the algebra has strings,
-whatever n: a zero syzygy ends the walk, and so does the first power
-isomorphic to the module, after which n is taken mod that period.
+an exact count, whatever n: a zero syzygy ends the walk, and so does the
+first power isomorphic to the module, after which n is taken mod that
+period.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ def _add_common(parser: argparse.ArgumentParser):
                         default="table")
     parser.add_argument("--spec", default=None,
                         help="algebra spec JSON (with --family file)")
-    parser.add_argument("--length-cap", type=_at_least(1), default=None)
     parser.add_argument("--out", default=None, help="output path; default stdout")
     parser.add_argument("--verify", action="store_true",
                         help="re-check the classification table and AR shape; "
@@ -136,7 +137,7 @@ def _build_algebra(args, parser) -> Algebra:
                              "fixes the algebra and its prime")
         try:
             return load_algebra_spec(args.spec)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (OSError, ValueError) as exc:  # BadParameter is a ValueError
             parser.exit(EXIT_USAGE, f"error: cannot read --spec {args.spec}: {exc!r}\n")
     if args.spec is not None:
         parser.error(f"--spec needs --family file, not --family {args.family}")
@@ -217,7 +218,7 @@ def cmd_algebra_info(args, algebra: Algebra) -> Result:
 
 
 def cmd_strings(args, algebra: Algebra) -> Result:
-    words = strings.enumerate_strings(algebra, args.length_cap)
+    words = strings.enumerate_strings(algebra)
     label = _labeller(args, algebra)
     # every string of a built-in family is named, and none of a spec file
     rows = [["" if args.family == "file" else label(w), w.literal(), w.length,
@@ -240,7 +241,7 @@ def _pair_command(args, algebra: Algebra, compute, label: str) -> Result:
                   f"dim {label}({args.source}, {args.target}) = {dim}\n")
 
 
-def _omega_power(algebra: Algebra, M, n: int, length_cap):
+def _omega_power(algebra: Algebra, M, n: int):
     """Omega^n M up to isomorphism, from at most n syzygies and at most as
     many as the algebra has strings.
 
@@ -256,7 +257,7 @@ def _omega_power(algebra: Algebra, M, n: int, length_cap):
             return rep
         if homology.is_isomorphic(rep, M):
             return powers[n % k]
-        if k >= len(strings.enumerate_strings(algebra, length_cap)):
+        if k >= len(strings.enumerate_strings(algebra)):
             raise StrcatError(f"Omega^{k} of the module is neither zero nor isomorphic "
                               "to it; the algebra is not self-injective")
         powers.append(rep)
@@ -264,12 +265,11 @@ def _omega_power(algebra: Algebra, M, n: int, length_cap):
 
 def cmd_syzygy(args, algebra: Algebra) -> Result:
     w = _resolve_module(args, algebra, args.module)
-    rep = _omega_power(algebra, strings.string_module(algebra, w), args.n,
-                       args.length_cap)
+    rep = _omega_power(algebra, strings.string_module(algebra, w), args.n)
     iso_name = None
     if not rep.is_zero():
-        nodes = strings.enumerate_strings(algebra, args.length_cap)
-        idx = arquiver.match_node(algebra, rep, args.length_cap)
+        nodes = strings.enumerate_strings(algebra)
+        idx = arquiver.match_node(algebra, rep)
         iso_name = _labeller(args, algebra)(nodes[idx])
     dims = rep.dim_vector()
     return Result({"module": args.module, "n": args.n, "dim_vector": list(dims),
@@ -287,7 +287,7 @@ def _dot_id(text: str) -> str:
 
 
 def cmd_arquiver(args, algebra: Algebra) -> Result:
-    q = arquiver.build_ar_quiver(algebra, args.length_cap)
+    q = arquiver.build_ar_quiver(algebra)
     label = _labeller(args, algebra)
     labels = [label(w) for w in q.nodes]
     header = ["source", "target", "kind"]
@@ -373,12 +373,12 @@ def run_verification(args, algebra: Algebra) -> list[str]:
     fam = families.get(args.family)
     problems: list[str] = []
     nodes = fam.node_count(args.m)
-    words = strings.enumerate_strings(algebra, args.length_cap)
+    words = strings.enumerate_strings(algebra)
     if len(words) != nodes:
         problems.append(f"string count {len(words)} != {nodes}")
     reports = deformation.classify(algebra, args.family, args.m)
     problems += deformation.verify_classification(reports, args.family, args.m)
-    q = arquiver.build_ar_quiver(algebra, args.length_cap)
+    q = arquiver.build_ar_quiver(algebra)
     if q.node_count != nodes:
         problems.append(f"component node count {q.node_count} != {nodes}")
     if fam.tau_is_identity:
@@ -389,7 +389,7 @@ def run_verification(args, algebra: Algebra) -> list[str]:
             if q.tau[i] == i:
                 problems.append(f"translate fixes {q.nodes[i]}")
             if q.tau[q.tau[i]] != i:
-                problems.append("translate is not an involution")
+                problems.append(f"translate is not an involution at {q.nodes[i]}")
     return problems
 
 

@@ -191,15 +191,10 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
     if enumerated != set(name_of):
         raise StrcatError("named strings disagree with the enumeration")
 
-    kept: list[tuple[str, strings.StringWord, homology.Representation, int]] = []
-    for name, w in named:
-        rep = strings.string_module(algebra, w)
-        sed = homology.stable_hom_dim(rep, rep)
-        if sed == 1:
-            kept.append((name, w, rep, sed))
-
-    exts = {name: homology.ext1_dim(rep, rep) for name, _, rep, _ in kept}
-    tangent_one = [name for name, _, _, _ in kept if exts[name] == 1]
+    modules = [(name, w, strings.string_module(algebra, w)) for name, w in named]
+    kept = [(name, w, rep) for name, w, rep in modules if homology.stable_hom_dim(rep, rep) == 1]
+    exts = {name: homology.ext1_dim(rep, rep) for name, _, rep in kept}
+    tangent_one = [name for name, _, _ in kept if exts[name] == 1]
 
     orbit_names: list[str] = []
     tower_desc = None
@@ -220,9 +215,9 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
         orbit_names = [name_of[w] for w in orbit]
 
     reports = []
-    for name, w, rep, sed in kept:
+    for name, w, _ in kept:  # the stable endomorphism ring of each is k
         ext = exts[name]
-        trail = [f"stable_endo_dim={sed}", f"ext1_dim={ext}"]
+        trail = ["stable_endo_dim=1", f"ext1_dim={ext}"]
         if ext == 0:
             udr = trivial_ring()
             trail.append("tangent space is zero, so the ring is the ground field")
@@ -238,7 +233,7 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
             udr = unresolved("tangent-one module outside the certified orbit")
             trail.append("no certification path reached this module")
         trail += fam.notes(m, name)
-        reports.append(UdrReport(name, w.literal(), sed, ext, udr, tuple(trail)))
+        reports.append(UdrReport(name, w.literal(), 1, ext, udr, tuple(trail)))
     return tuple(reports)
 
 

@@ -36,9 +36,9 @@ class UnknownArrow(StrcatError):
     """A word refers to an arrow that the quiver does not declare."""
 
 
-class CapTooSmall(StrcatError):
-    """Strings of the maximal searched length still exist, so the
-    enumeration cannot be certified complete."""
+class RepresentationInfinite(StrcatError):
+    """Infinitely many strings: the string named in the message repeats its
+    first letters, and the stretch before the repeat pumps."""
 
 
 class NotAString(StrcatError):

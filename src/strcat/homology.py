@@ -101,8 +101,9 @@ class Representation:
         """
         names = tuple(getattr(arrows, "arrows", arrows))
         if not names:
+            source = getattr(arrows, "source", source)
             if source is None:
-                source = getattr(arrows, "source")
+                raise StrcatError("a trivial path needs its base vertex")
             return np.eye(self.dims[source], dtype=np.int64)
         p = self.algebra.p
         return indexmaps.halved(names, self.mats.__getitem__,

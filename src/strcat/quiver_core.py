@@ -636,11 +636,22 @@ def indecomposable_projective(algebra: Algebra, vertex: int):
     return homology.Representation(algebra, dims, mats)
 
 
-def _spec_integer(value, what: str) -> int:
-    """``value`` if it is an integer (a JSON number without a fraction, not
-    true or false), else BadParameter."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise BadParameter(f"{what} must be an integer, got {value!r}")
+_KINDS = {int: "an integer", list: "a list", dict: "an object"}
+
+
+def _spec_value(obj, key: str, what: str, kind: type | None = None, default=...):
+    """``obj[key]``, or ``default`` when the key is absent or holds it.
+    BadParameter when ``obj`` (``what`` in messages) is not a JSON object,
+    the key is absent with no default (``...``), or the value is not a
+    ``kind``: an integer (a JSON number without a fraction, not a bool), a
+    list (so a string is not read as its letters) or an object."""
+    if not isinstance(obj, Mapping):
+        raise BadParameter(f"{what} must be an object, got {obj!r}")
+    value = obj.get(key, default)
+    if value is ...:
+        raise BadParameter(f"{what} has no {key!r}")
+    if kind and value is not default and (type(value) is bool or not isinstance(value, kind)):
+        raise BadParameter(f"{what} {key} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
@@ -651,11 +662,12 @@ def load_algebra_spec(source) -> Algebra:
     keys vertices, arrows ({"name","from","to"}), rules ({"lhs": [names],
     "rhs": null | {"coeff": int, "path": [names]}}), prime, dim_bound.
 
-    A spec that is not an object, a ``prime``, ``dim_bound`` or coefficient
-    that is not an integer, a ``dim_bound`` outside 1..MAX_DIM, and a quiver
-    (see ``Quiver`` for vertices and names) or rule that cannot be built
-    raise BadParameter before completion, which raises as
-    ``complete_rewriting`` does.
+    A spec that is not an object, a missing key or a value of the wrong
+    JSON shape, a ``prime``, ``dim_bound`` or coefficient that is not an
+    integer, a ``dim_bound`` outside 1..MAX_DIM, and a quiver (see
+    ``Quiver`` for vertices and names) or rule that cannot be built raise
+    BadParameter before completion, which raises as ``complete_rewriting``
+    does.
     """
     data = source
     if not isinstance(source, Mapping):
@@ -665,26 +677,23 @@ def load_algebra_spec(source) -> Algebra:
         else:
             with open(text, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-        if not isinstance(data, Mapping):
-            raise BadParameter(f"spec must be a JSON object, got {type(data).__name__}")
-    p = _spec_integer(data.get("prime", DEFAULT_PRIME), "spec prime")
-    dim_bound = _spec_integer(data["dim_bound"], "spec dim_bound")
+    p = _spec_value(data, "prime", "spec", int, DEFAULT_PRIME)
+    dim_bound = _spec_value(data, "dim_bound", "spec", int)
     if not 1 <= dim_bound <= MAX_DIM:
         raise BadParameter(f"spec dim_bound must be between 1 and {MAX_DIM}, "
                            f"got {dim_bound}")
     try:
-        q = make_quiver(data["vertices"],
-                        [(a["name"], a["from"], a["to"]) for a in data["arrows"]])
+        arrows = [tuple(_spec_value(a, key, f"arrow {i}") for key in ("name", "from", "to"))
+                  for i, a in enumerate(_spec_value(data, "arrows", "spec", list))]
+        q = make_quiver(_spec_value(data, "vertices", "spec", list), arrows)
         rules = []
-        for r in data.get("rules", []):
-            lhs = make_path(q, r["lhs"])
-            rhs = r.get("rhs")
-            if rhs is None:
-                rules.append(RewriteRule(lhs))
-            else:
-                rules.append(RewriteRule(lhs, _spec_integer(rhs["coeff"], "rule coeff"),
-                                         make_path(q, rhs["path"],
-                                                   base_vertex=lhs.source)))
+        for i, r in enumerate(_spec_value(data, "rules", "spec", list, [])):
+            lhs = make_path(q, _spec_value(r, "lhs", f"rule {i}", list))
+            rhs = _spec_value(r, "rhs", f"rule {i}", dict, None)
+            rules.append(RewriteRule(lhs) if rhs is None else RewriteRule(
+                lhs, _spec_value(rhs, "coeff", f"rule {i} rhs", int),
+                make_path(q, _spec_value(rhs, "path", f"rule {i} rhs", list),
+                          base_vertex=lhs.source)))
     except StrcatError as exc:
         raise BadParameter(f"spec: {exc}") from None
     return complete_rewriting(q, rules, dim_bound=dim_bound, p=p)

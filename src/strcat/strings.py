@@ -35,9 +35,9 @@ import numpy as np
 
 from . import families, homology
 from .errors import (
-    CapTooSmall,
     IndexOutOfRange,
     NotAString,
+    RepresentationInfinite,
     StrcatError,
     UnknownArrow,
 )
@@ -221,29 +221,29 @@ def _prepended(word: StringWord, algebra: Algebra, directions: tuple[bool, ...])
 
 @memoized
 def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[StringWord, ...]:
-    """All strings up to the cap, one canonical representative per class,
-    in word order.
+    """All strings, one canonical representative per class, in word order.
 
-    Raises CapTooSmall when strings of the maximal length still appear,
-    since longer ones could then exist.
-    """
+    ``_fits`` judges a letter by the windows of at most K = max(2, longest
+    socle rule) letters that start there.  So if a string's first K - 1
+    letters come again later in it, the stretch before the repeat pumps:
+    there are infinitely many strings, and RepresentationInfinite names
+    that string.  Each string is grown from its suffixes, so checking each
+    new word's first K - 1 letters finds such a repeat if any string has
+    one; else the strings are finite and the growth stops.  ``length_cap``
+    is ignored; perfbench's spans bind that name."""
     quiver = algebra.quiver
-    if length_cap is None:
-        longest = max((q.length for q in algebra.basis), default=0)
-        length_cap = longest + 2
-    if length_cap < 1:
-        raise CapTooSmall("length cap must be at least 1")
+    head = max([2, *(len(rule.arrows) for rule in algebra.socle_rules)]) - 1  # K - 1
     words: list[StringWord] = [empty_word(v) for v in quiver.vertices]
     frontier = list(words)
-    length = 0
     while frontier:
-        length += 1
-        nxt = [got for w in frontier for got in _prepended(w, algebra, (False, True))]
-        if nxt and length >= length_cap:
-            raise CapTooSmall(
-                f"strings of length {length_cap} still appear at the cap")
-        words.extend(nxt)
-        frontier = nxt
+        frontier = [got for w in frontier for got in _prepended(w, algebra, (False, True))]
+        for w in frontier:
+            first = w.letters[:head]
+            if any(w.letters[j:j + head] == first for j in range(1, w.length - head + 1)):
+                raise RepresentationInfinite(
+                    f"the algebra has infinitely many strings: {w} repeats its "
+                    f"first letters {StringWord(first)}")
+        words.extend(frontier)
     classes = dict(_keyed_canonical(w, quiver) for w in words)  # a key names one word
     return tuple(classes[key] for key in sorted(classes))
 

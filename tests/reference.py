@@ -25,7 +25,15 @@ from strcat.quiver_core import (
     path_key,
     projective_paths,
 )
-from strcat.strings import StringWord, letter_source, letter_target, word_layout
+from strcat.strings import (
+    StringWord,
+    _keyed_canonical,
+    _prepended,
+    empty_word,
+    letter_source,
+    letter_target,
+    word_layout,
+)
 
 
 def hand_built(family, m, p=DEFAULT_PRIME):
@@ -161,6 +169,31 @@ def scanned_is_string(word, algebra):
         run = [] if l is None else [l.arrow]
         direction = d
     return True
+
+
+def capped_strings(algebra, cap):
+    """Every string class in word order, grown one letter at a time at the
+    start up to length ``cap`` - 1; None when strings of length ``cap``
+    still appear, since longer ones could then exist.  A finished run is
+    exact: a string of length ``cap`` or more would have a factor of length
+    ``cap``, itself a string."""
+    words = [empty_word(v) for v in algebra.quiver.vertices]
+    frontier = list(words)
+    length = 0
+    while frontier:
+        length += 1
+        frontier = [got for w in frontier for got in _prepended(w, algebra, (False, True))]
+        if frontier and length >= cap:
+            return None
+        words.extend(frontier)
+    classes = dict(_keyed_canonical(w, algebra.quiver) for w in words)
+    return tuple(classes[key] for key in sorted(classes))
+
+
+def default_cap(algebra):
+    """The longest basis path plus two, the length the strings were once
+    assumed never to reach."""
+    return max(q.length for q in algebra.basis) + 2
 
 
 def rescanned_extension(word, letter, algebra):

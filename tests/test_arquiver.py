@@ -214,7 +214,7 @@ def test_omega_orbit_that_never_closes_raises(monkeypatch):
     A = ae1(3)
     steps = []
 
-    def stuck(algebra, i, length_cap=None):
+    def stuck(algebra, i):
         steps.append(i)
         return 1
 

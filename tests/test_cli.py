@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from strcat import cli, families, homology, quiver_core
+from strcat import arquiver, cli, families, homology, quiver_core
+
+from .builders import INFINITE_SPEC, brauer_line_spec
 
 
 def run(capsys, *argv):
@@ -222,7 +224,9 @@ def test_verify_failure_exits_4(capsys, monkeypatch):
     assert err
 
 
-# a well-formed spec; each malformed one below changes one of its keys
+# a well-formed spec; each malformed one below changes one of its keys, or
+# drops it when the new value is DROP
+DROP = object()
 LOOP_SPEC = {
     "vertices": [0],
     "arrows": [{"name": "a", "from": 0, "to": 0}],
@@ -289,7 +293,7 @@ def test_bad_flags_exit_2(capsys, monkeypatch):
     assert exc.value.code == 2
     for argv in (["syzygy", "--family", "ae1", "--m", "2", "V0", "--n", "0"],
                  ["syzygy", "--family", "ae1", "--m", "2", "V0", "--n", "-2"],
-                 ["strings", "--family", "ae1", "--m", "2", "--length-cap", "0"],
+                 ["strings", "--family", "ae1", "--m", "2", "--length-cap", "3"],
                  ["syzygy", "--family", "ae1", "--m", "3", "V0", "--seed", "-5"],
                  ["hom", "--family", "ae1", "--m", "2", "V0", "V1", "--seed", "-1"],
                  ["hom", "--family", "ae1", "--m", "2", "V0", "V1", "--seed", "abc"]):
@@ -357,13 +361,28 @@ def test_bad_spec_file_exits_2(tmp_path, capsys, content):
     *[({"arrows": [{"name": name, "from": 0, "to": 0}],
         "rules": [{"lhs": [name] * 3, "rhs": None}]}, "build")
       for name in ("a,b", "a~", "a b", "", "e0", "e12", 7)],
+    ({"dim_bound": DROP}, "bound"),
+    ({"vertices": DROP}, "build"),
+    ({"vertices": 5}, "build"),
+    ({"arrows": "a"}, "build"),
+    ({"arrows": [{"name": "a", "from": 0}]}, "build"),
+    ({"arrows": [["a", 0, 0]]}, "build"),
+    ({"rules": None}, "build"),
+    ({"rules": [["a", "a", "a"]]}, "build"),
+    ({"rules": [{"rhs": None}]}, "build"),
+    ({"rules": [{"lhs": "a", "rhs": None}]}, "build"),
+    ({"rules": [{"lhs": ["a", "a", "a"], "rhs": {"coeff": 1}}]}, "build"),
+    ({"rules": [{"lhs": ["a", "a", "a"], "rhs": {"coeff": 1, "path": "a"}}]}, "build"),
+    ({"rules": [{"lhs": ["a", "a", "a"], "rhs": [1, ["a"]]}]}, "build"),
 ], ids=["dim-bound-0", "dim-bound-negative", "dim-bound-above-cap", "dim-bound-16000",
         "dim-bound-true", "dim-bound-fraction", "prime-fraction", "prime-true",
         "coeff-fraction", "unknown-arrow", "undeclared-vertex", "duplicate-vertex",
         "duplicate-arrow", "rule-endpoints", "vertex-string", "vertex-fraction",
         "vertex-true", "vertex-negative", "arrow-from-true", "name-comma", "name-tilde",
         "name-space", "name-empty", "name-trivial-e0", "name-trivial-e12",
-        "name-number"])
+        "name-number", "no-dim-bound", "no-vertices", "vertices-number", "arrows-string",
+        "arrow-no-to", "arrow-list", "rules-null", "rule-list", "rule-no-lhs",
+        "lhs-string", "rhs-no-path", "rhs-path-string", "rhs-list"])
 def test_malformed_spec_exits_2_before_completion(tmp_path, capsys, monkeypatch,
                                                   change, stage):
     # the type and bound of prime and dim_bound are checked first, then the
@@ -373,7 +392,8 @@ def test_malformed_spec_exits_2_before_completion(tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(quiver_core, "complete_rewriting", never_completed)
     path = tmp_path / "alg.json"
-    path.write_text(json.dumps({**LOOP_SPEC, **change}))
+    spec = {key: value for key, value in {**LOOP_SPEC, **change}.items() if value is not DROP}
+    path.write_text(json.dumps(spec))
     with pytest.raises(SystemExit) as exc:
         cli.main(["algebra", "info", "--family", "file", "--spec", str(path)])
     assert exc.value.code == 2
@@ -385,6 +405,41 @@ def test_malformed_spec_exits_2_before_completion(tmp_path, capsys, monkeypatch,
     else:
         assert ("prime" if "prime" in change else
                 "dim_bound" if "dim_bound" in change else "coeff") in captured.err
+
+
+def test_brauer_line_strings_are_listed_in_full(tmp_path, capsys):
+    path = tmp_path / "brauer.json"
+    path.write_text(json.dumps(brauer_line_spec(2)))
+    code, out, err = run(capsys, "strings", "--family", "file", "--spec", str(path),
+                         "--format", "json")
+    assert code == 0 and err == ""
+    assert len(json.loads(out)) == 18
+
+
+def test_representation_infinite_spec_exits_3(tmp_path, capsys):
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(INFINITE_SPEC))
+    code, out, err = run(capsys, "strings", "--family", "file", "--spec", str(path))
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "x,y~,x" in err
+
+
+def test_verify_names_each_node_the_translate_does_not_square_to(capsys, monkeypatch):
+    # a translate that shifts every node to the next has no fixed point and
+    # moves each node two steps under its square, so every node is named once
+    build = arquiver.build_ar_quiver
+
+    def shifted(algebra):
+        q = build(algebra)
+        n = q.node_count
+        return dataclasses.replace(q, tau=tuple((i + 1) % n for i in range(n)))
+
+    monkeypatch.setattr(arquiver, "build_ar_quiver", shifted)
+    code, _, err = run(capsys, "strings", "--family", "ae2", "--m", "2", "--verify")
+    assert code == 4
+    nodes = shifted(quiver_core.build_family("ae2", 2)).nodes
+    assert err.splitlines() == [f"translate is not an involution at {w}" for w in nodes]
 
 
 def test_env_seed_fallback(capsys, monkeypatch):

@@ -41,10 +41,10 @@ class NoSequenceFound(StrcatError):
     """The automatic tower search exhausted its candidates."""
 
 
-def stable_endo_field_modules(algebra, length_cap=None):
+def stable_endo_field_modules(algebra):
     """Strings whose stable endomorphism ring is one dimensional."""
     out = []
-    for w in enumerate_strings(algebra, length_cap):
+    for w in enumerate_strings(algebra):
         rep = string_module(algebra, w)
         if stable_hom_dim(rep, rep) == 1:
             out.append(w)

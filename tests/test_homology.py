@@ -722,6 +722,13 @@ def test_relation_check_multiplies_logarithmically(monkeypatch):
     assert not calls and 0 < len(compositions) <= bound
 
 
+def test_path_matrix_of_an_empty_word_needs_its_vertex():
+    M = string_module(ae1(3), named_string("ae1", 3, "V1"))
+    assert np.array_equal(M.path_matrix((), source=0), np.eye(M.dims[0], dtype=np.int64))
+    with pytest.raises(StrcatError, match="trivial path needs its base vertex"):
+        M.path_matrix(())
+
+
 def test_path_matrix_keeps_no_products_after_the_call():
     # products held in a reference cycle would wait for the cyclic
     # collector, and between collections they pile up in peak memory

@@ -82,6 +82,20 @@ def test_no_random_number_generator():
     assert not found, "random number generation in src/strcat: " + ", ".join(found)
 
 
+def test_only_the_enumeration_takes_a_length_cap():
+    # string finiteness is decided exactly, so no function takes a cap; the
+    # enumeration keeps an ignored one because perfbench's spans bind it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                names = [a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)]
+                where = f"{path.stem}.{getattr(node, 'name', '<lambda>')}"
+                if "length_cap" in names and where != "strings.enumerate_strings":
+                    found.append(f"{where} ({path.name}:{node.lineno})")
+    assert not found, "functions taking a length cap: " + ", ".join(found)
+
+
 # what writes output; only cli.py may name these
 OUTPUT = {"print", "csv", "sys.stdout", "sys.stderr", "json.dump", "json.dumps"}
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 from functools import lru_cache
 
@@ -8,9 +9,9 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from strcat import (
-    CapTooSmall,
     IndexOutOfRange,
     NotAString,
+    RepresentationInfinite,
     StrcatError,
     UnknownArrow,
     build_family,
@@ -41,9 +42,16 @@ from strcat.strings import (
     word_key,
 )
 
-from .builders import ae1, ae2, ae3
+from .builders import INFINITE_SPEC, ae1, ae2, ae3, brauer_line_spec
 from .oracles import ORACLE_CASES
-from .reference import rescanned_extension, scanned_is_string, socle_dims, top_dims
+from .reference import (
+    capped_strings,
+    default_cap,
+    rescanned_extension,
+    scanned_is_string,
+    socle_dims,
+    top_dims,
+)
 from .test_arquiver import nakayama_spec
 from .test_quiver_core import built_or_skipped, small_specs
 
@@ -194,14 +202,65 @@ def test_enumeration_memo_ignores_the_call_form():
     words = enumerate_strings(A)
     assert enumerate_strings(A, None) is words
     assert enumerate_strings(A, length_cap=None) is words
-    capped = enumerate_strings(A, length_cap=20)
-    assert capped is not words and capped == words
+    # the cap is ignored, even one below the longest string
+    assert enumerate_strings(A, length_cap=2) == words
 
 
-def test_cap_too_small():
-    A = ae2(3)
-    with pytest.raises(CapTooSmall):
-        enumerate_strings(A, length_cap=2)
+def assert_enumeration_is_exact(A):
+    """The strings equal the capped enumeration run just past the longest
+    of them, and the default-capped one wherever that one finishes."""
+    words = enumerate_strings(A)
+    assert capped_strings(A, max(w.length for w in words) + 1) == words
+    assert capped_strings(A, default_cap(A)) in (None, words)
+    return words
+
+
+@pytest.mark.parametrize("p", [2, 3, DEFAULT_PRIME])
+@pytest.mark.parametrize("family,m", ORACLE_CASES)
+def test_enumeration_equals_the_capped_one(family, m, p):
+    A = build_family(family, m, p)
+    assert capped_strings(A, default_cap(A)) == assert_enumeration_is_exact(A)
+
+
+@pytest.mark.parametrize("e", [2, 3, 5, 8])
+def test_brauer_lines_have_strings_past_the_old_cap(e):
+    # the cap at the longest basis path plus two refused these algebras
+    A = load_algebra_spec(brauer_line_spec(e))
+    assert capped_strings(A, default_cap(A)) is None
+    assert len(assert_enumeration_is_exact(A)) == 9 * e
+    if e <= 5:
+        assert capped_strings(A, 60) == enumerate_strings(A)
+
+
+def assert_pumps(A, exc):
+    """The string that RepresentationInfinite names repeats its first K - 1
+    letters, and stays a string, by ``is_string`` alone, with the stretch
+    before the repeat written once and twice more."""
+    word = parse_string_literal(re.search(r"strings: (\S+) repeats", str(exc)).group(1),
+                                A.quiver)
+    head = max([2, *(len(rule.arrows) for rule in A.socle_rules)]) - 1
+    letters = word.letters
+    period = next(j for j in range(1, word.length - head + 1)
+                  if letters[j:j + head] == letters[:head])
+    assert is_string(word, A)
+    for times in (1, 2):
+        assert is_string(StringWord(letters[:period] * times + letters), A), times
+
+
+def test_representation_infinite_algebra_names_a_pumping_string():
+    A = load_algebra_spec(INFINITE_SPEC)
+    with pytest.raises(RepresentationInfinite, match="x,y~,x repeats") as exc:
+        enumerate_strings(A)
+    assert_pumps(A, exc.value)
+
+
+@given(spec=small_specs())
+def test_enumeration_of_random_specs_is_exact_or_pumps(spec):
+    A = built_or_skipped(spec)
+    try:
+        assert_enumeration_is_exact(A)
+    except RepresentationInfinite as exc:
+        assert_pumps(A, exc)
 
 
 def test_maximal_directed_strings():
@@ -485,7 +544,7 @@ def test_literals_of_random_spec_strings_read_back(spec):
     A = built_or_skipped(spec)
     try:
         assert_literals_read_back(A)
-    except CapTooSmall:
+    except RepresentationInfinite:
         assume(False)
 
 
