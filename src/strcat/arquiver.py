@@ -3,9 +3,11 @@
 Nodes are the string classes (the non-projective indecomposables); solid
 arrows are the canonical inclusions into hook extensions and projections
 out of cohook extensions.  ``omega_node`` names the node isomorphic to
-each node's syzygy, once per node, by isomorphism tests; the translate
-and the syzygy orbits both follow it.  The quiver is data; ``strcat.cli``
-labels and renders it.
+each node's syzygy, once per node, by the word its basis graph spells
+(``strings.module_word``); isomorphism tests against the nodes of its
+dimension vector (``match_node``) are the fallback for a syzygy whose
+graph spells no string.  The translate and the syzygy orbits both follow
+it.  The quiver is data; ``strcat.cli`` labels and renders it.
 
 The translate is Omega^2, the AR translate only for symmetric algebras
 like the built-in families.  On an algebra that is not self-injective a
@@ -34,6 +36,12 @@ class ArQuiver:
 
 
 @memoized
+def node_index(algebra: Algebra) -> dict[strings.StringWord, int]:
+    """The index of each node's canonical word among the nodes."""
+    return {w: i for i, w in enumerate(strings.enumerate_strings(algebra))}
+
+
+@memoized
 def nodes_by_dim_vector(algebra: Algebra) -> dict:
     """(index, word) of each node, grouped by the dimension vector of its
     module, read off the word."""
@@ -53,19 +61,28 @@ def match_node(algebra: Algebra, rep: homology.Representation) -> int:
     raise StrcatError(f"no node matches a module of dimension vector {dv}")
 
 
+def node_word(algebra: Algebra, rep: homology.Representation) -> strings.StringWord:
+    """The canonical word of the node isomorphic to ``rep``: the string its
+    basis graph spells, with no enumeration, else ``match_node``'s node."""
+    word = strings.module_word(rep)
+    if word is None:
+        return strings.enumerate_strings(algebra)[match_node(algebra, rep)]
+    return strings.canonical(word, algebra.quiver)
+
+
 @memoized
 def omega_node(algebra: Algebra, i: int) -> int:
     """Index of the node isomorphic to the syzygy of node ``i``."""
     node = strings.enumerate_strings(algebra)[i]
     rep = homology.syzygy(strings.string_module(algebra, node))
-    return match_node(algebra, rep)
+    return node_index(algebra)[node_word(algebra, rep)]
 
 
 @memoized
 def build_ar_quiver(algebra: Algebra) -> ArQuiver:
     """Nodes, hook/cohook arrows, and the second-syzygy translate."""
     nodes = strings.enumerate_strings(algebra)
-    index = {w: i for i, w in enumerate(nodes)}
+    index = node_index(algebra)
     # a move joins two canonical strings, and the enumeration has them all
     arrow_set = {(index[src], index[tgt], kind) for w in nodes
                  for src, tgt, kind in strings.class_moves(algebra, w)}
@@ -80,9 +97,9 @@ def omega_orbit(algebra: Algebra, node: strings.StringWord,
     algebra; else StrcatError.  ``seed`` is ignored, kept for callers."""
     nodes = strings.enumerate_strings(algebra)
     start = strings.canonical(node, algebra.quiver)
-    if start not in nodes:
+    if start not in node_index(algebra):
         raise StrcatError(f"{start} is not an enumerated string")
-    first = current = nodes.index(start)
+    first = current = node_index(algebra)[start]
     orbit = [start]
     for _ in nodes:
         current = omega_node(algebra, current)

@@ -241,21 +241,27 @@ def _pair_command(args, algebra: Algebra, compute, label: str) -> Result:
                   f"dim {label}({args.source}, {args.target}) = {dim}\n")
 
 
-def _omega_power(algebra: Algebra, M, n: int):
-    """Omega^n M up to isomorphism, from at most n syzygies and at most as
-    many as the algebra has strings.
+def _omega_power(algebra: Algebra, word, n: int):
+    """Omega^n of the string module of ``word``, a canonical word, up to
+    isomorphism, from at most n syzygies and at most as many as the
+    algebra has strings.
 
     A zero syzygy stays zero, and once Omega^k M is isomorphic to M for
-    some k < n, Omega^n M is Omega^(n mod k) M.  On a self-injective
+    some k < n, Omega^n M is Omega^(n mod k) M.  A syzygy is isomorphic to
+    M when the word its basis graph spells is M's (``strings.module_word``),
+    and by ``is_isomorphic`` when it spells none.  On a self-injective
     algebra Omega permutes the strings, so one of the two happens within
     that many steps; when neither does, the algebra is not self-injective
     and the walk raises."""
+    M = strings.string_module(algebra, word)
     powers = [M]
     for k in range(1, n + 1):
         rep = homology.syzygy(powers[-1])
         if k == n or rep.is_zero():
             return rep
-        if homology.is_isomorphic(rep, M):
+        read = strings.module_word(rep)
+        if (homology.is_isomorphic(rep, M) if read is None
+                else strings.canonical(read, algebra.quiver) == word):
             return powers[n % k]
         if k >= len(strings.enumerate_strings(algebra)):
             raise StrcatError(f"Omega^{k} of the module is neither zero nor isomorphic "
@@ -265,12 +271,10 @@ def _omega_power(algebra: Algebra, M, n: int):
 
 def cmd_syzygy(args, algebra: Algebra) -> Result:
     w = _resolve_module(args, algebra, args.module)
-    rep = _omega_power(algebra, strings.string_module(algebra, w), args.n)
+    rep = _omega_power(algebra, w, args.n)
     iso_name = None
     if not rep.is_zero():
-        nodes = strings.enumerate_strings(algebra)
-        idx = arquiver.match_node(algebra, rep)
-        iso_name = _labeller(args, algebra)(nodes[idx])
+        iso_name = _labeller(args, algebra)(arquiver.node_word(algebra, rep))
     dims = rep.dim_vector()
     return Result({"module": args.module, "n": args.n, "dim_vector": list(dims),
                    "isomorphic_to": iso_name},
@@ -365,7 +369,9 @@ def run_command(args, parser) -> Algebra:
 
 def run_verification(args, algebra: Algebra) -> list[str]:
     """Agreement checks behind --verify: string counts, the classification
-    table, and the component shape.  Returns the list of problems.
+    table, each reported module's counted stable End and Ext^1 against the
+    linear systems of ``homology``, and the component shape.  Returns the
+    list of problems.
 
     The enumeration, classification and AR quiver come from the algebra's
     memo when the command already computed them.
@@ -378,6 +384,12 @@ def run_verification(args, algebra: Algebra) -> list[str]:
         problems.append(f"string count {len(words)} != {nodes}")
     reports = deformation.classify(algebra, args.family, args.m)
     problems += deformation.verify_classification(reports, args.family, args.m)
+    for r in reports:
+        M = strings.string_module(algebra, strings.parse_string_literal(r.string, algebra.quiver))
+        linear = homology.stable_hom_dim(M, M), homology.ext1_dim(M, M)
+        if linear != (r.stable_endo_dim, r.ext1_dim):
+            problems.append(f"{r.module}: counted stable End and Ext^1 "
+                            f"{(r.stable_endo_dim, r.ext1_dim)} != linear {linear}")
     q = arquiver.build_ar_quiver(algebra)
     if q.node_count != nodes:
         problems.append(f"component node count {q.node_count} != {nodes}")

@@ -1,9 +1,15 @@
 """Stable endomorphism fields, tangent spaces, and deformation ring reports.
 
-The classification runs in three layers:
+The classification runs in three layers, on a weakly symmetric algebra
+(each P(v) is also the injective hull of S(v); ``weakly_symmetric``
+certifies it):
 
-1. find the strings whose stable endomorphism ring is the ground field;
-2. compute each tangent dimension as a self-extension dimension;
+1. find the strings whose stable endomorphism ring is the ground field,
+   counting stable Hom from canonical homomorphisms and Omega along the
+   nodes (``_counted_stable_hom``), with no linear system;
+2. count each tangent dimension Ext^1(V, V) = stHom(Omega V, V) the same
+   way; ``cli.run_verification`` checks both counts against the linear
+   route of ``strcat.homology``;
 3. modules with tangent zero get the trivial ring; a tangent-one orbit is
    certified once through a tower of monomorphism/epimorphism pairs whose
    twist maps have prescribed kernels and iterated images, and the
@@ -17,15 +23,17 @@ JSON or CSV.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
-from . import arquiver, families, homology, strings
+import numpy as np
+
+from . import arquiver, families, homology, linalg, strings
 from .errors import StrcatError
-from .quiver_core import Algebra, memoized
-# build_family and indecomposable_projective are unused here but stay
-# importable from this module: perfbench's tracer test checks that these
-# aliases are rebound
-from .quiver_core import build_family, indecomposable_projective  # noqa: F401
+from .quiver_core import Algebra, indecomposable_projective, memoized
+# build_family is unused here but stays importable from this module:
+# perfbench's tracer test checks that this alias is rebound
+from .quiver_core import build_family  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -173,28 +181,81 @@ class UdrReport:
 
 
 @memoized
+def weakly_symmetric(algebra: Algebra) -> bool:
+    """Certify that every P(v) is also the injective hull I(v) of S(v):
+    True, or a StrcatError naming the first vertex where it fails.
+
+    soc P(v) = S(v) embeds P(v) in I(v) = D(A e_v), whose dimension is the
+    number of basis paths ending at v, so the two are equal when
+    additionally dim P(v), the number of basis paths starting at v, is that
+    number.  The socle at each vertex w is the kernel of P(v)_w under all
+    the arrows out of w, so its dimension is one rank."""
+    quiver = algebra.quiver
+    ending = Counter(q.target for q in algebra.basis)
+    for v in quiver.vertices:
+        P = indecomposable_projective(algebra, v)
+        socle = {}
+        for w in quiver.vertices:
+            out = [P.mats[a.name] for a in quiver.arrows if a.source == w]
+            socle[w] = P.dims[w] - (linalg.rank(np.hstack(out), algebra.p) if out else 0)
+        if socle != {w: int(w == v) for w in quiver.vertices}:
+            raise StrcatError(f"the algebra is not weakly symmetric: soc P({v}) is not S({v})")
+        if P.total_dim != ending[v]:
+            raise StrcatError(f"the algebra is not weakly symmetric: dim P({v}) = "
+                              f"{P.total_dim}, but {ending[v]} basis paths end at {v}")
+    return True
+
+
+def _counted_stable_hom(algebra: Algebra, S: strings.StringWord, T: strings.StringWord,
+                        omega_T: strings.StringWord) -> int:
+    """dim stHom(M[S], M[T]) over a weakly symmetric algebra, where M[T]
+    has syzygy M[omega_T], counted with no linear system.
+
+    Canonical homomorphisms form a basis of Hom between string modules
+    (Crawley-Boevey, J. Algebra 126, 1989), and Hom(M, P(v)) = Hom(M,
+    I(v)) has dimension dim M_v.  So the exact sequence 0 -> Hom(M, Omega
+    N) -> Hom(M, P_N) -> Hom(M, N), whose image is the maps that factor
+    through a projective, gives #canon(S, T) - sum of dim M_v over the top
+    (v, c) of N + #canon(S, omega_T)."""
+    count = len(homology.canonical_homs(algebra, S, T))
+    if not count:
+        return 0
+    M = strings.string_module(algebra, S)
+    top = homology.presentation(strings.string_module(algebra, T)).generators
+    return (count - sum(M.dims[v] for v, _ in top)
+            + len(homology.canonical_homs(algebra, S, omega_T)))
+
+
+@memoized
 def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
     """Per-module verdicts for every string with stable endomorphism field.
 
-    Tangent-zero modules get the trivial ring outright.  For the
-    tangent-one modules, the family's tower certifies one representative
-    and the ring transports along its syzygy orbit, which is recorded in
-    the trail; a tower that fails its check is named there with the reason
-    it fails.  Every verdict is exact: the isomorphism tests take no
-    seed.  The reports live in the algebra's memo, so a second call with
-    the same family and m returns the same tuple.
+    The algebra must be weakly symmetric (``weakly_symmetric``); then the
+    stable endomorphism ring and the tangent Ext^1(V, V) = stHom(Omega V,
+    V) of each string are counted by ``_counted_stable_hom``, with Omega
+    along the nodes (``arquiver.omega_node``).  Tangent-zero modules get
+    the trivial ring outright.  For the tangent-one modules, the family's
+    tower certifies one representative and the ring transports along its
+    syzygy orbit, which is recorded in the trail; a tower that fails its
+    check is named there with the reason it fails.  Every verdict is
+    exact: the isomorphism tests take no seed.  The reports live in the
+    algebra's memo, so a second call with the same family and m returns
+    the same tuple.
     """
     fam = families.get(family)
     named = strings.family_node_names(family, m, algebra.quiver)
     name_of = {w: n for n, w in named}
-    enumerated = set(strings.enumerate_strings(algebra))
-    if enumerated != set(name_of):
+    nodes = strings.enumerate_strings(algebra)
+    if set(nodes) != set(name_of):
         raise StrcatError("named strings disagree with the enumeration")
+    weakly_symmetric(algebra)
 
-    modules = [(name, w, strings.string_module(algebra, w)) for name, w in named]
-    kept = [(name, w, rep) for name, w, rep in modules if homology.stable_hom_dim(rep, rep) == 1]
-    exts = {name: homology.ext1_dim(rep, rep) for name, _, rep in kept}
-    tangent_one = [name for name, _, _ in kept if exts[name] == 1]
+    index = arquiver.node_index(algebra)
+    omega = {w: nodes[arquiver.omega_node(algebra, index[w])] for w in nodes}
+    kept = [(name, w) for name, w in named
+            if _counted_stable_hom(algebra, w, w, omega[w]) == 1]
+    exts = {name: _counted_stable_hom(algebra, omega[w], w, omega[w]) for name, w in kept}
+    tangent_one = [name for name, _ in kept if exts[name] == 1]
 
     orbit_names: list[str] = []
     tower_desc = None
@@ -215,7 +276,7 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
         orbit_names = [name_of[w] for w in orbit]
 
     reports = []
-    for name, w, _ in kept:  # the stable endomorphism ring of each is k
+    for name, w in kept:  # the stable endomorphism ring of each is k
         ext = exts[name]
         trail = ["stable_endo_dim=1", f"ext1_dim={ext}"]
         if ext == 0:

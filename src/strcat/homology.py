@@ -2,25 +2,30 @@
 
 A representation assigns to each vertex a free F_p module of row vectors
 and to each arrow ``a: i -> j`` a matrix of shape (dim_i, dim_j) acting
-on the right.  Everything downstream is exact dense linear algebra.
+on the right.  Everything is exact; string modules, projectives and
+their syzygies have arrow matrices with at most one nonzero entry per
+row, read once per module as index maps, and much of what follows reads
+those maps instead of eliminating.
 
 Hom comes from projective presentations: ``presentation(M)`` holds M's
 projective cover, the rows of the syzygy in the cover's coordinates and a
 section of the cover, and the Hom system solves for the images of the
 cover's generators (Hom(P_v, N) = N e_v).  The same kernel rows give the
-syzygy.  A presentation eliminates at most once per vertex: one reduction
-of [epi_w^T | I] gives the kernel rows and the section, minimality is one
-product against the RREF of rad P, the radical of a module whose arrow
-matrices have one nonzero entry per row is read off its columns, and a
-sub-representation reads its arrow matrices off the unit columns of its
-basis.  Such a module's radical series is counted off the same index
-maps, one layer of live basis vectors at a time, with no elimination;
-the maps are computed once per module and kept in its memo.  Dimensions
-come from ranks: ``hom_dim`` is the system's unknowns less its rank.
-Hom(M, -) of 0 -> Omega N -> P_N -> N -> 0 and Hom(-, N) of 0 -> Omega M
--> P_M -> M -> 0 make ``stable_hom_dim`` and ``ext1_dim`` alternating
-sums of such dimensions.  Maps are realised as ``ModuleMap``s
-only on request, by ``hom_basis``.
+syzygy.  For a module with index maps, the cover map is composed as index
+maps and its kernel rows and section are read off its fibres, the arrays
+that the RREF of [epi_w^T | I] would give; any other module eliminates
+that matrix once per vertex.  Minimality is one product against the RREF
+of rad P, the radical of a module with index maps is read off its
+columns, and a sub-representation reads its arrow matrices off the unit
+columns of its basis.  Such a module's radical series is counted off the
+same index maps, one layer of live basis vectors at a time, with no
+elimination.  Dimensions come from ranks: ``hom_dim`` is the system's
+unknowns less its rank.  Hom(M, -) of 0 -> Omega N -> P_N -> N -> 0 and
+Hom(-, N) of 0 -> Omega M -> P_M -> M -> 0 make ``stable_hom_dim`` and
+``ext1_dim`` alternating sums of such dimensions; they stay linear, the
+oracle for the counts that ``strcat.deformation`` takes from canonical
+homomorphisms.  Maps are realised as ``ModuleMap``s only on request, by
+``hom_basis``.
 
 Canonical homomorphisms between string modules live here as well: they
 are the combinatorial oracle for Hom dimensions, counted from substring
@@ -473,8 +478,8 @@ class Presentation:
     summands P(v) map onto, in vertex order.  At each vertex w,
     ``kernel[w]`` holds the rows of Omega(M) = ker epi in the cover's
     coordinates, which are the identity on the columns ``free[w]``, and
-    ``section[w]`` is a matrix S with S @ epi_w = I.  Both come from one
-    elimination of [epi_w^T | I]; see ``presentation``.  The arrays are
+    ``section[w]`` is a matrix S with S @ epi_w = I: the arrays that the
+    RREF of [epi_w^T | I] gives; see ``presentation``.  The arrays are
     read-only, because the memo hands them to every caller.
     """
 
@@ -491,17 +496,92 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
+def _cover_rows(M: Representation, maps: dict, generators) -> dict:
+    """Each row (g, q) of the cover at each vertex w, in the cover's order,
+    as an index map onto M_w: the column that path q sends generator g to,
+    and the value there.
+
+    The basis lists every prefix of a path before the path, so the map of
+    each basis path q out of v, on all of M_v at once, is the map of its
+    prefix composed with its last arrow's: no dense product."""
+    alg = M.algebra
+    cs: dict[int, list[int]] = {}
+    for v, c in generators:  # generators are in vertex order
+        cs.setdefault(v, []).append(c)
+    parts: dict[int, list] = {w: [] for w in alg.quiver.vertices}
+    for v, gens in cs.items():
+        acts = {}
+        for q in alg.basis_paths_from(v):
+            acts[q.arrows] = (indexmaps.compose(acts[q.arrows[:-1]], maps[q.arrows[-1]], alg.p)
+                              if q.arrows else indexmaps.identity(M.dims[v]))
+        for w, paths in projective_paths(alg, v).items():
+            if paths:
+                stacked = np.array([acts[q.arrows] for q in paths])  # (paths, 2, dim M_v + 1)
+                parts[w].append(stacked[:, :, gens].transpose(1, 2, 0).reshape(2, -1))
+    return {w: tuple(np.concatenate(rows, axis=1)) if rows else
+            (np.zeros(0, dtype=np.int64),) * 2 for w, rows in parts.items()}
+
+
+def _fibres(cols: np.ndarray, vals: np.ndarray, m: int, p: int):
+    """Kernel rows, free columns and section of a cover block whose row r
+    is ``vals[r]`` times unit vector ``cols[r]`` of M_w (dimension m).
+
+    The rows sent to column j with a nonzero value form its fibre, whose
+    first row r0 is a pivot of the RREF of [epi_w^T | I]: that row of the
+    RREF is the fibre's values over val_r0, beside e_j / val_r0.  So every
+    other row f of the fibre is free with kernel row e_f - (val_f /
+    val_r0) e_r0, a killed row is free with a unit kernel row, and the
+    section holds 1 / val_r0 at (j, r0): the arrays that elimination gives,
+    since an RREF is unique.  An empty fibre means epi_w is not onto."""
+    n = len(cols)
+    live = vals != 0
+    first = np.full(m, n)
+    np.minimum.at(first, cols[live], np.arange(n)[live])
+    if (first == n).any():
+        raise StrcatError("projective cover map failed to be surjective")
+    inverse = np.array([pow(int(x), -1, p) for x in vals[first]], dtype=np.int64)
+    is_free = np.ones(n, dtype=bool)
+    is_free[first] = False
+    free = is_free.nonzero()[0]
+    kernel = np.zeros((len(free), n), dtype=np.int64)
+    kernel[np.arange(len(free)), free] = 1
+    dup = live[free].nonzero()[0]
+    j = cols[free[dup]]
+    kernel[dup, first[j]] = -vals[free[dup]] * inverse[j] % p
+    section = np.zeros((m, n), dtype=np.int64)
+    section[np.arange(m), first] = inverse
+    return kernel, free, section
+
+
+def _eliminated(epi_block: np.ndarray, p: int):
+    """Kernel rows, free columns and section of any cover block, from one
+    elimination of [epi_w^T | I].  The identity block makes every row a
+    pivot row, and epi_w is onto exactly when every pivot lies in the left
+    block, which is then rref(epi_w^T): the kernel rows are read off it,
+    and the right block holds the section."""
+    n, m = epi_block.shape
+    reduced, pivots = linalg.rref(np.hstack([epi_block.T, np.eye(m, dtype=np.int64)]), p)
+    if pivots and pivots[-1] >= n:
+        raise StrcatError("projective cover map failed to be surjective")
+    kernel, free = linalg.kernel_rows(reduced[:, :n], pivots, p)
+    right_inverse = np.zeros((n, m), dtype=np.int64)
+    right_inverse[pivots] = reduced[:, n:]
+    return kernel, free, right_inverse.T
+
+
 @memoized
 def presentation(M: Representation) -> Presentation:
     """M's projective cover, its kernel rows and a section (all verified).
 
-    At each vertex w one elimination of [epi_w^T | I] gives everything.
-    The identity block makes every row a pivot row, and epi_w is onto
-    exactly when every pivot lies in the left block, which is then
-    rref(epi_w^T): the kernel rows are read off it, and the right block
-    holds the section.  The cover is minimal when the kernel lies in
-    rad P, whose RREF R with pivots piv (from ``radical_rows``) contains
-    a row set K exactly when K == K[:, piv] @ R: one product.
+    When M's arrow matrices are index maps (see ``Representation._row_maps``),
+    as for string modules, projectives and their syzygies, the cover map is
+    composed as index maps along the basis paths and its kernel rows and
+    section are read off its fibres (``_fibres``), with no elimination.
+    Any other module stacks its path actions into the cover map and
+    eliminates once per vertex (``_eliminated``).  The cover is minimal
+    when the kernel lies in rad P, whose RREF R with pivots piv (from
+    ``radical_rows``) contains a row set K exactly when K == K[:, piv] @
+    R: one product.
     """
     if M.is_zero():
         raise ZeroModule("the zero module has no projective cover")
@@ -513,25 +593,28 @@ def presentation(M: Representation) -> Presentation:
     generators = tuple((v, c) for v in alg.quiver.vertices
                        for c in range(M.dims[v]) if c not in rad[v][1])
     P = direct_sum([indecomposable_projective(alg, v) for v, _ in generators])
-    acts = {v: path_action(M, v) for v in {v for v, _ in generators}}
-    # row (g, q) of the cover goes to M(q) applied to generator g
-    epi = ModuleMap(P, M, {w: np.concatenate([acts[v][w][:, c] for v, c in generators])
-                           for w in alg.quiver.vertices})
+    maps = M._row_maps()
+    if maps is None:
+        acts = {v: path_action(M, v) for v in {v for v, _ in generators}}
+        # row (g, q) of the cover goes to M(q) applied to generator g
+        blocks = {w: np.concatenate([acts[v][w][:, c] for v, c in generators])
+                  for w in alg.quiver.vertices}
+        parts = {w: _eliminated(blocks[w], p) for w in alg.quiver.vertices}
+    else:
+        blocks, parts = {}, {}
+        for w, (cols, vals) in _cover_rows(M, maps, generators).items():
+            block = np.zeros((len(cols), M.dims[w] + 1), dtype=np.int64)
+            block[np.arange(len(cols)), cols] = vals  # a killed row hits the extra column
+            blocks[w] = block[:, :-1]
+            parts[w] = _fibres(cols, vals, M.dims[w], p)
+    epi = ModuleMap(P, M, blocks)
     rad_P = radical_rows(P)
     kernel, free, section = {}, {}, {}
-    for w in alg.quiver.vertices:
-        n, m = epi.blocks[w].shape
-        reduced, pivots = linalg.rref(
-            np.hstack([epi.blocks[w].T, np.eye(m, dtype=np.int64)]), p)
-        if pivots and pivots[-1] >= n:
-            raise StrcatError("projective cover map failed to be surjective")
-        ker_rows, ker_free = linalg.kernel_rows(reduced[:, :n], pivots, p)
+    for w, (ker_rows, ker_free, sec) in parts.items():
         rad_rows, rad_pivots = rad_P[w]
         if not np.array_equal(linalg.mat_mul(ker_rows[:, rad_pivots], rad_rows, p), ker_rows):
             raise StrcatError("cover kernel escapes the radical")
-        right_inverse = np.zeros((n, m), dtype=np.int64)
-        right_inverse[pivots] = reduced[:, n:]
-        kernel[w], free[w], section[w] = map(_read_only, (ker_rows, ker_free, right_inverse.T))
+        kernel[w], free[w], section[w] = map(_read_only, (ker_rows, ker_free, sec))
     return Presentation(P, epi, generators, kernel, free, section)
 
 

@@ -16,6 +16,10 @@ and the hook and cohook moves grow strings one letter at a time at the
 start, so ``_extend`` applies it at the new first letter only, in
 O(rules * longest rule) whatever the length of the word.
 
+Going the other way, ``module_word`` reads the string a module's basis
+graph spells, which names the syzygies of string modules without an
+isomorphism test.
+
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
 ``b,r~,a``; trivial words print as ``e0``, ``e1``.  Every printed word
 reads back (``parse_string_literal``), one-letter words of long names too.
@@ -267,6 +271,50 @@ def string_module(algebra: Algebra, word: StringWord) -> homology.Representation
         else:
             mats[l.arrow][local[j], local[j + 1]] = 1
     return homology.Representation(algebra, counts, mats)
+
+
+def module_word(rep: homology.Representation) -> StringWord | None:
+    """A string w with ``rep`` isomorphic to M(w), read off rep's basis
+    graph; None when the graph does not give one.
+
+    When the arrow matrices are index maps (see
+    ``Representation._row_maps``), each nonzero entry is an edge x -a-> y
+    between basis vectors.  When these edges form one path, the arrows
+    along it spell a word, a direct letter where the walk follows an
+    arrow and an inverse one where it goes back.  Rescaling the basis
+    vectors one by one along the path makes every value 1, which turns
+    rep into M(w) with its basis reordered; so if w is a string it names
+    rep.  The walk starts at an end of the path, so w is read in either
+    orientation: ``canonical`` picks the class's one."""
+    maps = rep._row_maps()
+    if maps is None:
+        return None
+    quiver = rep.algebra.quiver
+    start, total = {}, 0
+    for v in quiver.vertices:
+        start[v], total = total, total + rep.dims[v]
+    steps = [[] for _ in range(total)]  # per basis vector: (neighbour, letter)
+    for a in quiver.arrows:
+        cols, vals = maps[a.name]
+        for r in vals[:-1].nonzero()[0]:
+            x, y = start[a.source] + int(r), start[a.target] + int(cols[r])
+            steps[x].append((y, Letter(a.name)))
+            steps[y].append((x, Letter(a.name, True)))
+    if sum(map(len, steps)) != 2 * (total - 1) or any(len(s) > 2 for s in steps):
+        return None  # with total - 1 edges, a walk over every vector is a path
+    x = next(x for x, s in enumerate(steps) if len(s) < 2)
+    seen, letters = {x}, []
+    while len(seen) < total:
+        ahead = [(y, letter) for y, letter in steps[x] if y not in seen]
+        if not ahead:
+            return None
+        x, letter = ahead[0]
+        seen.add(x)
+        letters.append(letter)
+    if not letters:
+        return empty_word(next(v for v in quiver.vertices if rep.dims[v]))
+    word = StringWord(tuple(letters))
+    return word if is_string(word, rep.algebra) else None
 
 
 # -- hooks and cohooks ------------------------------------------------------------

@@ -11,6 +11,7 @@ from strcat.homology import (
     ModuleMap,
     Representation,
     hom_basis,
+    path_action,
     projective_cover,
     radical_rows,
     syzygy,
@@ -111,6 +112,31 @@ def eliminated_radical_rows(M):
         reduced, pivots = linalg.rref(stacked, alg.p)
         out[v] = reduced[: len(pivots)], pivots
     return out
+
+
+def eliminated_presentation(M):
+    """``presentation(M)`` by the elimination route: the generators off
+    ``eliminated_radical_rows``, and per vertex w the cover map stacked
+    from M's dense path actions, then the kernel rows, free columns and
+    section from one reduction of [epi_w^T | I], as
+    ``(generators, {w: (epi, kernel, free, section)})``."""
+    alg = M.algebra
+    p = alg.p
+    rad = eliminated_radical_rows(M)
+    generators = tuple((v, c) for v in alg.quiver.vertices
+                       for c in range(M.dims[v]) if c not in rad[v][1])
+    acts = {v: path_action(M, v) for v, _ in generators}
+    out = {}
+    for w in alg.quiver.vertices:
+        epi = np.concatenate([acts[v][w][:, c] for v, c in generators])
+        n, m = epi.shape
+        reduced, pivots = linalg.rref(np.hstack([epi.T, np.eye(m, dtype=np.int64)]), p)
+        assert not pivots or pivots[-1] < n, "the cover map is not onto"
+        kernel, free = linalg.kernel_rows(reduced[:, :n], pivots, p)
+        right_inverse = np.zeros((n, m), dtype=np.int64)
+        right_inverse[pivots] = reduced[:, n:]
+        out[w] = epi, kernel, free, right_inverse.T
+    return generators, out
 
 
 def eliminated_radical_series(M):

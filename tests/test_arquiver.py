@@ -17,11 +17,13 @@ from strcat import (
     omega_orbit,
     string_module,
 )
-from strcat import arquiver, cli, strings
+from strcat import arquiver, cli, homology, strings
 from strcat.deformation import verify_classification
+from strcat.families import get as get_family
+from strcat.quiver_core import DEFAULT_PRIME
 from strcat.strings import family_node_names
 
-from .builders import ae1, ae2, ae3
+from .builders import ae1, ae2, ae3, brauer_line_spec
 from .reference import omega_power
 
 
@@ -144,6 +146,42 @@ def test_matching_fetches_only_candidate_modules(family, m, monkeypatch):
     A = build_family(family, m)
     n = len(build_ar_quiver(A).nodes)
     assert len(fetched) <= 3 * n, (family, m, len(fetched))
+
+
+def word_read_algebras():
+    """Every family with m <= 8 at p in {2, 3, 32003}, the Brauer lines
+    with e = 2, 3 and the cyclic Nakayama algebra."""
+    out = [(f"{family}-{m}-{p}", lambda family=family, m=m, p=p: build_family(family, m, p))
+           for family in ("ae1", "ae2", "ae3") for m in range(get_family(family).m_min, 9)
+           for p in (2, 3, DEFAULT_PRIME)]
+    out += [(f"brauer-{e}", lambda e=e: load_algebra_spec(brauer_line_spec(e))) for e in (2, 3)]
+    return out + [("nakayama", lambda: load_algebra_spec(nakayama_spec()))]
+
+
+@pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
+                         ids=[name for name, _ in word_read_algebras()])
+def test_word_read_omega_equals_match_node(build, monkeypatch):
+    # omega_node names each syzygy by the word its basis graph spells and
+    # makes no isomorphism test; match_node's tests find the same node
+    A = build()
+    tests = []
+    is_isomorphic = homology.is_isomorphic
+    monkeypatch.setattr(homology, "is_isomorphic",
+                        lambda M, N: tests.append(None) or is_isomorphic(M, N))
+    nodes = enumerate_strings(A)
+    named = [arquiver.omega_node(A, i) for i in range(len(nodes))]
+    assert not tests
+    for i, w in enumerate(nodes):
+        assert named[i] == arquiver.match_node(A, homology.syzygy(string_module(A, w))), w
+    assert tests
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 5), ("ae2", 3), ("ae3", 4)])
+def test_omega_falls_back_to_isomorphism_tests(family, m, monkeypatch):
+    # with no word read, match_node names every syzygy, to the same quiver
+    want = build_ar_quiver(build_family(family, m))
+    monkeypatch.setattr(strings, "module_word", lambda rep: None)
+    assert build_ar_quiver(build_family(family, m)) == want
 
 
 def test_shared_results_cannot_be_changed():

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from strcat import arquiver, cli, families, homology, quiver_core
+from strcat import arquiver, cli, deformation, families, homology, quiver_core, strings
 
 from .builders import INFINITE_SPEC, brauer_line_spec
 
@@ -425,6 +425,41 @@ def test_representation_infinite_spec_exits_3(tmp_path, capsys):
     assert "x,y~,x" in err
 
 
+def test_syzygy_on_a_representation_infinite_spec(tmp_path, capsys):
+    # one syzygy is named by the word its basis graph spells, with no
+    # enumeration; a second needs the period test's bound, which counts
+    # the strings, and exits 3
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(INFINITE_SPEC))
+    argv = ("syzygy", "--family", "file", "--spec", str(path), "e0", "--n")
+    code, out, err = run(capsys, *argv, "1")
+    assert (code, err) == (0, "")
+    assert out == "Omega^1(e0) has dimension vector (3,), isomorphic to x,y~\n"
+    code, out, err = run(capsys, *argv, "2")
+    assert code == 3 and out == "" and "infinitely many strings" in err
+
+
+def test_syzygy_names_by_isomorphism_when_no_word_is_read(capsys, monkeypatch):
+    argv = ("syzygy", "--family", "ae3", "--m", "4", "U1", "--n", "3", "--format", "json")
+    want = run(capsys, *argv)
+    monkeypatch.setattr(strings, "module_word", lambda rep: None)
+    assert run(capsys, *argv) == want and want[0] == 0
+
+
+def test_verify_checks_the_counted_tangents_against_the_linear_route(capsys, monkeypatch):
+    # a counted Ext^1(V1, V1) one too high is caught by ext1_dim under
+    # --verify; V1 = r,r is no syzygy of itself, so its stable End is kept
+    counted = deformation._counted_stable_hom
+
+    def off_by_one(algebra, S, T, omega_T):
+        return counted(algebra, S, T, omega_T) + (S != T and T.literal() == "r,r")
+
+    monkeypatch.setattr(deformation, "_counted_stable_hom", off_by_one)
+    code, _, err = run(capsys, "classify", "--family", "ae3", "--m", "3", "--verify")
+    assert code == 4
+    assert "V1: counted stable End and Ext^1 (1, 1) != linear (1, 0)" in err.splitlines()
+
+
 def test_verify_names_each_node_the_translate_does_not_square_to(capsys, monkeypatch):
     # a translate that shifts every node to the next has no fixed point and
     # moves each node two steps under its square, so every node is named once
@@ -554,10 +589,10 @@ def test_ext_on_a_spec_that_is_not_self_injective(tmp_path, capsys):
 
 def test_verify_reuses_the_commands_work(capsys, monkeypatch):
     # the command's AR quiver and classification sit in the algebra's
-    # memo, so --verify identifies each node's syzygy only once
+    # memo, so --verify reads each node's syzygy's word only once
     from strcat import arquiver, strings
 
-    calls = {"match_node": 0, "class_moves": 0}
+    calls = {"module_word": 0, "match_node": 0, "class_moves": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -568,14 +603,15 @@ def test_verify_reuses_the_commands_work(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    counted(strings, "module_word")
     counted(arquiver, "match_node")
     counted(strings, "class_moves")
     nodes = families.get("ae3").node_count(3)
     for command in ("arquiver", "classify"):
-        calls.update(match_node=0, class_moves=0)
+        calls.update(module_word=0, match_node=0, class_moves=0)
         code, _, err = run(capsys, command, "--family", "ae3", "--m", "3", "--verify")
         assert code == 0 and not err
-        assert calls == {"match_node": nodes, "class_moves": nodes}, command
+        assert calls == {"module_word": nodes, "match_node": 0, "class_moves": nodes}, command
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

@@ -24,17 +24,35 @@ from strcat import (
     stable_hom_dim,
     string_module,
 )
-from strcat import cli, families, homology
+from hypothesis import given
+
+from strcat import (
+    RepresentationInfinite,
+    arquiver,
+    cli,
+    deformation,
+    families,
+    homology,
+    load_algebra_spec,
+    syzygy,
+)
 from strcat.deformation import (
     _canonical_map,
+    _counted_stable_hom,
     expected_classification,
     power_series_quotient,
     trivial_ring,
     verify_classification,
+    weakly_symmetric,
 )
+from strcat.families import get as get_family
+from strcat.quiver_core import DEFAULT_PRIME
 from strcat.strings import family_node_names
 
-from .builders import ae1, ae2, ae3
+from .builders import ae1, ae2, ae3, brauer_line_spec
+from .oracles import ORACLE_CASES
+from .reference import socle_dims
+from .test_quiver_core import built_or_skipped, small_specs
 
 
 class NoSequenceFound(StrcatError):
@@ -324,3 +342,98 @@ def test_classification_is_characteristic_independent(p):
     A = ae3(2, p=p)
     reports = classify(A, "ae3", 2)
     assert not verify_classification(reports, "ae3", 2)
+
+
+def counted_algebras():
+    """The oracle algebras at p in {2, 3, 32003}, and the Brauer lines
+    with e = 2, 3."""
+    out = [(f"{family}-{m}-{p}", lambda family=family, m=m, p=p: build_family(family, m, p))
+           for family, m in ORACLE_CASES for p in (2, 3, DEFAULT_PRIME)]
+    return out + [(f"brauer-{e}", lambda e=e: load_algebra_spec(brauer_line_spec(e)))
+                  for e in (2, 3)]
+
+
+@pytest.mark.parametrize("build", [b for _, b in counted_algebras()],
+                         ids=[name for name, _ in counted_algebras()])
+def test_counted_stable_hom_and_ext_equal_the_linear_route(build):
+    # on every ordered pair of strings: stHom(S, T) counted equals
+    # stable_hom_dim, and stHom(Omega S, T) counted equals ext1_dim
+    A = build()
+    assert weakly_symmetric(A)
+    assert_counts_equal_the_linear_route(A)
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda family=family, m=m: build_family(family, m)
+      for family in ("ae1", "ae2", "ae3") for m in range(get_family(family).m_min, 9)),
+    *(lambda e=e: load_algebra_spec(brauer_line_spec(e)) for e in (2, 3, 5, 8))])
+def test_weak_symmetry_certificate_accepts_the_symmetric_algebras(build):
+    assert weakly_symmetric(build()) is True
+
+
+def assert_counts_equal_the_linear_route(A):
+    """On every ordered pair of strings, stHom(S, T) counted equals
+    stable_hom_dim, and stHom(Omega S, T) counted equals ext1_dim."""
+    nodes = enumerate_strings(A)
+    omega = [nodes[arquiver.omega_node(A, i)] for i in range(len(nodes))]
+    for i, S in enumerate(nodes):
+        M = string_module(A, S)
+        for j, T in enumerate(nodes):
+            N = string_module(A, T)
+            assert _counted_stable_hom(A, S, T, omega[j]) == stable_hom_dim(M, N), (S, T)
+            assert _counted_stable_hom(A, omega[i], T, omega[j]) == ext1_dim(M, N), (S, T)
+
+
+@given(spec=small_specs())
+def test_weak_symmetry_and_the_counts_on_random_specs(spec):
+    # the certificate accepts exactly when every P(v) has socle S(v), found
+    # by elimination, and as many basis paths start at v as end there; then
+    # the counts equal the linear route, unless some string is projective
+    # (its zero syzygy names no node)
+    A = built_or_skipped(spec)
+    ending = [q.target for q in A.basis]
+    symmetric = all(
+        socle_dims(P) == {w: int(w == v) for w in A.quiver.vertices}
+        and P.total_dim == ending.count(v)
+        for v in A.quiver.vertices for P in [indecomposable_projective(A, v)])
+    if not symmetric:
+        with pytest.raises(StrcatError, match="not weakly symmetric"):
+            weakly_symmetric(A)
+        return
+    assert weakly_symmetric(A)
+    try:
+        nodes = enumerate_strings(A)
+    except RepresentationInfinite:
+        return
+    if all(not syzygy(string_module(A, w)).is_zero() for w in nodes):
+        assert_counts_equal_the_linear_route(A)
+
+
+def test_weak_symmetry_certificate_rejects_the_path_algebra():
+    # over 0 -> 1, soc P(0) = S(1)
+    A = load_algebra_spec({"vertices": [0, 1], "arrows": [{"name": "a", "from": 0, "to": 1}],
+                           "rules": [], "dim_bound": 3})
+    with pytest.raises(StrcatError, match=r"soc P\(0\) is not S\(0\)"):
+        weakly_symmetric(A)
+
+
+def test_weak_symmetry_certificate_compares_dimensions():
+    # over 0 <-> 1 with aba = 0 every P(v) has socle S(v), but P(0) has
+    # basis e0, a, ab while e0, b, ab, bab end at 0
+    A = load_algebra_spec({"vertices": [0, 1],
+                           "arrows": [{"name": "a", "from": 0, "to": 1},
+                                      {"name": "b", "from": 1, "to": 0}],
+                           "rules": [{"lhs": ["a", "b", "a"], "rhs": None}], "dim_bound": 7})
+    with pytest.raises(StrcatError, match=r"dim P\(0\) = 3, but 4 basis paths end at 0"):
+        weakly_symmetric(A)
+
+
+def test_classify_needs_the_certificate(capsys, monkeypatch):
+    def refuse(algebra):
+        raise StrcatError("the algebra is not weakly symmetric: soc P(1) is not S(1)")
+
+    monkeypatch.setattr(deformation, "weakly_symmetric", refuse)
+    with pytest.raises(StrcatError, match=r"soc P\(1\)"):
+        classify(ae2(2), "ae2", 2)
+    assert cli.main(["classify", "--family", "ae2", "--m", "2"]) == 3
+    assert "soc P(1) is not S(1)" in capsys.readouterr().err

@@ -48,6 +48,7 @@ from .builders import ae1, ae2, ae3
 from .oracles import ORACLE_CASES
 from .reference import (
     composed_stable_hom_dim,
+    eliminated_presentation,
     eliminated_radical_rows,
     eliminated_radical_series,
     first_failing_rule,
@@ -222,6 +223,40 @@ def changed_basis(M):
                                         for a in alg.quiver.arrows})
 
 
+def rescaled(M, seed):
+    """M with each basis vector scaled by a nonzero residue drawn from
+    ``seed``: the values of the arrow matrices change, their shape not."""
+    p = M.algebra.p
+    rng = random.Random(seed)
+    scale = {v: np.array([rng.randrange(1, p) for _ in range(n)], dtype=np.int64)
+             for v, n in M.dims.items()}
+    return Representation(M.algebra, M.dims, {
+        a.name: M.mats[a.name] * np.array([pow(int(x), -1, p) for x in scale[a.source]],
+                                          dtype=np.int64)[:, None] % p * scale[a.target] % p
+        for a in M.algebra.quiver.arrows})
+
+
+@pytest.mark.parametrize("family,m,p", [(family, m, p) for family, m in ORACLE_CASES
+                                        for p in (2, 3, DEFAULT_PRIME)])
+def test_module_word_names_string_modules_and_nothing_else(family, m, p):
+    # a string module in either orientation, with its basis rescaled,
+    # spells its class; a projective, a sum, the zero module and a module
+    # whose matrices are not index maps spell nothing
+    A = build_family(family, m, p)
+    words = enumerate_strings(A)
+    for k, w in enumerate(words):
+        for word in (w, w.inverse()):
+            for M in (string_module(A, word), rescaled(string_module(A, word), k)):
+                assert strings.canonical(strings.module_word(M), A.quiver) == w, word
+        changed = changed_basis(string_module(A, w))
+        if changed._row_maps() is None:
+            assert strings.module_word(changed) is None
+    others = [indecomposable_projective(A, v) for v in A.quiver.vertices]
+    others += [direct_sum([string_module(A, words[0]), string_module(A, words[-1])]),
+               Representation.zero(A)]
+    assert [strings.module_word(M) for M in others] == [None] * len(others)
+
+
 def assert_radical_rows_equal(got, want):
     assert got.keys() == want.keys()
     for v, (rows, pivots) in want.items():
@@ -262,27 +297,45 @@ def test_presentations_match_the_eliminations_they_replace(family, m, p):
 
 @pytest.mark.parametrize("family,m", [("ae1", 6), ("ae2", 3), ("ae3", 5)])
 def test_a_monomial_presentation_eliminates_once_per_vertex(family, m, monkeypatch):
-    # a presentation miss on a module with monomial arrow matrices makes
-    # at most one rref per vertex, and its syzygy none beyond that
+    # a presentation of a module with monomial arrow matrices reads its
+    # kernel and section off the cover map's fibres, so it and its syzygy
+    # make no rref and stack no dense path action
     A = build_family(family, m)
     calls = []
-    rref = linalg.rref
 
-    def counted_rref(mat, p):
-        calls.append(None)
-        return rref(mat, p)
+    def counted(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
 
     modules = ([string_module(A, w) for w in enumerate_strings(A)]
                + [indecomposable_projective(A, v) for v in A.quiver.vertices])
-    monkeypatch.setattr(linalg, "rref", counted_rref)
+    monkeypatch.setattr(linalg, "rref", counted(linalg.rref))
+    monkeypatch.setattr(homology, "path_action", counted(homology.path_action))
     for M in modules:
         assert M._row_maps() is not None
-        calls.clear()
         presentation(M)
-        assert len(calls) <= len(A.quiver.vertices), M
-        calls.clear()
         syzygy(M)
         assert not calls, M
+
+
+@pytest.mark.parametrize("family,m,p", [(family, m, p) for family in ("ae1", "ae2", "ae3")
+                                        for m in range(get_family(family).m_min, 9)
+                                        for p in (2, 3, DEFAULT_PRIME)])
+def test_presentations_equal_the_elimination_route(family, m, p):
+    # every string module and its syzygy is monomial, and its cover map,
+    # kernel rows, free columns and section read off index maps equal the
+    # dense path actions and the elimination of [epi^T | I]
+    A = build_family(family, m, p)
+    strings = [string_module(A, w) for w in enumerate_strings(A)]
+    for M in strings + [syzygy(M) for M in strings]:
+        assert M._row_maps() is not None
+        pres = presentation(M)
+        generators, want = eliminated_presentation(M)
+        assert pres.generators == generators
+        for w, (epi, kernel, free, section) in want.items():
+            assert np.array_equal(pres.epi.blocks[w], epi), (M, w)
+            assert np.array_equal(pres.kernel[w], kernel), (M, w)
+            assert np.array_equal(pres.free[w], free), (M, w)
+            assert np.array_equal(pres.section[w], section), (M, w)
 
 
 def assert_radical_series_match_an_elimination(A):

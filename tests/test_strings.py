@@ -263,6 +263,26 @@ def test_enumeration_of_random_specs_is_exact_or_pumps(spec):
         assert_pumps(A, exc)
 
 
+@st.composite
+def infinite_specs(draw):
+    """k<x, y> / (x^a, y^b, yx - c xy) with a, b in {2, 3} and c in F_p^x:
+    INFINITE_SPEC when a = b = 2 and c = 1.  The band x y~ x y~ ... gives
+    each infinitely many strings."""
+    a, b = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    c = draw(st.integers(1, DEFAULT_PRIME - 1))
+    return {**INFINITE_SPEC, "dim_bound": a * b, "rules": [
+        {"lhs": ["x"] * a, "rhs": None}, {"lhs": ["y"] * b, "rhs": None},
+        {"lhs": ["y", "x"], "rhs": {"coeff": c, "path": ["x", "y"]}}]}
+
+
+@given(spec=infinite_specs())
+def test_enumeration_of_infinite_specs_pumps(spec):
+    A = load_algebra_spec(spec)
+    with pytest.raises(RepresentationInfinite) as exc:
+        enumerate_strings(A)
+    assert_pumps(A, exc.value)
+
+
 def test_maximal_directed_strings():
     assert [w.literal() for w in maximal_directed_strings(ae1(4))] == ["a,a,a"]
     assert {w.literal() for w in maximal_directed_strings(ae2(2))} == \
