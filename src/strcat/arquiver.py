@@ -10,9 +10,11 @@ graph spells no string.  The translate and the syzygy orbits both follow
 it.  The quiver is data; ``strcat.cli`` labels and renders it.
 
 The translate is Omega^2, the AR translate only for symmetric algebras
-like the built-in families.  On an algebra that is not self-injective a
-projective string module becomes a node (P(1) = S(1) for the path algebra
-of 0 -> 1) whose syzygy matches no node, and the build fails.
+like the built-in families.  A projective string module still becomes a
+node: S(1) = P(1) for the path algebra of 0 -> 1, and for k[x]/(x^2) x k,
+which is symmetric.  Its syzygy is zero, so ``omega_node`` raises a
+StrcatError that names it; on an algebra that is not self-injective a
+syzygy can also match no node, and the build fails.
 """
 
 from __future__ import annotations
@@ -75,6 +77,9 @@ def omega_node(algebra: Algebra, i: int) -> int:
     """Index of the node isomorphic to the syzygy of node ``i``."""
     node = strings.enumerate_strings(algebra)[i]
     rep = homology.syzygy(strings.string_module(algebra, node))
+    if rep.is_zero():
+        raise StrcatError(f"{node} is projective: its syzygy is zero, so the stable "
+                          "AR quiver has no node for it")
     return node_index(algebra)[node_word(algebra, rep)]
 
 

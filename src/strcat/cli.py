@@ -17,7 +17,9 @@ failure under ``--verify``.
 ``syzygy --n`` takes at most as many syzygies as the algebra has strings,
 an exact count, whatever n: a zero syzygy ends the walk, and so does the
 first power isomorphic to the module, after which n is taken mod that
-period.
+period.  Isomorphism is decided in one place, ``homology.is_isomorphic``,
+which compares the words the two modules spell and solves a Hom basis only
+when a basis graph spells none.
 """
 
 from __future__ import annotations
@@ -247,9 +249,8 @@ def _omega_power(algebra: Algebra, word, n: int):
     algebra has strings.
 
     A zero syzygy stays zero, and once Omega^k M is isomorphic to M for
-    some k < n, Omega^n M is Omega^(n mod k) M.  A syzygy is isomorphic to
-    M when the word its basis graph spells is M's (``strings.module_word``),
-    and by ``is_isomorphic`` when it spells none.  On a self-injective
+    some k < n, Omega^n M is Omega^(n mod k) M; ``is_isomorphic`` decides
+    that by the words the two basis graphs spell.  On a self-injective
     algebra Omega permutes the strings, so one of the two happens within
     that many steps; when neither does, the algebra is not self-injective
     and the walk raises."""
@@ -259,9 +260,7 @@ def _omega_power(algebra: Algebra, word, n: int):
         rep = homology.syzygy(powers[-1])
         if k == n or rep.is_zero():
             return rep
-        read = strings.module_word(rep)
-        if (homology.is_isomorphic(rep, M) if read is None
-                else strings.canonical(read, algebra.quiver) == word):
+        if homology.is_isomorphic(rep, M):
             return powers[n % k]
         if k >= len(strings.enumerate_strings(algebra)):
             raise StrcatError(f"Omega^{k} of the module is neither zero nor isomorphic "

@@ -669,17 +669,29 @@ def ext1_dim(M: Representation, N: Representation) -> int:
 def is_isomorphic(M: Representation, N: Representation) -> bool:
     """Whether M and N are isomorphic; exact at every prime.
 
-    ``N`` must have a local endomorphism ring with End(N)/rad = k, as every
-    string module and indecomposable projective has.  Then the maps M -> N
-    that are not isomorphisms form a hyperplane of Hom(M, N) when M is
-    isomorphic to N, a basis cannot lie inside it, and so M is isomorphic
-    to N exactly when the dimension vectors agree and some basis map is
-    injective.
+    When the basis graphs of both spell strings C and D
+    (``strings.module_word``), M and N are the string modules M(C) and
+    M(D).  By Butler and Ringel (Comm. Algebra 15, 1987) M(C) is
+    isomorphic to M(D) exactly when D is C or its inverse, that is when
+    the two words have one canonical form; no Hom is solved.
+
+    Otherwise a basis of Hom(M, N) decides, and ``N`` must have a local
+    endomorphism ring with End(N)/rad = k, as every string module and
+    indecomposable projective has.  Then the maps M -> N that are not
+    isomorphisms form a hyperplane of Hom(M, N) when M is isomorphic to
+    N, a basis cannot lie inside it, and so M is isomorphic to N exactly
+    when the dimension vectors agree and some basis map is injective.
     """
+    from .strings import canonical, module_word
+
     if M.algebra is not N.algebra:
         raise AlgebraMismatch("modules live over different algebras")
     if M.dim_vector() != N.dim_vector():
         return False
+    v, w = module_word(M), module_word(N)
+    if v is not None and w is not None:
+        quiver = M.algebra.quiver
+        return canonical(v, quiver) == canonical(w, quiver)
     return any(f.is_injective() for f in hom_basis(M, N))
 
 

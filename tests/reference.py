@@ -345,6 +345,15 @@ def kronecker_hom_basis(M, N):
     return [map_from_flat(M, N, sols[k]) for k in range(sols.shape[0])]
 
 
+def hom_basis_isomorphic(M, N):
+    """Whether M and N are isomorphic, from equal dimension vectors and an
+    injective map in a basis of Hom(M, N) (``kronecker_hom_basis``); exact
+    when N has a local endomorphism ring with End(N)/rad = k.  It reads no
+    word."""
+    return (M.dim_vector() == N.dim_vector()
+            and any(f.is_injective() for f in kronecker_hom_basis(M, N)))
+
+
 def composed_stable_hom_dim(M, N):
     """dim Hom(M, N) less the rank of the maps M -> P_N -> N, each lifted
     basis map composed with N's projective cover as a module map."""

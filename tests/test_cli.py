@@ -502,6 +502,19 @@ def test_non_self_injective_spec_exits_3(tmp_path, capsys):
     assert err.startswith("error: no node matches") and len(err.splitlines()) == 1
 
 
+def test_arquiver_names_the_projective_string_whose_syzygy_is_zero(tmp_path, capsys):
+    # k[x]/(x^2) x k is symmetric, but its string e1 is S(1) = P(1): the
+    # syzygy is zero, and the stable AR quiver has no node for it
+    spec = {"vertices": [0, 1], "arrows": [{"name": "x", "from": 0, "to": 0}],
+            "rules": [{"lhs": ["x", "x"], "rhs": None}], "dim_bound": 3}
+    path = tmp_path / "kx2-k.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "arquiver", "--family", "file", "--spec", str(path))
+    assert code == 3 and out == ""
+    assert err == ("error: e1 is projective: its syzygy is zero, so the stable AR quiver "
+                   "has no node for it\n")
+
+
 def count_syzygies(monkeypatch) -> list:
     """The modules that ``homology.syzygy`` is called on from now on."""
     calls = []
@@ -589,21 +602,25 @@ def test_ext_on_a_spec_that_is_not_self_injective(tmp_path, capsys):
 
 def test_verify_reuses_the_commands_work(capsys, monkeypatch):
     # the command's AR quiver and classification sit in the algebra's
-    # memo, so --verify reads each node's syzygy's word only once
+    # memo, so --verify reads each node's syzygy's word only once; the
+    # tower's isomorphism tests read the words of other modules, uncounted
     from strcat import arquiver, strings
 
     calls = {"module_word": 0, "match_node": 0, "class_moves": 0}
+    omegas = []  # every syzygy the commands take, each of a node's module
+    syzygy = homology.syzygy
+    monkeypatch.setattr(homology, "syzygy", lambda M: omegas.append(syzygy(M)) or omegas[-1])
 
-    def counted(module, name):
+    def counted(module, name, counts=lambda *args: True):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += 1
+            calls[name] += counts(*args)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(strings, "module_word")
+    counted(strings, "module_word", lambda rep: any(rep is omega for omega in omegas))
     counted(arquiver, "match_node")
     counted(strings, "class_moves")
     nodes = families.get("ae3").node_count(3)

@@ -32,6 +32,7 @@ from strcat import (
     syzygy,
 )
 from strcat import homology, indexmaps, linalg, strings
+from strcat.deformation import build_tower, check_tower
 from strcat.families import get as get_family
 from strcat.homology import (
     ModuleMap,
@@ -44,7 +45,7 @@ from strcat.homology import (
 from strcat.linalg import rank
 from strcat.quiver_core import DEFAULT_PRIME, load_algebra_spec, make_path
 
-from .builders import ae1, ae2, ae3
+from .builders import ae1, ae2, ae3, brauer_line_spec
 from .oracles import ORACLE_CASES
 from .reference import (
     composed_stable_hom_dim,
@@ -55,6 +56,7 @@ from .reference import (
     flat_map,
     folded_path_matrix,
     four_orientation_canonical_homs,
+    hom_basis_isomorphic,
     kronecker_hom_basis,
     omega_power,
     left_nullspace,
@@ -599,6 +601,71 @@ def test_is_isomorphic_basics():
     assert is_isomorphic(M, M)
     assert not is_isomorphic(S0, S1)
     assert not is_isomorphic(S0, M)
+
+
+ISO_CASES = ([(family, m, p) for family in ("ae1", "ae2", "ae3")
+              for m in range(get_family(family).m_min, 9) for p in (2, 3, DEFAULT_PRIME)]
+             + [("brauer", e, None) for e in (2, 3)])
+
+
+@pytest.mark.parametrize("family,m,p", ISO_CASES,
+                         ids=[f"{f}-{m}-{p}" for f, m, p in ISO_CASES])
+def test_word_read_isomorphism_equals_the_hom_basis_test(family, m, p):
+    # is_isomorphic compares the words two basis graphs spell; on every
+    # ordered pair with one dimension vector it agrees with an injective
+    # map in a basis of Hom, which reads no word.  The modules: each string
+    # module, its syzygy and a diagonal rescaling of its basis; for a
+    # family, also the tower's modules and each step's twist kernel and
+    # iterated twist image
+    A = (load_algebra_spec(brauer_line_spec(m)) if family == "brauer"
+         else build_family(family, m, p))
+    mods = []
+    for k, w in enumerate(enumerate_strings(A)):
+        M = string_module(A, w)
+        mods += [M, syzygy(M), rescaled(M, k)]
+    if family != "brauer":
+        tower = build_tower(family, m, A)
+        mods += tower.modules
+        for l, (inc, sur) in enumerate(zip(tower.inclusions, tower.surjections), 1):
+            twist = sur.then(inc)
+            mods += [kernel_of(twist), image_of(twist.power(l))]
+    groups = {}
+    for M in mods:
+        groups.setdefault(M.dim_vector(), []).append(M)
+    pairs = [(M, N) for group in groups.values() for M in group for N in group]
+    for M, N in pairs:
+        assert is_isomorphic(M, N) == hom_basis_isomorphic(M, N), (M.dims, N.dims)
+    assert any(M is not N and is_isomorphic(M, N) for M, N in pairs)
+
+
+def test_isomorphism_falls_back_to_a_hom_basis(monkeypatch):
+    # a non-monomial change of basis spells no word, so a Hom basis decides
+    calls = []
+    basis = homology.hom_basis
+    monkeypatch.setattr(homology, "hom_basis", lambda M, N: calls.append(M) or basis(M, N))
+    A = ae3(3)
+    mods = sorted((string_module(A, w) for w in enumerate_strings(A)),
+                  key=lambda M: -M.total_dim)
+    M, N = next((M, N) for M in mods for N in mods
+                if M is not N and M.dim_vector() == N.dim_vector())
+    changed = changed_basis(M)
+    assert strings.module_word(changed) is None
+    assert is_isomorphic(changed, M) and is_isomorphic(M, changed)
+    assert not is_isomorphic(changed, N) and not is_isomorphic(N, changed)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("family", ["ae1", "ae2", "ae3"])
+def test_check_tower_solves_no_hom_basis(family, monkeypatch):
+    # every module the tower checks spells a word, or is the projective
+    # cap, which no isomorphism test reads
+    def refused(M, N):
+        raise AssertionError("hom_basis called")
+
+    monkeypatch.setattr(homology, "hom_basis", refused)
+    for m in range(get_family(family).m_min, 9):
+        tower = build_tower(family, m, build_family(family, m))
+        assert check_tower(tower, tower.modules[0]).kind != "unresolved", m
 
 
 LOCAL_CASES = ([("ae1", m) for m in range(1, 7)] + [("ae2", m) for m in range(1, 5)]
