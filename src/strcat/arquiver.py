@@ -3,11 +3,14 @@
 Nodes are the string classes (the non-projective indecomposables); solid
 arrows are the canonical inclusions into hook extensions and projections
 out of cohook extensions.  ``omega_node`` names the node isomorphic to
-each node's syzygy, once per node, by the word its basis graph spells
-(``strings.module_word``); isomorphism tests against the nodes of its
-dimension vector (``match_node``) are the fallback for a syzygy whose
-graph spells no string.  The translate and the syzygy orbits both follow
-it.  The quiver is data; ``strcat.cli`` labels and renders it.
+each node's syzygy, once per node, by the word it reads off the node's
+word and the algebra's act table (``strings.syzygy_word``), with no cover
+or kernel module.  Where that read gives up, the syzygy module is
+taken and named by the word its basis graph spells
+(``strings.module_word``), and isomorphism tests against the nodes of its
+dimension vector (``match_node``) name a syzygy whose graph spells no
+string.  The translate and the syzygy orbits both follow it.  The quiver
+is data; ``strcat.cli`` labels and renders it.
 
 The translate is Omega^2, the AR translate only for symmetric algebras
 like the built-in families.  A projective string module still becomes a
@@ -74,13 +77,24 @@ def node_word(algebra: Algebra, rep: homology.Representation) -> strings.StringW
 
 @memoized
 def omega_node(algebra: Algebra, i: int) -> int:
-    """Index of the node isomorphic to the syzygy of node ``i``."""
+    """Index of the node isomorphic to the syzygy of node ``i``.
+
+    The node's string module is built first, since its construction check
+    refuses a word whose module fails a rule.  Its syzygy is then named by
+    ``strings.syzygy_word``, from the word and the act table; when that
+    read gives up, the module's syzygy is taken and named by
+    ``node_word``, and a zero syzygy raises."""
     node = strings.enumerate_strings(algebra)[i]
-    rep = homology.syzygy(strings.string_module(algebra, node))
+    module = strings.string_module(algebra, node)
+    index = node_index(algebra)
+    word = strings.syzygy_word(algebra, node)
+    if word is not None:  # a string, so one of the enumerated nodes
+        return index[word]
+    rep = homology.syzygy(module)
     if rep.is_zero():
         raise StrcatError(f"{node} is projective: its syzygy is zero, so the stable "
                           "AR quiver has no node for it")
-    return node_index(algebra)[node_word(algebra, rep)]
+    return index[node_word(algebra, rep)]
 
 
 @memoized

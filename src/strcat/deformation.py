@@ -209,20 +209,22 @@ def weakly_symmetric(algebra: Algebra) -> bool:
 def _counted_stable_hom(algebra: Algebra, S: strings.StringWord, T: strings.StringWord,
                         omega_T: strings.StringWord) -> int:
     """dim stHom(M[S], M[T]) over a weakly symmetric algebra, where M[T]
-    has syzygy M[omega_T], counted with no linear system.
+    has syzygy M[omega_T], counted with no linear system and no module.
 
     Canonical homomorphisms form a basis of Hom between string modules
     (Crawley-Boevey, J. Algebra 126, 1989), and Hom(M, P(v)) = Hom(M,
     I(v)) has dimension dim M_v.  So the exact sequence 0 -> Hom(M, Omega
     N) -> Hom(M, P_N) -> Hom(M, N), whose image is the maps that factor
-    through a projective, gives #canon(S, T) - sum of dim M_v over the top
-    (v, c) of N + #canon(S, omega_T)."""
+    through a projective, gives #canon(S, T) - sum of dim M[S]_v over the
+    peaks of T at v (``strings.word_peaks``, the top of N = M[T]) +
+    #canon(S, omega_T), with dim M[S]_v read off the word S."""
     count = len(homology.canonical_homs(algebra, S, T))
     if not count:
         return 0
-    M = strings.string_module(algebra, S)
-    top = homology.presentation(strings.string_module(algebra, T)).generators
-    return (count - sum(M.dims[v] for v, _ in top)
+    quiver = algebra.quiver
+    dims = dict(zip(quiver.vertices, strings.word_dim_vector(quiver, S)))
+    verts = strings.word_vertices(quiver, T)
+    return (count - sum(dims[verts[i]] for i in strings.word_peaks(T))
             + len(homology.canonical_homs(algebra, S, omega_T)))
 
 

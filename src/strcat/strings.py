@@ -17,8 +17,11 @@ start, so ``_extend`` applies it at the new first letter only, in
 O(rules * longest rule) whatever the length of the word.
 
 Going the other way, ``module_word`` reads the string a module's basis
-graph spells, which names the syzygies of string modules without an
-isomorphism test.
+graph spells, which names a module without an isomorphism test; and
+``syzygy_word`` reads the string that Omega M(w) spells off w and the
+algebra's act table, with no module at all: the cover is one P(v) per
+peak of w (``word_peaks``), and its kernel's basis graph is walked as
+``module_word`` walks a module's.
 
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
 ``b,r~,a``; trivial words print as ``e0``, ``e1``.  Every printed word
@@ -45,7 +48,7 @@ from .errors import (
     StrcatError,
     UnknownArrow,
 )
-from .quiver_core import TRIVIAL_LITERAL, Algebra, Quiver, memoized
+from .quiver_core import TRIVIAL_LITERAL, Algebra, Path, Quiver, memoized
 
 
 @dataclass(frozen=True)
@@ -279,13 +282,8 @@ def module_word(rep: homology.Representation) -> StringWord | None:
 
     When the arrow matrices are index maps (see
     ``Representation._row_maps``), each nonzero entry is an edge x -a-> y
-    between basis vectors.  When these edges form one path, the arrows
-    along it spell a word, a direct letter where the walk follows an
-    arrow and an inverse one where it goes back.  Rescaling the basis
-    vectors one by one along the path makes every value 1, which turns
-    rep into M(w) with its basis reordered; so if w is a string it names
-    rep.  The walk starts at an end of the path, so w is read in either
-    orientation: ``canonical`` picks the class's one."""
+    between basis vectors; ``_path_word`` reads the word these edges
+    spell."""
     maps = rep._row_maps()
     if maps is None:
         return None
@@ -300,6 +298,24 @@ def module_word(rep: homology.Representation) -> StringWord | None:
             x, y = start[a.source] + int(r), start[a.target] + int(cols[r])
             steps[x].append((y, Letter(a.name)))
             steps[y].append((x, Letter(a.name, True)))
+    first = next((v for v in quiver.vertices if rep.dims[v]), None)
+    return _path_word(rep.algebra, steps, first)
+
+
+def _path_word(algebra: Algebra, steps: list[list], vertex) -> StringWord | None:
+    """The string a basis graph spells, None when it spells none.
+
+    ``steps[x]`` lists the edges at basis vector x as (neighbour, letter),
+    a direct letter for x -a-> y and an inverse one for y -a-> x, and
+    ``vertex`` is the vertex of vector 0.  When the edges form one path,
+    the arrows along it spell a word, a direct letter where the walk
+    follows an arrow and an inverse one where it goes back.  Rescaling the
+    basis vectors one by one along the path makes every value 1, which
+    turns the module into M(w) with its basis reordered; so if w is a
+    string it names the module.  The walk starts at an end of the path, so
+    w is read in either orientation: ``canonical`` picks the class's
+    one."""
+    total = len(steps)
     if sum(map(len, steps)) != 2 * (total - 1) or any(len(s) > 2 for s in steps):
         return None  # with total - 1 edges, a walk over every vector is a path
     x = next(x for x, s in enumerate(steps) if len(s) < 2)
@@ -312,9 +328,109 @@ def module_word(rep: homology.Representation) -> StringWord | None:
         seen.add(x)
         letters.append(letter)
     if not letters:
-        return empty_word(next(v for v in quiver.vertices if rep.dims[v]))
+        return empty_word(vertex)
     word = StringWord(tuple(letters))
-    return word if is_string(word, rep.algebra) else None
+    return word if is_string(word, algebra) else None
+
+
+def word_peaks(word: StringWord) -> list[int]:
+    """The positions of the walk that no arrow of M(word) maps into: no
+    direct letter ends there and no inverse letter starts there.  Their
+    basis vectors span a complement of the radical, so they are the top
+    of M(word), and its projective cover is one P(v) per peak at v."""
+    letters = word.letters
+    return [i for i in range(len(letters) + 1)
+            if not (i and not letters[i - 1].inverse)
+            and not (i < len(letters) and letters[i].inverse)]
+
+
+@memoized
+def _cover_paths(algebra: Algebra):
+    """What ``syzygy_word`` reads of the algebra, as lists: for each vertex
+    v, each basis path k out of v as (k, prefix, x), the basis path
+    ``prefix`` followed by arrow x being k (``prefix`` -1 for e_v), in
+    basis order, which lists a prefix first; the arrow indices out of each
+    vertex; each basis path's target; and the act table."""
+    quiver = algebra.quiver
+    paths = {v: [] for v in quiver.vertices}
+    for k, q in enumerate(algebra.basis):
+        if not q.arrows:
+            paths[q.source].append((k, -1, -1))
+            continue
+        a = quiver.arrow(q.arrows[-1])
+        prefix = algebra.index[Path(q.source, a.source, q.arrows[:-1])]
+        paths[q.source].append((k, prefix, quiver.arrow_index(a.name)))
+    out = {v: [x for x, a in enumerate(quiver.arrows) if a.source == v]
+           for v in quiver.vertices}
+    return (paths, out, [q.target for q in algebra.basis],
+            algebra.act_index.tolist(), algebra.act_coeff.tolist())
+
+
+def syzygy_word(algebra: Algebra, word: StringWord) -> StringWord | None:
+    """The canonical word of Omega M(word), read off the word and the
+    algebra's act table with no matrix; None when this read gives no
+    answer, and always for a projective M(word), whose syzygy is zero.
+    ``word`` must be a string whose M(word) is a module over the algebra,
+    as ``string_module`` checks.
+
+    The cover of M(word) is one P(v) per peak (``word_peaks``), and its
+    basis vector (peak i, basis path q) goes to the position that q walks
+    to from i along the word, or to zero.  So the kernel is spanned by the
+    vectors sent to zero and, at each position that two of them reach (a
+    deep between two peaks), by their difference.  Each arrow sends a
+    vector of the first kind to one such vector (the act table), and a
+    difference to a multiple of one kernel vector when the two terms'
+    images are in the kernel basis; else the read gives up.  The kernel's
+    edges then spell its word as in ``module_word``, and a string word
+    names Omega M(word) (Butler and Ringel, Comm. Algebra 15, 1987).  It
+    also gives up when some position is reached from no peak or from
+    more than two rows, or when the edges spell no string."""
+    quiver = algebra.quiver
+    paths, out, target, act_index, act_coeff = _cover_paths(algebra)
+    p, zero = algebra.p, algebra.dim
+    verts = word_vertices(quiver, word)
+    move = {}  # (position, arrow index) -> the position that arrow sends it to
+    for j, l in enumerate(word.letters):
+        x = quiver.arrow_index(l.arrow)
+        if l.inverse:
+            move[j + 1, x] = j
+        else:
+            move[j, x] = j + 1
+    killed, fibres = [], [[] for _ in verts]  # the cover's rows (peak, basis path)
+    for i in word_peaks(word):
+        at = {}
+        for k, prefix, x in paths[verts[i]]:
+            at[k] = i if prefix < 0 else move.get((at[prefix], x))
+            (killed if at[k] is None else fibres[at[k]]).append((i, k))
+    if any(not 0 < len(f) <= 2 for f in fibres):
+        return None
+    # kernel vectors as {row: coefficient}: killed rows, then differences
+    basis = [{r: 1} for r in killed] + [{f[1]: 1, f[0]: p - 1} for f in fibres if len(f) == 2]
+    if not basis:
+        return None
+    coord = {r: (n, c) for n, vec in enumerate(basis) for r, c in vec.items()}
+    steps = [[] for _ in basis]
+    for n, vec in enumerate(basis):
+        for x in out[target[next(iter(vec))[1]]]:
+            image = {}
+            for (i, k), c in vec.items():
+                if act_index[k][x] != zero:
+                    r = (i, act_index[k][x])
+                    image[r] = (image.get(r, 0) + c * act_coeff[k][x]) % p
+            image = {r: c for r, c in image.items() if c}
+            if not image:
+                continue
+            r = next(iter(image))
+            if r not in coord:
+                return None
+            m, unit = coord[r]  # unit is 1 or p - 1, its own inverse
+            if image != {s: image[r] * unit * c % p for s, c in basis[m].items()}:
+                return None  # not one multiple of one kernel vector
+            name = quiver.arrows[x].name
+            steps[n].append((m, Letter(name)))
+            steps[m].append((n, Letter(name, True)))
+    got = _path_word(algebra, steps, target[next(iter(basis[0]))[1]])
+    return None if got is None else canonical(got, quiver)
 
 
 # -- hooks and cohooks ------------------------------------------------------------

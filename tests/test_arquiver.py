@@ -15,6 +15,7 @@ from strcat import (
     load_algebra_spec,
     named_string,
     omega_orbit,
+    parse_string_literal,
     string_module,
 )
 from strcat import arquiver, cli, homology, strings
@@ -23,7 +24,14 @@ from strcat.families import get as get_family
 from strcat.quiver_core import DEFAULT_PRIME
 from strcat.strings import family_node_names
 
-from .builders import ae1, ae2, ae3, brauer_line_spec
+from .builders import (
+    NON_MODULE_STRING_SPEC,
+    ae1,
+    ae2,
+    ae3,
+    brauer_line_spec,
+    brauer_star_spec,
+)
 from .reference import omega_power
 
 
@@ -150,12 +158,18 @@ def test_matching_fetches_only_candidate_modules(family, m, monkeypatch):
 
 def word_read_algebras():
     """Every family with m <= 8 at p in {2, 3, 32003}, the Brauer lines
-    with e = 2, 3 and the cyclic Nakayama algebra."""
+    with e in {1, 2, 3, 5}, the cyclic Nakayama algebras on 7, 3 and 5
+    vertices and the Brauer stars."""
     out = [(f"{family}-{m}-{p}", lambda family=family, m=m, p=p: build_family(family, m, p))
            for family in ("ae1", "ae2", "ae3") for m in range(get_family(family).m_min, 9)
            for p in (2, 3, DEFAULT_PRIME)]
-    out += [(f"brauer-{e}", lambda e=e: load_algebra_spec(brauer_line_spec(e))) for e in (2, 3)]
-    return out + [("nakayama", lambda: load_algebra_spec(nakayama_spec()))]
+    out += [(f"brauer-{e}", lambda e=e: load_algebra_spec(brauer_line_spec(e)))
+            for e in (2, 3, 1, 5)]
+    out += [("nakayama", lambda: load_algebra_spec(nakayama_spec()))]
+    out += [(f"nakayama-{n}", lambda n=n: load_algebra_spec(nakayama_spec(n))) for n in (3, 5)]
+    return out + [(f"brauer-star-{n}-{e}",
+                   lambda n=n, e=e: load_algebra_spec(brauer_star_spec(n, e)))
+                  for n, e in ((3, 1), (3, 2), (2, 3), (4, 2))]
 
 
 @pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
@@ -180,8 +194,47 @@ def test_word_read_omega_equals_match_node(build, monkeypatch):
 def test_omega_falls_back_to_isomorphism_tests(family, m, monkeypatch):
     # with no word read, match_node names every syzygy, to the same quiver
     want = build_ar_quiver(build_family(family, m))
+    monkeypatch.setattr(strings, "syzygy_word", lambda algebra, word: None)
     monkeypatch.setattr(strings, "module_word", lambda rep: None)
     assert build_ar_quiver(build_family(family, m)) == want
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 5), ("ae2", 3), ("ae3", 4)])
+def test_omega_falls_back_to_the_module_syzygy(family, m, monkeypatch):
+    # with no word read of Omega, the syzygy module's word names the node
+    want = build_ar_quiver(build_family(family, m))
+    monkeypatch.setattr(strings, "syzygy_word", lambda algebra, word: None)
+    assert build_ar_quiver(build_family(family, m)) == want
+
+
+def guarded_algebras():
+    """Every family with m <= 8 and the Brauer lines."""
+    out = [(f"{family}-{m}", lambda family=family, m=m: build_family(family, m))
+           for family in ("ae1", "ae2", "ae3") for m in range(get_family(family).m_min, 9)]
+    return out + [(f"brauer-{e}", lambda e=e: load_algebra_spec(brauer_line_spec(e)))
+                  for e in (1, 2, 3, 5)]
+
+
+@pytest.mark.parametrize("build", [b for _, b in guarded_algebras()],
+                         ids=[name for name, _ in guarded_algebras()])
+def test_build_ar_quiver_takes_no_presentation_or_syzygy(build, monkeypatch):
+    # every Omega is read off a node's word, so no cover or kernel is built
+    def refused(M):
+        raise AssertionError("a presentation or a syzygy module was built")
+
+    monkeypatch.setattr(homology, "presentation", refused)
+    monkeypatch.setattr(homology, "syzygy", refused)
+    q = build_ar_quiver(build())
+    assert len(q.tau) == q.node_count
+
+
+def test_omega_node_keeps_the_construction_check():
+    # the word read alone would answer for x2; string_module refuses it first
+    A = load_algebra_spec(NON_MODULE_STRING_SPEC)
+    word = parse_string_literal("x2", A.quiver)
+    assert strings.syzygy_word(A, word) is not None
+    with pytest.raises(StrcatError, match=r"^rule x1 -> 1\*x2 fails on this representation$"):
+        arquiver.omega_node(A, arquiver.node_index(A)[word])
 
 
 def test_shared_results_cannot_be_changed():

@@ -7,7 +7,7 @@ import pytest
 
 from strcat import arquiver, cli, deformation, families, homology, quiver_core, strings
 
-from .builders import INFINITE_SPEC, brauer_line_spec
+from .builders import INFINITE_SPEC, NON_MODULE_STRING_SPEC, brauer_line_spec
 
 
 def run(capsys, *argv):
@@ -602,33 +602,39 @@ def test_ext_on_a_spec_that_is_not_self_injective(tmp_path, capsys):
 
 def test_verify_reuses_the_commands_work(capsys, monkeypatch):
     # the command's AR quiver and classification sit in the algebra's
-    # memo, so --verify reads each node's syzygy's word only once; the
-    # tower's isomorphism tests read the words of other modules, uncounted
+    # memo, so --verify reads each node's syzygy off its word only once
     from strcat import arquiver, strings
 
-    calls = {"module_word": 0, "match_node": 0, "class_moves": 0}
-    omegas = []  # every syzygy the commands take, each of a node's module
-    syzygy = homology.syzygy
-    monkeypatch.setattr(homology, "syzygy", lambda M: omegas.append(syzygy(M)) or omegas[-1])
+    calls = {"syzygy_word": 0, "match_node": 0, "class_moves": 0}
 
-    def counted(module, name, counts=lambda *args: True):
+    def counted(module, name):
         original = getattr(module, name)
 
         def wrapper(*args, **kwargs):
-            calls[name] += counts(*args)
+            calls[name] += 1
             return original(*args, **kwargs)
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(strings, "module_word", lambda rep: any(rep is omega for omega in omegas))
+    counted(strings, "syzygy_word")
     counted(arquiver, "match_node")
     counted(strings, "class_moves")
     nodes = families.get("ae3").node_count(3)
     for command in ("arquiver", "classify"):
-        calls.update(module_word=0, match_node=0, class_moves=0)
+        calls.update(syzygy_word=0, match_node=0, class_moves=0)
         code, _, err = run(capsys, command, "--family", "ae3", "--m", "3", "--verify")
         assert code == 0 and not err
-        assert calls == {"module_word": nodes, "match_node": 0, "class_moves": nodes}, command
+        assert calls == {"syzygy_word": nodes, "match_node": 0, "class_moves": nodes}, command
+
+
+def test_arquiver_refuses_a_string_whose_module_fails_a_rule(tmp_path, capsys):
+    # M(x2) fails a rule, but the build stops before x2: e1's Omega is read
+    # off no word, and its module syzygy spells no string and matches no node
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(NON_MODULE_STRING_SPEC))
+    code, out, err = run(capsys, "arquiver", "--family", "file", "--spec", str(path))
+    assert (code, out) == (3, "")
+    assert err == "error: no node matches a module of dimension vector (2, 0)\n"
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

@@ -371,6 +371,34 @@ def test_weak_symmetry_certificate_accepts_the_symmetric_algebras(build):
     assert weakly_symmetric(build()) is True
 
 
+@pytest.mark.parametrize("family,m", [(family, m) for family in ("ae1", "ae2", "ae3")
+                                      for m in range(get_family(family).m_min, 9)])
+def test_classify_counts_with_no_presentation_or_syzygy(family, m, monkeypatch):
+    # Omega and the tops of the nodes are read off their words; only the
+    # tower check solves Hom and Ext^1 systems, on presentations of its
+    # own modules
+    in_tower = []
+
+    def refused_outside_the_tower(original):
+        def guarded(M):
+            assert in_tower, "a presentation or a syzygy module was built"
+            return original(M)
+        return guarded
+
+    def checked(tower, module):
+        in_tower.append(tower)
+        try:
+            return check_tower(tower, module)
+        finally:
+            in_tower.pop()
+
+    monkeypatch.setattr(deformation, "check_tower", checked)
+    for name in ("presentation", "syzygy"):
+        monkeypatch.setattr(homology, name, refused_outside_the_tower(getattr(homology, name)))
+    A = build_family(family, m)
+    assert not verify_classification(classify(A, family, m), family, m)
+
+
 def assert_counts_equal_the_linear_route(A):
     """On every ordered pair of strings, stHom(S, T) counted equals
     stable_hom_dim, and stHom(Omega S, T) counted equals ext1_dim."""

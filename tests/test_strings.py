@@ -5,7 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from strcat import (
@@ -26,6 +26,7 @@ from strcat import (
     named_string,
     parse_string_literal,
     string_module,
+    syzygy,
     word_vertices,
 )
 from strcat import strings
@@ -42,7 +43,7 @@ from strcat.strings import (
     word_key,
 )
 
-from .builders import INFINITE_SPEC, ae1, ae2, ae3, brauer_line_spec
+from .builders import INFINITE_SPEC, ae1, ae2, ae3, brauer_line_spec, brauer_star_spec
 from .oracles import ORACLE_CASES
 from .reference import (
     capped_strings,
@@ -52,7 +53,7 @@ from .reference import (
     socle_dims,
     top_dims,
 )
-from .test_arquiver import nakayama_spec
+from .test_arquiver import nakayama_spec, word_read_algebras
 from .test_quiver_core import built_or_skipped, small_specs
 
 
@@ -614,3 +615,51 @@ def test_random_string_endomorphisms_are_counted_by_canonical_homs(case):
     A, w = case
     M = string_module(A, w)
     assert hom_dim(M, M) == len(canonical_homs(A, w, w))
+
+
+# -- syzygies read off words ----------------------------------------------------------
+
+
+def module_syzygy_word(algebra, word):
+    """The canonical word of Omega M(word) by the module route: the cover's
+    kernel as a module, named by the word its basis graph spells; None for
+    a zero syzygy."""
+    rep = syzygy(string_module(algebra, word))
+    return None if rep.is_zero() else canonical(strings.module_word(rep), algebra.quiver)
+
+
+@pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
+                         ids=[name for name, _ in word_read_algebras()])
+def test_syzygy_word_equals_the_module_syzygy(build):
+    # on these self-injective string algebras the word read always answers
+    A = build()
+    for w in enumerate_strings(A):
+        got = strings.syzygy_word(A, w)
+        assert got is not None and got == module_syzygy_word(A, w), w
+
+
+def test_brauer_stars_have_n_squared_e_strings():
+    for n, e in ((3, 1), (3, 2), (2, 3), (4, 2)):
+        assert len(enumerate_strings(load_algebra_spec(brauer_star_spec(n, e)))) == n * n * e
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=small_specs())
+def test_syzygy_word_of_random_specs_agrees_or_declines(spec):
+    # off the string algebras the read may give up, but an answer it gives
+    # names the module syzygy, and it never answers for a zero syzygy
+    A = built_or_skipped(spec)
+    try:
+        words = enumerate_strings(A)
+    except RepresentationInfinite:
+        assume(False)
+    for w in words:
+        try:
+            M = string_module(A, w)
+        except StrcatError:
+            continue
+        got, rep = strings.syzygy_word(A, w), syzygy(M)
+        if rep.is_zero():
+            assert got is None, w
+        elif got is not None:
+            assert is_isomorphic(rep, string_module(A, got)), (w, got)
