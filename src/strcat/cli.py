@@ -17,9 +17,11 @@ failure under ``--verify``.
 ``syzygy --n`` takes at most as many syzygies as the algebra has strings,
 an exact count, whatever n: a zero syzygy ends the walk, and so does the
 first power isomorphic to the module, after which n is taken mod that
-period.  Isomorphism is decided in one place, ``homology.is_isomorphic``,
-which compares the words the two modules spell and solves a Hom basis only
-when a basis graph spells none.
+period.  It chains the words that ``strings.syzygy_word`` reads, with no
+module, and walks modules only where a read gives up.  Isomorphism of
+modules is decided in one place, ``homology.is_isomorphic``, which
+compares the words the two modules spell and solves a Hom basis only when
+a basis graph spells none.
 """
 
 from __future__ import annotations
@@ -243,10 +245,33 @@ def _pair_command(args, algebra: Algebra, compute, label: str) -> Result:
                   f"dim {label}({args.source}, {args.target}) = {dim}\n")
 
 
+def _word_power(algebra: Algebra, word, n: int):
+    """The canonical word of Omega^n M(word), for a canonical string
+    ``word`` whose module satisfies the rules, from at most n word reads
+    (``strings.syzygy_word``) and at most as many as the algebra has
+    strings; None when a read gives up (always before a zero syzygy) or
+    the reads reach that count, where ``_omega_power`` takes over.
+
+    Two strings name isomorphic modules exactly when their canonical words
+    are equal (Butler and Ringel, Comm. Algebra 15, 1987), so Omega^k
+    M(word) is M(word) when the k-th read is ``word``, and then
+    Omega^n M(word) is Omega^(n mod k) M(word), as in ``_omega_power``."""
+    words = [word]
+    for k in range(1, n + 1):
+        got = strings.syzygy_word(algebra, words[-1])
+        if got is None or k == n:
+            return got
+        if got == word:
+            return words[n % k]
+        if k >= len(strings.enumerate_strings(algebra)):
+            return None
+        words.append(got)
+
+
 def _omega_power(algebra: Algebra, word, n: int):
     """Omega^n of the string module of ``word``, a canonical word, up to
     isomorphism, from at most n syzygies and at most as many as the
-    algebra has strings.
+    algebra has strings: the module walk behind ``_word_power``.
 
     A zero syzygy stays zero, and once Omega^k M is isomorphic to M for
     some k < n, Omega^n M is Omega^(n mod k) M; ``is_isomorphic`` decides
@@ -269,12 +294,21 @@ def _omega_power(algebra: Algebra, word, n: int):
 
 
 def cmd_syzygy(args, algebra: Algebra) -> Result:
+    """Omega^n of the module, named by its word: the module's word is
+    checked against the rules, then ``_word_power`` chains word reads with
+    no module built, and the dimension vector is read off the word.  Only
+    where that gives no word does the module walk ``_omega_power`` run,
+    naming a nonzero result by ``arquiver.node_word``."""
     w = _resolve_module(args, algebra, args.module)
-    rep = _omega_power(algebra, w, args.n)
-    iso_name = None
-    if not rep.is_zero():
-        iso_name = _labeller(args, algebra)(arquiver.node_word(algebra, rep))
-    dims = rep.dim_vector()
+    strings.check_string_module(algebra, w)
+    label = _labeller(args, algebra)
+    word = _word_power(algebra, w, args.n)
+    if word is not None:
+        dims, iso_name = strings.word_dim_vector(algebra.quiver, word), label(word)
+    else:
+        rep = _omega_power(algebra, w, args.n)
+        dims = rep.dim_vector()
+        iso_name = None if rep.is_zero() else label(arquiver.node_word(algebra, rep))
     return Result({"module": args.module, "n": args.n, "dim_vector": list(dims),
                    "isomorphic_to": iso_name},
                   ["module", "n", "dim_vector", "isomorphic_to"],

@@ -733,11 +733,14 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
     as given and T both ways.  Distinct cuts give distinct matrices, except
     that an empty cut is found in both readings, so T read backwards adds
     only cuts of positive length.  The count equals dim Hom(M[S], M[T]).
+    Each word is first checked to be a string whose module satisfies the
+    rules (``strings.check_string_module``, memoized per word), with no
+    module built.
     """
-    from .strings import string_module, word_vertices
+    from .strings import check_string_module, word_vertices
 
-    for w in (S, T):  # NotAString unless w is a string; checked once per word
-        string_module(algebra, w)
+    for w in (S, T):
+        check_string_module(algebra, w)
     verts_s, verts_t = word_vertices(algebra.quiver, S), word_vertices(algebra.quiver, T)
     s_cuts = _cuts(S.letters, quotient=True)
     out: list[CanonicalHom] = []

@@ -2,8 +2,10 @@
 
 String validity is judged against the monomial quotient of the algebra by
 its socle; the resulting string modules are exactly the non-projective
-indecomposables of the algebras this package builds, and they are genuine
-modules over the full algebra (checked on construction).
+indecomposables of the algebras this package builds.  That M(w) is a
+module over the full algebra is checked on the word, with no matrix:
+``check_string_module`` walks each completed rule from each position of
+w, and ``string_module`` builds M(w) only once that check passes.
 
 Being a string is a local condition (Butler and Ringel, Comm. Algebra 15,
 1987): consecutive letters compose and do not cancel, and no run of
@@ -11,10 +13,11 @@ direct letters, nor of inverse ones, contains a socle rule.  ``_fits``
 states it once, letter by letter: a letter composes with the next one, is
 not undone by it, and starts no socle-rule window of its own run.
 ``is_string`` applies it at every letter of a word from outside
-(``string_module``, which ``canonical_homs`` calls, and ``class_moves``).  The enumeration
-and the hook and cohook moves grow strings one letter at a time at the
-start, so ``_extend`` applies it at the new first letter only, in
-O(rules * longest rule) whatever the length of the word.
+(``check_string_module``, which ``string_module``, ``canonical_homs`` and
+``arquiver.omega_node`` call, and ``class_moves``).  The enumeration and
+the hook and cohook moves grow strings one letter at a time at the start,
+so ``_extend`` applies it at the new first letter only, in O(rules *
+longest rule) whatever the length of the word.
 
 Going the other way, ``module_word`` reads the string a module's basis
 graph spells, which names a module without an isomorphism test; and
@@ -37,6 +40,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +55,11 @@ from .errors import (
 from .quiver_core import TRIVIAL_LITERAL, Algebra, Path, Quiver, memoized
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(NamedTuple):
+    """An arrow, or its formal inverse.  A Letter is the plain tuple
+    ``(arrow, inverse)`` and equals it, so words hash and compare as
+    tuples, in C."""
+
     arrow: str
     inverse: bool = False
 
@@ -258,11 +265,61 @@ def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[
 # -- string modules -------------------------------------------------------------
 
 
+def _moves(word: StringWord) -> dict[tuple[int, str], int]:
+    """Where each arrow sends each position of the walk in M(word), with
+    value 1: (position, arrow name) -> position.  A position absent for
+    an arrow is sent to zero.  A string never follows a letter with its
+    own inverse, so no key is set twice."""
+    move = {}
+    for j, l in enumerate(word.letters):
+        if l.inverse:
+            move[j + 1, l.arrow] = j
+        else:
+            move[j, l.arrow] = j + 1
+    return move
+
+
+def _walk(move: dict, i: int, arrows: tuple[str, ...]) -> int | None:
+    """The position that the path ``arrows`` sends position i to, with
+    value 1, or None when it sends it to zero."""
+    for a in arrows:
+        i = move.get((i, a))
+        if i is None:
+            return None
+    return i
+
+
 @memoized
-def string_module(algebra: Algebra, word: StringWord) -> homology.Representation:
-    """The module on the walk: one basis vector per visited vertex."""
+def check_string_module(algebra: Algebra, word: StringWord) -> None:
+    """Refuse a word whose walk is not a module over the algebra, as the
+    construction check of M(word) as a ``Representation`` would, with no
+    matrix: NotAString unless it is a string, else a StrcatError naming
+    the first completed rule that fails on M(word).
+
+    Each arrow sends a position of the walk to at most one position, with
+    value 1 (``_moves``), so a path sends it to one position or to zero,
+    walking one way along the word and spelling the path.  Two different
+    paths from one position therefore never reach the same position, and
+    a completed rule's coefficient is never 0 mod p.  So a rule lhs ->
+    c*rhs, or lhs -> 0, holds at a position exactly when each of its sides
+    sends it to zero, whatever c is."""
     if not is_string(word, algebra):
         raise NotAString(f"{word} is not a string over this algebra")
+    move = _moves(word)
+    verts = word_vertices(algebra.quiver, word)
+    for rule in algebra.rules:
+        sides = (rule.lhs,) if rule.rhs is None else (rule.lhs, rule.rhs)
+        starts = [i for i, v in enumerate(verts) if v == rule.lhs.source]
+        if any(_walk(move, i, side.arrows) is not None for i in starts for side in sides):
+            raise StrcatError(f"rule {rule} fails on this representation")
+
+
+@memoized
+def string_module(algebra: Algebra, word: StringWord) -> homology.Representation:
+    """The module on the walk: one basis vector per visited vertex.
+    ``check_string_module`` refuses a word whose walk is not a module, so
+    the construction does not check the rules again."""
+    check_string_module(algebra, word)
     quiver = algebra.quiver
     verts, local = word_layout(quiver, word)
     counts = Counter(verts)
@@ -273,7 +330,7 @@ def string_module(algebra: Algebra, word: StringWord) -> homology.Representation
             mats[l.arrow][local[j + 1], local[j]] = 1
         else:
             mats[l.arrow][local[j], local[j + 1]] = 1
-    return homology.Representation(algebra, counts, mats)
+    return homology.Representation(algebra, counts, mats, check=False)
 
 
 def module_word(rep: homology.Representation) -> StringWord | None:
@@ -347,19 +404,19 @@ def word_peaks(word: StringWord) -> list[int]:
 @memoized
 def _cover_paths(algebra: Algebra):
     """What ``syzygy_word`` reads of the algebra, as lists: for each vertex
-    v, each basis path k out of v as (k, prefix, x), the basis path
-    ``prefix`` followed by arrow x being k (``prefix`` -1 for e_v), in
-    basis order, which lists a prefix first; the arrow indices out of each
-    vertex; each basis path's target; and the act table."""
+    v, each basis path k out of v as (k, prefix, a), the basis path
+    ``prefix`` followed by the arrow named a being k (``prefix`` -1 for
+    e_v), in basis order, which lists a prefix first; the arrow indices
+    out of each vertex; each basis path's target; and the act table."""
     quiver = algebra.quiver
     paths = {v: [] for v in quiver.vertices}
     for k, q in enumerate(algebra.basis):
         if not q.arrows:
-            paths[q.source].append((k, -1, -1))
+            paths[q.source].append((k, -1, None))
             continue
         a = quiver.arrow(q.arrows[-1])
         prefix = algebra.index[Path(q.source, a.source, q.arrows[:-1])]
-        paths[q.source].append((k, prefix, quiver.arrow_index(a.name)))
+        paths[q.source].append((k, prefix, a.name))
     out = {v: [x for x, a in enumerate(quiver.arrows) if a.source == v]
            for v in quiver.vertices}
     return (paths, out, [q.target for q in algebra.basis],
@@ -371,7 +428,7 @@ def syzygy_word(algebra: Algebra, word: StringWord) -> StringWord | None:
     algebra's act table with no matrix; None when this read gives no
     answer, and always for a projective M(word), whose syzygy is zero.
     ``word`` must be a string whose M(word) is a module over the algebra,
-    as ``string_module`` checks.
+    as ``check_string_module`` checks.
 
     The cover of M(word) is one P(v) per peak (``word_peaks``), and its
     basis vector (peak i, basis path q) goes to the position that q walks
@@ -388,19 +445,12 @@ def syzygy_word(algebra: Algebra, word: StringWord) -> StringWord | None:
     quiver = algebra.quiver
     paths, out, target, act_index, act_coeff = _cover_paths(algebra)
     p, zero = algebra.p, algebra.dim
-    verts = word_vertices(quiver, word)
-    move = {}  # (position, arrow index) -> the position that arrow sends it to
-    for j, l in enumerate(word.letters):
-        x = quiver.arrow_index(l.arrow)
-        if l.inverse:
-            move[j + 1, x] = j
-        else:
-            move[j, x] = j + 1
+    verts, move = word_vertices(quiver, word), _moves(word)
     killed, fibres = [], [[] for _ in verts]  # the cover's rows (peak, basis path)
     for i in word_peaks(word):
         at = {}
-        for k, prefix, x in paths[verts[i]]:
-            at[k] = i if prefix < 0 else move.get((at[prefix], x))
+        for k, prefix, a in paths[verts[i]]:
+            at[k] = i if prefix < 0 else move.get((at[prefix], a))
             (killed if at[k] is None else fibres[at[k]]).append((i, k))
     if any(not 0 < len(f) <= 2 for f in fibres):
         return None

@@ -465,6 +465,22 @@ def reduced_projective_mats(algebra, vertex):
     return mats
 
 
+def walked_representation(algebra, word):
+    """M(word) built from the walk, with ``Representation``'s construction
+    check: letter j joins positions j and j + 1, and position j is basis
+    vector ``verts[:j].count(verts[j])`` at its vertex."""
+    verts = [letter_source(algebra.quiver, word.letters[0])] if word.letters else [word.vertex]
+    verts += [letter_target(algebra.quiver, letter) for letter in word.letters]
+    local = [verts[:j].count(v) for j, v in enumerate(verts)]
+    dims = {v: verts.count(v) for v in algebra.quiver.vertices}
+    mats = {a.name: np.zeros((dims[a.source], dims[a.target]), dtype=np.int64)
+            for a in algebra.quiver.arrows}
+    for j, letter in enumerate(word.letters):
+        src, tgt = (j + 1, j) if letter.inverse else (j, j + 1)
+        mats[letter.arrow][local[src], local[tgt]] = 1
+    return Representation(algebra, dims, mats)
+
+
 def folded_path_matrix(M, names, source):
     """The matrix of a word on M, multiplied from the left one arrow at a
     time, starting from the identity at ``source``."""

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from dataclasses import FrozenInstanceError
@@ -228,8 +229,41 @@ def test_build_ar_quiver_takes_no_presentation_or_syzygy(build, monkeypatch):
     assert len(q.tau) == q.node_count
 
 
+def count_modules(monkeypatch) -> list:
+    """The ``Representation``s constructed from now on."""
+    built = []
+    init = homology.Representation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(homology.Representation, "__init__", counted)
+    return built
+
+
+def syzygy_args(module: str, n: int, family: str = "file", m=None) -> argparse.Namespace:
+    """The flags ``cli.cmd_syzygy`` reads: a series name of a built-in
+    family, or a raw literal with ``--family file``."""
+    return argparse.Namespace(family=family, m=m, module=module, n=n, string=family == "file")
+
+
+@pytest.mark.parametrize("family,m", [(family, m) for family in ("ae1", "ae2", "ae3")
+                                      for m in range(get_family(family).m_min, 9)])
+def test_ar_quiver_and_syzygy_command_build_no_module(family, m, monkeypatch):
+    # the rules are checked on each word and every Omega is read off words,
+    # so neither builds a string module, a projective or a syzygy
+    A = build_family(family, m)
+    built = count_modules(monkeypatch)
+    build_ar_quiver(A)
+    for name, _ in family_node_names(family, m, A.quiver):
+        for n in range(1, 10):
+            cli.cmd_syzygy(syzygy_args(name, n, family, m), A)
+    assert not built
+
+
 def test_omega_node_keeps_the_construction_check():
-    # the word read alone would answer for x2; string_module refuses it first
+    # the word read alone would answer for x2; the rule check refuses it first
     A = load_algebra_spec(NON_MODULE_STRING_SPEC)
     word = parse_string_literal("x2", A.quiver)
     assert strings.syzygy_word(A, word) is not None

@@ -8,6 +8,7 @@ import pytest
 from strcat import arquiver, cli, deformation, families, homology, quiver_core, strings
 
 from .builders import INFINITE_SPEC, NON_MODULE_STRING_SPEC, brauer_line_spec
+from .test_arquiver import syzygy_args, word_read_algebras
 
 
 def run(capsys, *argv):
@@ -439,9 +440,73 @@ def test_syzygy_on_a_representation_infinite_spec(tmp_path, capsys):
     assert code == 3 and out == "" and "infinitely many strings" in err
 
 
+def assert_word_chain_equals_the_module_walk(algebra, monkeypatch) -> list:
+    """``syzygy --n`` for n in 1..9 on every string answers the same with
+    the word reads as with the module walk (``_omega_power`` and
+    ``node_word``), reached by making every read give up.  Returns the
+    walks the word route fell back to."""
+    walks = []
+    omega_power = cli._omega_power
+    monkeypatch.setattr(cli, "_omega_power",
+                        lambda *args: walks.append(args) or omega_power(*args))
+
+    def answers():
+        return [cli.cmd_syzygy(syzygy_args(w.literal(), n), algebra).payload
+                for w in strings.enumerate_strings(algebra) for n in range(1, 10)]
+
+    chained = answers()
+    fallbacks = list(walks)
+    with monkeypatch.context() as patch:
+        patch.setattr(strings, "syzygy_word", lambda algebra, word: None)
+        assert answers() == chained
+    return fallbacks
+
+
+@pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
+                         ids=[name for name, _ in word_read_algebras()])
+def test_word_chained_syzygy_equals_the_module_walk(build, monkeypatch):
+    # on these self-injective string algebras no power needs the module walk
+    assert not assert_word_chain_equals_the_module_walk(build(), monkeypatch)
+
+
+def test_word_chained_syzygy_of_a_projective_string_falls_back_to_zero(monkeypatch):
+    # k[x]/(x^2) x k: e1 is S(1) = P(1), whose syzygy is zero; no word names
+    # zero, so every power of e1 is the module walk's
+    A = quiver_core.load_algebra_spec(KX2_K_SPEC)
+    walks = assert_word_chain_equals_the_module_walk(A, monkeypatch)
+    assert {word.literal() for _, word, _ in walks} == {"e1"}
+    assert cli.cmd_syzygy(syzygy_args("e1", 9), A).payload["dim_vector"] == [0, 0]
+
+
+def test_word_chained_syzygy_on_a_representation_infinite_spec(tmp_path, capsys,
+                                                              monkeypatch):
+    # --n 1 is read off one word; --n 2 needs the string count and exits 3,
+    # as the module walk does
+    path = tmp_path / "infinite.json"
+    path.write_text(json.dumps(INFINITE_SPEC))
+    argv = ("syzygy", "--family", "file", "--spec", str(path), "e0", "--n")
+    chained = [run(capsys, *argv, n) for n in ("1", "2")]
+    assert [code for code, _, _ in chained] == [0, 3]
+    monkeypatch.setattr(strings, "syzygy_word", lambda algebra, word: None)
+    assert [run(capsys, *argv, n) for n in ("1", "2")] == chained
+
+
+def test_syzygy_refuses_a_string_whose_module_fails_a_rule(tmp_path, capsys):
+    # the word reads would answer for x2, whose module fails x1 -> x2; the
+    # rules are checked on the word first, and a word that is no string
+    # is refused before that
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(NON_MODULE_STRING_SPEC))
+    argv = ("syzygy", "--family", "file", "--spec", str(path), "--n", "1")
+    assert run(capsys, *argv, "x2") == (
+        3, "", "error: rule x1 -> 1*x2 fails on this representation\n")
+    assert run(capsys, *argv, "x1") == (3, "", "error: x1 is not a string over this algebra\n")
+
+
 def test_syzygy_names_by_isomorphism_when_no_word_is_read(capsys, monkeypatch):
     argv = ("syzygy", "--family", "ae3", "--m", "4", "U1", "--n", "3", "--format", "json")
     want = run(capsys, *argv)
+    monkeypatch.setattr(strings, "syzygy_word", lambda algebra, word: None)
     monkeypatch.setattr(strings, "module_word", lambda rep: None)
     assert run(capsys, *argv) == want and want[0] == 0
 
@@ -502,13 +567,16 @@ def test_non_self_injective_spec_exits_3(tmp_path, capsys):
     assert err.startswith("error: no node matches") and len(err.splitlines()) == 1
 
 
+# k[x]/(x^2) x k, which is symmetric
+KX2_K_SPEC = {"vertices": [0, 1], "arrows": [{"name": "x", "from": 0, "to": 0}],
+              "rules": [{"lhs": ["x", "x"], "rhs": None}], "dim_bound": 3}
+
+
 def test_arquiver_names_the_projective_string_whose_syzygy_is_zero(tmp_path, capsys):
     # k[x]/(x^2) x k is symmetric, but its string e1 is S(1) = P(1): the
     # syzygy is zero, and the stable AR quiver has no node for it
-    spec = {"vertices": [0, 1], "arrows": [{"name": "x", "from": 0, "to": 0}],
-            "rules": [{"lhs": ["x", "x"], "rhs": None}], "dim_bound": 3}
     path = tmp_path / "kx2-k.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(KX2_K_SPEC))
     code, out, err = run(capsys, "arquiver", "--family", "file", "--spec", str(path))
     assert code == 3 and out == ""
     assert err == ("error: e1 is projective: its syzygy is zero, so the stable AR quiver "
@@ -534,20 +602,24 @@ def count_syzygies(monkeypatch) -> list:
 def test_syzygy_of_a_large_power_reduces_n_mod_the_period(capsys, monkeypatch, family,
                                                           m, name, period, big):
     # Omega^k M = M at the period k, so Omega^big M is Omega^(big mod k) M,
-    # found after at most k + 1 syzygies
+    # found after k word reads and no module syzygy
     small = big % period or period
     code, out, _ = run(capsys, "syzygy", "--family", family, "--m", str(m), name,
                        "--n", str(small), "--format", "json")
     want = json.loads(out)
     assert code == 0 and want["n"] == small
     calls = count_syzygies(monkeypatch)
+    reads = []
+    syzygy_word = strings.syzygy_word
+    monkeypatch.setattr(strings, "syzygy_word",
+                        lambda algebra, word: reads.append(word) or syzygy_word(algebra, word))
     code, out, _ = run(capsys, "syzygy", "--family", family, "--m", str(m), name,
                        "--n", str(big), "--format", "json")
     got = json.loads(out)
     assert code == 0 and got.pop("n") == big
     want.pop("n")
     assert got == want
-    assert len(calls) <= period + 1
+    assert not calls and len(reads) == period
 
 
 def spec_file(tmp_path, arrows, rules=()):

@@ -5,11 +5,13 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
 from strcat import (
+    DimensionBoundExceeded,
     IndexOutOfRange,
+    NonTerminating,
     NotAString,
     RepresentationInfinite,
     StrcatError,
@@ -43,7 +45,15 @@ from strcat.strings import (
     word_key,
 )
 
-from .builders import INFINITE_SPEC, ae1, ae2, ae3, brauer_line_spec, brauer_star_spec
+from .builders import (
+    INFINITE_SPEC,
+    NON_MODULE_STRING_SPEC,
+    ae1,
+    ae2,
+    ae3,
+    brauer_line_spec,
+    brauer_star_spec,
+)
 from .oracles import ORACLE_CASES
 from .reference import (
     capped_strings,
@@ -52,6 +62,7 @@ from .reference import (
     scanned_is_string,
     socle_dims,
     top_dims,
+    walked_representation,
 )
 from .test_arquiver import nakayama_spec, word_read_algebras
 from .test_quiver_core import built_or_skipped, small_specs
@@ -663,3 +674,130 @@ def test_syzygy_word_of_random_specs_agrees_or_declines(spec):
             assert got is None, w
         elif got is not None:
             assert is_isomorphic(rep, string_module(A, got)), (w, got)
+
+
+# -- the rules checked on words -------------------------------------------------------
+
+
+def construction_verdict(check, algebra, word):
+    """The message of the StrcatError that ``check(algebra, word)`` raises,
+    None when it raises none."""
+    try:
+        check(algebra, word)
+    except StrcatError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+def assert_rule_check_matches_the_construction(algebra, word):
+    # the word check refuses exactly the strings whose module, built with
+    # Representation's construction check, fails a rule, with its message
+    want = construction_verdict(lambda A, w: walked_representation(A, w), algebra, word)
+    assert construction_verdict(strings.check_string_module, algebra, word) == want, str(word)
+
+
+@pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
+                         ids=[name for name, _ in word_read_algebras()])
+def test_rule_check_on_words_matches_the_construction_check(build):
+    A = build()
+    for w in enumerate_strings(A):
+        for word in (w, w.inverse()):
+            assert_rule_check_matches_the_construction(A, word)
+
+
+def test_rule_check_refuses_what_string_module_refuses():
+    A = load_algebra_spec(NON_MODULE_STRING_SPEC)
+    x2 = parse_string_literal("x2", A.quiver)
+    for check in (strings.check_string_module, string_module):
+        with pytest.raises(StrcatError, match=r"^rule x1 -> 1\*x2 fails on this representation$"):
+            check(A, x2)
+        with pytest.raises(NotAString):
+            check(A, parse_string_literal("x1", A.quiver))
+        with pytest.raises(UnknownArrow):
+            check(A, StringWord((Letter("z"),)))
+    word = parse_string_literal("e1", A.quiver)
+    assert strings.check_string_module(A, word) is None
+    assert ("check_string_module", word) in A.memo  # memoized per algebra
+
+
+def test_rule_check_on_a_trivial_right_side_matches_the_construction_check():
+    # k[x]/(x^2 - 1) keeps the rule x*x -> 1*e0, which fails on every
+    # string's module, even on M(e0), where x*x is zero and e0 is not
+    A = load_algebra_spec({"vertices": [0], "arrows": [{"name": "x", "from": 0, "to": 0}],
+                           "rules": [{"lhs": ["x", "x"], "rhs": {"coeff": 1, "path": []}}],
+                           "dim_bound": 4})
+    assert [str(rule) for rule in A.rules] == ["x*x -> 1*e0"]
+    for w in enumerate_strings(A):
+        assert_rule_check_matches_the_construction(A, w)
+    with pytest.raises(StrcatError, match="rule x\\*x -> 1\\*e0 fails"):
+        strings.check_string_module(A, empty_word(0))
+
+
+@st.composite
+def parallel_binomial_specs(draw):
+    """A spec of ``small_specs`` with one more arrow, parallel to one of its
+    arrows, and a rule that sets one of the two to a nonzero multiple of
+    the other, at a prime of {2, 3, 32003}: M(w) fails that rule at every
+    string w that walks the rule's right side."""
+    spec = draw(small_specs())
+    arrows = spec["arrows"]
+    old = draw(st.sampled_from(arrows))
+    new = {"name": f"x{len(arrows)}", "from": old["from"], "to": old["to"]}
+    lhs, rhs = draw(st.permutations([old["name"], new["name"]]))
+    p = draw(st.sampled_from([2, 3, DEFAULT_PRIME]))
+    rule = {"lhs": [lhs], "rhs": {"coeff": draw(st.integers(1, p - 1)), "path": [rhs]}}
+    return {**spec, "arrows": arrows + [new], "rules": spec["rules"] + [rule], "prime": p}
+
+
+def strings_or_none(spec):
+    """The spec's strings, None when its algebra cannot be built or has
+    infinitely many."""
+    try:
+        return enumerate_strings(load_algebra_spec(spec))
+    except (DimensionBoundExceeded, NonTerminating, RepresentationInfinite):
+        return None
+
+
+def refused_strings(spec):
+    """The strings of the spec whose modules fail a rule."""
+    A = load_algebra_spec(spec)
+    return [w for w in enumerate_strings(A)
+            if construction_verdict(strings.check_string_module, A, w) is not None]
+
+
+def test_a_random_binomial_spec_has_a_string_whose_module_fails_a_rule():
+    # the strategy reaches the refusal that NON_MODULE_STRING_SPEC pins by hand
+    spec = find(parallel_binomial_specs(), lambda spec: bool(strings_or_none(spec))
+                and bool(refused_strings(spec)), settings=settings(database=None))
+    assert refused_strings(spec)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=parallel_binomial_specs())
+def test_rule_check_on_words_of_random_binomial_specs_matches_the_construction_check(spec):
+    words = strings_or_none(spec)
+    assume(words is not None)
+    A = load_algebra_spec(spec)
+    for w in words:
+        for word in (w, w.inverse()):
+            assert_rule_check_matches_the_construction(A, word)
+
+
+# -- letters ------------------------------------------------------------------------
+
+
+def test_letters_are_plain_immutable_tuples():
+    x = Letter("a")
+    assert x == ("a", False) and Letter("a", True) == ("a", True) != x
+    assert hash(x) == hash(("a", False)) and isinstance(x, tuple)
+    with pytest.raises(AttributeError):
+        x.inverse = True
+    assert x.flipped() == ("a", True) and x.flipped().flipped() == x
+    assert (str(x), str(x.flipped())) == ("a", "a~")
+    A = ae3(3)
+    for w in enumerate_strings(A):
+        plain = StringWord(tuple((l.arrow, l.inverse) for l in w.letters), w.vertex)
+        rebuilt = StringWord(tuple(Letter(*l) for l in plain.letters), w.vertex)
+        assert plain == w == rebuilt and hash(plain) == hash(w) == hash(rebuilt)
+        assert parse_string_literal(w.literal(), A.quiver) == w
+        assert parse_string_literal(w.inverse().literal(), A.quiver) == w.inverse()
