@@ -2,16 +2,15 @@
 
 Nodes are the string classes (the non-projective indecomposables); solid
 arrows are the canonical inclusions into hook extensions and projections
-out of cohook extensions.  ``omega_node`` names the node isomorphic to
-each node's syzygy, once per node, by the word it reads off the node's
-word and the algebra's act table (``strings.syzygy_word``), with no
-module at all: the rules are checked on the word
-(``strings.check_string_module``).  Where that read gives up, the node's
-string module is built, its syzygy is taken and named by the word its
-basis graph spells (``strings.module_word``), and isomorphism tests
-against the nodes of its dimension vector (``match_node``) name a syzygy
-whose graph spells no string.  The translate and the syzygy orbits both
-follow it.  The quiver is data; ``strcat.cli`` labels and renders it.
+out of cohook extensions.  Omega of a string is decided in one place,
+``omega_word``, once per word: the rules are checked on the word, the
+syzygy's word is read off it and the act table, and only where that read
+gives up is the syzygy module built.  ``omega_node`` finds that word
+among the nodes, or tests isomorphism with the nodes of its dimension
+vector (``match_node``) for a syzygy that spells no string; the
+translate and the syzygy orbits follow it.  ``syzygy_power`` walks
+``omega_word`` for ``syzygy --n``.  The quiver is data; ``strcat.cli``
+labels and renders it.
 
 The translate is Omega^2, the AR translate only for symmetric algebras
 like the built-in families.  A projective string module still becomes a
@@ -67,35 +66,78 @@ def match_node(algebra: Algebra, rep: homology.Representation) -> int:
     raise StrcatError(f"no node matches a module of dimension vector {dv}")
 
 
-def node_word(algebra: Algebra, rep: homology.Representation) -> strings.StringWord:
-    """The canonical word of the node isomorphic to ``rep``: the string its
-    basis graph spells, with no enumeration, else ``match_node``'s node."""
+def _spelled(algebra: Algebra, rep: homology.Representation):
+    """The canonical word that ``rep``'s basis graph spells, else ``rep``."""
     word = strings.module_word(rep)
-    if word is None:
-        return strings.enumerate_strings(algebra)[match_node(algebra, rep)]
-    return strings.canonical(word, algebra.quiver)
+    return rep if word is None else strings.canonical(word, algebra.quiver)
+
+
+@memoized
+def omega_word(algebra: Algebra, word: strings.StringWord
+               ) -> strings.StringWord | homology.Representation:
+    """Omega M(word): the canonical word of its class, or the syzygy module
+    itself where it spells no string, zero for a projective M(word).
+
+    ``strings.check_string_module`` first refuses a word whose module
+    fails a rule, with no module built.  ``strings.syzygy_word`` then
+    reads the syzygy off the word and the act table; only where that read
+    gives up is M(word) built and its syzygy named by the word its basis
+    graph spells (``strings.module_word``)."""
+    strings.check_string_module(algebra, word)
+    got = strings.syzygy_word(algebra, word)
+    if got is not None:
+        return got
+    return _spelled(algebra, homology.syzygy(strings.string_module(algebra, word)))
 
 
 @memoized
 def omega_node(algebra: Algebra, i: int) -> int:
-    """Index of the node isomorphic to the syzygy of node ``i``.
-
-    ``strings.check_string_module`` first refuses a node whose module
-    fails a rule, on the word, with no module built.  The syzygy is then
-    named by ``strings.syzygy_word``, from the word and the act table;
-    only when that read gives up is the node's string module built, its
-    syzygy taken and named by ``node_word``, and a zero syzygy raises."""
+    """Index of the node isomorphic to the syzygy of node ``i``: the node
+    of ``omega_word``'s word, else the node ``match_node`` finds for its
+    module; a zero syzygy raises."""
     node = strings.enumerate_strings(algebra)[i]
-    strings.check_string_module(algebra, node)
-    index = node_index(algebra)
-    word = strings.syzygy_word(algebra, node)
-    if word is not None:  # a string, so one of the enumerated nodes
-        return index[word]
-    rep = homology.syzygy(strings.string_module(algebra, node))
-    if rep.is_zero():
+    got = omega_word(algebra, node)
+    if isinstance(got, strings.StringWord):  # a string, so one of the nodes
+        return node_index(algebra)[got]
+    if got.is_zero():
         raise StrcatError(f"{node} is projective: its syzygy is zero, so the stable "
                           "AR quiver has no node for it")
-    return index[node_word(algebra, rep)]
+    return match_node(algebra, got)
+
+
+def syzygy_power(algebra: Algebra, word: strings.StringWord,
+                 n: int) -> strings.StringWord | None:
+    """The canonical word of Omega^n M(word), for a canonical string
+    ``word``, or None when it is zero, from at most n syzygies and at most
+    as many as the algebra has strings.  A word steps by ``omega_word``,
+    and a module that spells no string by ``homology.syzygy``.
+
+    A zero syzygy stays zero, and once Omega^k M(word) is M(word) for some
+    k < n, Omega^n is Omega^(n mod k): two strings name isomorphic modules
+    exactly when their canonical words are equal (Butler and Ringel, Comm.
+    Algebra 15, 1987), and ``is_isomorphic`` compares a module.  On a
+    self-injective algebra Omega permutes the strings, so one of the two
+    happens in time; else the walk raises.  ``match_node`` names a nonzero
+    module that spells no string at the end."""
+    powers = [word]
+    for k in range(1, n + 1):
+        last = powers[-1]
+        got = (omega_word(algebra, last) if isinstance(last, strings.StringWord)
+               else _spelled(algebra, homology.syzygy(last)))
+        is_word = isinstance(got, strings.StringWord)
+        if k == n or not is_word and got.is_zero():
+            break
+        if (got == word if is_word else
+                homology.is_isomorphic(got, strings.string_module(algebra, word))):
+            got = powers[n % k]
+            break
+        if k >= len(strings.enumerate_strings(algebra)):
+            raise StrcatError(f"Omega^{k} of the module is neither zero nor isomorphic "
+                              "to it; the algebra is not self-injective")
+        powers.append(got)
+    if isinstance(got, strings.StringWord):
+        return got
+    return None if got.is_zero() else strings.enumerate_strings(algebra)[match_node(algebra, got)]
 
 
 @memoized

@@ -14,14 +14,12 @@ completion (the README's *Command line* section lists every case), 3
 computation error, infinitely many strings among them, 4 verification
 failure under ``--verify``.
 
-``syzygy --n`` takes at most as many syzygies as the algebra has strings,
-an exact count, whatever n: a zero syzygy ends the walk, and so does the
-first power isomorphic to the module, after which n is taken mod that
-period.  It chains the words that ``strings.syzygy_word`` reads, with no
-module, and walks modules only where a read gives up.  Isomorphism of
-modules is decided in one place, ``homology.is_isomorphic``, which
-compares the words the two modules spell and solves a Hom basis only when
-a basis graph spells none.
+``syzygy --n`` renders ``arquiver.syzygy_power``, which takes at most as
+many syzygies as the algebra has strings, whatever n: a zero syzygy ends
+the walk, and so does the first power isomorphic to the module, after
+which n is taken mod that period.  ``strings`` checks the rules on every
+string it lists (``strings.check_rules``), so it exits 3 when one of
+them spells no module.
 """
 
 from __future__ import annotations
@@ -223,6 +221,8 @@ def cmd_algebra_info(args, algebra: Algebra) -> Result:
 
 def cmd_strings(args, algebra: Algebra) -> Result:
     words = strings.enumerate_strings(algebra)
+    for w in words:
+        strings.check_rules(algebra, w)
     label = _labeller(args, algebra)
     # every string of a built-in family is named, and none of a spec file
     rows = [["" if args.family == "file" else label(w), w.literal(), w.length,
@@ -245,70 +245,16 @@ def _pair_command(args, algebra: Algebra, compute, label: str) -> Result:
                   f"dim {label}({args.source}, {args.target}) = {dim}\n")
 
 
-def _word_power(algebra: Algebra, word, n: int):
-    """The canonical word of Omega^n M(word), for a canonical string
-    ``word`` whose module satisfies the rules, from at most n word reads
-    (``strings.syzygy_word``) and at most as many as the algebra has
-    strings; None when a read gives up (always before a zero syzygy) or
-    the reads reach that count, where ``_omega_power`` takes over.
-
-    Two strings name isomorphic modules exactly when their canonical words
-    are equal (Butler and Ringel, Comm. Algebra 15, 1987), so Omega^k
-    M(word) is M(word) when the k-th read is ``word``, and then
-    Omega^n M(word) is Omega^(n mod k) M(word), as in ``_omega_power``."""
-    words = [word]
-    for k in range(1, n + 1):
-        got = strings.syzygy_word(algebra, words[-1])
-        if got is None or k == n:
-            return got
-        if got == word:
-            return words[n % k]
-        if k >= len(strings.enumerate_strings(algebra)):
-            return None
-        words.append(got)
-
-
-def _omega_power(algebra: Algebra, word, n: int):
-    """Omega^n of the string module of ``word``, a canonical word, up to
-    isomorphism, from at most n syzygies and at most as many as the
-    algebra has strings: the module walk behind ``_word_power``.
-
-    A zero syzygy stays zero, and once Omega^k M is isomorphic to M for
-    some k < n, Omega^n M is Omega^(n mod k) M; ``is_isomorphic`` decides
-    that by the words the two basis graphs spell.  On a self-injective
-    algebra Omega permutes the strings, so one of the two happens within
-    that many steps; when neither does, the algebra is not self-injective
-    and the walk raises."""
-    M = strings.string_module(algebra, word)
-    powers = [M]
-    for k in range(1, n + 1):
-        rep = homology.syzygy(powers[-1])
-        if k == n or rep.is_zero():
-            return rep
-        if homology.is_isomorphic(rep, M):
-            return powers[n % k]
-        if k >= len(strings.enumerate_strings(algebra)):
-            raise StrcatError(f"Omega^{k} of the module is neither zero nor isomorphic "
-                              "to it; the algebra is not self-injective")
-        powers.append(rep)
-
-
 def cmd_syzygy(args, algebra: Algebra) -> Result:
-    """Omega^n of the module, named by its word: the module's word is
-    checked against the rules, then ``_word_power`` chains word reads with
-    no module built, and the dimension vector is read off the word.  Only
-    where that gives no word does the module walk ``_omega_power`` run,
-    naming a nonzero result by ``arquiver.node_word``."""
+    """Omega^n of the module, named by its word (``arquiver.syzygy_power``),
+    with the dimension vector read off that word."""
     w = _resolve_module(args, algebra, args.module)
-    strings.check_string_module(algebra, w)
-    label = _labeller(args, algebra)
-    word = _word_power(algebra, w, args.n)
-    if word is not None:
-        dims, iso_name = strings.word_dim_vector(algebra.quiver, word), label(word)
+    word = arquiver.syzygy_power(algebra, w, args.n)
+    if word is None:
+        dims, iso_name = (0,) * len(algebra.quiver.vertices), None
     else:
-        rep = _omega_power(algebra, w, args.n)
-        dims = rep.dim_vector()
-        iso_name = None if rep.is_zero() else label(arquiver.node_word(algebra, rep))
+        dims = strings.word_dim_vector(algebra.quiver, word)
+        iso_name = _labeller(args, algebra)(word)
     return Result({"module": args.module, "n": args.n, "dim_vector": list(dims),
                    "isomorphic_to": iso_name},
                   ["module", "n", "dim_vector", "isomorphic_to"],

@@ -252,8 +252,7 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
         raise StrcatError("named strings disagree with the enumeration")
     weakly_symmetric(algebra)
 
-    index = arquiver.node_index(algebra)
-    omega = {w: nodes[arquiver.omega_node(algebra, index[w])] for w in nodes}
+    omega = {w: nodes[arquiver.omega_node(algebra, i)] for i, w in enumerate(nodes)}
     kept = [(name, w) for name, w in named
             if _counted_stable_hom(algebra, w, w, omega[w]) == 1]
     exts = {name: _counted_stable_hom(algebra, omega[w], w, omega[w]) for name, w in kept}

@@ -4,8 +4,9 @@ String validity is judged against the monomial quotient of the algebra by
 its socle; the resulting string modules are exactly the non-projective
 indecomposables of the algebras this package builds.  That M(w) is a
 module over the full algebra is checked on the word, with no matrix:
-``check_string_module`` walks each completed rule from each position of
-w, and ``string_module`` builds M(w) only once that check passes.
+``check_rules`` walks each completed rule's right side from each
+position of w, and ``string_module`` builds M(w) only once
+``check_string_module`` (``is_string`` and ``check_rules``) passes.
 
 Being a string is a local condition (Butler and Ringel, Comm. Algebra 15,
 1987): consecutive letters compose and do not cancel, and no run of
@@ -14,7 +15,7 @@ states it once, letter by letter: a letter composes with the next one, is
 not undone by it, and starts no socle-rule window of its own run.
 ``is_string`` applies it at every letter of a word from outside
 (``check_string_module``, which ``string_module``, ``canonical_homs`` and
-``arquiver.omega_node`` call, and ``class_moves``).  The enumeration and
+``arquiver.omega_word`` call, and ``class_moves``).  The enumeration and
 the hook and cohook moves grow strings one letter at a time at the start,
 so ``_extend`` applies it at the new first letter only, in O(rules *
 longest rule) whatever the length of the word.
@@ -24,7 +25,7 @@ graph spells, which names a module without an isomorphism test; and
 ``syzygy_word`` reads the string that Omega M(w) spells off w and the
 algebra's act table, with no module at all: the cover is one P(v) per
 peak of w (``word_peaks``), and its kernel's basis graph is walked as
-``module_word`` walks a module's.
+``module_word`` walks a module's.  ``arquiver.omega_word`` calls it.
 
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
 ``b,r~,a``; trivial words print as ``e0``, ``e1``.  Every printed word
@@ -289,29 +290,38 @@ def _walk(move: dict, i: int, arrows: tuple[str, ...]) -> int | None:
     return i
 
 
+def check_rules(algebra: Algebra, word: StringWord) -> None:
+    """Raise a StrcatError naming the first completed rule that fails on
+    M(word), for a string ``word``, with no matrix.
+
+    Each arrow sends a position of the walk to at most one position, with
+    value 1 (``_moves``), so a path sends it to one position or to zero,
+    walking one way along the word and spelling a run of one direction.
+    Two different paths from one position never reach the same position,
+    and no completed rule's coefficient is 0 mod p, so a rule holds at a
+    position exactly when each of its sides sends it to zero.  A left side
+    is a socle rule (``Algebra._socle_quotient_rules``), which no run of a
+    string contains, so only the right sides are walked."""
+    rules = [rule for rule in algebra.rules if rule.rhs is not None]
+    if not rules:
+        return
+    move = _moves(word)
+    verts = word_vertices(algebra.quiver, word)
+    for rule in rules:
+        if any(_walk(move, i, rule.rhs.arrows) is not None
+               for i, v in enumerate(verts) if v == rule.rhs.source):
+            raise StrcatError(f"rule {rule} fails on this representation")
+
+
 @memoized
 def check_string_module(algebra: Algebra, word: StringWord) -> None:
     """Refuse a word whose walk is not a module over the algebra, as the
     construction check of M(word) as a ``Representation`` would, with no
-    matrix: NotAString unless it is a string, else a StrcatError naming
-    the first completed rule that fails on M(word).
-
-    Each arrow sends a position of the walk to at most one position, with
-    value 1 (``_moves``), so a path sends it to one position or to zero,
-    walking one way along the word and spelling the path.  Two different
-    paths from one position therefore never reach the same position, and
-    a completed rule's coefficient is never 0 mod p.  So a rule lhs ->
-    c*rhs, or lhs -> 0, holds at a position exactly when each of its sides
-    sends it to zero, whatever c is."""
+    matrix: NotAString unless it is a string, else ``check_rules``'s
+    StrcatError naming the first completed rule that fails on M(word)."""
     if not is_string(word, algebra):
         raise NotAString(f"{word} is not a string over this algebra")
-    move = _moves(word)
-    verts = word_vertices(algebra.quiver, word)
-    for rule in algebra.rules:
-        sides = (rule.lhs,) if rule.rhs is None else (rule.lhs, rule.rhs)
-        starts = [i for i, v in enumerate(verts) if v == rule.lhs.source]
-        if any(_walk(move, i, side.arrows) is not None for i in starts for side in sides):
-            raise StrcatError(f"rule {rule} fails on this representation")
+    check_rules(algebra, word)
 
 
 @memoized

@@ -440,42 +440,40 @@ def test_syzygy_on_a_representation_infinite_spec(tmp_path, capsys):
     assert code == 3 and out == "" and "infinitely many strings" in err
 
 
-def assert_word_chain_equals_the_module_walk(algebra, monkeypatch) -> list:
-    """``syzygy --n`` for n in 1..9 on every string answers the same with
-    the word reads as with the module walk (``_omega_power`` and
-    ``node_word``), reached by making every read give up.  Returns the
-    walks the word route fell back to."""
-    walks = []
-    omega_power = cli._omega_power
-    monkeypatch.setattr(cli, "_omega_power",
-                        lambda *args: walks.append(args) or omega_power(*args))
-
-    def answers():
+def assert_word_chain_equals_the_module_walk(build, monkeypatch) -> list:
+    """``syzygy --n`` for n in 1..9 on every string of ``build()`` answers
+    the same with the word reads as on a second ``build()`` where every
+    read gives up, so that every step takes the module syzygy.  Returns
+    the modules whose syzygy the word route took."""
+    def answers(algebra):
         return [cli.cmd_syzygy(syzygy_args(w.literal(), n), algebra).payload
                 for w in strings.enumerate_strings(algebra) for n in range(1, 10)]
 
-    chained = answers()
-    fallbacks = list(walks)
+    with monkeypatch.context() as patch:
+        taken = count_syzygies(patch)
+        chained = answers(build())
     with monkeypatch.context() as patch:
         patch.setattr(strings, "syzygy_word", lambda algebra, word: None)
-        assert answers() == chained
-    return fallbacks
+        assert answers(build()) == chained
+    return taken
 
 
 @pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
                          ids=[name for name, _ in word_read_algebras()])
 def test_word_chained_syzygy_equals_the_module_walk(build, monkeypatch):
-    # on these self-injective string algebras no power needs the module walk
-    assert not assert_word_chain_equals_the_module_walk(build(), monkeypatch)
+    # on these self-injective string algebras no power needs a module syzygy
+    assert not assert_word_chain_equals_the_module_walk(build, monkeypatch)
 
 
 def test_word_chained_syzygy_of_a_projective_string_falls_back_to_zero(monkeypatch):
     # k[x]/(x^2) x k: e1 is S(1) = P(1), whose syzygy is zero; no word names
-    # zero, so every power of e1 is the module walk's
-    A = quiver_core.load_algebra_spec(KX2_K_SPEC)
-    walks = assert_word_chain_equals_the_module_walk(A, monkeypatch)
-    assert {word.literal() for _, word, _ in walks} == {"e1"}
-    assert cli.cmd_syzygy(syzygy_args("e1", 9), A).payload["dim_vector"] == [0, 0]
+    # zero, so e1 alone takes a module syzygy, once
+    def build():
+        return quiver_core.load_algebra_spec(KX2_K_SPEC)
+
+    taken = assert_word_chain_equals_the_module_walk(build, monkeypatch)
+    assert [strings.module_word(M).literal() for M in taken] == ["e1"]
+    assert cli.cmd_syzygy(syzygy_args("e1", 9), build()).payload["dim_vector"] == [0, 0]
 
 
 def test_word_chained_syzygy_on_a_representation_infinite_spec(tmp_path, capsys,
@@ -501,6 +499,27 @@ def test_syzygy_refuses_a_string_whose_module_fails_a_rule(tmp_path, capsys):
     assert run(capsys, *argv, "x2") == (
         3, "", "error: rule x1 -> 1*x2 fails on this representation\n")
     assert run(capsys, *argv, "x1") == (3, "", "error: x1 is not a string over this algebra\n")
+
+
+def test_strings_refuses_a_string_whose_module_fails_a_rule(tmp_path, capsys):
+    # x2 is a string of the socle quotient, but M(x2) fails x1 -> x2
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(NON_MODULE_STRING_SPEC))
+    assert run(capsys, "strings", "--family", "file", "--spec", str(path)) == (
+        3, "", "error: rule x1 -> 1*x2 fails on this representation\n")
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 4), ("ae3", 3)])
+def test_strings_checks_the_rules_without_a_second_string_test(capsys, monkeypatch,
+                                                               family, m):
+    # the enumeration grew every word as a string, so only the rules'
+    # right sides are walked (ae3 has one, ab -> r^m; ae1 none)
+    calls = []
+    is_string = strings.is_string
+    monkeypatch.setattr(strings, "is_string",
+                        lambda *args: calls.append(args) or is_string(*args))
+    code, out, _ = run(capsys, "strings", "--family", family, "--m", str(m))
+    assert code == 0 and out and not calls
 
 
 def test_syzygy_names_by_isomorphism_when_no_word_is_read(capsys, monkeypatch):

@@ -1,16 +1,23 @@
 """README's code against the package it documents."""
 
 import re
+import shlex
 from pathlib import Path
+
+from strcat import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
+def section(title: str) -> str:
+    """The text of README's ``## title`` section."""
+    text = README.read_text(encoding="utf-8").split(f"\n## {title}\n", 1)[1]
+    return text.split("\n## ", 1)[0]
+
+
 def library_block() -> str:
     """The first Python block of README's ``## Library`` section."""
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
-    section = section.split("\n## ", 1)[0]
-    found = re.search(r"```python\n(.*?)```", section, re.S)
+    found = re.search(r"```python\n(.*?)```", section("Library"), re.S)
     assert found, "README's Library section has no python block"
     return found.group(1)
 
@@ -19,3 +26,36 @@ def test_the_library_example_runs(capsys):
     # every name it imports exists and every call it makes runs
     exec(compile(library_block(), str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def command_lines() -> list[tuple[list[str], str]]:
+    """(arguments, comment) of each line of the first shell block of
+    README's ``## Command line`` section."""
+    found = re.search(r"```sh\n(.*?)```", section("Command line"), re.S)
+    assert found, "README's Command line section has no sh block"
+    lines = []
+    for line in found.group(1).splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        assert argv[0] == "strcat", line
+        lines.append((argv[1:], comment.strip()))
+    return lines
+
+
+# a value a comment states -> the line the command prints for it
+STATED = {
+    "dim Hom(V2, V3) = 3": "dim Hom(V2, V3) = 3\n",
+    "dim Ext^1 = 1": "dim Ext1(V3, V3) = 1\n",
+    "Omega^2(V0) = V0": "Omega^2(V0) has dimension vector (1,), isomorphic to V0\n",
+}
+
+
+def test_the_command_line_examples_run(capsys):
+    # every line exits 0, and prints what its comment states
+    lines = command_lines()
+    assert set(STATED) <= {comment for _, comment in lines}
+    for argv, comment in lines:
+        code = cli.main(argv)
+        out = capsys.readouterr().out
+        assert code == 0 and out, argv
+        assert out == STATED.get(comment, out), argv

@@ -3,7 +3,8 @@ there, and so is every name it imports; and no answer can depend on a
 random draw, because nothing there touches a random number generator.
 
 A name that only tests call belongs in ``tests/``; a name that nothing
-calls belongs nowhere.  ``cli.py`` is the one module that writes text:
+calls belongs nowhere.  Omega of a string is decided in one place: one
+function calls ``strings.syzygy_word``.  ``cli.py`` is the one module that writes text:
 no other module prints, writes to ``sys.stdout`` or ``sys.stderr``,
 imports ``csv`` or serializes with ``json.dump``/``json.dumps`` (reading
 a spec with ``json.load``/``json.loads`` is fine).  ``__init__.py`` only re-exports, so its imports do
@@ -94,6 +95,20 @@ def test_only_the_enumeration_takes_a_length_cap():
                 if "length_cap" in names and where != "strings.enumerate_strings":
                     found.append(f"{where} ({path.name}:{node.lineno})")
     assert not found, "functions taking a length cap: " + ", ".join(found)
+
+
+def test_one_function_reads_omega_off_a_word():
+    # arquiver.omega_word decides Omega of a string, and every route to it
+    # (the AR quiver, the orbits, classify and syzygy --n) goes through it
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for call in ast.walk(node):
+                    if isinstance(call, ast.Call) and "syzygy_word" in (
+                            getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+                        callers.add(f"{path.stem}.{node.name}")
+    assert callers == {"arquiver.omega_word"}, sorted(callers)
 
 
 # what writes output; only cli.py may name these
