@@ -142,8 +142,14 @@ def syzygy_power(algebra: Algebra, word: strings.StringWord,
 
 @memoized
 def build_ar_quiver(algebra: Algebra) -> ArQuiver:
-    """Nodes, hook/cohook arrows, and the second-syzygy translate."""
+    """Nodes, hook/cohook arrows, and the second-syzygy translate.
+
+    Every node's module is checked (``strings.check_string_module``)
+    before any Omega is read, so a string whose module fails a rule is
+    refused with that rule, as ``strings`` refuses it."""
     nodes = strings.enumerate_strings(algebra)
+    for w in nodes:
+        strings.check_string_module(algebra, w)
     index = node_index(algebra)
     # a move joins two canonical strings, and the enumeration has them all
     arrow_set = {(index[src], index[tgt], kind) for w in nodes

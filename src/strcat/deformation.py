@@ -126,20 +126,20 @@ def _canonical_map(algebra: Algebra, source: strings.StringWord,
     projection).
 
     A canonical homomorphism through a common substring of length L has
-    rank L + 1, and a string of length L has a module of dimension L + 1,
-    so only a cut as long as the source (or the target) can be injective
-    (or surjective); only those are realized and checked.
+    rank L + 1 (each position of the cut goes to its own basis vector),
+    and a string of length L has a module of dimension L + 1, so a cut is
+    injective (or surjective) exactly when it is as long as the source
+    (or the target).  Only those cuts are kept, there must be exactly one,
+    and only it is realized; ``check_tower`` ranks the maps it gets.
     """
     full = source.length if injective else target.length
-    maps = [homology.realize_canonical(ch)
-            for ch in homology.canonical_homs(algebra, source, target)
-            if ch.length == full]
-    found = [f for f in maps if (f.is_injective() if injective else f.is_surjective())]
+    found = [ch for ch in homology.canonical_homs(algebra, source, target)
+             if ch.length == full]
     if len(found) != 1:
         kind = "inclusion" if injective else "projection"
         raise StrcatError(f"expected one canonical {kind} {source} -> {target}, "
                           f"found {len(found)}")
-    return found[0]
+    return homology.realize_canonical(found[0])
 
 
 def build_tower(family: str, m: int, algebra: Algebra) -> Tower:

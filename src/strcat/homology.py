@@ -41,6 +41,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -230,11 +231,19 @@ class ModuleMap:
         return ModuleMap(self.source, other.target, blocks, check=False)
 
     def power(self, n: int) -> "ModuleMap":
+        """The n-th power of an endomorphism, the identity for n = 0, by
+        binary exponentiation: floor(log2 n) squarings and popcount(n)
+        products onto the identity.  Powers of one map commute, so the
+        order of the products does not change the exact result."""
         if self.source.dim_vector() != self.target.dim_vector():
             raise StrcatError("powers need an endomorphism")
-        out = identity_map(self.source)
-        for _ in range(n):
-            out = out.then(self)
+        out, square = identity_map(self.source), self
+        while n:
+            if n & 1:
+                out = out.then(square)
+            n >>= 1
+            if n:
+                square = square.then(square)
         return out
 
     def rank(self) -> int:
@@ -698,12 +707,13 @@ def is_isomorphic(M: Representation, N: Representation) -> bool:
 # -- canonical homomorphisms between string modules -----------------------------------
 
 
-@dataclass(frozen=True)
-class CanonicalHom:
+class CanonicalHom(NamedTuple):
     """A substring cut realizing a projection-then-inclusion map.
 
     The common substring sits at ``source_pos`` in the source word and at
     ``target_pos`` in the target word, read backwards when ``target_flip``.
+    A cut of length L sends L + 1 basis vectors to distinct basis vectors,
+    so its map has rank L + 1.  A plain tuple, since most are only counted.
     """
 
     algebra: object

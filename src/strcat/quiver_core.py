@@ -108,8 +108,12 @@ class Quiver:
         for a in self.arrows:
             if any(type(v) is not int or v not in vs for v in (a.source, a.target)):
                 raise StrcatError(f"arrow {a.name} touches an undeclared vertex")
-        # name -> declaration index, set once (the dataclass is frozen)
+        # name -> declaration index, and (name, inverse) -> (source, target)
+        # of the arrow or its formal inverse, set once (the dataclass is frozen)
         object.__setattr__(self, "_positions", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_ends", {
+            (a.name, inverse): (a.target, a.source) if inverse else (a.source, a.target)
+            for a in self.arrows for inverse in (False, True)})
 
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index(name)]
@@ -119,6 +123,14 @@ class Quiver:
             return self._positions[name]
         except (KeyError, TypeError):  # TypeError: an unhashable name
             raise StrcatError(f"unknown arrow {name!r}") from None
+
+    def letter_ends(self, letter: tuple[str, bool]) -> tuple[int, int]:
+        """(source, target) of the letter ``(name, inverse)``: the arrow's,
+        or swapped for its formal inverse."""
+        try:
+            return self._ends[letter]
+        except (KeyError, TypeError):  # TypeError: an unhashable name
+            raise StrcatError(f"unknown arrow {letter[0]!r}") from None
 
     def has_arrow(self, name: str) -> bool:
         return name in self._positions
@@ -453,6 +465,14 @@ class Algebra:
                 self.act_coeff[k, x] = term[1]
         self.verify_associativity()
         self.socle_rules = self._socle_quotient_rules()
+        # the windows of string letters (name, inverse) that spell a socle
+        # rule, keyed by their first letter: the rule's names as direct
+        # letters, and its reversed names as inverse ones
+        self.socle_windows: dict = {}
+        for rule in self.socle_rules:
+            for window in (tuple((name, False) for name in rule.arrows),
+                           tuple((name, True) for name in reversed(rule.arrows))):
+                self.socle_windows.setdefault(window[0], []).append(window)
         self.memo: dict = {}
 
     # -- construction checks -------------------------------------------------

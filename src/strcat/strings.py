@@ -110,24 +110,12 @@ def empty_word(vertex: int) -> StringWord:
     return StringWord((), vertex)
 
 
-def letter_source(quiver: Quiver, letter: Letter) -> int:
-    a = quiver.arrow(letter.arrow)
-    return a.target if letter.inverse else a.source
-
-
-def letter_target(quiver: Quiver, letter: Letter) -> int:
-    a = quiver.arrow(letter.arrow)
-    return a.source if letter.inverse else a.target
-
-
 def word_vertices(quiver: Quiver, word: StringWord) -> list[int]:
     """The length+1 vertices the walk visits."""
     if word.is_trivial:
         return [word.vertex]
-    verts = [letter_source(quiver, word.letters[0])]
-    for l in word.letters:
-        verts.append(letter_target(quiver, l))
-    return verts
+    ends = quiver.letter_ends
+    return [ends(word.letters[0])[0]] + [ends(l)[1] for l in word.letters]
 
 
 def word_dim_vector(quiver: Quiver, word: StringWord) -> tuple[int, ...]:
@@ -187,25 +175,20 @@ def _known(word: StringWord, quiver: Quiver) -> StringWord:
 def _fits(letters: tuple[Letter, ...], algebra: Algebra, stop: int = 1) -> bool:
     """Whether each of the first ``stop`` letters ends where the next one
     starts, is not undone by it, and starts no window of its own run that
-    spells a socle rule: the next k names of a direct run, the reversed
-    next k of an inverse one.  Every window starts at some letter, so at
-    every letter this is the whole string condition.  Each letter costs
-    O(rules * longest rule)."""
-    quiver = algebra.quiver
+    spells a socle rule (``Algebra.socle_windows``): the next k names of a
+    direct run, the reversed next k of an inverse one.  Every window starts
+    at some letter, so at every letter this is the whole string condition.
+    Each letter costs O(longest rule) per window that starts with it."""
+    ends = algebra.quiver.letter_ends
+    windows = algebra.socle_windows
     for i in range(stop):
         x = letters[i]
         if i + 1 < len(letters):
             y = letters[i + 1]
-            if (letter_target(quiver, x) != letter_source(quiver, y)
-                    or (y.arrow == x.arrow and y.inverse != x.inverse)):
+            if ends(x)[1] != ends(y)[0] or (y.arrow == x.arrow and y.inverse != x.inverse):
                 return False
-        for rule in algebra.socle_rules:
-            names = rule.arrows
-            if i + len(names) > len(letters) or names[-1 if x.inverse else 0] != x.arrow:
-                continue
-            window = letters[i:i + len(names)]
-            if all(l.inverse == x.inverse and l.arrow == name for l, name in
-                   zip(reversed(window) if x.inverse else window, names)):
+        for window in windows.get(x, ()):
+            if letters[i:i + len(window)] == window:
                 return False
     return True
 
@@ -221,7 +204,7 @@ def _extend(word: StringWord, letter: Letter, algebra: Algebra) -> StringWord | 
 
     ``word`` must already be a string, so only the new letter is checked:
     it must end where the word starts, and ``_fits`` judges the rest."""
-    if word.is_trivial and letter_target(algebra.quiver, letter) != word.vertex:
+    if word.is_trivial and algebra.quiver.letter_ends(letter)[1] != word.vertex:
         return None
     letters = (letter,) + word.letters
     return StringWord(letters) if _fits(letters, algebra) else None

@@ -31,10 +31,20 @@ from strcat.strings import (
     _keyed_canonical,
     _prepended,
     empty_word,
-    letter_source,
-    letter_target,
     word_layout,
 )
+
+
+def letter_source(quiver, letter):
+    """Where a letter starts, read off the declared arrow."""
+    a = quiver.arrow(letter.arrow)
+    return a.target if letter.inverse else a.source
+
+
+def letter_target(quiver, letter):
+    """Where a letter ends, read off the declared arrow."""
+    a = quiver.arrow(letter.arrow)
+    return a.source if letter.inverse else a.target
 
 
 def hand_built(family, m, p=DEFAULT_PRIME):

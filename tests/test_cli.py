@@ -719,13 +719,14 @@ def test_verify_reuses_the_commands_work(capsys, monkeypatch):
 
 
 def test_arquiver_refuses_a_string_whose_module_fails_a_rule(tmp_path, capsys):
-    # M(x2) fails a rule, but the build stops before x2: e1's Omega is read
-    # off no word, and its module syzygy spells no string and matches no node
+    # M(x2) fails a rule; every node is checked before any Omega is read,
+    # so arquiver names the rule, as strings does
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(NON_MODULE_STRING_SPEC))
-    code, out, err = run(capsys, "arquiver", "--family", "file", "--spec", str(path))
-    assert (code, out) == (3, "")
-    assert err == "error: no node matches a module of dimension vector (2, 0)\n"
+    for command in ("arquiver", "strings"):
+        code, out, err = run(capsys, command, "--family", "file", "--spec", str(path))
+        assert (code, out) == (3, ""), command
+        assert err == "error: rule x1 -> 1*x2 fails on this representation\n", command
 
 
 def test_main_builds_its_parser_once(capsys, monkeypatch):

@@ -46,12 +46,13 @@ from strcat.deformation import (
     weakly_symmetric,
 )
 from strcat.families import get as get_family
+from strcat.homology import identity_map
 from strcat.quiver_core import DEFAULT_PRIME
 from strcat.strings import family_node_names
 
 from .builders import ae1, ae2, ae3, brauer_line_spec
 from .oracles import ORACLE_CASES
-from .reference import socle_dims
+from .reference import flat_map, socle_dims
 from .test_quiver_core import built_or_skipped, small_specs
 
 
@@ -242,6 +243,62 @@ def test_tower_realizes_only_the_inclusion_and_projection_of_each_step(family, m
     steps = len(families.get(family).tower(m)) - 1
     assert steps == tower.steps - (family == "ae1")  # ae1 closes on P(0)
     assert len(calls) == 2 * steps
+
+
+def tower_twists(family, m):
+    """The twist map (surject, then include) of each step of the family's tower."""
+    tower = build_tower(family, m, build_family(family, m))
+    return [sur.then(inc) for inc, sur in zip(tower.inclusions, tower.surjections)]
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 8), ("ae2", 4), ("ae3", 6)])
+def test_power_equals_repeated_composition_on_the_tower_twists(family, m):
+    for twist in tower_twists(family, m):
+        repeated = identity_map(twist.source)
+        for n in range(10):
+            got = twist.power(n)
+            assert (got.source, got.target) == (twist.source, twist.target)
+            assert np.array_equal(flat_map(got), flat_map(repeated)), n
+            repeated = repeated.then(twist)
+
+
+def test_check_tower_composes_logarithmically_many_maps_per_step(monkeypatch):
+    # the twist of step l, then its l-th power by squaring: at most
+    # floor(log2 l) squarings and floor(log2 l) + 1 products; composing
+    # one at a time made 2,144 calls here
+    m = 64
+    A = build_family("ae1", m)
+    tower = build_tower("ae1", m, A)
+    base = string_module(A, named_string("ae1", m, "V0"))
+    calls = []
+    then = ModuleMap.then
+    monkeypatch.setattr(ModuleMap, "then", lambda f, g: calls.append(f) or then(f, g))
+    assert check_tower(tower, base) == power_series_quotient(m + 1)
+    steps = range(1, tower.steps + 1)
+    assert len(calls) <= sum(2 * (l.bit_length() - 1) + 2 for l in steps) < 2144
+
+
+def test_power_needs_an_endomorphism():
+    inc = build_tower("ae1", 3, ae1(3)).inclusions[0]
+    for n in (0, 2):
+        with pytest.raises(StrcatError, match="powers need an endomorphism"):
+            inc.power(n)
+
+
+def check_classification_sweep(top):
+    for family in ("ae1", "ae2", "ae3"):
+        for m in range(get_family(family).m_min, top + 1):
+            reports = classify(build_family(family, m), family, m)
+            assert not verify_classification(reports, family, m), (family, m)
+
+
+def test_classify_equals_the_closed_form_table_for_every_m_to_16():
+    check_classification_sweep(16)
+
+
+@pytest.mark.slow
+def test_classify_equals_the_closed_form_table_for_every_m_to_64():
+    check_classification_sweep(64)
 
 
 def test_check_tower_rejects_wrong_base():

@@ -484,6 +484,19 @@ def test_realized_shift_endo_has_expected_rank():
     assert j in ranks           # the drop-one-step endomorphism
 
 
+@pytest.mark.parametrize("family,m,p", [
+    (family, m, p) for family in ("ae1", "ae2", "ae3")
+    for m in range(get_family(family).m_min, 5) for p in (2, 3, DEFAULT_PRIME)])
+def test_every_canonical_hom_has_rank_its_cut_length_plus_one(family, m, p):
+    # the tower's inclusions and projections are found by cut length alone
+    A = build_family(family, m, p)
+    nodes = enumerate_strings(A)
+    for S in nodes:
+        for T in nodes:
+            for ch in canonical_homs(A, S, T):
+                assert realize_canonical(ch).rank() == ch.length + 1, (S, T, ch)
+
+
 def test_canonical_projection_onto_simple_has_one_nonzero_block():
     m = 3
     A = ae3(m)

@@ -41,7 +41,6 @@ from strcat.strings import (
     class_moves,
     extensions_at_start,
     family_node_names,
-    letter_source,
     word_key,
 )
 
@@ -58,6 +57,8 @@ from .oracles import ORACLE_CASES
 from .reference import (
     capped_strings,
     default_cap,
+    letter_source,
+    letter_target,
     rescanned_extension,
     scanned_is_string,
     socle_dims,
@@ -148,6 +149,20 @@ def test_is_string_unknown_arrow():
     A = ae1(2)
     with pytest.raises(UnknownArrow):
         is_string(StringWord((Letter("z"),)), A)
+
+
+@pytest.mark.parametrize("build", [lambda: ae1(3), lambda: ae2(2), lambda: ae3(3)])
+def test_letter_ends_are_the_declared_arrows_ends(build):
+    quiver = build().quiver
+    for a in quiver.arrows:
+        for letter in (Letter(a.name), Letter(a.name, True)):
+            assert quiver.letter_ends(letter) == (letter_source(quiver, letter),
+                                                  letter_target(quiver, letter))
+    for bad in (Letter("z"), Letter("z", True), ([], False)):
+        with pytest.raises(StrcatError, match="unknown arrow"):
+            quiver.letter_ends(bad)
+    with pytest.raises(StrcatError, match="unknown arrow 'z'"):
+        word_vertices(quiver, StringWord((Letter("a"), Letter("z"))))
 
 
 @pytest.mark.parametrize("m", range(1, 6))
