@@ -245,15 +245,11 @@ def test_tower_realizes_only_the_inclusion_and_projection_of_each_step(family, m
     assert len(calls) == 2 * steps
 
 
-def tower_twists(family, m):
-    """The twist map (surject, then include) of each step of the family's tower."""
-    tower = build_tower(family, m, build_family(family, m))
-    return [sur.then(inc) for inc, sur in zip(tower.inclusions, tower.surjections)]
-
-
 @pytest.mark.parametrize("family,m", [("ae1", 8), ("ae2", 4), ("ae3", 6)])
 def test_power_equals_repeated_composition_on_the_tower_twists(family, m):
-    for twist in tower_twists(family, m):
+    tower = build_tower(family, m, build_family(family, m))
+    for inc, sur in zip(tower.inclusions, tower.surjections):
+        twist = sur.then(inc)
         repeated = identity_map(twist.source)
         for n in range(10):
             got = twist.power(n)
