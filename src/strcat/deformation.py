@@ -16,9 +16,13 @@ certifies it):
    resulting power-series quotient transports along the syzygy orbit.
 
 Tower hypotheses are rank- and isomorphism-checked, exactly at every
-prime; maximality of the tower is assumed, not machine-checked, and the
-trail says so.  Reports are data; ``strcat.cli`` renders them as a table,
-JSON or CSV.
+prime.  Every tower map, a canonical map or the projective step of
+``ae1``, has at most one nonzero entry per row, so the check reads the
+maps as index maps: ranks, composites, powers, kernels and images take
+no dense product or elimination, and only the closing Hom and Ext^1 of
+the top module solve linear systems.  Maximality of the tower is
+assumed, not machine-checked, and the trail says so.  Reports are data;
+``strcat.cli`` renders them as a table, JSON or CSV.
 """
 
 from __future__ import annotations
@@ -119,6 +123,48 @@ def check_tower(tower: Tower, module: homology.Representation) -> UdrDescriptor:
     return power_series_quotient(tower.steps + 1)
 
 
+def _windows(letters, verts, length: int, quotient: bool, piece, vertex) -> list[int]:
+    """The positions of the windows of this length of the word with these
+    letters and vertices that are a quotient of its module (or, with
+    ``quotient`` false, a submodule; see ``homology._cuts``), start at
+    ``vertex`` and spell ``piece``."""
+    n = len(letters)
+    return [pos for pos in range(n + 1 - length)
+            if (pos == 0 or letters[pos - 1].inverse == quotient)
+            and (pos + length == n or letters[pos + length].inverse != quotient)
+            and verts[pos] == vertex and letters[pos: pos + length] == piece]
+
+
+def _full_cuts(algebra: Algebra, source: strings.StringWord, target: strings.StringWord,
+               injective: bool) -> list[homology.CanonicalHom]:
+    """The canonical homomorphisms M[source] -> M[target] whose cut is as
+    long as the source (``injective``) or the target, in the order of
+    ``homology.canonical_homs``.
+
+    Such a cut is the whole of the shorter word, which is both a quotient
+    and a submodule window of itself, read either way.  So only the
+    windows of that one length of the longer word are scanned: submodule
+    windows of the target, read either way, for an inclusion, and quotient
+    windows of the source for a projection.  As in ``canonical_homs``,
+    the target read backwards adds only cuts of positive length."""
+    quiver = algebra.quiver
+    verts_s, verts_t = strings.word_vertices(quiver, source), strings.word_vertices(quiver, target)
+    length = source.length if injective else target.length
+    found = []
+    for flip in (False, True) if length else (False,):
+        letters_t = target.inverse().letters if flip else target.letters
+        vt = verts_t[::-1] if flip else verts_t
+        if injective:
+            found += [homology.CanonicalHom(algebra, source, target, flip, 0, pos, length)
+                      for pos in _windows(letters_t, vt, length, False,
+                                          source.letters, verts_s[0])]
+        else:
+            found += [homology.CanonicalHom(algebra, source, target, flip, pos, 0, length)
+                      for pos in _windows(source.letters, verts_s, length, True,
+                                          letters_t, vt[0])]
+    return found
+
+
 def _canonical_map(algebra: Algebra, source: strings.StringWord,
                    target: strings.StringWord, injective: bool) -> homology.ModuleMap:
     """The unique canonical homomorphism M[source] -> M[target] that is
@@ -129,12 +175,11 @@ def _canonical_map(algebra: Algebra, source: strings.StringWord,
     rank L + 1 (each position of the cut goes to its own basis vector),
     and a string of length L has a module of dimension L + 1, so a cut is
     injective (or surjective) exactly when it is as long as the source
-    (or the target).  Only those cuts are kept, there must be exactly one,
-    and only it is realized; ``check_tower`` ranks the maps it gets.
+    (or the target).  Only those cuts are found (``_full_cuts``), there
+    must be exactly one, and only it is realized; ``check_tower`` ranks
+    the maps it gets.
     """
-    full = source.length if injective else target.length
-    found = [ch for ch in homology.canonical_homs(algebra, source, target)
-             if ch.length == full]
+    found = _full_cuts(algebra, source, target, injective)
     if len(found) != 1:
         kind = "inclusion" if injective else "projection"
         raise StrcatError(f"expected one canonical {kind} {source} -> {target}, "

@@ -19,9 +19,11 @@ of rad P, the radical of a module with index maps is read off its
 columns, and a sub-representation reads its arrow matrices off the unit
 columns of its basis.  Such a module's radical series is counted off the
 same index maps, one layer of live basis vectors at a time, with no
-elimination.  Dimensions come from ranks: ``hom_dim`` is the system's
-unknowns less its rank.  Hom(M, -) of 0 -> Omega N -> P_N -> N -> 0 and
-Hom(-, N) of 0 -> Omega M -> P_M -> M -> 0 make ``stable_hom_dim`` and
+elimination.  Module maps whose blocks are index maps, as canonical maps
+and their composites are, compose, check, rank and give their kernels
+and images the same way.  Dimensions come from ranks: ``hom_dim`` is the
+system's unknowns less its rank.  Hom(M, -) of 0 -> Omega N -> P_N -> N ->
+0 and Hom(-, N) of 0 -> Omega M -> P_M -> M -> 0 make ``stable_hom_dim`` and
 ``ext1_dim`` alternating sums of such dimensions; they stay linear, the
 oracle for the counts that ``strcat.deformation`` takes from canonical
 homomorphisms.  Maps are realised as ``ModuleMap``s only on request, by
@@ -63,6 +65,31 @@ def _matrices_agree(left, right, coeff, p: int) -> bool:
     if right is None:
         return not left.any()
     return np.array_equal(left, coeff * right % p)
+
+
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.flags.writeable = False
+    return mat
+
+
+def _read_maps(owner, attr: str) -> dict | None:
+    """The matrices of ``owner`` in the dict ``attr`` (a module's arrow
+    matrices or a map's blocks) as index maps ``(cols, vals)``, by the same
+    key; None when some matrix has two nonzero entries in a row.
+
+    They are read once and kept as ``owner._maps``, where an owner built
+    from index maps has them from the start.  Arrays read here are
+    read-only, because every caller is handed the same ones."""
+    if "_maps" not in vars(owner):
+        maps = {}
+        for key, mat in getattr(owner, attr).items():
+            imap = indexmaps.read(mat)
+            if imap is None:
+                maps = None
+                break
+            maps[key] = tuple(map(_read_only, imap))
+        owner._maps = maps
+    return owner._maps
 
 
 class Representation:
@@ -146,29 +173,26 @@ class Representation:
         return indexmaps.halved(path.arrows, maps.__getitem__,
                                 lambda f, g: indexmaps.compose(f, g, p), products)
 
-    @memoized
     def _row_maps(self) -> dict | None:
-        """Each arrow's matrix as an index map ``(cols, vals)`` (see
-        ``strcat.indexmaps``); None when some matrix has two nonzero
-        entries in a row.  Computed once per module; the arrays are
-        read-only, because the memo hands them to every caller."""
-        maps = {}
-        for name, mat in self.mats.items():
-            rows, cols = np.nonzero(mat)
-            n, width = mat.shape
-            map_cols = np.full(n + 1, width, dtype=np.int64)
-            map_vals = np.zeros(n + 1, dtype=np.int64)
-            map_cols[rows] = cols
-            map_vals[rows] = mat[rows, cols]
-            if np.count_nonzero(map_vals) < len(rows):  # a row held two entries
-                return None
-            maps[name] = _read_only(map_cols), _read_only(map_vals)
-        return maps
+        """Each arrow's matrix as an index map (see ``strcat.indexmaps``),
+        by arrow name; None when some matrix has two nonzero entries in a
+        row.  Read once per module (``_read_maps``)."""
+        return _read_maps(self, "mats")
 
     def __repr__(self) -> str:
         return f"Representation(dim_vector={self.dim_vector()})"
 
     # -- constructors ---------------------------------------------------------
+
+    @classmethod
+    def _of_index_maps(cls, algebra, dims: dict[int, int], maps: dict) -> "Representation":
+        """The module with these dimensions whose arrow matrices are the
+        index maps ``maps``, unchecked; it keeps the maps as its
+        ``_row_maps``."""
+        rep = cls(algebra, dims, {a.name: indexmaps.dense(maps[a.name], dims[a.target])
+                                  for a in algebra.quiver.arrows}, check=False)
+        rep._maps = maps
+        return rep
 
     @classmethod
     def zero(cls, algebra) -> "Representation":
@@ -195,7 +219,15 @@ def direct_sum(reps: list[Representation]) -> Representation:
 
 
 class ModuleMap:
-    """An intertwiner between two representations, stored vertexwise."""
+    """An intertwiner between two representations, stored vertexwise.
+
+    When every block has at most one nonzero entry per row, as for
+    canonical maps between string modules and their composites, the
+    blocks are read once as index maps (``_row_maps``), and composition,
+    powers, the intertwining check, rank, kernel and image read those
+    maps with no dense product or elimination.  A map with a row of two
+    entries, such as a ``hom_basis`` map, takes the dense route.
+    """
 
     def __init__(self, source: Representation, target: Representation,
                  blocks: dict[int, np.ndarray], check: bool = True):
@@ -209,12 +241,50 @@ class ModuleMap:
         if check:
             self.check_intertwining()
 
+    @classmethod
+    def _of_index_maps(cls, source: Representation, target: Representation,
+                       maps: dict) -> "ModuleMap":
+        """The map whose block at each vertex v is the index map
+        ``maps[v]``, unchecked.  It keeps the maps as its ``_row_maps`` and
+        writes its dense blocks only when they are read."""
+        f = cls.__new__(cls)
+        f.source, f.target, f._maps = source, target, maps
+        return f
+
+    @functools.cached_property
+    def blocks(self) -> dict[int, np.ndarray]:
+        # only a map from ``_of_index_maps`` gets here; __init__ sets blocks
+        return {v: indexmaps.dense(imap, self.target.dims[v]) for v, imap in self._maps.items()}
+
+    def _row_maps(self) -> dict | None:
+        """Each block as an index map (see ``strcat.indexmaps``), by
+        vertex; None when some block has two nonzero entries in a row.
+        Read once per map (``_read_maps``)."""
+        return _read_maps(self, "blocks")
+
+    def _index_route(self, *others) -> dict | None:
+        """This map's index maps when it and every map or module in
+        ``others`` has them, else None."""
+        maps = self._row_maps()
+        if maps is None or any(x._row_maps() is None for x in others):
+            return None
+        return maps
+
     def check_intertwining(self):
-        p = self.source.algebra.p
-        for a in self.source.algebra.quiver.arrows:
-            lhs = linalg.mat_mul(self.blocks[a.source], self.target.mats[a.name], p)
-            rhs = linalg.mat_mul(self.source.mats[a.name], self.blocks[a.target], p)
-            if not np.array_equal(lhs, rhs):
+        """Each arrow must commute with the map; on index maps, both ways
+        round the square are composed as maps."""
+        M, N, p = self.source, self.target, self.source.algebra.p
+        maps = self._index_route(M, N)
+        if maps is not None:
+            arrows_m, arrows_n = M._row_maps(), N._row_maps()
+        for a in M.algebra.quiver.arrows:
+            if maps is None:
+                ok = np.array_equal(linalg.mat_mul(self.blocks[a.source], N.mats[a.name], p),
+                                    linalg.mat_mul(M.mats[a.name], self.blocks[a.target], p))
+            else:
+                ok = indexmaps.agree(indexmaps.compose(maps[a.source], arrows_n[a.name], p),
+                                     indexmaps.compose(arrows_m[a.name], maps[a.target], p), 1, p)
+            if not ok:
                 raise StrcatError(f"map is not a module map at arrow {a.name}")
 
     def then(self, other: "ModuleMap") -> "ModuleMap":
@@ -226,27 +296,35 @@ class ModuleMap:
                 and all(np.array_equal(mid.mats[a], tgt.mats[a]) for a in tgt.mats)):
             raise StrcatError("maps do not compose")
         p = self.source.algebra.p
-        blocks = {v: linalg.mat_mul(self.blocks[v], other.blocks[v], p)
-                  for v in self.blocks}
+        maps = self._index_route(other)
+        if maps is not None:
+            return ModuleMap._of_index_maps(self.source, other.target, {
+                v: indexmaps.compose(maps[v], other._row_maps()[v], p) for v in maps})
+        blocks = {v: linalg.mat_mul(self.blocks[v], other.blocks[v], p) for v in self.blocks}
         return ModuleMap(self.source, other.target, blocks, check=False)
 
     def power(self, n: int) -> "ModuleMap":
         """The n-th power of an endomorphism, the identity for n = 0, by
-        binary exponentiation: floor(log2 n) squarings and popcount(n)
-        products onto the identity.  Powers of one map commute, so the
-        order of the products does not change the exact result."""
+        binary exponentiation: floor(log2 n) squarings and popcount(n) - 1
+        products of the squares.  Powers of one map commute, so the order
+        of the products does not change the exact result."""
         if self.source.dim_vector() != self.target.dim_vector():
             raise StrcatError("powers need an endomorphism")
-        out, square = identity_map(self.source), self
+        out, square = None, self
         while n:
             if n & 1:
-                out = out.then(square)
+                out = square if out is None else out.then(square)
             n >>= 1
             if n:
                 square = square.then(square)
-        return out
+        return identity_map(self.source) if out is None else out
 
     def rank(self) -> int:
+        """The sum of the block ranks; for index maps, the number of
+        distinct columns that rows hit with a nonzero value."""
+        maps = self._row_maps()
+        if maps is not None:
+            return sum(len(indexmaps.hit(imap)) for imap in maps.values())
         p = self.source.algebra.p
         return sum(linalg.rank(blk, p) for blk in self.blocks.values())
 
@@ -262,8 +340,8 @@ class ModuleMap:
 
 
 def identity_map(rep: Representation) -> ModuleMap:
-    blocks = {v: np.eye(rep.dims[v], dtype=np.int64) for v in rep.dims}
-    return ModuleMap(rep, rep, blocks, check=False)
+    return ModuleMap._of_index_maps(rep, rep, {v: indexmaps.identity(n)
+                                               for v, n in rep.dims.items()})
 
 
 # -- Hom spaces ----------------------------------------------------------------
@@ -389,17 +467,61 @@ def _induced_subrep(parent: Representation, rows: dict[int, np.ndarray],
     return Representation(alg, dims, mats, check=False)
 
 
+def _spanned(parent: Representation, units: dict[int, np.ndarray]) -> Representation:
+    """The sub-representation spanned by the basis vectors ``units[v]``
+    (in increasing order) at each vertex v.
+
+    With index maps for the parent's arrows, each arrow's matrix is the
+    parent's map on those vectors, its columns renumbered among them, and
+    the span is closed exactly when no live row leaves them: no product
+    is formed.  Any other parent goes through ``_induced_subrep``."""
+    maps = parent._row_maps()
+    if maps is None:
+        return _induced_subrep(parent, {v: np.eye(parent.dims[v], dtype=np.int64)[units[v]]
+                                        for v in units}, units)
+    # the parent's rows at the unit vectors and its sentinel row, and the
+    # position of each parent column among the unit vectors
+    picked, position = {}, {}
+    for v, n in parent.dims.items():
+        picked[v] = np.append(units[v], n).astype(np.int64)
+        position[v] = np.full(n + 1, -1, dtype=np.int64)
+        position[v][picked[v]] = np.arange(len(picked[v]))
+    sub = {}
+    for a in parent.algebra.quiver.arrows:
+        cols, vals = maps[a.name]
+        sub[a.name] = position[a.target][cols[picked[a.source]]], vals[picked[a.source]]
+        if (sub[a.name][0] < 0).any():
+            raise StrcatError("subspace is not closed under the arrow action")
+    return Representation._of_index_maps(parent.algebra, {v: len(u) for v, u in units.items()},
+                                         sub)
+
+
 def kernel_of(f: ModuleMap) -> Representation:
-    """The kernel sub-representation of a module map."""
+    """The kernel sub-representation of a module map.  An index-map
+    block's kernel is read off its fibres (``_fibres``), and is spanned by
+    the rows the map kills unless two live rows share a column; any other
+    block is eliminated."""
     p = f.source.algebra.p
+    maps = f._row_maps()
     rows, units = {}, {}
-    for v, block in f.blocks.items():
-        rows[v], units[v] = linalg.kernel_rows(*linalg.rref(block.T, p), p)
+    for v, dim in f.target.dims.items():
+        if maps is None:
+            rows[v], units[v] = linalg.kernel_rows(*linalg.rref(f.blocks[v].T, p), p)
+        else:
+            cols, vals = maps[v]
+            rows[v], units[v], _ = _fibres(cols[:-1], vals[:-1], dim, p)
+    if maps is not None and all(np.count_nonzero(r) == len(r) for r in rows.values()):
+        return _spanned(f.source, units)
     return _induced_subrep(f.source, rows, units)
 
 
 def image_of(f: ModuleMap) -> Representation:
-    """The image sub-representation inside the target."""
+    """The image sub-representation inside the target.  An index-map
+    block's image is spanned by the basis vectors it hits, the unit rows
+    of its RREF; any other block is eliminated."""
+    maps = f._row_maps()
+    if maps is not None:
+        return _spanned(f.target, {v: indexmaps.hit(imap) for v, imap in maps.items()})
     p = f.source.algebra.p
     rows, units = {}, {}
     for v, block in f.blocks.items():
@@ -500,11 +622,6 @@ class Presentation:
     section: dict[int, np.ndarray]
 
 
-def _read_only(mat: np.ndarray) -> np.ndarray:
-    mat.flags.writeable = False
-    return mat
-
-
 def _cover_rows(M: Representation, maps: dict, generators) -> dict:
     """Each row (g, q) of the cover at each vertex w, in the cover's order,
     as an index map onto M_w: the column that path q sends generator g to,
@@ -532,25 +649,28 @@ def _cover_rows(M: Representation, maps: dict, generators) -> dict:
 
 
 def _fibres(cols: np.ndarray, vals: np.ndarray, m: int, p: int):
-    """Kernel rows, free columns and section of a cover block whose row r
-    is ``vals[r]`` times unit vector ``cols[r]`` of M_w (dimension m).
+    """Kernel rows, free columns and section of a block whose row r is
+    ``vals[r]`` times unit vector ``cols[r]`` of a space of dimension m,
+    such as a cover block onto M_w or an index-map block of a module map.
 
     The rows sent to column j with a nonzero value form its fibre, whose
-    first row r0 is a pivot of the RREF of [epi_w^T | I]: that row of the
+    first row r0 is a pivot of the RREF of [block^T | I]: that row of the
     RREF is the fibre's values over val_r0, beside e_j / val_r0.  So every
     other row f of the fibre is free with kernel row e_f - (val_f /
     val_r0) e_r0, a killed row is free with a unit kernel row, and the
     section holds 1 / val_r0 at (j, r0): the arrays that elimination gives,
-    since an RREF is unique.  An empty fibre means epi_w is not onto."""
+    since an RREF is unique.  A column with an empty fibre, which no row
+    hits, has a zero row in the section."""
     n = len(cols)
     live = vals != 0
     first = np.full(m, n)
     np.minimum.at(first, cols[live], np.arange(n)[live])
-    if (first == n).any():
-        raise StrcatError("projective cover map failed to be surjective")
-    inverse = np.array([pow(int(x), -1, p) for x in vals[first]], dtype=np.int64)
+    hit = first < n
+    pivots = first[hit]
+    inverse = np.zeros(m, dtype=np.int64)
+    inverse[hit] = [pow(int(x), -1, p) for x in vals[pivots]]
     is_free = np.ones(n, dtype=bool)
-    is_free[first] = False
+    is_free[pivots] = False
     free = is_free.nonzero()[0]
     kernel = np.zeros((len(free), n), dtype=np.int64)
     kernel[np.arange(len(free)), free] = 1
@@ -558,7 +678,7 @@ def _fibres(cols: np.ndarray, vals: np.ndarray, m: int, p: int):
     j = cols[free[dup]]
     kernel[dup, first[j]] = -vals[free[dup]] * inverse[j] % p
     section = np.zeros((m, n), dtype=np.int64)
-    section[np.arange(m), first] = inverse
+    section[hit, pivots] = inverse[hit]
     return kernel, free, section
 
 
@@ -609,14 +729,16 @@ def presentation(M: Representation) -> Presentation:
         blocks = {w: np.concatenate([acts[v][w][:, c] for v, c in generators])
                   for w in alg.quiver.vertices}
         parts = {w: _eliminated(blocks[w], p) for w in alg.quiver.vertices}
+        epi = ModuleMap(P, M, blocks)
     else:
-        blocks, parts = {}, {}
+        epi_maps, parts = {}, {}
         for w, (cols, vals) in _cover_rows(M, maps, generators).items():
-            block = np.zeros((len(cols), M.dims[w] + 1), dtype=np.int64)
-            block[np.arange(len(cols)), cols] = vals  # a killed row hits the extra column
-            blocks[w] = block[:, :-1]
             parts[w] = _fibres(cols, vals, M.dims[w], p)
-    epi = ModuleMap(P, M, blocks)
+            if np.count_nonzero(parts[w][2]) < M.dims[w]:  # a column no cover row hits
+                raise StrcatError("projective cover map failed to be surjective")
+            epi_maps[w] = np.append(cols, M.dims[w]), np.append(vals, 0)  # the sentinel row
+        epi = ModuleMap._of_index_maps(P, M, epi_maps)
+        epi.check_intertwining()
     rad_P = radical_rows(P)
     kernel, free, section = {}, {}, {}
     for w, (ker_rows, ker_free, sec) in parts.items():
@@ -773,21 +895,29 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
 
 def realize_canonical(ch: CanonicalHom) -> ModuleMap:
     """The explicit matrix of a canonical homomorphism: a 1 from each
-    position of the cut in the source to its position in the target."""
+    position of the cut in the source to its position in the target,
+    written per vertex as an index map."""
     from .strings import string_module, word_layout
 
     algebra = ch.algebra
     M = string_module(algebra, ch.source)
     N = string_module(algebra, ch.target)
-    blocks = {v: np.zeros((M.dims[v], N.dims[v]), dtype=np.int64)
-              for v in algebra.quiver.vertices}
-    verts_s, local_s = word_layout(algebra.quiver, ch.source)
-    verts_t, local_t = word_layout(algebra.quiver, ch.target)
-    nt = len(verts_t) - 1
-    for k in range(ch.length + 1):
-        j_s = ch.source_pos + k
-        j_t = (nt - (ch.target_pos + k)) if ch.target_flip else ch.target_pos + k
-        if verts_t[j_t] != verts_s[j_s]:
-            raise StrcatError("cut does not align vertexwise")
-        blocks[verts_s[j_s]][local_s[j_s], local_t[j_t]] = 1
-    return ModuleMap(M, N, blocks)
+    verts_s, local_s = map(np.asarray, word_layout(algebra.quiver, ch.source))
+    verts_t, local_t = map(np.asarray, word_layout(algebra.quiver, ch.target))
+    k = np.arange(ch.length + 1)
+    j_s, j_t = ch.source_pos + k, ch.target_pos + k
+    if ch.target_flip:
+        j_t = len(verts_t) - 1 - j_t
+    if (verts_t[j_t] != verts_s[j_s]).any():
+        raise StrcatError("cut does not align vertexwise")
+    maps = {}
+    for v in algebra.quiver.vertices:
+        at = verts_s[j_s] == v
+        rows = local_s[j_s[at]]
+        cols = np.full(M.dims[v] + 1, N.dims[v], dtype=np.int64)
+        vals = np.zeros(M.dims[v] + 1, dtype=np.int64)
+        cols[rows], vals[rows] = local_t[j_t[at]], 1
+        maps[v] = cols, vals
+    f = ModuleMap._of_index_maps(M, N, maps)
+    f.check_intertwining()
+    return f

@@ -6,7 +6,8 @@ sentinel row n at the end, go to the column past the last one with value
 0, so a killed vector stays killed under composition.  String modules
 and projectives have such arrow matrices, and so does an algebra's
 right action of an arrow on its basis, the column past the last being
-the algebra's zero index ``dim``.
+the algebra's zero index ``dim``.  ``read`` finds such a map in a dense
+matrix and ``dense`` writes one back.
 """
 
 import numpy as np
@@ -30,6 +31,35 @@ def halved(word: tuple[str, ...], leaf, product, products: dict):
     return products[word]
 
 
+def read(mat: np.ndarray):
+    """The index map of a matrix, or None when some row of it holds two
+    nonzero entries."""
+    rows, cols = np.nonzero(mat)
+    n, width = mat.shape
+    map_cols = np.full(n + 1, width, dtype=np.int64)
+    map_vals = np.zeros(n + 1, dtype=np.int64)
+    map_cols[rows] = cols
+    map_vals[rows] = mat[rows, cols]
+    if np.count_nonzero(map_vals) < len(rows):  # a row held two entries
+        return None
+    return map_cols, map_vals
+
+
+def dense(imap, width: int) -> np.ndarray:
+    """The matrix of an index map into ``width`` columns."""
+    cols, vals = imap
+    out = np.zeros((len(cols) - 1, width + 1), dtype=np.int64)
+    out[np.arange(len(cols) - 1), cols[:-1]] = vals[:-1]  # a killed row hits the extra column
+    return out[:, :width]
+
+
+def hit(imap) -> np.ndarray:
+    """The columns that some row goes to with a nonzero value, in
+    increasing order: the pivots of the map's RREF."""
+    cols, vals = imap
+    return np.flatnonzero(np.bincount(cols[vals != 0]))
+
+
 def compose(first, then, p: int):
     """The map ``first`` followed by ``then``."""
     cols, vals = first
@@ -48,6 +78,5 @@ def agree(left, right, coeff, p: int) -> bool:
     values agree, and so do the columns wherever the value is nonzero."""
     if right is None:
         return not np.count_nonzero(left[1])
-    live = left[1] != 0
-    return (np.array_equal(left[1], coeff * right[1] % p)
-            and np.array_equal(left[0][live], right[0][live]))
+    vals = right[1] if coeff == 1 else coeff * right[1] % p
+    return bool(((left[1] == vals) & ((left[0] == right[0]) | (vals == 0))).all())

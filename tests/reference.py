@@ -10,6 +10,7 @@ from strcat.errors import AlgebraMismatch
 from strcat.homology import (
     ModuleMap,
     Representation,
+    canonical_homs,
     hom_basis,
     path_action,
     projective_cover,
@@ -624,3 +625,11 @@ def four_orientation_canonical_homs(algebra, S, T):
                     seen.add(key)
                     out.append(record)
     return out
+
+
+def filtered_full_cuts(algebra, source, target, injective):
+    """The canonical homomorphisms M[source] -> M[target] whose cut is as
+    long as the source (``injective``) or the target, kept from the whole
+    list of ``canonical_homs``."""
+    full = source.length if injective else target.length
+    return [ch for ch in canonical_homs(algebra, source, target) if ch.length == full]

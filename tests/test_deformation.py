@@ -33,12 +33,14 @@ from strcat import (
     deformation,
     families,
     homology,
+    linalg,
     load_algebra_spec,
     syzygy,
 )
 from strcat.deformation import (
     _canonical_map,
     _counted_stable_hom,
+    _full_cuts,
     expected_classification,
     power_series_quotient,
     trivial_ring,
@@ -52,7 +54,7 @@ from strcat.strings import family_node_names
 
 from .builders import ae1, ae2, ae3, brauer_line_spec
 from .oracles import ORACLE_CASES
-from .reference import flat_map, socle_dims
+from .reference import filtered_full_cuts, flat_map, socle_dims
 from .test_quiver_core import built_or_skipped, small_specs
 
 
@@ -272,6 +274,60 @@ def test_check_tower_composes_logarithmically_many_maps_per_step(monkeypatch):
     assert check_tower(tower, base) == power_series_quotient(m + 1)
     steps = range(1, tower.steps + 1)
     assert len(calls) <= sum(2 * (l.bit_length() - 1) + 2 for l in steps) < 2144
+
+
+def test_check_tower_multiplies_and_eliminates_nothing_before_its_last_hom(monkeypatch):
+    # every tower map is an index map, so rank, composites, powers,
+    # kernels and images take no dense product or elimination; only the
+    # closing hom_dim and ext1_dim solve linear systems
+    m = 64
+    A = build_family("ae1", m)
+    tower = build_tower("ae1", m, A)
+    base = string_module(A, named_string("ae1", m, "V0"))
+    calls = []
+    for name in ("mat_mul", "rref"):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(linalg, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    real_hom_dim = homology.hom_dim
+    monkeypatch.setattr(homology, "hom_dim",
+                        lambda M, N: calls.append("hom_dim") or real_hom_dim(M, N))
+    assert check_tower(tower, base) == power_series_quotient(m + 1)
+    assert "hom_dim" in calls
+    assert calls[: calls.index("hom_dim")] == []
+
+
+@pytest.mark.parametrize("family", ["ae1", "ae2", "ae3"])
+def test_full_cuts_equal_the_filtered_canonical_homs(family):
+    # the direct scan of one window length against the old route: every
+    # canonical hom listed, then kept when its cut has the full length
+    for m in range(get_family(family).m_min, 17):
+        A = build_family(family, m)
+        words = [named_string(family, m, n) for n in families.get(family).tower(m)]
+        for small, big in zip(words, words[1:]):
+            for source, target, injective in ((small, big, True), (big, small, False)):
+                want = filtered_full_cuts(A, source, target, injective)
+                assert _full_cuts(A, source, target, injective) == want, (m, source, target)
+                assert len(want) == 1
+
+
+def test_full_cuts_match_the_filter_on_every_pair_of_strings():
+    for family, m in (("ae1", 4), ("ae2", 3), ("ae3", 4)):
+        A = build_family(family, m)
+        nodes = enumerate_strings(A)
+        for S in nodes:
+            for T in nodes:
+                for injective in (True, False):
+                    assert (_full_cuts(A, S, T, injective)
+                            == filtered_full_cuts(A, S, T, injective)), (S, T, injective)
+
+
+def test_canonical_map_needs_exactly_one_full_cut():
+    # a longer string has no window in a shorter one
+    A = ae2(2)
+    with pytest.raises(StrcatError, match="^expected one canonical inclusion .* found 0$"):
+        _canonical_map(A, named_string("ae2", 2, "M3"), named_string("ae2", 2, "M1"),
+                       injective=True)
 
 
 def test_power_needs_an_endomorphism():

@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import math
 import random
@@ -984,3 +985,148 @@ def test_relation_check_of_a_module_after_a_change_of_basis():
             assert_relation_check_matches_a_dense_fold(C)
             failed += first_failing_rule(C) is not None
     assert failed
+
+
+# -- module maps read as index maps ----------------------------------------------------
+
+
+@contextlib.contextmanager
+def dense_route():
+    """No module or map reads as index maps inside, so that ModuleMap,
+    ``kernel_of``, ``image_of`` and the sub-representations take the
+    elimination and dense-product route: the oracle of the index-map
+    route."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ModuleMap, "_row_maps", lambda self: None)
+        patch.setattr(Representation, "_row_maps", lambda self: None)
+        yield
+
+
+def map_facts(f, back=()):
+    """What the routes must agree on for the map f: its rank, its kernel
+    and image, its composites with each map of ``back``, and its powers
+    n <= 5 when it is an endomorphism; the message where a step raises."""
+    def attempt(step):
+        try:
+            return step()
+        except StrcatError as exc:
+            return str(exc)
+
+    return {
+        "rank": f.rank(),
+        "kernel": attempt(lambda: kernel_of(f)),
+        "image": attempt(lambda: image_of(f)),
+        "intertwining": attempt(f.check_intertwining),
+        "then": [flat_map(f.then(g)).tolist() for g in back],
+        "power": attempt(lambda: [flat_map(f.power(n)).tolist() for n in range(6)]),
+    }
+
+
+def described(facts):
+    """The facts with each module as its dimension vector, arrow matrices
+    and the canonical form of the word its basis graph spells, if any."""
+    def describe(M):
+        if isinstance(M, str):
+            return M
+        word = strings.module_word(M)
+        return (M.dim_vector(), [M.mats[a].tolist() for a in sorted(M.mats)],
+                None if word is None else strings.canonical(word, M.algebra.quiver))
+
+    return {**facts, "kernel": describe(facts["kernel"]), "image": describe(facts["image"])}
+
+
+def assert_routes_agree(f, back=()):
+    """The index-map route for f gives what the dense route gives."""
+    assert f._row_maps() is not None
+    got = map_facts(f, back)
+    with dense_route():
+        assert f._row_maps() is None
+        want = map_facts(f, back)
+    got, want = described(got), described(want)
+    assert got == want
+    return got
+
+
+CANONICAL_CASES = [(family, m, p) for family in ("ae1", "ae2", "ae3")
+                   for m in range(get_family(family).m_min, 5) for p in (2, 3, DEFAULT_PRIME)]
+
+
+@pytest.mark.parametrize("family,m,p", CANONICAL_CASES)
+def test_canonical_maps_read_as_index_maps_agree_with_the_dense_route(family, m, p):
+    # rank, kernel, image and intertwining of every canonical hom between
+    # strings, its composites with every canonical hom back, and its powers
+    A = build_family(family, m, p)
+    nodes = enumerate_strings(A)
+    maps = {(S, T): [realize_canonical(ch) for ch in canonical_homs(A, S, T)]
+            for S in nodes for T in nodes}
+    for (S, T), homs in maps.items():
+        for f in homs:
+            facts = assert_routes_agree(f, maps[T, S])
+            assert facts["intertwining"] is None
+            assert facts["rank"] == f.source.total_dim - sum(facts["kernel"][0])
+            assert facts["rank"] == sum(facts["image"][0])
+            assert isinstance(facts["power"], list) == (S == T)
+
+
+@st.composite
+def index_map_blocks(draw, source, target, p):
+    """Blocks source -> target with at most one nonzero entry per row:
+    rows killed or sent to any column, columns repeated, values any
+    residue; a vertex where either side is zero gives an empty block."""
+    blocks = {}
+    for v in source.algebra.quiver.vertices:
+        rows, cols = source.dims[v], target.dims[v]
+        block = np.zeros((rows, cols), dtype=np.int64)
+        for r in range(rows if cols else 0):
+            block[r, draw(st.integers(0, cols - 1))] = draw(st.integers(0, p - 1))
+        blocks[v] = block
+    return blocks
+
+
+@st.composite
+def index_module_maps(draw):
+    """A map between string modules of ``ae2``/``ae3`` read as index maps,
+    with a map back for composites: either random blocks, which are
+    seldom module maps, or canonical maps stacked on a sum of copies of
+    the source and scaled, which are module maps with repeated columns."""
+    family, m = draw(st.sampled_from([("ae2", 2), ("ae3", 3)]))
+    p = draw(st.sampled_from([2, 3, DEFAULT_PRIME]))
+    A = build_family(family, m, p)
+    nodes = enumerate_strings(A)
+    S, T = draw(st.sampled_from(nodes)), draw(st.sampled_from(nodes))
+    M, N = string_module(A, S), string_module(A, T)
+    homs = canonical_homs(A, S, T)
+    if homs and draw(st.booleans()):
+        picked = draw(st.lists(st.sampled_from(homs), min_size=1, max_size=3))
+        scales = draw(st.lists(st.integers(0, p - 1), min_size=len(picked),
+                               max_size=len(picked)))
+        blocks = {v: np.vstack([c * realize_canonical(ch).blocks[v]
+                                for c, ch in zip(scales, picked)])
+                  for v in A.quiver.vertices}
+        M = direct_sum([M] * len(picked))
+    else:
+        blocks = draw(index_map_blocks(M, N, p))
+    f = ModuleMap(M, N, blocks, check=False)
+    back = ModuleMap(N, M, draw(index_map_blocks(N, M, p)), check=False)
+    return f, back
+
+
+@given(index_module_maps())
+def test_random_index_maps_agree_with_the_dense_route(case):
+    f, back = case
+    assert_routes_agree(f, [back])
+
+
+def test_a_broken_index_map_intertwiner_is_refused():
+    # the identity on the simple top of V1 of ae1, kept on V1 itself:
+    # the loop sends the top to the socle, which the map kills
+    A = ae1(3)
+    M = module(A, "ae1", 3, "V1")
+    f = ModuleMap(M, M, {0: np.diag([1, 0])}, check=False)
+    assert f._row_maps() is not None and M._row_maps() is not None
+    with pytest.raises(StrcatError, match="^map is not a module map at arrow a$"):
+        f.check_intertwining()
+    with pytest.raises(StrcatError, match="^map is not a module map at arrow a$"):
+        ModuleMap(M, M, {0: np.diag([1, 0])})
+    with dense_route(), pytest.raises(StrcatError, match="^map is not a module map at arrow a$"):
+        f.check_intertwining()
