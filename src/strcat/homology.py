@@ -72,24 +72,18 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def _read_maps(owner, attr: str) -> dict | None:
-    """The matrices of ``owner`` in the dict ``attr`` (a module's arrow
-    matrices or a map's blocks) as index maps ``(cols, vals)``, by the same
-    key; None when some matrix has two nonzero entries in a row.
-
-    They are read once and kept as ``owner._maps``, where an owner built
-    from index maps has them from the start.  Arrays read here are
-    read-only, because every caller is handed the same ones."""
-    if "_maps" not in vars(owner):
-        maps = {}
-        for key, mat in getattr(owner, attr).items():
-            imap = indexmaps.read(mat)
-            if imap is None:
-                maps = None
-                break
-            maps[key] = tuple(map(_read_only, imap))
-        owner._maps = maps
-    return owner._maps
+def _index_maps(mats: dict) -> dict | None:
+    """Each matrix of ``mats`` as an index map ``(cols, vals)`` (see
+    ``strcat.indexmaps``), by the same key; None when some matrix has two
+    nonzero entries in a row.  The arrays are read-only, because a memo
+    hands them to every caller."""
+    maps = {}
+    for key, mat in mats.items():
+        imap = indexmaps.read(mat)
+        if imap is None:
+            return None
+        maps[key] = tuple(map(_read_only, imap))
+    return maps
 
 
 class Representation:
@@ -173,11 +167,11 @@ class Representation:
         return indexmaps.halved(path.arrows, maps.__getitem__,
                                 lambda f, g: indexmaps.compose(f, g, p), products)
 
+    @memoized
     def _row_maps(self) -> dict | None:
-        """Each arrow's matrix as an index map (see ``strcat.indexmaps``),
-        by arrow name; None when some matrix has two nonzero entries in a
-        row.  Read once per module (``_read_maps``)."""
-        return _read_maps(self, "mats")
+        """Each arrow's matrix as an index map, by arrow name, or None
+        (``_index_maps``); read once per module."""
+        return _index_maps(self.mats)
 
     def __repr__(self) -> str:
         return f"Representation(dim_vector={self.dim_vector()})"
@@ -191,7 +185,7 @@ class Representation:
         ``_row_maps``."""
         rep = cls(algebra, dims, {a.name: indexmaps.dense(maps[a.name], dims[a.target])
                                   for a in algebra.quiver.arrows}, check=False)
-        rep._maps = maps
+        cls._row_maps.seed(rep, maps)
         return rep
 
     @classmethod
@@ -257,10 +251,12 @@ class ModuleMap:
         return {v: indexmaps.dense(imap, self.target.dims[v]) for v, imap in self._maps.items()}
 
     def _row_maps(self) -> dict | None:
-        """Each block as an index map (see ``strcat.indexmaps``), by
-        vertex; None when some block has two nonzero entries in a row.
-        Read once per map (``_read_maps``)."""
-        return _read_maps(self, "blocks")
+        """Each block as an index map, by vertex, or None
+        (``_index_maps``); read once per map, or given by
+        ``_of_index_maps``."""
+        if "_maps" not in vars(self):
+            self._maps = _index_maps(self.blocks)
+        return self._maps
 
     def _index_route(self, *others) -> dict | None:
         """This map's index maps when it and every map or module in

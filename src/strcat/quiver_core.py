@@ -598,7 +598,9 @@ def memoized(fn):
     A call without keywords is keyed by its arguments plus the defaults of
     the trailing parameters it leaves out, computed once here; only calls
     with keywords, and calls that cannot bind, go through
-    ``Signature.bind``, which raises the usual TypeError for the latter."""
+    ``Signature.bind``, which raises the usual TypeError for the latter.
+    ``seed(owner, value, *key)`` stores a result that a caller already
+    has, under the key of the call with those arguments."""
     signature = inspect.signature(fn)
     params = list(signature.parameters.values())
     positional = all(param.kind is param.POSITIONAL_OR_KEYWORD for param in params)
@@ -619,6 +621,10 @@ def memoized(fn):
             owner.memo[slot] = fn(*args)
         return owner.memo[slot]
 
+    def seed(owner, value, *key):
+        owner.memo[(fn.__name__, *key, *defaults[1 + len(key):])] = value
+
+    wrapper.seed = seed
     return wrapper
 
 
