@@ -126,7 +126,7 @@ def check_tower(tower: Tower, module: homology.Representation) -> UdrDescriptor:
 def _windows(letters, verts, length: int, quotient: bool, piece, vertex) -> list[int]:
     """The positions of the windows of this length of the word with these
     letters and vertices that are a quotient of its module (or, with
-    ``quotient`` false, a submodule; see ``homology._cuts``), start at
+    ``quotient`` false, a submodule; see ``homology._WordCuts``), start at
     ``vertex`` and spell ``piece``."""
     n = len(letters)
     return [pos for pos in range(n + 1 - length)

@@ -34,8 +34,10 @@ are the combinatorial oracle for Hom dimensions, counted from substring
 cuts and realized as explicit projection-then-inclusion matrices.  A cut
 pairs a quotient window of the source word, read as given, with an equal
 submodule window of the target word read either way; reversing both
-words would only reverse the cut and keep its matrix.  Its 1s are placed
-by ``strings.word_layout``, the numbering ``string_module`` builds on.
+words would only reverse the cut and keep its matrix.  A pair of window
+starts carries at most one cut, so the cuts are found one per start pair
+(``canonical_homs``).  Its 1s are placed by ``strings.word_layout``, the
+numbering ``string_module`` builds on.
 """
 
 from __future__ import annotations
@@ -843,15 +845,73 @@ class CanonicalHom(NamedTuple):
     length: int
 
 
-def _cuts(letters, quotient: bool) -> list[tuple[int, int]]:
-    """Windows (pos, length) of the word with these letters that are a
-    quotient of its module (inverse letter before, direct letter after) or,
-    with ``quotient`` false, a submodule (direct before, inverse after)."""
+class _WordCuts(NamedTuple):
+    """What ``canonical_homs`` reads of one word (``_word_cuts``): its
+    quotient windows as given, and its submodule windows as given and
+    read backwards.  A quotient window starts at 0 or after an inverse
+    letter and ends at the end or before a direct one; a submodule window
+    starts at 0 or after a direct letter and ends at the end or before an
+    inverse one.  Each reading is ``_windows``' tuple."""
+
+    quotient: tuple
+    submodule: tuple[tuple, tuple]
+
+
+def _windows(letters: str, verts: list[int], opens: list[bool], closes: list[bool]) -> tuple:
+    """The windows that start at 0 or after a letter with ``opens`` and end
+    at the end or before a letter with ``closes``, as ``(letters, starts,
+    empty, ends)``: the letters, one character each; the starts of
+    nonempty windows by first letter; the empty windows by vertex; and,
+    per position, whether a window may end there."""
     n = len(letters)
-    return [(pos, length) for pos in range(n + 1)
-            if pos == 0 or letters[pos - 1].inverse == quotient
-            for length in range(n + 1 - pos)
-            if pos + length == n or letters[pos + length].inverse != quotient]
+    ends = closes + [True]
+    starts: dict[str, list[int]] = {}
+    empty: dict[int, list[int]] = {}
+    for t in range(n + 1):
+        if t == 0 or opens[t - 1]:
+            if t < n:
+                starts.setdefault(letters[t], []).append(t)
+            if ends[t]:
+                empty.setdefault(verts[t], []).append(t)
+    return letters, starts, empty, ends
+
+
+@memoized
+def _word_cuts(algebra, word) -> _WordCuts:
+    """The cut table of a word, built once per algebra after the word is
+    checked to be a string whose module satisfies the rules
+    (``strings.check_string_module``).  A letter's character is
+    ``chr(2 * arrow index + inverse)``."""
+    from .strings import check_string_module, word_vertices
+
+    check_string_module(algebra, word)
+    quiver = algebra.quiver
+    verts = word_vertices(quiver, word)
+    code = {l: chr(2 * quiver.arrow_index(l.arrow) + l.inverse) for l in set(word.letters)}
+    text = "".join([code[l] for l in word.letters])
+    # the inverse word reverses the letters and flips each one's last bit
+    back = text[::-1].translate({k: k ^ 1 for k in range(2 * len(quiver.arrows))})
+    inverse = [l.inverse for l in word.letters]
+    direct = [not i for i in inverse]
+    return _WordCuts(_windows(text, verts, inverse, direct),
+                     (_windows(text, verts, direct, inverse),
+                      _windows(back, verts[::-1], inverse[::-1], direct[::-1])))
+
+
+def _common_extension(a: str, i: int, b: str, j: int) -> int:
+    """The length of the longest common prefix of a[i:] and b[j:]: one
+    whole-slice comparison, then a binary search on slices."""
+    n = min(len(a) - i, len(b) - j)
+    if b.startswith(a[i: i + n], j):
+        return n
+    lo, hi = 0, n - 1  # a[i: i + lo] matches; a[i: i + hi + 1] is the most that may
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if b.startswith(a[i: i + mid], j):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
@@ -861,31 +921,35 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
     as given and T both ways.  Distinct cuts give distinct matrices, except
     that an empty cut is found in both readings, so T read backwards adds
     only cuts of positive length.  The count equals dim Hom(M[S], M[T]).
-    Each word is first checked to be a string whose module satisfies the
-    rules (``strings.check_string_module``, memoized per word), with no
-    module built.
-    """
-    from .strings import check_string_module, word_vertices
 
-    for w in (S, T):
-        check_string_module(algebra, w)
-    verts_s, verts_t = word_vertices(algebra.quiver, S), word_vertices(algebra.quiver, T)
-    s_cuts = _cuts(S.letters, quotient=True)
+    A cut is a quotient window of S equal to a submodule window of T.  A
+    quotient start s of S and a submodule start t of T carry at most one
+    cut, of length L, the longest common extension of S[s:] and T[t:]:
+    for a shorter L the next letter S[s+L] = T[t+L] would have to be
+    direct, to end the quotient window, and inverse, to end the submodule
+    window.  So the cuts are the start pairs whose common extension ends
+    validly in both words, plus the empty cuts at one vertex, and each
+    pair of starts with equal first letters costs one extension.  Each
+    word is first checked to be a string whose module satisfies the rules,
+    with no module built, and read into its cut table (``_word_cuts``),
+    once per algebra.  The records come in order of target_flip,
+    source_pos, length and target_pos.
+    """
+    a, q_starts, q_empty, q_ends = _word_cuts(algebra, S).quotient
     out: list[CanonicalHom] = []
-    for t_flip in (False, True):
-        lt = T.inverse().letters if t_flip else T.letters
-        vt = verts_t[::-1] if t_flip else verts_t
-        by_len: dict[int, list[int]] = {}
-        for tpos, length in _cuts(lt, quotient=False):
-            if length or not t_flip:
-                by_len.setdefault(length, []).append(tpos)
-        for spos, length in s_cuts:
-            piece = S.letters[spos: spos + length]
-            for tpos in by_len.get(length, []):
-                # an empty cut matches on its vertex alone
-                if vt[tpos] != verts_s[spos] or lt[tpos: tpos + length] != piece:
-                    continue
-                out.append(CanonicalHom(algebra, S, T, t_flip, spos, tpos, length))
+    for t_flip, (b, t_starts, t_empty, t_ends) in zip((False, True),
+                                                     _word_cuts(algebra, T).submodule):
+        # an empty cut matches on its vertex alone
+        found = [] if t_flip else [(spos, 0, tpos) for v, at in q_empty.items()
+                                   for spos in at for tpos in t_empty.get(v, ())]
+        for letter, at in q_starts.items():
+            for tpos in t_starts.get(letter, ()):
+                for spos in at:
+                    length = _common_extension(a, spos, b, tpos)
+                    if q_ends[spos + length] and t_ends[tpos + length]:
+                        found.append((spos, length, tpos))
+        out += [CanonicalHom(algebra, S, T, t_flip, spos, tpos, length)
+                for spos, length, tpos in sorted(found)]
     return out
 
 

@@ -8,6 +8,7 @@ import numpy as np
 from strcat import linalg
 from strcat.errors import AlgebraMismatch
 from strcat.homology import (
+    CanonicalHom,
     ModuleMap,
     Representation,
     canonical_homs,
@@ -31,8 +32,10 @@ from strcat.strings import (
     StringWord,
     _keyed_canonical,
     _prepended,
+    check_string_module,
     empty_word,
     word_layout,
+    word_vertices,
 )
 
 
@@ -624,6 +627,48 @@ def four_orientation_canonical_homs(algebra, S, T):
                 if key not in seen:
                     seen.add(key)
                     out.append(record)
+    return out
+
+
+def _cuts(letters, quotient: bool) -> list[tuple[int, int]]:
+    """Windows (pos, length) of the word with these letters that are a
+    quotient of its module (inverse letter before, direct letter after) or,
+    with ``quotient`` false, a submodule (direct before, inverse after)."""
+    n = len(letters)
+    return [(pos, length) for pos in range(n + 1)
+            if pos == 0 or letters[pos - 1].inverse == quotient
+            for length in range(n + 1 - pos)
+            if pos + length == n or letters[pos + length].inverse != quotient]
+
+
+def windowed_canonical_homs(algebra, S, T) -> list[CanonicalHom]:
+    """The canonical homomorphisms M[S] -> M[T] found by listing every
+    (pos, length) window of both words and comparing them pairwise, O(n^2)
+    windows per word: the records of ``canonical_homs``, in its order.
+
+    Reversing both words reverses a cut and keeps its matrix, so S is read
+    as given and T both ways.  Distinct cuts give distinct matrices, except
+    that an empty cut is found in both readings, so T read backwards adds
+    only cuts of positive length."""
+    for w in (S, T):
+        check_string_module(algebra, w)
+    verts_s, verts_t = word_vertices(algebra.quiver, S), word_vertices(algebra.quiver, T)
+    s_cuts = _cuts(S.letters, quotient=True)
+    out: list[CanonicalHom] = []
+    for t_flip in (False, True):
+        lt = T.inverse().letters if t_flip else T.letters
+        vt = verts_t[::-1] if t_flip else verts_t
+        by_len: dict[int, list[int]] = {}
+        for tpos, length in _cuts(lt, quotient=False):
+            if length or not t_flip:
+                by_len.setdefault(length, []).append(tpos)
+        for spos, length in s_cuts:
+            piece = S.letters[spos: spos + length]
+            for tpos in by_len.get(length, []):
+                # an empty cut matches on its vertex alone
+                if vt[tpos] != verts_s[spos] or lt[tpos: tpos + length] != piece:
+                    continue
+                out.append(CanonicalHom(algebra, S, T, t_flip, spos, tpos, length))
     return out
 
 

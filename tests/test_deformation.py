@@ -54,7 +54,7 @@ from strcat.strings import family_node_names
 
 from .builders import ae1, ae2, ae3, brauer_line_spec
 from .oracles import ORACLE_CASES
-from .reference import filtered_full_cuts, flat_map, socle_dims
+from .reference import filtered_full_cuts, flat_map, socle_dims, windowed_canonical_homs
 from .test_quiver_core import built_or_skipped, small_specs
 
 
@@ -351,6 +351,37 @@ def test_classify_equals_the_closed_form_table_for_every_m_to_16():
 @pytest.mark.slow
 def test_classify_equals_the_closed_form_table_for_every_m_to_64():
     check_classification_sweep(64)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("family,m", [("ae1", 64), ("ae2", 32), ("ae3", 32),
+                                      ("ae1", 128), ("ae2", 128), ("ae3", 96)])
+def test_canonical_homs_equal_the_windowed_pairing_on_the_pairs_classify_counts(family, m):
+    A = build_family(family, m)
+    nodes = enumerate_strings(A)
+    for i, w in enumerate(nodes):
+        omega = nodes[arquiver.omega_node(A, i)]
+        for S, T in ((w, w), (w, omega), (omega, w), (omega, omega)):
+            assert (homology.canonical_homs(A, S, T)
+                    == windowed_canonical_homs(A, S, T)), (str(S), str(T))
+
+
+def test_classify_reads_each_word_into_its_cut_table_once(monkeypatch):
+    # a table is built inside the memoised _word_cuts, so a word that
+    # classify counts maps through many times is still read only once
+    built = []
+    real = homology._WordCuts
+
+    def counted(*fields):
+        table = real(*fields)
+        letters, _, empty, _ = table.quotient
+        # the letters name a word, and the vertex of its empty window a trivial one
+        built.append((letters, tuple(empty)))
+        return table
+
+    monkeypatch.setattr(homology, "_WordCuts", counted)
+    classify(ae2(16), "ae2", 16)
+    assert built and len(built) == len(set(built))
 
 
 def test_check_tower_rejects_wrong_base():

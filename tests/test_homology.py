@@ -64,9 +64,10 @@ from .reference import (
     solve_in_rowspace,
     solved_subrep,
     top_dims,
+    windowed_canonical_homs,
 )
 from .test_quiver_core import built_or_skipped, small_specs
-from .test_strings import random_strings
+from .test_strings import algebra_of, random_strings
 
 
 def module(algebra, family, m, name):
@@ -801,6 +802,50 @@ def test_canonical_homs_match_the_four_orientation_search(family, m, p):
             got = [(False, ch.target_flip, ch.source_pos, ch.target_pos, ch.length)
                    for ch in canonical_homs(A, S, T)]
             assert got == want, (str(S), str(T))
+
+
+@pytest.mark.parametrize("family,m,p", [(family, m, p) for family in ("ae1", "ae2", "ae3")
+                                        for m in range(get_family(family).m_min, 7)
+                                        for p in (2, 3, DEFAULT_PRIME)])
+def test_canonical_homs_equal_the_windowed_pairing(family, m, p):
+    # one cut per pair of starts gives the records of the O(n^2) window
+    # listing, in its order, whichever way the source is read
+    A = build_family(family, m, p)
+    words = enumerate_strings(A)
+    for S in words + tuple(w.inverse() for w in words if not w.is_trivial):
+        for T in words:
+            assert canonical_homs(A, S, T) == windowed_canonical_homs(A, S, T), (str(S), str(T))
+
+
+@st.composite
+def string_pairs(draw):
+    """An algebra of a built-in family with m <= 8 and two of its strings,
+    each read as listed or backwards."""
+    family = draw(st.sampled_from(["ae1", "ae2", "ae3"]))
+    A = algebra_of(family, draw(st.integers(get_family(family).m_min, 8)))
+    words = enumerate_strings(A)
+    S, T = (draw(st.sampled_from(words)) for _ in range(2))
+    return (A, S.inverse() if draw(st.booleans()) else S,
+            T.inverse() if draw(st.booleans()) else T)
+
+
+@given(string_pairs())
+def test_canonical_cuts_are_maximal_and_one_per_start_pair(case):
+    A, S, T = case
+    seen = set()
+    for ch in canonical_homs(A, S, T):
+        ls, lt = S.letters, (T.inverse() if ch.target_flip else T).letters
+        s, t, length = ch.source_pos, ch.target_pos, ch.length
+        assert ls[s: s + length] == lt[t: t + length]
+        # a quotient window of S: inverse letter before, direct letter after
+        assert s == 0 or ls[s - 1].inverse
+        assert s + length == len(ls) or not ls[s + length].inverse
+        # a submodule window of T as read: direct letter before, inverse after
+        assert t == 0 or not lt[t - 1].inverse
+        assert t + length == len(lt) or lt[t + length].inverse
+        assert length or not ch.target_flip
+        assert (ch.target_flip, s, t) not in seen
+        seen.add((ch.target_flip, s, t))
 
 
 @pytest.mark.parametrize("family,m", [("ae1", 6), ("ae2", 3), ("ae3", 5)])
