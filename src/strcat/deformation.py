@@ -16,7 +16,10 @@ certifies it):
    resulting power-series quotient transports along the syzygy orbit.
 
 Tower hypotheses are rank- and isomorphism-checked, exactly at every
-prime.  Every tower map, a canonical map or the projective step of
+prime.  Each inclusion and projection between strings of the tower is a
+canonical map that ``strcat.homology`` finds (``full_cut``) and realizes;
+which windows of a word may carry a cut is decided there alone.  Every
+tower map, a canonical map or the projective step of
 ``ae1``, has at most one nonzero entry per row, so the check reads the
 maps as index maps: ranks, composites, powers, kernels and images take
 no dense product or elimination, and only the closing Hom and Ext^1 of
@@ -123,76 +126,13 @@ def check_tower(tower: Tower, module: homology.Representation) -> UdrDescriptor:
     return power_series_quotient(tower.steps + 1)
 
 
-def _windows(letters, verts, length: int, quotient: bool, piece, vertex) -> list[int]:
-    """The positions of the windows of this length of the word with these
-    letters and vertices that are a quotient of its module (or, with
-    ``quotient`` false, a submodule; see ``homology._WordCuts``), start at
-    ``vertex`` and spell ``piece``."""
-    n = len(letters)
-    return [pos for pos in range(n + 1 - length)
-            if (pos == 0 or letters[pos - 1].inverse == quotient)
-            and (pos + length == n or letters[pos + length].inverse != quotient)
-            and verts[pos] == vertex and letters[pos: pos + length] == piece]
-
-
-def _full_cuts(algebra: Algebra, source: strings.StringWord, target: strings.StringWord,
-               injective: bool) -> list[homology.CanonicalHom]:
-    """The canonical homomorphisms M[source] -> M[target] whose cut is as
-    long as the source (``injective``) or the target, in the order of
-    ``homology.canonical_homs``.
-
-    Such a cut is the whole of the shorter word, which is both a quotient
-    and a submodule window of itself, read either way.  So only the
-    windows of that one length of the longer word are scanned: submodule
-    windows of the target, read either way, for an inclusion, and quotient
-    windows of the source for a projection.  As in ``canonical_homs``,
-    the target read backwards adds only cuts of positive length."""
-    quiver = algebra.quiver
-    verts_s, verts_t = strings.word_vertices(quiver, source), strings.word_vertices(quiver, target)
-    length = source.length if injective else target.length
-    found = []
-    for flip in (False, True) if length else (False,):
-        letters_t = target.inverse().letters if flip else target.letters
-        vt = verts_t[::-1] if flip else verts_t
-        if injective:
-            found += [homology.CanonicalHom(algebra, source, target, flip, 0, pos, length)
-                      for pos in _windows(letters_t, vt, length, False,
-                                          source.letters, verts_s[0])]
-        else:
-            found += [homology.CanonicalHom(algebra, source, target, flip, pos, 0, length)
-                      for pos in _windows(source.letters, verts_s, length, True,
-                                          letters_t, vt[0])]
-    return found
-
-
-def _canonical_map(algebra: Algebra, source: strings.StringWord,
-                   target: strings.StringWord, injective: bool) -> homology.ModuleMap:
-    """The unique canonical homomorphism M[source] -> M[target] that is
-    injective (an inclusion) or, with ``injective`` false, surjective (a
-    projection).
-
-    A canonical homomorphism through a common substring of length L has
-    rank L + 1 (each position of the cut goes to its own basis vector),
-    and a string of length L has a module of dimension L + 1, so a cut is
-    injective (or surjective) exactly when it is as long as the source
-    (or the target).  Only those cuts are found (``_full_cuts``), there
-    must be exactly one, and only it is realized; ``check_tower`` ranks
-    the maps it gets.
-    """
-    found = _full_cuts(algebra, source, target, injective)
-    if len(found) != 1:
-        kind = "inclusion" if injective else "projection"
-        raise StrcatError(f"expected one canonical {kind} {source} -> {target}, "
-                          f"found {len(found)}")
-    return homology.realize_canonical(found[0])
-
-
 def build_tower(family: str, m: int, algebra: Algebra) -> Tower:
     """The certification tower for the family's tangent-one representative.
 
     The family's record names the ladder of strings, joined by canonical
-    inclusion/projection pairs and closed by a projective step where the
-    record has one.
+    inclusion/projection pairs (``homology.full_cut``, each the one cut
+    that is the whole of the smaller word) and closed by a projective step
+    where the record has one.
     """
     fam = families.get(family)
     labels = fam.tower(m)
@@ -201,8 +141,10 @@ def build_tower(family: str, m: int, algebra: Algebra) -> Tower:
     inclusions = []
     surjections = []
     for small, big in zip(words, words[1:]):
-        inclusions.append(_canonical_map(algebra, small, big, injective=True))
-        surjections.append(_canonical_map(algebra, big, small, injective=False))
+        inclusions.append(homology.realize_canonical(
+            homology.full_cut(algebra, small, big, injective=True)))
+        surjections.append(homology.realize_canonical(
+            homology.full_cut(algebra, big, small, injective=False)))
     if fam.projective_cap is not None:
         label, inc, sur = fam.projective_cap(algebra, modules[-1])
         modules.append(inc.target)

@@ -36,8 +36,11 @@ pairs a quotient window of the source word, read as given, with an equal
 submodule window of the target word read either way; reversing both
 words would only reverse the cut and keep its matrix.  A pair of window
 starts carries at most one cut, so the cuts are found one per start pair
-(``canonical_homs``).  Its 1s are placed by ``strings.word_layout``, the
-numbering ``string_module`` builds on.
+(``canonical_homs``).  The inclusions and projections of the deformation
+tower are the cuts that are a whole word, looked up in the same per-word
+window tables (``full_cut``); no other module reads windows.  A cut's 1s
+are placed by ``strings.word_layout``, the numbering ``string_module``
+builds on.
 """
 
 from __future__ import annotations
@@ -951,6 +954,39 @@ def canonical_homs(algebra, S, T) -> list[CanonicalHom]:
         out += [CanonicalHom(algebra, S, T, t_flip, spos, tpos, length)
                 for spos, length, tpos in sorted(found)]
     return out
+
+
+def full_cut(algebra, S, T, injective: bool) -> CanonicalHom:
+    """The one canonical homomorphism M[S] -> M[T] that is injective (an
+    inclusion) or, with ``injective`` false, surjective (a projection).
+
+    A cut of length L has rank L + 1, and a word of length L has a module
+    of dimension L + 1, so a cut is injective (or surjective) exactly when
+    it is the whole of S (or of T).  A whole word is a quotient and a
+    submodule window of itself, read either way, so only the windows of
+    the other word that spell it are looked up, in the cut tables that
+    ``canonical_homs`` reads: submodule windows of T, read either way, for
+    an inclusion, and quotient windows of S for a projection.  An empty
+    word matches the empty windows at its vertex, in the forward reading
+    only, as in ``canonical_homs``.  There must be exactly one such cut.
+    """
+    quotient_s = _word_cuts(algebra, S).quotient
+    found = []
+    for flip, submodule_t in zip((False, True), _word_cuts(algebra, T).submodule):
+        # the whole word, its vertex when it is empty, and the windows to search
+        whole, vertex, (letters, starts, empty, ends) = (
+            (quotient_s[0], S.vertex, submodule_t) if injective
+            else (submodule_t[0], T.vertex, quotient_s))
+        if flip and not whole:
+            break
+        for pos in starts.get(whole[0], ()) if whole else empty.get(vertex, ()):
+            if letters.startswith(whole, pos) and ends[pos + len(whole)]:
+                spos, tpos = (0, pos) if injective else (pos, 0)
+                found.append(CanonicalHom(algebra, S, T, flip, spos, tpos, len(whole)))
+    if len(found) != 1:
+        kind = "inclusion" if injective else "projection"
+        raise StrcatError(f"expected one canonical {kind} {S} -> {T}, found {len(found)}")
+    return found[0]
 
 
 def realize_canonical(ch: CanonicalHom) -> ModuleMap:

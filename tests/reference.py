@@ -11,7 +11,6 @@ from strcat.homology import (
     CanonicalHom,
     ModuleMap,
     Representation,
-    canonical_homs,
     hom_basis,
     path_action,
     projective_cover,
@@ -675,6 +674,7 @@ def windowed_canonical_homs(algebra, S, T) -> list[CanonicalHom]:
 def filtered_full_cuts(algebra, source, target, injective):
     """The canonical homomorphisms M[source] -> M[target] whose cut is as
     long as the source (``injective``) or the target, kept from the whole
-    list of ``canonical_homs``."""
+    list of ``windowed_canonical_homs``, which shares no code with the
+    cut tables that ``homology.full_cut`` reads."""
     full = source.length if injective else target.length
-    return [ch for ch in canonical_homs(algebra, source, target) if ch.length == full]
+    return [ch for ch in windowed_canonical_homs(algebra, source, target) if ch.length == full]

@@ -1,4 +1,6 @@
+import itertools
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -38,9 +40,7 @@ from strcat import (
     syzygy,
 )
 from strcat.deformation import (
-    _canonical_map,
     _counted_stable_hom,
-    _full_cuts,
     expected_classification,
     power_series_quotient,
     trivial_ring,
@@ -50,9 +50,9 @@ from strcat.deformation import (
 from strcat.families import get as get_family
 from strcat.homology import identity_map
 from strcat.quiver_core import DEFAULT_PRIME
-from strcat.strings import family_node_names
+from strcat.strings import check_string_module, family_node_names, parse_string_literal
 
-from .builders import ae1, ae2, ae3, brauer_line_spec
+from .builders import INFINITE_SPEC, ae1, ae2, ae3, brauer_line_spec
 from .oracles import ORACLE_CASES
 from .reference import filtered_full_cuts, flat_map, socle_dims, windowed_canonical_homs
 from .test_quiver_core import built_or_skipped, small_specs
@@ -119,8 +119,10 @@ def auto_tower(algebra, base_word, seed=0):
             prev_word = words[-1]
             if word is not None and prev_word is not None:
                 try:
-                    inc = _canonical_map(algebra, prev_word, word, injective=True)
-                    sur = _canonical_map(algebra, word, prev_word, injective=False)
+                    inc = homology.realize_canonical(
+                        homology.full_cut(algebra, prev_word, word, injective=True))
+                    sur = homology.realize_canonical(
+                        homology.full_cut(algebra, word, prev_word, injective=False))
                 except StrcatError:
                     continue
             else:
@@ -297,37 +299,69 @@ def test_check_tower_multiplies_and_eliminates_nothing_before_its_last_hom(monke
     assert calls[: calls.index("hom_dim")] == []
 
 
+def check_full_cut(A, source, target, injective):
+    """``homology.full_cut`` returns the one full-length cut that the
+    windowed oracle lists, or names how many it lists; that count is
+    returned."""
+    want = filtered_full_cuts(A, source, target, injective)
+    if len(want) == 1:
+        assert homology.full_cut(A, source, target, injective) == want[0], (source, target)
+    else:
+        kind = "inclusion" if injective else "projection"
+        with pytest.raises(StrcatError, match=f"^expected one canonical {kind} "
+                                              f".* found {len(want)}$"):
+            homology.full_cut(A, source, target, injective)
+    return len(want)
+
+
 @pytest.mark.parametrize("family", ["ae1", "ae2", "ae3"])
 def test_full_cuts_equal_the_filtered_canonical_homs(family):
-    # the direct scan of one window length against the old route: every
-    # canonical hom listed, then kept when its cut has the full length
+    # every consecutive pair of the tower, both ways, against every
+    # window of both words listed and kept when its cut has the full length
     for m in range(get_family(family).m_min, 17):
         A = build_family(family, m)
         words = [named_string(family, m, n) for n in families.get(family).tower(m)]
         for small, big in zip(words, words[1:]):
             for source, target, injective in ((small, big, True), (big, small, False)):
-                want = filtered_full_cuts(A, source, target, injective)
-                assert _full_cuts(A, source, target, injective) == want, (m, source, target)
-                assert len(want) == 1
+                assert check_full_cut(A, source, target, injective) == 1, (m, source, target)
+
+
+def band_strings(length):
+    """The algebra of ``INFINITE_SPEC``, which has infinitely many strings,
+    and its strings of length at most ``length`` whose walks are modules."""
+    A = load_algebra_spec(INFINITE_SPEC)
+    words = [parse_string_literal("e0", A.quiver)]
+    for n in range(1, length + 1):
+        for letters in itertools.product(("x", "x~", "y", "y~"), repeat=n):
+            try:
+                word = parse_string_literal(",".join(letters), A.quiver)
+                check_string_module(A, word)
+            except StrcatError:
+                continue
+            words.append(word)
+    return A, words
 
 
 def test_full_cuts_match_the_filter_on_every_pair_of_strings():
-    for family, m in (("ae1", 4), ("ae2", 3), ("ae3", 4)):
-        A = build_family(family, m)
-        nodes = enumerate_strings(A)
-        for S in nodes:
-            for T in nodes:
-                for injective in (True, False):
-                    assert (_full_cuts(A, S, T, injective)
-                            == filtered_full_cuts(A, S, T, injective)), (S, T, injective)
+    # the source is read as given, so S and its inverse are both taken; the
+    # families give no pair with two full cuts, and the band algebra does
+    counts = Counter()
+    cases = [(A, enumerate_strings(A)) for A in (ae1(8), ae2(5), ae3(6))] + [band_strings(4)]
+    for A, words in cases:
+        for S in words:
+            for source in {S, S.inverse()}:
+                for T in words:
+                    for injective in (True, False):
+                        counts[check_full_cut(A, source, T, injective)] += 1
+    assert max(counts) >= 2, counts
 
 
 def test_canonical_map_needs_exactly_one_full_cut():
     # a longer string has no window in a shorter one
     A = ae2(2)
     with pytest.raises(StrcatError, match="^expected one canonical inclusion .* found 0$"):
-        _canonical_map(A, named_string("ae2", 2, "M3"), named_string("ae2", 2, "M1"),
-                       injective=True)
+        homology.full_cut(A, named_string("ae2", 2, "M3"), named_string("ae2", 2, "M1"),
+                          injective=True)
 
 
 def test_power_needs_an_endomorphism():

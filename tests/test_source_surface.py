@@ -7,8 +7,10 @@ calls belongs nowhere.  Omega of a string is decided in one place: one
 function calls ``strings.syzygy_word``.  ``cli.py`` is the one module that writes text:
 no other module prints, writes to ``sys.stdout`` or ``sys.stderr``,
 imports ``csv`` or serializes with ``json.dump``/``json.dumps`` (reading
-a spec with ``json.load``/``json.loads`` is fine).  ``__init__.py`` only re-exports, so its imports do
-not count as uses and are not checked.  An import kept on purpose carries
+a spec with ``json.load``/``json.loads`` is fine).  Only ``homology.py``
+builds a ``CanonicalHom``, since only it reads the windows of a word.
+``__init__.py`` only re-exports, so its imports do not count as uses and
+are not checked.  An import kept on purpose carries
 ``# noqa: F401`` on its line.
 """
 
@@ -135,3 +137,15 @@ def test_only_the_command_line_writes_output():
             found += [f"{name} ({path.name}:{node.lineno})"
                       for name in names if name in OUTPUT]
     assert not found, "output written outside cli.py: " + ", ".join(found)
+
+
+def test_only_homology_makes_canonical_homomorphisms():
+    # which windows of a word may carry a cut is decided in homology alone,
+    # so no other module builds a CanonicalHom record of its own
+    makers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "CanonicalHom" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                makers.add(path.stem)
+    assert makers == {"homology"}, sorted(makers)
