@@ -222,7 +222,9 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
     The algebra must be weakly symmetric (``weakly_symmetric``); then the
     stable endomorphism ring and the tangent Ext^1(V, V) = stHom(Omega V,
     V) of each string are counted by ``_counted_stable_hom``, with Omega
-    along the nodes (``arquiver.omega_node``).  Tangent-zero modules get
+    along the nodes (``arquiver.omega_node``), once per Omega-orbit, on
+    its shortest word, since both are constant along Omega (an
+    autoequivalence of the stable category).  Tangent-zero modules get
     the trivial ring outright.  For the tangent-one modules, the family's
     tower certifies one representative and the ring transports along its
     syzygy orbit, which is recorded in the trail; a tower that fails its
@@ -240,9 +242,22 @@ def classify(algebra: Algebra, family: str, m: int) -> tuple[UdrReport, ...]:
     weakly_symmetric(algebra)
 
     omega = {w: nodes[arquiver.omega_node(algebra, i)] for i, w in enumerate(nodes)}
-    kept = [(name, w) for name, w in named
-            if _counted_stable_hom(algebra, w, w, omega[w]) == 1]
-    exts = {name: _counted_stable_hom(algebra, omega[w], w, omega[w]) for name, w in kept}
+    # one count per Omega-orbit, on its shortest word
+    counts: dict = {}
+    for w in nodes:
+        orbit: dict = {}
+        while w not in counts and w not in orbit:
+            orbit[w] = None
+            w = omega[w]
+        if w in counts:
+            got = counts[w]
+        else:
+            u = min(orbit, key=lambda x: x.length)
+            end = _counted_stable_hom(algebra, u, u, omega[u])
+            got = end, _counted_stable_hom(algebra, omega[u], u, omega[u]) if end == 1 else None
+        counts.update(dict.fromkeys(orbit, got))
+    kept = [(name, w) for name, w in named if counts[w][0] == 1]
+    exts = {name: counts[w][1] for name, w in kept}
     tangent_one = [name for name, _ in kept if exts[name] == 1]
 
     orbit_names: list[str] = []

@@ -883,15 +883,13 @@ def _windows(letters: str, verts: list[int], opens: list[bool], closes: list[boo
 def _word_cuts(algebra, word) -> _WordCuts:
     """The cut table of a word, built once per algebra after the word is
     checked to be a string whose module satisfies the rules
-    (``strings.check_string_module``).  A letter's character is
-    ``chr(2 * arrow index + inverse)``."""
-    from .strings import check_string_module, word_vertices
+    (``strings.check_string_module``), and spelt by ``strings.spelling``."""
+    from .strings import check_string_module, spelling, word_vertices
 
     check_string_module(algebra, word)
     quiver = algebra.quiver
     verts = word_vertices(quiver, word)
-    code = {l: chr(2 * quiver.arrow_index(l.arrow) + l.inverse) for l in set(word.letters)}
-    text = "".join([code[l] for l in word.letters])
+    text = spelling(algebra, word)
     # the inverse word reverses the letters and flips each one's last bit
     back = text[::-1].translate({k: k ^ 1 for k in range(2 * len(quiver.arrows))})
     inverse = [l.inverse for l in word.letters]

@@ -2,23 +2,18 @@
 
 String validity is judged against the monomial quotient of the algebra by
 its socle; the resulting string modules are exactly the non-projective
-indecomposables of the algebras this package builds.  That M(w) is a
-module over the full algebra is checked on the word, with no matrix:
-``check_rules`` walks each completed rule's right side from each
-position of w, and ``string_module`` builds M(w) only once
-``check_string_module`` (``is_string`` and ``check_rules``) passes.
+indecomposables of the algebras this package builds.
 
-Being a string is a local condition (Butler and Ringel, Comm. Algebra 15,
-1987): consecutive letters compose and do not cancel, and no run of
-direct letters, nor of inverse ones, contains a socle rule.  ``_fits``
-states it once, letter by letter: a letter composes with the next one, is
-not undone by it, and starts no socle-rule window of its own run.
-``is_string`` applies it at every letter of a word from outside
-(``check_string_module``, which ``string_module``, ``canonical_homs`` and
-``arquiver.omega_word`` call, and ``class_moves``).  The enumeration and
-the hook and cohook moves grow strings one letter at a time at the start,
-so ``_extend`` applies it at the new first letter only, in O(rules *
-longest rule) whatever the length of the word.
+Being a string, and being a module over the full algebra, are conditions
+of forbidden factors (Butler and Ringel, Comm. Algebra 15, 1987): no
+letter is followed by one that does not compose with it or undoes it, no
+run of one direction contains a socle rule, and no run spells a completed
+rule's right side (``check_rules``).  So each check is one search of the
+word's spelling, one character per letter (``spelling``), for a pattern
+built once per algebra (``_factors``), and a word that matches is
+searched rule by rule to name the first rule it fails.  Strings grow one
+letter at a time at the start in the enumeration and the hook and cohook
+moves, so ``_extend`` checks the new first letter only (``_fits``).
 
 Going the other way, ``module_word`` reads the string a module's basis
 graph spells, which names a module without an isomorphism test; and
@@ -172,31 +167,54 @@ def _known(word: StringWord, quiver: Quiver) -> StringWord:
     return word
 
 
-def _fits(letters: tuple[Letter, ...], algebra: Algebra, stop: int = 1) -> bool:
-    """Whether each of the first ``stop`` letters ends where the next one
-    starts, is not undone by it, and starts no window of its own run that
-    spells a socle rule (``Algebra.socle_windows``): the next k names of a
-    direct run, the reversed next k of an inverse one.  Every window starts
-    at some letter, so at every letter this is the whole string condition.
-    Each letter costs O(longest rule) per window that starts with it."""
-    ends = algebra.quiver.letter_ends
-    windows = algebra.socle_windows
-    for i in range(stop):
-        x = letters[i]
-        if i + 1 < len(letters):
-            y = letters[i + 1]
-            if ends(x)[1] != ends(y)[0] or (y.arrow == x.arrow and y.inverse != x.inverse):
-                return False
-        for window in windows.get(x, ()):
-            if letters[i:i + len(window)] == window:
-                return False
+def _fits(letters: tuple[Letter, ...], algebra: Algebra) -> bool:
+    """The string condition at the first letter: it ends where the next one
+    starts, is not undone by it, and starts no socle window of its own run
+    (``Algebra.socle_windows``), in O(longest rule) per window."""
+    ends, x = algebra.quiver.letter_ends, letters[0]
+    if len(letters) > 1:
+        y = letters[1]
+        if ends(x)[1] != ends(y)[0] or (y.arrow == x.arrow and y.inverse != x.inverse):
+            return False
+    for window in algebra.socle_windows.get(x, ()):
+        if letters[:len(window)] == window:
+            return False
     return True
+
+
+@memoized
+def _factors(algebra: Algebra):
+    """The letters' characters, ``chr(2 * arrow index + inverse)``, and the
+    vertices' after them; a pattern of the factors no string holds; one of
+    those on which a completed rule fails; and each such rule with its own."""
+    quiver, ends = algebra.quiver, algebra.quiver.letter_ends
+    letters = [Letter(a.name, inverse) for a in quiver.arrows for inverse in (False, True)]
+    codes = {l: chr(k) for k, l in enumerate(letters)}
+    codes.update({v: chr(len(letters) + k) for k, v in enumerate(quiver.vertices)})
+    def spelt(chars) -> str:
+        return re.escape("".join(codes[c] for c in chars))
+    # a letter followed by one that does not compose with it or undoes it
+    string = [spelt([x]) + "[" + spelt([y for y in letters if ends(x)[1] != ends(y)[0]
+                                        or y == x.flipped()]) + "]" for x in letters]
+    string += [spelt(window) for windows in algebra.socle_windows.values() for window in windows]
+    each_rule = [(rule, spelt([(a, False) for a in rule.rhs.arrows]) + "|"
+                  + spelt([(a, True) for a in reversed(rule.rhs.arrows)]) if rule.rhs.arrows
+                  else "[" + spelt([l for l in letters if rule.rhs.source in ends(l)]
+                                   + [rule.rhs.source]) + "]")
+                 for rule in algebra.rules if rule.rhs is not None]
+    return (codes, re.compile("|".join(string)),
+            re.compile("|".join(factor for _, factor in each_rule) or "(?!)"), each_rule)
+
+
+def spelling(algebra: Algebra, word: StringWord) -> str:
+    """The word, one character per letter (``_factors``)."""
+    return "".join(map(_factors(algebra)[0].__getitem__, word.letters))
 
 
 def is_string(word: StringWord, algebra: Algebra) -> bool:
     """Whether the word is a valid string for the socle-quotient rules."""
     _known(word, algebra.quiver)
-    return word.is_trivial or _fits(word.letters, algebra, stop=word.length)
+    return not _factors(algebra)[1].search(spelling(algebra, word))
 
 
 def _extend(word: StringWord, letter: Letter, algebra: Algebra) -> StringWord | None:
@@ -263,37 +281,21 @@ def _moves(word: StringWord) -> dict[tuple[int, str], int]:
     return move
 
 
-def _walk(move: dict, i: int, arrows: tuple[str, ...]) -> int | None:
-    """The position that the path ``arrows`` sends position i to, with
-    value 1, or None when it sends it to zero."""
-    for a in arrows:
-        i = move.get((i, a))
-        if i is None:
-            return None
-    return i
-
-
 def check_rules(algebra: Algebra, word: StringWord) -> None:
     """Raise a StrcatError naming the first completed rule that fails on
-    M(word), for a string ``word``, with no matrix.
-
-    Each arrow sends a position of the walk to at most one position, with
-    value 1 (``_moves``), so a path sends it to one position or to zero,
-    walking one way along the word and spelling a run of one direction.
-    Two different paths from one position never reach the same position,
-    and no completed rule's coefficient is 0 mod p, so a rule holds at a
-    position exactly when each of its sides sends it to zero.  A left side
-    is a socle rule (``Algebra._socle_quotient_rules``), which no run of a
-    string contains, so only the right sides are walked."""
-    rules = [rule for rule in algebra.rules if rule.rhs is not None]
-    if not rules:
-        return
-    move = _moves(word)
-    verts = word_vertices(algebra.quiver, word)
-    for rule in rules:
-        if any(_walk(move, i, rule.rhs.arrows) is not None
-               for i, v in enumerate(verts) if v == rule.rhs.source):
-            raise StrcatError(f"rule {rule} fails on this representation")
+    M(word), for a string ``word``, with no matrix.  A path sends each
+    position of the walk one way along a run, with value 1, or to zero;
+    two paths from one position never meet, and no coefficient is 0 mod
+    p.  So a rule fails when a side walks: never the left, a socle rule;
+    the right where the spelling holds it as direct letters or, reversed,
+    as inverse ones, or, trivial at v, where the word visits v."""
+    if all(rule.rhs is None for rule in algebra.rules):
+        return  # nothing to search for, as on ae1 and ae2
+    codes, _, rules, each_rule = _factors(algebra)
+    text = spelling(algebra, word) or codes[word.vertex]
+    if rules.search(text):
+        rule = next(rule for rule, factor in each_rule if re.search(factor, text))
+        raise StrcatError(f"rule {rule} fails on this representation")
 
 
 @memoized

@@ -388,6 +388,41 @@ def test_classify_equals_the_closed_form_table_for_every_m_to_64():
 
 
 @pytest.mark.slow
+def test_classify_equals_the_closed_form_table_at_the_largest_m_of_ae2():
+    m = get_family("ae2").m_max
+    assert not verify_classification(classify(build_family("ae2", m), "ae2", m), "ae2", m)
+
+
+def check_orbit_counts_sweep(top, monkeypatch):
+    # classify counts stable End and the tangent once per Omega-orbit, and
+    # keeps what counting them on every node keeps, with the same tangents
+    calls = []
+    monkeypatch.setattr(deformation, "_counted_stable_hom",
+                        lambda *args: calls.append(args) or _counted_stable_hom(*args))
+    for family in ("ae1", "ae2", "ae3"):
+        for m in range(get_family(family).m_min, top + 1):
+            A = build_family(family, m)
+            nodes = enumerate_strings(A)
+            omega = {w: nodes[arquiver.omega_node(A, i)] for i, w in enumerate(nodes)}
+            want = {name: _counted_stable_hom(A, omega[w], w, omega[w])
+                    for name, w in family_node_names(family, m, A.quiver)
+                    if _counted_stable_hom(A, w, w, omega[w]) == 1}
+            calls.clear()
+            assert {r.module: r.ext1_dim for r in classify(A, family, m)} == want, (family, m)
+            orbits = {frozenset(arquiver.omega_orbit(A, w)) for w in nodes}
+            assert len(calls) <= 2 * len(orbits), (family, m)
+
+
+def test_orbit_counts_equal_the_node_counts_for_every_m_to_16(monkeypatch):
+    check_orbit_counts_sweep(16, monkeypatch)
+
+
+@pytest.mark.slow
+def test_orbit_counts_equal_the_node_counts_for_every_m_to_64(monkeypatch):
+    check_orbit_counts_sweep(64, monkeypatch)
+
+
+@pytest.mark.slow
 @pytest.mark.parametrize("family,m", [("ae1", 64), ("ae2", 32), ("ae3", 32),
                                       ("ae1", 128), ("ae2", 128), ("ae3", 96)])
 def test_canonical_homs_equal_the_windowed_pairing_on_the_pairs_classify_counts(family, m):

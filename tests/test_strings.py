@@ -705,10 +705,25 @@ def construction_verdict(check, algebra, word):
 
 
 def assert_rule_check_matches_the_construction(algebra, word):
-    # the word check refuses exactly the strings whose module, built with
+    # the word check refuses a word that a whole-word scan finds is not a
+    # string, first, and then exactly the strings whose module, built with
     # Representation's construction check, fails a rule, with its message
-    want = construction_verdict(lambda A, w: walked_representation(A, w), algebra, word)
+    if scanned_is_string(word, algebra):
+        want = construction_verdict(lambda A, w: walked_representation(A, w), algebra, word)
+    else:
+        want = f"NotAString: {word} is not a string over this algebra"
     assert construction_verdict(strings.check_string_module, algebra, word) == want, str(word)
+
+
+def assert_rule_check_matches_on_every_short_word(algebra, longest):
+    """On each trivial word and on every word of at most ``longest``
+    letters, composable or not."""
+    letters = all_letters(algebra)
+    for v in algebra.quiver.vertices:
+        assert_rule_check_matches_the_construction(algebra, empty_word(v))
+    for k in range(1, longest + 1):
+        for w in itertools.product(letters, repeat=k):
+            assert_rule_check_matches_the_construction(algebra, StringWord(w))
 
 
 @pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
@@ -718,6 +733,26 @@ def test_rule_check_on_words_matches_the_construction_check(build):
     for w in enumerate_strings(A):
         for word in (w, w.inverse()):
             assert_rule_check_matches_the_construction(A, word)
+
+
+@pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
+                         ids=[name for name, _ in word_read_algebras()])
+def test_rule_check_on_every_short_word_matches_the_construction_check(build):
+    # NotAString before any failing rule, on words that hold several
+    # forbidden factors at once
+    A = build()
+    assert_rule_check_matches_on_every_short_word(A, 3 if len(A.quiver.arrows) > 3 else 4)
+
+
+TRIVIAL_RIGHT_SIDE_SPEC = {
+    "vertices": [0], "arrows": [{"name": "x", "from": 0, "to": 0}],
+    "rules": [{"lhs": ["x", "x"], "rhs": {"coeff": 1, "path": []}}], "dim_bound": 4}
+
+
+@pytest.mark.parametrize("spec", [NON_MODULE_STRING_SPEC, TRIVIAL_RIGHT_SIDE_SPEC],
+                         ids=["non-module-string", "trivial-right-side"])
+def test_rule_check_on_every_word_of_five_letters_matches_the_construction_check(spec):
+    assert_rule_check_matches_on_every_short_word(load_algebra_spec(spec), 5)
 
 
 def test_rule_check_refuses_what_string_module_refuses():
@@ -738,9 +773,7 @@ def test_rule_check_refuses_what_string_module_refuses():
 def test_rule_check_on_a_trivial_right_side_matches_the_construction_check():
     # k[x]/(x^2 - 1) keeps the rule x*x -> 1*e0, which fails on every
     # string's module, even on M(e0), where x*x is zero and e0 is not
-    A = load_algebra_spec({"vertices": [0], "arrows": [{"name": "x", "from": 0, "to": 0}],
-                           "rules": [{"lhs": ["x", "x"], "rhs": {"coeff": 1, "path": []}}],
-                           "dim_bound": 4})
+    A = load_algebra_spec(TRIVIAL_RIGHT_SIDE_SPEC)
     assert [str(rule) for rule in A.rules] == ["x*x -> 1*e0"]
     for w in enumerate_strings(A):
         assert_rule_check_matches_the_construction(A, w)
