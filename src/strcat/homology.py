@@ -2,10 +2,10 @@
 
 A representation assigns to each vertex a free F_p module of row vectors
 and to each arrow ``a: i -> j`` a matrix of shape (dim_i, dim_j) acting
-on the right.  Everything is exact; string modules, projectives and
-their syzygies have arrow matrices with at most one nonzero entry per
-row, read once per module as index maps, and much of what follows reads
-those maps instead of eliminating.
+on the right.  Everything is exact.  String modules and projectives are
+built from index maps, with at most one nonzero entry per row, and write
+their dense matrices only when read; a syzygy's are read once as such
+maps.  Much of what follows reads those maps instead of eliminating.
 
 Hom comes from projective presentations: ``presentation(M)`` holds M's
 projective cover, the rows of the syzygy in the cover's coordinates and a
@@ -80,8 +80,8 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
 def _index_maps(mats: dict) -> dict | None:
     """Each matrix of ``mats`` as an index map ``(cols, vals)`` (see
     ``strcat.indexmaps``), by the same key; None when some matrix has two
-    nonzero entries in a row.  The arrays are read-only, because a memo
-    hands them to every caller."""
+    nonzero entries in a row.  The arrays are read-only, because the
+    module hands them to every caller."""
     maps = {}
     for key, mat in mats.items():
         imap = indexmaps.read(mat)
@@ -94,8 +94,9 @@ def _index_maps(mats: dict) -> dict | None:
 class Representation:
     """A module over a bound quiver algebra, stored vertexwise.
 
-    The dimensions and arrow matrices are fixed at construction; ``memo``
-    fills in with the projective cover and syzygy once they are computed.
+    The dimensions and arrow matrices, dense or index maps from which
+    ``mats`` is written when read (``_of_index_maps``), are fixed at
+    construction; ``memo`` fills in with the projective cover and syzygy.
     """
 
     def __init__(self, algebra, dims: dict[int, int], mats: dict[str, np.ndarray],
@@ -172,11 +173,18 @@ class Representation:
         return indexmaps.halved(path.arrows, maps.__getitem__,
                                 lambda f, g: indexmaps.compose(f, g, p), products)
 
-    @memoized
+    @functools.cached_property
+    def mats(self) -> dict[str, np.ndarray]:
+        # only a module from ``_of_index_maps`` gets here; __init__ sets mats
+        return {a.name: indexmaps.dense(self._maps[a.name], self.dims[a.target])
+                for a in self.algebra.quiver.arrows}
+
     def _row_maps(self) -> dict | None:
         """Each arrow's matrix as an index map, by arrow name, or None
-        (``_index_maps``); read once per module."""
-        return _index_maps(self.mats)
+        (``_index_maps``); read once, or given by ``_of_index_maps``."""
+        if "_maps" not in vars(self):
+            self._maps = _index_maps(self.mats)
+        return self._maps
 
     def __repr__(self) -> str:
         return f"Representation(dim_vector={self.dim_vector()})"
@@ -186,11 +194,13 @@ class Representation:
     @classmethod
     def _of_index_maps(cls, algebra, dims: dict[int, int], maps: dict) -> "Representation":
         """The module with these dimensions whose arrow matrices are the
-        index maps ``maps``, unchecked; it keeps the maps as its
-        ``_row_maps``."""
-        rep = cls(algebra, dims, {a.name: indexmaps.dense(maps[a.name], dims[a.target])
-                                  for a in algebra.quiver.arrows}, check=False)
-        cls._row_maps.seed(rep, maps)
+        index maps ``maps``, by arrow name, unchecked.  It keeps the maps,
+        read-only, as its ``_row_maps`` and writes its dense ``mats`` only
+        when they are read."""
+        rep = cls.__new__(cls)
+        rep.algebra, rep.memo = algebra, {}
+        rep.dims = {v: int(dims.get(v, 0)) for v in algebra.quiver.vertices}
+        rep._maps = {name: tuple(map(_read_only, imap)) for name, imap in maps.items()}
         return rep
 
     @classmethod
@@ -256,9 +266,8 @@ class ModuleMap:
         return {v: indexmaps.dense(imap, self.target.dims[v]) for v, imap in self._maps.items()}
 
     def _row_maps(self) -> dict | None:
-        """Each block as an index map, by vertex, or None
-        (``_index_maps``); read once per map, or given by
-        ``_of_index_maps``."""
+        """Each block as an index map, by vertex, or None (``_index_maps``);
+        read once, or given by ``_of_index_maps``."""
         if "_maps" not in vars(self):
             self._maps = _index_maps(self.blocks)
         return self._maps
@@ -884,14 +893,12 @@ def _word_cuts(algebra, word) -> _WordCuts:
     """The cut table of a word, built once per algebra after the word is
     checked to be a string whose module satisfies the rules
     (``strings.check_string_module``), and spelt by ``strings.spelling``."""
-    from .strings import check_string_module, spelling, word_vertices
+    from .strings import check_string_module, inverse_spelling, spelling, word_vertices
 
     check_string_module(algebra, word)
-    quiver = algebra.quiver
-    verts = word_vertices(quiver, word)
+    verts = word_vertices(algebra.quiver, word)
     text = spelling(algebra, word)
-    # the inverse word reverses the letters and flips each one's last bit
-    back = text[::-1].translate({k: k ^ 1 for k in range(2 * len(quiver.arrows))})
+    back = inverse_spelling(algebra, text)
     inverse = [l.inverse for l in word.letters]
     direct = [not i for i in inverse]
     return _WordCuts(_windows(text, verts, inverse, direct),

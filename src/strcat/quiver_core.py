@@ -592,15 +592,13 @@ def memoized(fn):
     Algebra and Representation carries.  The key is the call bound to
     ``fn``'s signature with defaults applied, so ``f(A)``, ``f(A, None)``
     and ``f(A, cap=None)`` share one slot when None is the default.  An
-    entry lives exactly as long as the algebra or module it belongs to;
-    no result is kept in a global cache.
+    entry, always a computed result, lives exactly as long as the algebra
+    or module it belongs to; no result is kept in a global cache.
 
     A call without keywords is keyed by its arguments plus the defaults of
     the trailing parameters it leaves out, computed once here; only calls
     with keywords, and calls that cannot bind, go through
-    ``Signature.bind``, which raises the usual TypeError for the latter.
-    ``seed(owner, value, *key)`` stores a result that a caller already
-    has, under the key of the call with those arguments."""
+    ``Signature.bind``, which raises the usual TypeError for the latter."""
     signature = inspect.signature(fn)
     params = list(signature.parameters.values())
     positional = all(param.kind is param.POSITIONAL_OR_KEYWORD for param in params)
@@ -621,10 +619,6 @@ def memoized(fn):
             owner.memo[slot] = fn(*args)
         return owner.memo[slot]
 
-    def seed(owner, value, *key):
-        owner.memo[(fn.__name__, *key, *defaults[1 + len(key):])] = value
-
-    wrapper.seed = seed
     return wrapper
 
 
@@ -641,25 +635,23 @@ def projective_paths(algebra: Algebra, vertex: int) -> dict[int, list[Path]]:
 
 @memoized
 def indecomposable_projective(algebra: Algebra, vertex: int):
-    """The right module on the paths leaving ``vertex``; top is S(vertex)."""
+    """The right module on the paths leaving ``vertex``; top is S(vertex).
+    Its arrows are index maps read off the act table, unchecked, since the
+    table's certificate (``Algebra.verify_associativity``) holds each rule."""
     if vertex not in algebra.quiver.vertices:
         raise StrcatError(f"unknown vertex {vertex}")
     from . import homology
 
     by_vertex = projective_paths(algebra, vertex)
-    local = {v: {q: i for i, q in enumerate(ps)} for v, ps in by_vertex.items()}
-    dims = {v: len(ps) for v, ps in by_vertex.items()}
-    mats = {}
-    for x, a in enumerate(algebra.quiver.arrows):
-        mat = np.zeros((dims[a.source], dims[a.target]), dtype=np.int64)
-        for q in by_vertex[a.source]:
-            k = algebra.index[q]
-            target = algebra.act_index[k, x]
-            if target < algebra.dim:
-                mat[local[a.source][q], local[a.target][algebra.basis[target]]] = \
-                    algebra.act_coeff[k, x]
-        mats[a.name] = mat
-    return homology.Representation(algebra, dims, mats)
+    # the basis indices of the rows at each vertex, increasing, then the zero
+    # index as the sentinel row: a product goes to its place among its end's
+    rows = {v: np.array([algebra.index[q] for q in ps] + [algebra.dim])
+            for v, ps in by_vertex.items()}
+    return homology.Representation._of_index_maps(
+        algebra, {v: len(ps) for v, ps in by_vertex.items()},
+        {a.name: (np.searchsorted(rows[a.target], algebra.act_index[rows[a.source], x]),
+                  algebra.act_coeff[rows[a.source], x])
+         for x, a in enumerate(algebra.quiver.arrows)})
 
 
 _KINDS = {int: "an integer", list: "a list", dict: "an object"}

@@ -186,7 +186,8 @@ def _fits(letters: tuple[Letter, ...], algebra: Algebra) -> bool:
 def _factors(algebra: Algebra):
     """The letters' characters, ``chr(2 * arrow index + inverse)``, and the
     vertices' after them; a pattern of the factors no string holds; one of
-    those on which a completed rule fails; and each such rule with its own."""
+    those on which a completed rule fails; each such rule with its own; and
+    the table that flips each letter's character to its inverse's."""
     quiver, ends = algebra.quiver, algebra.quiver.letter_ends
     letters = [Letter(a.name, inverse) for a in quiver.arrows for inverse in (False, True)]
     codes = {l: chr(k) for k, l in enumerate(letters)}
@@ -203,12 +204,18 @@ def _factors(algebra: Algebra):
                                    + [rule.rhs.source]) + "]")
                  for rule in algebra.rules if rule.rhs is not None]
     return (codes, re.compile("|".join(string)),
-            re.compile("|".join(factor for _, factor in each_rule) or "(?!)"), each_rule)
+            re.compile("|".join(factor for _, factor in each_rule) or "(?!)"), each_rule,
+            str.maketrans({codes[l]: codes[l.flipped()] for l in letters}))
 
 
 def spelling(algebra: Algebra, word: StringWord) -> str:
     """The word, one character per letter (``_factors``)."""
     return "".join(map(_factors(algebra)[0].__getitem__, word.letters))
+
+
+def inverse_spelling(algebra: Algebra, text: str) -> str:
+    """The spelling of the inverse of the word that ``text`` spells."""
+    return text[::-1].translate(_factors(algebra)[4])
 
 
 def is_string(word: StringWord, algebra: Algebra) -> bool:
@@ -291,7 +298,7 @@ def check_rules(algebra: Algebra, word: StringWord) -> None:
     as inverse ones, or, trivial at v, where the word visits v."""
     if all(rule.rhs is None for rule in algebra.rules):
         return  # nothing to search for, as on ae1 and ae2
-    codes, _, rules, each_rule = _factors(algebra)
+    codes, _, rules, each_rule, _ = _factors(algebra)
     text = spelling(algebra, word) or codes[word.vertex]
     if rules.search(text):
         rule = next(rule for rule, factor in each_rule if re.search(factor, text))
@@ -311,21 +318,20 @@ def check_string_module(algebra: Algebra, word: StringWord) -> None:
 
 @memoized
 def string_module(algebra: Algebra, word: StringWord) -> homology.Representation:
-    """The module on the walk: one basis vector per visited vertex.
-    ``check_string_module`` refuses a word whose walk is not a module, so
-    the construction does not check the rules again."""
+    """The module on the walk: one basis vector per visited vertex, each
+    arrow's matrix an index map (``_moves``).  ``check_string_module``
+    refuses a word whose walk is not a module, so the construction does
+    not check the rules again."""
     check_string_module(algebra, word)
-    quiver = algebra.quiver
-    verts, local = word_layout(quiver, word)
+    verts, local = word_layout(algebra.quiver, word)
     counts = Counter(verts)
-    mats = {a.name: np.zeros((counts[a.source], counts[a.target]), dtype=np.int64)
-            for a in quiver.arrows}
-    for j, l in enumerate(word.letters):
-        if l.inverse:
-            mats[l.arrow][local[j + 1], local[j]] = 1
-        else:
-            mats[l.arrow][local[j], local[j + 1]] = 1
-    return homology.Representation(algebra, counts, mats, check=False)
+    maps = {a.name: (np.full(counts[a.source] + 1, counts[a.target], dtype=np.int64),
+                     np.zeros(counts[a.source] + 1, dtype=np.int64))
+            for a in algebra.quiver.arrows}
+    for (j, arrow), k in _moves(word).items():
+        cols, vals = maps[arrow]
+        cols[local[j]], vals[local[j]] = local[k], 1
+    return homology.Representation._of_index_maps(algebra, counts, maps)
 
 
 def module_word(rep: homology.Representation) -> StringWord | None:
@@ -515,18 +521,13 @@ def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, St
         return []
     quiver = algebra.quiver
     node = canonical(word, quiver)
-    seen = set()
-    edges = []
-    orientations = [node] if node.is_trivial else [node, node.inverse()]
-    for w in orientations:
+    edges = {}  # in the order first found
+    for w in [node] if node.is_trivial else [node, node.inverse()]:
         for hook in (True, False):
             for ext in extensions_at_start(w, algebra, hook):
                 ext = canonical(ext, quiver)
-                edge = (node, ext, "hook") if hook else (ext, node, "cohook")
-                if edge not in seen:
-                    seen.add(edge)
-                    edges.append(edge)
-    return edges
+                edges[(node, ext, "hook") if hook else (ext, node, "cohook")] = None
+    return list(edges)
 
 
 # -- named strings of the built-in families ------------------------------------------

@@ -1,5 +1,8 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
@@ -28,6 +31,7 @@ from strcat import (
 )
 from hypothesis import given
 
+import strcat
 from strcat import (
     RepresentationInfinite,
     arquiver,
@@ -278,6 +282,27 @@ def test_check_tower_composes_logarithmically_many_maps_per_step(monkeypatch):
     assert len(calls) <= sum(2 * (l.bit_length() - 1) + 2 for l in steps) < 2144
 
 
+@pytest.mark.parametrize("family", ["ae1", "ae3"])
+def test_classify_writes_dense_matrices_of_no_tower_module_but_the_base_and_cap(family):
+    # string modules and projectives keep their index maps and write dense
+    # matrices only when read: the closing Hom and Ext^1 read the base, and
+    # the covers read ae1's projective cap P(0); no other tower module
+    m = 16
+    A = build_family(family, m)
+    assert not verify_classification(classify(A, family, m), family, m)
+    tower = build_tower(family, m, A)  # the modules classify built, from the memo
+    cap = get_family(family).projective_cap is not None
+    assert (tower.labels[-1] == "P(0)") == cap
+    assert ["mats" in vars(M) for M in tower.modules] == (
+        [True] + [False] * (len(tower.modules) - 2) + [cap])
+    built = [M for key, M in A.memo.items()
+             if key[0] in ("string_module", "indecomposable_projective")]
+    assert {id(M) for M in tower.modules} <= {id(M) for M in built}
+    for M in built:
+        for cols, vals in M._row_maps().values():
+            assert not cols.flags.writeable and not vals.flags.writeable
+
+
 def test_check_tower_multiplies_and_eliminates_nothing_before_its_last_hom(monkeypatch):
     # every tower map is an index map, so rank, composites, powers,
     # kernels and images take no dense product or elimination; only the
@@ -388,9 +413,30 @@ def test_classify_equals_the_closed_form_table_for_every_m_to_64():
 
 
 @pytest.mark.slow
-def test_classify_equals_the_closed_form_table_at_the_largest_m_of_ae2():
-    m = get_family("ae2").m_max
-    assert not verify_classification(classify(build_family("ae2", m), "ae2", m), "ae2", m)
+@pytest.mark.parametrize("family", ["ae1", "ae2"])
+def test_classify_equals_the_closed_form_table_at_the_largest_m(family):
+    m = get_family(family).m_max
+    assert not verify_classification(classify(build_family(family, m), family, m), family, m)
+
+
+@pytest.mark.slow
+def test_classify_at_ae3_m_509_peaks_under_300_mb():
+    # string modules keep their index maps and write no dense matrix for the
+    # tower unless read; with a dense int64 matrix per arrow, the tower's 509
+    # modules took this run to 839 MB.  On Linux a child's ru_maxrss starts
+    # at its parent's resident size, here pytest's, so a small launcher runs
+    # classify and reads its child's peak; ru_maxrss is in KB on Linux.
+    src = os.path.dirname(os.path.dirname(strcat.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    launch = ("import resource, subprocess, sys\n"
+              "subprocess.run([sys.executable, '-m', 'strcat.cli', 'classify', '--family', "
+              "'ae3', '--m', '509'], check=True, stdout=subprocess.DEVNULL)\n"
+              "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    run = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True,
+                         text=True, timeout=600)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 300 * 1024
 
 
 def check_orbit_counts_sweep(top, monkeypatch):

@@ -770,6 +770,32 @@ def test_rule_check_refuses_what_string_module_refuses():
     assert ("check_string_module", word) in A.memo  # memoized per algebra
 
 
+# two binomial rules, x1 -> x2 before y1 -> y2 in rule order; the string
+# y2,x2~ walks the right side of the second before that of the first.  The
+# loop z keeps e0 out of the socle, so that x2 and y2 are strings.
+TWO_BINOMIAL_RULES_SPEC = {
+    "vertices": [0, 1, 2],
+    "arrows": [{"name": "z", "from": 0, "to": 0},
+               {"name": "x1", "from": 1, "to": 0}, {"name": "x2", "from": 1, "to": 0},
+               {"name": "y1", "from": 2, "to": 0}, {"name": "y2", "from": 2, "to": 0}],
+    "rules": [{"lhs": ["z", "z"], "rhs": None},
+              {"lhs": ["x1"], "rhs": {"coeff": 1, "path": ["x2"]}},
+              {"lhs": ["y1"], "rhs": {"coeff": 1, "path": ["y2"]}}],
+    "dim_bound": 8,
+}
+
+
+def test_rule_check_names_the_first_failing_rule_in_rule_order():
+    # the construction check names the first rule in rule order that
+    # fails, not the one whose right side the word walks first
+    A = load_algebra_spec(TWO_BINOMIAL_RULES_SPEC)
+    assert [str(rule) for rule in A.rules] == ["x1 -> 1*x2", "y1 -> 1*y2", "z*z -> 0"]
+    for literal in ("y2,x2~", "x2,y2~"):
+        with pytest.raises(StrcatError, match=r"^rule x1 -> 1\*x2 fails on this representation$"):
+            strings.check_string_module(A, parse_string_literal(literal, A.quiver))
+    assert_rule_check_matches_on_every_short_word(A, 3)
+
+
 def test_rule_check_on_a_trivial_right_side_matches_the_construction_check():
     # k[x]/(x^2 - 1) keeps the rule x*x -> 1*e0, which fails on every
     # string's module, even on M(e0), where x*x is zero and e0 is not
