@@ -897,8 +897,8 @@ def _word_cuts(algebra, word) -> _WordCuts:
 
     check_string_module(algebra, word)
     verts = word_vertices(algebra.quiver, word)
-    text = spelling(algebra, word)
-    back = inverse_spelling(algebra, text)
+    text = spelling(algebra.quiver, word)
+    back = inverse_spelling(algebra.quiver, text)
     inverse = [l.inverse for l in word.letters]
     direct = [not i for i in inverse]
     return _WordCuts(_windows(text, verts, inverse, direct),

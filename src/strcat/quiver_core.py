@@ -86,7 +86,11 @@ class Quiver:
     joins arrow names with commas, marks an inverse with ``~``, strips
     whitespace and reads ``TRIVIAL_LITERAL`` as a trivial word, so an arrow
     name holds none of those and is not of that form (``_ARROW_NAME``);
-    then every path and string prints as a literal that reads back."""
+    then every path and string prints as a literal that reads back.  Each
+    letter ``(name, inverse)`` has one character, ``codes[letter]`` =
+    chr(inverse * #arrows + declaration index), and each vertex one after
+    those in increasing order, so spellings sort as words do
+    (``strings.word_key``); ``flip_codes`` flips a letter's to its inverse's."""
 
     vertices: tuple[int, ...]
     arrows: tuple[Arrow, ...]
@@ -114,6 +118,12 @@ class Quiver:
         object.__setattr__(self, "_ends", {
             (a.name, inverse): (a.target, a.source) if inverse else (a.source, a.target)
             for a in self.arrows for inverse in (False, True)})
+        n = len(names)
+        object.__setattr__(self, "codes", {
+            **{(name, inv): chr(inv * n + i) for i, name in enumerate(names)
+               for inv in (False, True)},
+            **{v: chr(2 * n + k) for k, v in enumerate(sorted(self.vertices))}})
+        object.__setattr__(self, "flip_codes", {k: (k + n) % (2 * n) for k in range(2 * n)})
 
     def arrow(self, name: str) -> Arrow:
         return self.arrows[self.arrow_index(name)]
@@ -465,14 +475,6 @@ class Algebra:
                 self.act_coeff[k, x] = term[1]
         self.verify_associativity()
         self.socle_rules = self._socle_quotient_rules()
-        # the windows of string letters (name, inverse) that spell a socle
-        # rule, keyed by their first letter: the rule's names as direct
-        # letters, and its reversed names as inverse ones
-        self.socle_windows: dict = {}
-        for rule in self.socle_rules:
-            for window in (tuple((name, False) for name in rule.arrows),
-                           tuple((name, True) for name in reversed(rule.arrows))):
-                self.socle_windows.setdefault(window[0], []).append(window)
         self.memo: dict = {}
 
     # -- construction checks -------------------------------------------------

@@ -9,11 +9,12 @@ of forbidden factors (Butler and Ringel, Comm. Algebra 15, 1987): no
 letter is followed by one that does not compose with it or undoes it, no
 run of one direction contains a socle rule, and no run spells a completed
 rule's right side (``check_rules``).  So each check is one search of the
-word's spelling, one character per letter (``spelling``), for a pattern
-built once per algebra (``_factors``), and a word that matches is
-searched rule by rule to name the first rule it fails.  Strings grow one
-letter at a time at the start in the enumeration and the hook and cohook
-moves, so ``_extend`` checks the new first letter only (``_fits``).
+word's spelling in the quiver's letter code (``Quiver.codes``) for a
+pattern spelt once per algebra from its table of forbidden factors by
+first letter (``_factors``); a word that matches is searched rule by rule
+to name the first rule it fails.  Strings grow one letter at a time at
+the start in the enumeration and the hook and cohook moves, so
+``_extend`` reads only the new first letter's row of that table.
 
 Going the other way, ``module_word`` reads the string a module's basis
 graph spells, which names a module without an isomorphism test; and
@@ -52,18 +53,28 @@ from .quiver_core import TRIVIAL_LITERAL, Algebra, Path, Quiver, memoized
 
 
 class Letter(NamedTuple):
-    """An arrow, or its formal inverse.  A Letter is the plain tuple
-    ``(arrow, inverse)`` and equals it, so words hash and compare as
-    tuples, in C."""
+    """An arrow, or its formal inverse: the plain tuple ``(arrow, inverse)``,
+    equal to it, so words hash and compare as tuples, in C.  The words
+    built here share one Letter per arrow and direction (``_LETTERS``)."""
 
     arrow: str
     inverse: bool = False
 
     def flipped(self) -> "Letter":
-        return Letter(self.arrow, not self.inverse)
+        return _LETTERS[self.arrow, not self.inverse]
 
     def __str__(self) -> str:
         return self.arrow + ("~" if self.inverse else "")
+
+
+class _Letters(dict):
+    """(arrow, inverse) -> its one Letter, interned when first asked for."""
+
+    def __missing__(self, key: tuple[str, bool]) -> Letter:
+        return self.setdefault(key, Letter(*key))
+
+
+_LETTERS = _Letters()
 
 
 @dataclass(frozen=True)
@@ -90,7 +101,7 @@ class StringWord:
     def inverse(self) -> "StringWord":
         if self.is_trivial:
             return self
-        return StringWord(tuple(l.flipped() for l in reversed(self.letters)))
+        return StringWord(tuple(_LETTERS[a, not inv] for a, inv in reversed(self.letters)))
 
     def literal(self) -> str:
         if self.is_trivial:
@@ -133,20 +144,16 @@ def word_layout(quiver: Quiver, word: StringWord) -> tuple[list[int], list[int]]
 
 
 def word_key(quiver: Quiver, word: StringWord) -> tuple:
-    """Sort key: direct letters before inverse ones, then declaration order."""
-    if word.is_trivial:
-        return (0, (), word.vertex)
-    letters = tuple((l.inverse, quiver.arrow_index(l.arrow)) for l in word.letters)
-    return (word.length, letters, -1)
+    """Sort key: the length, then the spelling (``Quiver.codes``), or a
+    trivial word's vertex's code."""
+    return (word.length, spelling(quiver, word) or quiver.codes[word.vertex])
 
 
 def _keyed_canonical(word: StringWord, quiver: Quiver) -> tuple[tuple, StringWord]:
-    """``(word_key, word)`` of ``canonical(word, quiver)``.  The inverse's key
-    is the word's letter codes reversed with each direction flipped, so
-    the inverse word is built only when it is strictly smaller."""
+    """``(word_key, word)`` of ``canonical(word, quiver)``; the inverse word is
+    built only when its key, the inverse spelling, is strictly smaller."""
     key = word_key(quiver, word)
-    length, codes, last = key
-    flipped = (length, tuple((not inv, x) for inv, x in reversed(codes)), last)
+    flipped = (key[0], inverse_spelling(quiver, key[1]))
     return (flipped, word.inverse()) if flipped < key else (key, word)
 
 
@@ -167,93 +174,83 @@ def _known(word: StringWord, quiver: Quiver) -> StringWord:
     return word
 
 
-def _fits(letters: tuple[Letter, ...], algebra: Algebra) -> bool:
-    """The string condition at the first letter: it ends where the next one
-    starts, is not undone by it, and starts no socle window of its own run
-    (``Algebra.socle_windows``), in O(longest rule) per window."""
-    ends, x = algebra.quiver.letter_ends, letters[0]
-    if len(letters) > 1:
-        y = letters[1]
-        if ends(x)[1] != ends(y)[0] or (y.arrow == x.arrow and y.inverse != x.inverse):
-            return False
-    for window in algebra.socle_windows.get(x, ()):
-        if letters[:len(window)] == window:
-            return False
-    return True
-
-
 @memoized
 def _factors(algebra: Algebra):
-    """The letters' characters, ``chr(2 * arrow index + inverse)``, and the
-    vertices' after them; a pattern of the factors no string holds; one of
-    those on which a completed rule fails; each such rule with its own; and
-    the table that flips each letter's character to its inverse's."""
-    quiver, ends = algebra.quiver, algebra.quiver.letter_ends
-    letters = [Letter(a.name, inverse) for a in quiver.arrows for inverse in (False, True)]
-    codes = {l: chr(k) for k, l in enumerate(letters)}
-    codes.update({v: chr(len(letters) + k) for k, v in enumerate(quiver.vertices)})
+    """The factors no string holds, by first letter x: the letters and
+    vertices that may not follow x (where x does not end, and x's inverse),
+    and the tails of the socle runs from x (a socle rule as direct letters,
+    or reversed as inverse ones); the pattern spelt from that table; one of
+    the factors on which a completed rule fails; each such rule with its."""
+    quiver, codes, ends = algebra.quiver, algebra.quiver.codes, algebra.quiver.letter_ends
+    letters = [_LETTERS[a.name, inverse] for inverse in (False, True) for a in quiver.arrows]
+    table = {x: ({y for y in letters if ends(x)[1] != ends(y)[0] or y == x.flipped()}
+                 | {v for v in quiver.vertices if v != ends(x)[1]}, []) for x in letters}
+    for rule in algebra.socle_rules:
+        for run in ([_LETTERS[name, False] for name in rule.arrows],
+                    [_LETTERS[name, True] for name in reversed(rule.arrows)]):
+            table[run[0]][1].append(tuple(run[1:]))
     def spelt(chars) -> str:
         return re.escape("".join(codes[c] for c in chars))
-    # a letter followed by one that does not compose with it or undoes it
-    string = [spelt([x]) + "[" + spelt([y for y in letters if ends(x)[1] != ends(y)[0]
-                                        or y == x.flipped()]) + "]" for x in letters]
-    string += [spelt(window) for windows in algebra.socle_windows.values() for window in windows]
+    string = "|".join(spelt([x]) + "(?:[" + spelt(blocked) + "]"
+                      + "".join("|" + spelt(tail) for tail in tails) + ")"
+                      for x, (blocked, tails) in table.items())
     each_rule = [(rule, spelt([(a, False) for a in rule.rhs.arrows]) + "|"
                   + spelt([(a, True) for a in reversed(rule.rhs.arrows)]) if rule.rhs.arrows
                   else "[" + spelt([l for l in letters if rule.rhs.source in ends(l)]
                                    + [rule.rhs.source]) + "]")
                  for rule in algebra.rules if rule.rhs is not None]
-    return (codes, re.compile("|".join(string)),
-            re.compile("|".join(factor for _, factor in each_rule) or "(?!)"), each_rule,
-            str.maketrans({codes[l]: codes[l.flipped()] for l in letters}))
+    return (table, re.compile(string or "(?!)"),
+            re.compile("|".join(factor for _, factor in each_rule) or "(?!)"), each_rule)
 
 
-def spelling(algebra: Algebra, word: StringWord) -> str:
-    """The word, one character per letter (``_factors``)."""
-    return "".join(map(_factors(algebra)[0].__getitem__, word.letters))
+def spelling(quiver: Quiver, word: StringWord) -> str:
+    """The word, one character per letter (``Quiver.codes``)."""
+    return "".join(map(quiver.codes.__getitem__, word.letters))
 
 
-def inverse_spelling(algebra: Algebra, text: str) -> str:
+def inverse_spelling(quiver: Quiver, text: str) -> str:
     """The spelling of the inverse of the word that ``text`` spells."""
-    return text[::-1].translate(_factors(algebra)[4])
+    return text[::-1].translate(quiver.flip_codes)
 
 
 def is_string(word: StringWord, algebra: Algebra) -> bool:
     """Whether the word is a valid string for the socle-quotient rules."""
     _known(word, algebra.quiver)
-    return not _factors(algebra)[1].search(spelling(algebra, word))
+    return not _factors(algebra)[1].search(spelling(algebra.quiver, word))
 
 
 def _extend(word: StringWord, letter: Letter, algebra: Algebra) -> StringWord | None:
     """``letter`` followed by ``word`` when that is a string, else None.
-
-    ``word`` must already be a string, so only the new letter is checked:
-    it must end where the word starts, and ``_fits`` judges the rest."""
-    if word.is_trivial and algebra.quiver.letter_ends(letter)[1] != word.vertex:
+    ``word`` must be a string, so only the new letter's row of ``_factors``
+    is read: what follows it (a letter, or a trivial word's vertex) and the
+    socle runs from it."""
+    blocked, tails = _factors(algebra)[0][letter]
+    letters = word.letters
+    if (letters[0] if letters else word.vertex) in blocked or any(
+            letters[:len(tail)] == tail for tail in tails):
         return None
-    letters = (letter,) + word.letters
-    return StringWord(letters) if _fits(letters, algebra) else None
+    return StringWord((letter,) + letters)
 
 
 def _prepended(word: StringWord, algebra: Algebra, directions: tuple[bool, ...]) -> list[StringWord]:
     """Every string ``letter`` + ``word`` whose letter's ``inverse`` flag is
     in ``directions``, in arrow order; ``word`` must be a string."""
     return [got for a in algebra.quiver.arrows for inv in directions
-            if (got := _extend(word, Letter(a.name, inv), algebra)) is not None]
+            if (got := _extend(word, _LETTERS[a.name, inv], algebra)) is not None]
 
 
 @memoized
 def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[StringWord, ...]:
     """All strings, one canonical representative per class, in word order.
 
-    ``_fits`` judges a letter by the windows of at most K = max(2, longest
-    socle rule) letters that start there.  So if a string's first K - 1
-    letters come again later in it, the stretch before the repeat pumps:
-    there are infinitely many strings, and RepresentationInfinite names
-    that string.  Each string is grown from its suffixes, so checking each
-    new word's first K - 1 letters finds such a repeat if any string has
-    one; else the strings are finite and the growth stops.  ``length_cap``
-    is ignored; perfbench's spans bind that name."""
+    ``_extend`` judges a letter by the forbidden factors of at most K = max(2,
+    longest socle rule) letters from it.  So if a string's first K - 1 letters
+    come again later in it, the stretch before the repeat pumps: there are
+    infinitely many strings, and RepresentationInfinite names that string.
+    Each string is grown from its suffixes, so checking each new word's first
+    K - 1 letters finds such a repeat if any string has one; else the strings
+    are finite and the growth stops.  ``length_cap`` is ignored; perfbench's
+    spans bind that name."""
     quiver = algebra.quiver
     head = max([2, *(len(rule.arrows) for rule in algebra.socle_rules)]) - 1  # K - 1
     words: list[StringWord] = [empty_word(v) for v in quiver.vertices]
@@ -298,8 +295,8 @@ def check_rules(algebra: Algebra, word: StringWord) -> None:
     as inverse ones, or, trivial at v, where the word visits v."""
     if all(rule.rhs is None for rule in algebra.rules):
         return  # nothing to search for, as on ae1 and ae2
-    codes, _, rules, each_rule, _ = _factors(algebra)
-    text = spelling(algebra, word) or codes[word.vertex]
+    _, _, rules, each_rule = _factors(algebra)
+    text = spelling(algebra.quiver, word) or algebra.quiver.codes[word.vertex]
     if rules.search(text):
         rule = next(rule for rule, factor in each_rule if re.search(factor, text))
         raise StrcatError(f"rule {rule} fails on this representation")
@@ -354,8 +351,8 @@ def module_word(rep: homology.Representation) -> StringWord | None:
         cols, vals = maps[a.name]
         for r in vals[:-1].nonzero()[0]:
             x, y = start[a.source] + int(r), start[a.target] + int(cols[r])
-            steps[x].append((y, Letter(a.name)))
-            steps[y].append((x, Letter(a.name, True)))
+            steps[x].append((y, _LETTERS[a.name, False]))
+            steps[y].append((x, _LETTERS[a.name, True]))
     first = next((v for v in quiver.vertices if rep.dims[v]), None)
     return _path_word(rep.algebra, steps, first)
 
@@ -478,8 +475,8 @@ def syzygy_word(algebra: Algebra, word: StringWord) -> StringWord | None:
             if image != {s: image[r] * unit * c % p for s, c in basis[m].items()}:
                 return None  # not one multiple of one kernel vector
             name = quiver.arrows[x].name
-            steps[n].append((m, Letter(name)))
-            steps[m].append((n, Letter(name, True)))
+            steps[n].append((m, _LETTERS[name, False]))
+            steps[m].append((n, _LETTERS[name, True]))
     got = _path_word(algebra, steps, target[next(iter(basis[0]))[1]])
     return None if got is None else canonical(got, quiver)
 
@@ -570,7 +567,7 @@ def _parse_literal(text: str) -> StringWord:
             raise StrcatError(f"stray '~' in string literal {text!r}")
     if not tokens:
         raise StrcatError("empty string literal")
-    return StringWord(tuple(Letter(t.removesuffix("~"), t.endswith("~"))
+    return StringWord(tuple(_LETTERS[t.removesuffix("~"), t.endswith("~")]
                             for t in tokens))
 
 
@@ -580,5 +577,5 @@ def parse_string_literal(text: str, quiver: Quiver) -> StringWord:
     one letter, so ``w.literal()`` reads back as ``w`` for every word."""
     name = text.strip().removesuffix("~")
     if "," not in name and quiver.has_arrow(name):
-        return StringWord((Letter(name, name != text.strip()),))
+        return StringWord((_LETTERS[name, name != text.strip()],))
     return _known(_parse_literal(text), quiver)

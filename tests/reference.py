@@ -50,6 +50,16 @@ def letter_target(quiver, letter):
     return a.source if letter.inverse else a.target
 
 
+def word_order_key(quiver, word):
+    """The word order with no spelling: the length, then each letter as
+    (inverse, arrow index), so direct letters come before inverse ones,
+    each in declaration order; a trivial word by its vertex."""
+    if word.is_trivial:
+        return (0, (), word.vertex)
+    return (word.length, tuple((l.inverse, quiver.arrow_index(l.arrow))
+                               for l in word.letters), -1)
+
+
 def hand_built(family, m, p=DEFAULT_PRIME):
     """The family's algebra with its quiver and rules written out by hand,
     not read from its spec."""

@@ -420,12 +420,14 @@ def test_classify_equals_the_closed_form_table_at_the_largest_m(family):
 
 
 @pytest.mark.slow
-def test_classify_at_ae3_m_509_peaks_under_300_mb():
+def test_classify_at_ae3_m_509_peaks_under_160_mb():
     # string modules keep their index maps and write no dense matrix for the
     # tower unless read; with a dense int64 matrix per arrow, the tower's 509
-    # modules took this run to 839 MB.  On Linux a child's ru_maxrss starts
-    # at its parent's resident size, here pytest's, so a small launcher runs
-    # classify and reads its child's peak; ru_maxrss is in KB on Linux.
+    # modules took this run to 839 MB, and with a fresh Letter for every
+    # letter of every word and tuple sort keys, to 185 MB.  On Linux a
+    # child's ru_maxrss starts at its parent's resident size, here pytest's,
+    # so a small launcher runs classify and reads its child's peak;
+    # ru_maxrss is in KB on Linux.
     src = os.path.dirname(os.path.dirname(strcat.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -436,7 +438,7 @@ def test_classify_at_ae3_m_509_peaks_under_300_mb():
     run = subprocess.run([sys.executable, "-c", launch], env=env, capture_output=True,
                          text=True, timeout=600)
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) < 300 * 1024
+    assert int(run.stdout) < 160 * 1024
 
 
 def check_orbit_counts_sweep(top, monkeypatch):

@@ -9,6 +9,8 @@ no other module prints, writes to ``sys.stdout`` or ``sys.stderr``,
 imports ``csv`` or serializes with ``json.dump``/``json.dumps`` (reading
 a spec with ``json.load``/``json.loads`` is fine).  Only ``homology.py``
 builds a ``CanonicalHom``, since only it reads the windows of a word.
+Only ``quiver_core.py`` turns a number into a character: a letter's one
+code is the Quiver's (``Quiver.codes``), and every spelling reads it.
 ``__init__.py`` only re-exports, so its imports do not count as uses and
 are not checked.  An import kept on purpose carries
 ``# noqa: F401`` on its line.
@@ -149,3 +151,9 @@ def test_only_homology_makes_canonical_homomorphisms():
                     getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                 makers.add(path.stem)
     assert makers == {"homology"}, sorted(makers)
+
+
+def test_only_the_quiver_codes_letters():
+    coding = sorted(path.name for path in SRC.glob("*.py")
+                    if "chr(" in path.read_text(encoding="utf-8"))
+    assert coding == ["quiver_core.py"], coding

@@ -41,7 +41,8 @@ from strcat.strings import (
     class_moves,
     extensions_at_start,
     family_node_names,
-    word_key,
+    module_word,
+    syzygy_word,
 )
 
 from .builders import (
@@ -64,6 +65,7 @@ from .reference import (
     socle_dims,
     top_dims,
     walked_representation,
+    word_order_key,
 )
 from .test_arquiver import nakayama_spec, word_read_algebras
 from .test_quiver_core import built_or_skipped, small_specs
@@ -91,7 +93,7 @@ def maximal_directed_strings(algebra):
         if not any(is_string(StringWord((Letter(a.name),) + w.letters), algebra)
                    for a in quiver.arrows):
             out.append(canonical(w, quiver))
-    return sorted(set(out), key=lambda w: word_key(quiver, w))
+    return sorted(set(out), key=lambda w: word_order_key(quiver, w))
 
 
 def _one_sided(word, algebra, side, hook):
@@ -191,7 +193,7 @@ def test_named_strings_cover_the_enumeration(family, m):
 
 
 def smaller_orientation(word, quiver):
-    return min(word, word.inverse(), key=lambda w: word_key(quiver, w))
+    return min(word, word.inverse(), key=lambda w: word_order_key(quiver, w))
 
 
 @pytest.mark.parametrize("family,m", ORACLE_CASES)
@@ -218,10 +220,26 @@ def test_canonical_of_any_word_is_the_smaller_orientation(letters, vertex):
 def test_enumeration_is_sorted_and_deterministic():
     A = ae3(3)
     words = enumerate_strings(A)
-    keys = [word_key(A.quiver, w) for w in words]
+    keys = [word_order_key(A.quiver, w) for w in words]
     assert keys == sorted(keys)
     # a second call on A would return the memoized tuple itself
     assert words == enumerate_strings(ae3(3))
+
+
+# and a Brauer line with its vertices declared in decreasing order, where
+# the trivial words sort by vertex, not by declaration
+ORDERED_ALGEBRAS = word_read_algebras() + [
+    ("brauer-2-vertices-reversed",
+     lambda: load_algebra_spec({**brauer_line_spec(2), "vertices": [2, 1, 0]}))]
+
+
+@pytest.mark.parametrize("build", [b for _, b in ORDERED_ALGEBRAS],
+                         ids=[name for name, _ in ORDERED_ALGEBRAS])
+def test_enumeration_is_in_the_word_order(build):
+    # the spelling's order is the letter-by-letter order of word_order_key
+    A = build()
+    keys = [word_order_key(A.quiver, w) for w in enumerate_strings(A)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_enumeration_memo_ignores_the_call_form():
@@ -469,9 +487,12 @@ ORACLE_CASES_AT_PRIMES = [(family, m, p) for family, m in ORACLE_CASES
                           for p in (2, 3, DEFAULT_PRIME)]
 
 
-@pytest.mark.parametrize("family,m,p", ORACLE_CASES_AT_PRIMES)
-def test_extension_checks_only_the_new_letter(family, m, p):
-    A = build_family(family, m, p)
+# every family with m <= 8 at each prime, which holds ORACLE_CASES_AT_PRIMES,
+# then the Brauer lines and stars and the Nakayama algebras
+@pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
+                         ids=[name for name, _ in word_read_algebras()])
+def test_extension_checks_only_the_new_letter(build):
+    A = build()
     longest = max(w.length for w in enumerate_strings(A))
     assert_extension_matches_a_rescan(A, longest + 1)
 
@@ -858,6 +879,19 @@ def test_rule_check_on_words_of_random_binomial_specs_matches_the_construction_c
 
 
 # -- letters ------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 8), ("ae2", 5), ("ae3", 6)])
+def test_words_share_one_letter_per_arrow_and_direction(family, m):
+    A = build_family(family, m)
+    nodes = enumerate_strings(A)
+    words = list(nodes) + [w for _, w in family_node_names(family, m, A.quiver)]
+    words += [w.inverse() for w in words]
+    words += [got for w in nodes if (got := syzygy_word(A, w)) is not None]
+    words += [module_word(string_module(A, w)) for w in nodes]
+    words += [parse_string_literal(w.literal(), A.quiver) for w in nodes]
+    held = {id(l) for w in words for l in w.letters}
+    assert len(held) <= 2 * len(A.quiver.arrows), len(held)
 
 
 def test_letters_are_plain_immutable_tuples():
