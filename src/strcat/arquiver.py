@@ -4,9 +4,9 @@ Nodes are the string classes (the non-projective indecomposables); solid
 arrows are the canonical inclusions into hook extensions and projections
 out of cohook extensions.  Omega of a string is decided in one place,
 ``omega_word``, once per word: the rules are checked on the word, the
-syzygy's word is read off it and the act table, and only where that read
-gives up is the syzygy module built.  ``omega_node`` finds that word
-among the nodes, or tests isomorphism with the nodes of its dimension
+syzygy's word is read off its peaks, and only off the rule's scope or
+for a projective string is the syzygy module built.  ``omega_node`` finds
+that word among the nodes, or tests isomorphism with the nodes of its dimension
 vector (``match_node``) for a syzygy that spells no string; the
 translate and the syzygy orbits follow it.  ``syzygy_power`` walks
 ``omega_word`` for ``syzygy --n``.  The quiver is data; ``strcat.cli``
@@ -79,12 +79,12 @@ def omega_word(algebra: Algebra, word: strings.StringWord
     itself where it spells no string, zero for a projective M(word).
 
     ``strings.check_string_module`` first refuses a word whose module
-    fails a rule, with no module built.  ``strings.syzygy_word`` then
-    reads the syzygy off the word and the act table; only where that read
-    gives up is M(word) built and its syzygy named by the word its basis
-    graph spells (``strings.module_word``)."""
+    fails a rule, with no module built.  ``strings.omega_string`` then
+    reads the syzygy's word off the word's peaks; only off its scope, or
+    for a projective M(word), is M(word) built and its syzygy named by the
+    word its basis graph spells (``strings.module_word``)."""
     strings.check_string_module(algebra, word)
-    got = strings.syzygy_word(algebra, word)
+    got = strings.omega_string(algebra, word)
     if got is not None:
         return got
     return _spelled(algebra, homology.syzygy(strings.string_module(algebra, word)))

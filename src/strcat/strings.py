@@ -18,10 +18,10 @@ the start in the enumeration and the hook and cohook moves, so
 
 Going the other way, ``module_word`` reads the string a module's basis
 graph spells, which names a module without an isomorphism test; and
-``syzygy_word`` reads the string that Omega M(w) spells off w and the
-algebra's act table, with no module at all: the cover is one P(v) per
-peak of w (``word_peaks``), and its kernel's basis graph is walked as
-``module_word`` walks a module's.  ``arquiver.omega_word`` calls it.
+``omega_string`` reads the string of Omega M(w) off w's peaks and deeps,
+with no module at all, from each arrow's branch in the projectives, read
+once per algebra (``_branches``, which also decides the rule's scope).
+``arquiver.omega_word`` calls it.
 
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
 ``b,r~,a``; trivial words print as ``e0``, ``e1``.  Every printed word
@@ -37,6 +37,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -168,9 +169,9 @@ def _known(word: StringWord, quiver: Quiver) -> StringWord:
     quiver; raises UnknownArrow otherwise."""
     if word.is_trivial and word.vertex not in quiver.vertices:
         raise UnknownArrow(f"unknown vertex {word.vertex}")
-    for l in word.letters:
-        if not quiver.has_arrow(l.arrow):
-            raise UnknownArrow(f"unknown arrow {l.arrow!r}")
+    for name, _ in word.letters:
+        if not quiver.has_arrow(name):
+            raise UnknownArrow(f"unknown arrow {name!r}")
     return word
 
 
@@ -400,85 +401,79 @@ def word_peaks(word: StringWord) -> list[int]:
 
 
 @memoized
-def _cover_paths(algebra: Algebra):
-    """What ``syzygy_word`` reads of the algebra, as lists: for each vertex
-    v, each basis path k out of v as (k, prefix, a), the basis path
-    ``prefix`` followed by the arrow named a being k (``prefix`` -1 for
-    e_v), in basis order, which lists a prefix first; the arrow indices
-    out of each vertex; each basis path's target; and the act table."""
-    quiver = algebra.quiver
-    paths = {v: [] for v in quiver.vertices}
-    for k, q in enumerate(algebra.basis):
-        if not q.arrows:
-            paths[q.source].append((k, -1, None))
-            continue
-        a = quiver.arrow(q.arrows[-1])
-        prefix = algebra.index[Path(q.source, a.source, q.arrows[:-1])]
-        paths[q.source].append((k, prefix, a.name))
-    out = {v: [x for x, a in enumerate(quiver.arrows) if a.source == v]
-           for v in quiver.vertices}
-    return (paths, out, [q.target for q in algebra.basis],
-            algebra.act_index.tolist(), algebra.act_coeff.tolist())
-
-
-def syzygy_word(algebra: Algebra, word: StringWord) -> StringWord | None:
-    """The canonical word of Omega M(word), read off the word and the
-    algebra's act table with no matrix; None when this read gives no
-    answer, and always for a projective M(word), whose syzygy is zero.
-    ``word`` must be a string whose M(word) is a module over the algebra,
-    as ``check_string_module`` checks.
-
-    The cover of M(word) is one P(v) per peak (``word_peaks``), and its
-    basis vector (peak i, basis path q) goes to the position that q walks
-    to from i along the word, or to zero.  So the kernel is spanned by the
-    vectors sent to zero and, at each position that two of them reach (a
-    deep between two peaks), by their difference.  Each arrow sends a
-    vector of the first kind to one such vector (the act table), and a
-    difference to a multiple of one kernel vector when the two terms'
-    images are in the kernel basis; else the read gives up.  The kernel's
-    edges then spell its word as in ``module_word``, and a string word
-    names Omega M(word) (Butler and Ringel, Comm. Algebra 15, 1987).  It
-    also gives up when some position is reached from no peak or from
-    more than two rows, or when the edges spell no string."""
-    quiver = algebra.quiver
-    paths, out, target, act_index, act_coeff = _cover_paths(algebra)
-    p, zero = algebra.p, algebra.dim
-    verts, move = word_vertices(quiver, word), _moves(word)
-    killed, fibres = [], [[] for _ in verts]  # the cover's rows (peak, basis path)
-    for i in word_peaks(word):
-        at = {}
-        for k, prefix, a in paths[verts[i]]:
-            at[k] = i if prefix < 0 else move.get((at[prefix], a))
-            (killed if at[k] is None else fibres[at[k]]).append((i, k))
-    if any(not 0 < len(f) <= 2 for f in fibres):
+def _branches(algebra: Algebra):
+    """Each arrow's branch, the maximal nonzero path from it, as direct
+    letters and as inverse ones back from its end (empty for no arrow); the
+    arrows out of each vertex; the vertex of each soc P(v); the pattern of a
+    deep, a direct letter then an inverse one; and the inverse letters'
+    codes.  None off ``omega_string``'s scope: there at most two arrows go
+    into and out of each vertex, an arrow follows at most one with a nonzero
+    product, a nontrivial basis path times at most one arrow is nonzero,
+    P(v) is e_v plus its branches, which meet only at their one end, and the
+    socles lie at distinct vertices.  So A is self-injective: P(v) embeds in
+    the injective hull of its simple socle, and both sides' dimensions sum
+    to dim A.  An arrow that is no basis path (c = a0*b0 on a Brauer line)
+    is in no string and left out."""
+    quiver, zero, act = algebra.quiver, algebra.dim, algebra.act_index.tolist()
+    after = [[x for x, k in enumerate(row) if k != zero] for row in act[:zero]]
+    first = {a.name: algebra.index[path] for a in quiver.arrows
+             if (path := Path(a.source, a.target, (a.name,))) in algebra.index}
+    out = {v: [name for name in first if quiver.arrow(name).source == v] for v in quiver.vertices}
+    into = Counter(quiver.arrow(name).target for name in first)
+    follows = [y for k in first.values() for y in after[k]]
+    if (len(set(follows)) < len(follows) or max([0, *into.values(), *map(len, out.values())]) > 2
+            or any(len(after[k]) > 1 for k, q in enumerate(algebra.basis) if q.arrows)):
         return None
-    # kernel vectors as {row: coefficient}: killed rows, then differences
-    basis = [{r: 1} for r in killed] + [{f[1]: 1, f[0]: p - 1} for f in fibres if len(f) == 2]
-    if not basis:
+    size, branch, socle = Counter(q.source for q in algebra.basis), {None: ((), ())}, {}
+    for v in quiver.vertices:
+        ends, seen = set(), set()
+        for name in out[v]:
+            run, k = [name], first[name]
+            while after[k] and k not in seen:
+                seen.add(k)
+                run.append(quiver.arrows[after[k][0]].name)
+                k = act[k][after[k][0]]
+            ends.add(k)
+            branch[name] = (tuple(_LETTERS[a, False] for a in run),
+                            tuple(_LETTERS[a, True] for a in reversed(run)))
+        if len(ends) > 1 or any(after[k] for k in ends) or len(seen | ends) + 1 != size[v]:
+            return None
+        socle[v] = algebra.basis[ends.pop()].target if ends else v
+    if len(set(socle.values())) < len(socle):
         return None
-    coord = {r: (n, c) for n, vec in enumerate(basis) for r, c in vec.items()}
-    steps = [[] for _ in basis]
-    for n, vec in enumerate(basis):
-        for x in out[target[next(iter(vec))[1]]]:
-            image = {}
-            for (i, k), c in vec.items():
-                if act_index[k][x] != zero:
-                    r = (i, act_index[k][x])
-                    image[r] = (image.get(r, 0) + c * act_coeff[k][x]) % p
-            image = {r: c for r, c in image.items() if c}
-            if not image:
-                continue
-            r = next(iter(image))
-            if r not in coord:
-                return None
-            m, unit = coord[r]  # unit is 1 or p - 1, its own inverse
-            if image != {s: image[r] * unit * c % p for s, c in basis[m].items()}:
-                return None  # not one multiple of one kernel vector
-            name = quiver.arrows[x].name
-            steps[n].append((m, _LETTERS[name, False]))
-            steps[m].append((n, _LETTERS[name, True]))
-    got = _path_word(algebra, steps, target[next(iter(basis[0]))[1]])
-    return None if got is None else canonical(got, quiver)
+    direct, inverse = ("".join(quiver.codes[a.name, inv] for a in quiver.arrows) for inv in (0, 1))
+    deep = re.compile(f"(?<=[{re.escape(direct)}])(?=[{re.escape(inverse)}])")
+    return branch, out, socle, deep, inverse
+
+
+def omega_string(algebra: Algebra, word: StringWord) -> StringWord | None:
+    """The canonical word of Omega M(word), a module (``check_string_module``),
+    read off its peaks; None off ``_branches``'s scope and for a projective
+    M(word).  Its cover is one P(v) per peak, whose legs start P(v)'s two
+    branches: the kernel holds each branch's rest beyond its leg, down to the
+    socle and back up, and at each deep between two peaks the difference of
+    the two vectors there, a peak of Omega joining the rests on either side.
+    At an end of the word no deep joins the rest, so its end letter goes
+    (Butler and Ringel, Comm. Algebra 15, 1987; Erdmann, LNM 1428, 1990)."""
+    if (table := _branches(algebra)) is None:
+        return None
+    branch, out, socle, deep, inverse = table
+    quiver, letters = algebra.quiver, word.letters
+    rests, end = [], 0
+    for piece in deep.split(spelling(quiver, word)):
+        down = len(piece.lstrip(inverse))  # a peak: up its left leg, down its right
+        end += len(piece)
+        peak, up = end - down, len(piece) - down
+        legs = (letters[peak - 1].arrow if up else None, letters[peak].arrow if down else None)
+        v = quiver.arrow(legs[0] or legs[1]).source if letters else word.vertex
+        spare = iter([a for a in out[v] if a not in legs])
+        left, right = (leg or next(spare, None) for leg in legs)
+        rests += branch[left][0][up:], branch[right][1][:len(branch[right][1]) - down]
+    got = tuple(chain.from_iterable(rests))
+    if not got:
+        return None  # M(word) is P(v)
+    got = got[bool(rests[0]):len(got) - bool(rests[-1])]
+    return canonical(StringWord(got), quiver) if got else empty_word(socle[v])
 
 
 # -- hooks and cohooks ------------------------------------------------------------
@@ -544,13 +539,13 @@ def named_string(family: str, m: int, name: str) -> StringWord:
     if series not in ranges or index not in ranges[series]:
         raise IndexOutOfRange(
             f"{series}{index} is not a valid {family} module name for m={m}")
-    return _parse_literal(fam.word(series, index, m))
+    return _shared(_parse_literal(fam.word(series, index, m)))
 
 
 def family_node_names(family: str, m: int, quiver: Quiver) -> list[tuple[str, StringWord]]:
     """(name, canonical word) for every node, in report order."""
     fam = families.get(family)
-    return [(f"{series}{i}", canonical(_parse_literal(fam.word(series, i, m)), quiver))
+    return [(f"{series}{i}", canonical(_shared(_parse_literal(fam.word(series, i, m))), quiver))
             for series, rng in fam.series(m).items() for i in rng]
 
 
@@ -567,8 +562,13 @@ def _parse_literal(text: str) -> StringWord:
             raise StrcatError(f"stray '~' in string literal {text!r}")
     if not tokens:
         raise StrcatError("empty string literal")
-    return StringWord(tuple(_LETTERS[t.removesuffix("~"), t.endswith("~")]
-                            for t in tokens))
+    return StringWord(tuple((t.removesuffix("~"), t.endswith("~")) for t in tokens))
+
+
+def _shared(word: StringWord) -> StringWord:
+    """``word`` with its letters' one shared Letter each; ``_parse_literal``
+    spells plain (arrow, inverse) pairs, which enter ``_LETTERS`` only here."""
+    return StringWord(tuple(map(_LETTERS.__getitem__, word.letters)), word.vertex)
 
 
 def parse_string_literal(text: str, quiver: Quiver) -> StringWord:
@@ -578,4 +578,4 @@ def parse_string_literal(text: str, quiver: Quiver) -> StringWord:
     name = text.strip().removesuffix("~")
     if "," not in name and quiver.has_arrow(name):
         return StringWord((_LETTERS[name, name != text.strip()],))
-    return _known(_parse_literal(text), quiver)
+    return _shared(_known(_parse_literal(text), quiver))

@@ -19,21 +19,28 @@ from strcat.homology import (
 )
 from strcat.quiver_core import (
     DEFAULT_PRIME,
+    Algebra,
     Path,
     RewriteRule,
     complete_rewriting,
     make_path,
     make_quiver,
+    memoized,
     path_key,
     projective_paths,
 )
 from strcat.strings import (
+    _LETTERS,
     StringWord,
     _keyed_canonical,
+    _moves,
+    _path_word,
     _prepended,
+    canonical,
     check_string_module,
     empty_word,
     word_layout,
+    word_peaks,
     word_vertices,
 )
 
@@ -688,3 +695,89 @@ def filtered_full_cuts(algebra, source, target, injective):
     cut tables that ``homology.full_cut`` reads."""
     full = source.length if injective else target.length
     return [ch for ch in windowed_canonical_homs(algebra, source, target) if ch.length == full]
+
+
+# Omega of a string by the cover's kernel, walked as a basis graph: the
+# oracle of ``strings.omega_string``, with which it shares only ``canonical``
+
+
+@memoized
+def _cover_paths(algebra: Algebra):
+    """What ``syzygy_word`` reads of the algebra, as lists: for each vertex
+    v, each basis path k out of v as (k, prefix, a), the basis path
+    ``prefix`` followed by the arrow named a being k (``prefix`` -1 for
+    e_v), in basis order, which lists a prefix first; the arrow indices
+    out of each vertex; each basis path's target; and the act table."""
+    quiver = algebra.quiver
+    paths = {v: [] for v in quiver.vertices}
+    for k, q in enumerate(algebra.basis):
+        if not q.arrows:
+            paths[q.source].append((k, -1, None))
+            continue
+        a = quiver.arrow(q.arrows[-1])
+        prefix = algebra.index[Path(q.source, a.source, q.arrows[:-1])]
+        paths[q.source].append((k, prefix, a.name))
+    out = {v: [x for x, a in enumerate(quiver.arrows) if a.source == v]
+           for v in quiver.vertices}
+    return (paths, out, [q.target for q in algebra.basis],
+            algebra.act_index.tolist(), algebra.act_coeff.tolist())
+
+
+def syzygy_word(algebra: Algebra, word: StringWord) -> StringWord | None:
+    """The canonical word of Omega M(word), read off the word and the
+    algebra's act table with no matrix; None when this read gives no
+    answer, and always for a projective M(word), whose syzygy is zero.
+    ``word`` must be a string whose M(word) is a module over the algebra,
+    as ``check_string_module`` checks.
+
+    The cover of M(word) is one P(v) per peak (``word_peaks``), and its
+    basis vector (peak i, basis path q) goes to the position that q walks
+    to from i along the word, or to zero.  So the kernel is spanned by the
+    vectors sent to zero and, at each position that two of them reach (a
+    deep between two peaks), by their difference.  Each arrow sends a
+    vector of the first kind to one such vector (the act table), and a
+    difference to a multiple of one kernel vector when the two terms'
+    images are in the kernel basis; else the read gives up.  The kernel's
+    edges then spell its word as in ``module_word``, and a string word
+    names Omega M(word) (Butler and Ringel, Comm. Algebra 15, 1987).  It
+    also gives up when some position is reached from no peak or from
+    more than two rows, or when the edges spell no string."""
+    quiver = algebra.quiver
+    paths, out, target, act_index, act_coeff = _cover_paths(algebra)
+    p, zero = algebra.p, algebra.dim
+    verts, move = word_vertices(quiver, word), _moves(word)
+    killed, fibres = [], [[] for _ in verts]  # the cover's rows (peak, basis path)
+    for i in word_peaks(word):
+        at = {}
+        for k, prefix, a in paths[verts[i]]:
+            at[k] = i if prefix < 0 else move.get((at[prefix], a))
+            (killed if at[k] is None else fibres[at[k]]).append((i, k))
+    if any(not 0 < len(f) <= 2 for f in fibres):
+        return None
+    # kernel vectors as {row: coefficient}: killed rows, then differences
+    basis = [{r: 1} for r in killed] + [{f[1]: 1, f[0]: p - 1} for f in fibres if len(f) == 2]
+    if not basis:
+        return None
+    coord = {r: (n, c) for n, vec in enumerate(basis) for r, c in vec.items()}
+    steps = [[] for _ in basis]
+    for n, vec in enumerate(basis):
+        for x in out[target[next(iter(vec))[1]]]:
+            image = {}
+            for (i, k), c in vec.items():
+                if act_index[k][x] != zero:
+                    r = (i, act_index[k][x])
+                    image[r] = (image.get(r, 0) + c * act_coeff[k][x]) % p
+            image = {r: c for r, c in image.items() if c}
+            if not image:
+                continue
+            r = next(iter(image))
+            if r not in coord:
+                return None
+            m, unit = coord[r]  # unit is 1 or p - 1, its own inverse
+            if image != {s: image[r] * unit * c % p for s, c in basis[m].items()}:
+                return None  # not one multiple of one kernel vector
+            name = quiver.arrows[x].name
+            steps[n].append((m, _LETTERS[name, False]))
+            steps[m].append((n, _LETTERS[name, True]))
+    got = _path_word(algebra, steps, target[next(iter(basis[0]))[1]])
+    return None if got is None else canonical(got, quiver)

@@ -7,7 +7,12 @@ import pytest
 
 from strcat import arquiver, cli, deformation, families, homology, quiver_core, strings
 
-from .builders import INFINITE_SPEC, NON_MODULE_STRING_SPEC, brauer_line_spec
+from .builders import (
+    INFINITE_SPEC,
+    NON_MODULE_STRING_SPEC,
+    NOT_SELF_INJECTIVE_SPEC,
+    brauer_line_spec,
+)
 from .test_arquiver import syzygy_args, word_read_algebras
 
 
@@ -453,7 +458,7 @@ def assert_word_chain_equals_the_module_walk(build, monkeypatch) -> list:
         taken = count_syzygies(patch)
         chained = answers(build())
     with monkeypatch.context() as patch:
-        patch.setattr(strings, "syzygy_word", lambda algebra, word: None)
+        patch.setattr(strings, "omega_string", lambda algebra, word: None)
         assert answers(build()) == chained
     return taken
 
@@ -485,7 +490,7 @@ def test_word_chained_syzygy_on_a_representation_infinite_spec(tmp_path, capsys,
     argv = ("syzygy", "--family", "file", "--spec", str(path), "e0", "--n")
     chained = [run(capsys, *argv, n) for n in ("1", "2")]
     assert [code for code, _, _ in chained] == [0, 3]
-    monkeypatch.setattr(strings, "syzygy_word", lambda algebra, word: None)
+    monkeypatch.setattr(strings, "omega_string", lambda algebra, word: None)
     assert [run(capsys, *argv, n) for n in ("1", "2")] == chained
 
 
@@ -525,7 +530,7 @@ def test_strings_checks_the_rules_without_a_second_string_test(capsys, monkeypat
 def test_syzygy_names_by_isomorphism_when_no_word_is_read(capsys, monkeypatch):
     argv = ("syzygy", "--family", "ae3", "--m", "4", "U1", "--n", "3", "--format", "json")
     want = run(capsys, *argv)
-    monkeypatch.setattr(strings, "syzygy_word", lambda algebra, word: None)
+    monkeypatch.setattr(strings, "omega_string", lambda algebra, word: None)
     monkeypatch.setattr(strings, "module_word", lambda rep: None)
     assert run(capsys, *argv) == want and want[0] == 0
 
@@ -604,6 +609,15 @@ def test_arquiver_names_the_projective_string_whose_syzygy_is_zero(tmp_path, cap
                    "has no node for it\n")
 
 
+def test_arquiver_on_an_algebra_that_is_not_self_injective(tmp_path, capsys):
+    # out of the branch table's scope Omega(e1) = rad P(1) is built as a
+    # module; it is P(0), which spells no string and matches no node
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(NOT_SELF_INJECTIVE_SPEC))
+    assert run(capsys, "arquiver", "--family", "file", "--spec", str(path)) == (
+        3, "", "error: no node matches a module of dimension vector (2, 0)\n")
+
+
 def count_syzygies(monkeypatch) -> list:
     """The modules that ``homology.syzygy`` is called on from now on."""
     calls = []
@@ -631,9 +645,9 @@ def test_syzygy_of_a_large_power_reduces_n_mod_the_period(capsys, monkeypatch, f
     assert code == 0 and want["n"] == small
     calls = count_syzygies(monkeypatch)
     reads = []
-    syzygy_word = strings.syzygy_word
-    monkeypatch.setattr(strings, "syzygy_word",
-                        lambda algebra, word: reads.append(word) or syzygy_word(algebra, word))
+    omega_string = strings.omega_string
+    monkeypatch.setattr(strings, "omega_string",
+                        lambda algebra, word: reads.append(word) or omega_string(algebra, word))
     code, out, _ = run(capsys, "syzygy", "--family", family, "--m", str(m), name,
                        "--n", str(big), "--format", "json")
     got = json.loads(out)
@@ -698,7 +712,7 @@ def test_verify_reuses_the_commands_work(capsys, monkeypatch):
     # memo, so --verify reads each node's syzygy off its word only once
     from strcat import arquiver, strings
 
-    calls = {"syzygy_word": 0, "match_node": 0, "class_moves": 0}
+    calls = {"omega_string": 0, "match_node": 0, "class_moves": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -709,15 +723,15 @@ def test_verify_reuses_the_commands_work(capsys, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
-    counted(strings, "syzygy_word")
+    counted(strings, "omega_string")
     counted(arquiver, "match_node")
     counted(strings, "class_moves")
     nodes = families.get("ae3").node_count(3)
     for command in ("arquiver", "classify"):
-        calls.update(syzygy_word=0, match_node=0, class_moves=0)
+        calls.update(omega_string=0, match_node=0, class_moves=0)
         code, _, err = run(capsys, command, "--family", "ae3", "--m", "3", "--verify")
         assert code == 0 and not err
-        assert calls == {"syzygy_word": nodes, "match_node": 0, "class_moves": nodes}, command
+        assert calls == {"omega_string": nodes, "match_node": 0, "class_moves": nodes}, command
 
 
 def test_arquiver_refuses_a_string_whose_module_fails_a_rule(tmp_path, capsys):

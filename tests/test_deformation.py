@@ -413,7 +413,7 @@ def test_classify_equals_the_closed_form_table_for_every_m_to_64():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("family", ["ae1", "ae2"])
+@pytest.mark.parametrize("family", ["ae1", "ae2", "ae3"])
 def test_classify_equals_the_closed_form_table_at_the_largest_m(family):
     m = get_family(family).m_max
     assert not verify_classification(classify(build_family(family, m), family, m), family, m)

@@ -4,7 +4,7 @@ random draw, because nothing there touches a random number generator.
 
 A name that only tests call belongs in ``tests/``; a name that nothing
 calls belongs nowhere.  Omega of a string is decided in one place: one
-function calls ``strings.syzygy_word``.  ``cli.py`` is the one module that writes text:
+function calls ``strings.omega_string``.  ``cli.py`` is the one module that writes text:
 no other module prints, writes to ``sys.stdout`` or ``sys.stderr``,
 imports ``csv`` or serializes with ``json.dump``/``json.dumps`` (reading
 a spec with ``json.load``/``json.loads`` is fine).  Only ``homology.py``
@@ -109,7 +109,7 @@ def test_one_function_reads_omega_off_a_word():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 for call in ast.walk(node):
-                    if isinstance(call, ast.Call) and "syzygy_word" in (
+                    if isinstance(call, ast.Call) and "omega_string" in (
                             getattr(call.func, "id", None), getattr(call.func, "attr", None)):
                         callers.add(f"{path.stem}.{node.name}")
     assert callers == {"arquiver.omega_word"}, sorted(callers)

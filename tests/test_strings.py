@@ -42,17 +42,18 @@ from strcat.strings import (
     extensions_at_start,
     family_node_names,
     module_word,
-    syzygy_word,
 )
 
 from .builders import (
     INFINITE_SPEC,
     NON_MODULE_STRING_SPEC,
+    NOT_SELF_INJECTIVE_SPEC,
     ae1,
     ae2,
     ae3,
     brauer_line_spec,
     brauer_star_spec,
+    brauer_tree_specs,
 )
 from .oracles import ORACLE_CASES
 from .reference import (
@@ -63,6 +64,7 @@ from .reference import (
     rescanned_extension,
     scanned_is_string,
     socle_dims,
+    syzygy_word,
     top_dims,
     walked_representation,
     word_order_key,
@@ -590,6 +592,19 @@ def test_parse_string_literal_forms():
         parse_string_literal("x0x1", B.quiver)
 
 
+def test_a_literal_that_fails_to_parse_interns_no_letter():
+    # the names are checked against the quiver before any Letter is made, so
+    # the shared table holds the letters of arrows only
+    A = ae3(3)
+    enumerate_strings(A)
+    before = dict(strings._LETTERS)
+    for text in ("zz,qq~", "a,zz~", "b~,r,qq", "z~"):
+        with pytest.raises(UnknownArrow):
+            parse_string_literal(text, A.quiver)
+    assert strings._LETTERS == before
+    assert not {name for name, _ in strings._LETTERS} & {"zz", "qq", "z"}
+
+
 def assert_literals_read_back(algebra):
     for w in enumerate_strings(algebra):
         for word in {w, w.inverse()}:
@@ -678,11 +693,13 @@ def module_syzygy_word(algebra, word):
 @pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
                          ids=[name for name, _ in word_read_algebras()])
 def test_syzygy_word_equals_the_module_syzygy(build):
-    # on these self-injective string algebras the word read always answers
+    # on these self-injective string algebras the rule and its oracle, the
+    # cover's kernel walked as a basis graph, always answer, with the word
+    # that the module syzygy spells
     A = build()
     for w in enumerate_strings(A):
-        got = strings.syzygy_word(A, w)
-        assert got is not None and got == module_syzygy_word(A, w), w
+        got = strings.omega_string(A, w)
+        assert got is not None and got == syzygy_word(A, w) == module_syzygy_word(A, w), w
 
 
 def test_brauer_stars_have_n_squared_e_strings():
@@ -705,11 +722,68 @@ def test_syzygy_word_of_random_specs_agrees_or_declines(spec):
             M = string_module(A, w)
         except StrcatError:
             continue
-        got, rep = strings.syzygy_word(A, w), syzygy(M)
+        got, rep = syzygy_word(A, w), syzygy(M)
         if rep.is_zero():
             assert got is None, w
         elif got is not None:
             assert is_isomorphic(rep, string_module(A, got)), (w, got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=small_specs())
+def test_omega_string_of_random_specs_in_its_scope_names_the_module_syzygy(spec):
+    # where the branch table certifies the algebra, the rule answers on every
+    # string whose syzygy is nonzero, with a string of an isomorphic module;
+    # off it, the rule declines every word
+    A = built_or_skipped(spec)
+    try:
+        words = enumerate_strings(A)
+    except RepresentationInfinite:
+        assume(False)
+    in_scope = strings._branches(A) is not None
+    for w in words:
+        try:
+            M = string_module(A, w)
+        except StrcatError:
+            continue
+        got, rep = strings.omega_string(A, w), syzygy(M)
+        if rep.is_zero() or not in_scope:
+            assert got is None, w
+        else:
+            assert got is not None and is_isomorphic(rep, string_module(A, got)), (w, got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=brauer_tree_specs())
+def test_omega_string_on_random_brauer_trees(case):
+    # a tree of n edges with multiplicity mu has n^2 mu strings; the rule
+    # equals the cover's kernel read on each, and every Omega-period divides
+    # 2n (Green, J. Austral. Math. Soc. 17, 1974: the walk around the tree)
+    spec, n, mu = case
+    A = load_algebra_spec(spec)
+    assert A.dim == spec["dim_bound"]
+    words = enumerate_strings(A)
+    assert len(words) == n * n * mu
+    for w in words:
+        got = strings.omega_string(A, w)
+        assert got is not None and got == syzygy_word(A, w), w
+    for w in words:
+        orbit = [w]
+        while (got := strings.omega_string(A, orbit[-1])) != w:
+            orbit.append(got)
+            assert len(orbit) <= len(words), w
+        assert 2 * n % len(orbit) == 0, (w, len(orbit))
+
+
+def test_the_branch_table_refuses_an_algebra_that_is_not_self_injective():
+    # the peaks would read Omega(e1) = rad P(1), which is P(0), as x0, which
+    # is no string: x0 spans soc P(0)
+    A = load_algebra_spec(NOT_SELF_INJECTIVE_SPEC)
+    assert strings._branches(A) is None
+    e1 = empty_word(1)
+    assert strings.omega_string(A, e1) is None
+    rep = syzygy(string_module(A, e1))
+    assert rep.dim_vector() == (2, 0) and module_word(rep) is None
 
 
 # -- the rules checked on words -------------------------------------------------------
@@ -887,7 +961,7 @@ def test_words_share_one_letter_per_arrow_and_direction(family, m):
     nodes = enumerate_strings(A)
     words = list(nodes) + [w for _, w in family_node_names(family, m, A.quiver)]
     words += [w.inverse() for w in words]
-    words += [got for w in nodes if (got := syzygy_word(A, w)) is not None]
+    words += [got for w in nodes if (got := strings.omega_string(A, w)) is not None]
     words += [module_word(string_module(A, w)) for w in nodes]
     words += [parse_string_literal(w.literal(), A.quiver) for w in nodes]
     held = {id(l) for w in words for l in w.letters}
