@@ -589,6 +589,9 @@ def build_family(family: str, m: int, p: int = DEFAULT_PRIME) -> Algebra:
 # -- memo, projectives and file input ------------------------------------------
 
 
+_MISSING = object()
+
+
 def memoized(fn):
     """Memoize ``fn(owner, ...)`` in ``owner.memo``, the dict that every
     Algebra and Representation carries.  The key is the call bound to
@@ -597,29 +600,36 @@ def memoized(fn):
     entry, always a computed result, lives exactly as long as the algebra
     or module it belongs to; no result is kept in a global cache.
 
-    A call without keywords is keyed by its arguments plus the defaults of
-    the trailing parameters it leaves out, computed once here; only calls
-    with keywords, and calls that cannot bind, go through
-    ``Signature.bind``, which raises the usual TypeError for the latter."""
+    A call that passes every parameter by position, and no keyword, is
+    keyed by its arguments as they stand.  Any other call without keywords
+    is keyed by its arguments plus the defaults of the trailing parameters
+    it leaves out, computed once here; only calls with keywords, and calls
+    that cannot bind, go through ``Signature.bind``, which raises the usual
+    TypeError for the latter.  A hit is one dict lookup.  A call that raises
+    keeps no slot, so the next one runs ``fn`` again."""
     signature = inspect.signature(fn)
     params = list(signature.parameters.values())
     positional = all(param.kind is param.POSITIONAL_OR_KEYWORD for param in params)
     defaults = tuple(param.default for param in params)
     required = sum(param.default is param.empty for param in params)
+    arity = len(params) if positional else -1
+    name = (fn.__name__,)
 
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
-        if positional and not kwargs and required <= len(args) <= len(params):
-            args += defaults[len(args):]
-        else:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = tuple(bound.arguments.values())
-        owner, *key = args
-        slot = (fn.__name__, *key)
-        if slot not in owner.memo:
-            owner.memo[slot] = fn(*args)
-        return owner.memo[slot]
+        if kwargs or len(args) != arity:
+            if positional and not kwargs and required <= len(args) <= len(params):
+                args += defaults[len(args):]
+            else:
+                bound = signature.bind(*args, **kwargs)
+                bound.apply_defaults()
+                args = tuple(bound.arguments.values())
+        memo = args[0].memo
+        slot = name + args[1:]
+        got = memo.get(slot, _MISSING)
+        if got is _MISSING:
+            got = memo[slot] = fn(*args)
+        return got
 
     return wrapper
 

@@ -10,11 +10,13 @@ letter is followed by one that does not compose with it or undoes it, no
 run of one direction contains a socle rule, and no run spells a completed
 rule's right side (``check_rules``).  So each check is one search of the
 word's spelling in the quiver's letter code (``Quiver.codes``) for a
-pattern spelt once per algebra from its table of forbidden factors by
-first letter (``_factors``); a word that matches is searched rule by rule
-to name the first rule it fails.  Strings grow one letter at a time at
-the start in the enumeration and the hook and cohook moves, so
-``_extend`` reads only the new first letter's row of that table.
+pattern spelt once per algebra from its table of forbidden factors,
+kept as rows by head (``_factors``): the letters that may precede each
+letter, or a trivial word's vertex, each with its socle tails there; a
+word that matches is searched rule by rule to name the first rule it
+fails.  Strings grow one letter at a time at the start in the
+enumeration and the hook and cohook moves, so ``_prepended`` reads one
+row per word, its head's, and checks only the tails in it.
 
 Going the other way, ``module_word`` reads the string a module's basis
 graph spells, which names a module without an isomorphism test; and
@@ -177,30 +179,36 @@ def _known(word: StringWord, quiver: Quiver) -> StringWord:
 
 @memoized
 def _factors(algebra: Algebra):
-    """The factors no string holds, by first letter x: the letters and
-    vertices that may not follow x (where x does not end, and x's inverse),
-    and the tails of the socle runs from x (a socle rule as direct letters,
-    or reversed as inverse ones); the pattern spelt from that table; one of
-    the factors on which a completed rule fails; each such rule with its."""
+    """The factors no string holds, as rows by head: for each letter, and
+    each vertex (the head of its trivial word), the letters that may precede
+    it, in arrow order with direct before inverse, each with its socle tails
+    there (the rest of a socle run from it, a socle rule as direct letters or
+    reversed as inverse ones, that starts with the head or is empty).  A
+    letter may precede a head where it ends, unless the head is its inverse.
+    Then the pattern spelt from those rows; one of the factors on which a
+    completed rule fails; each such rule with its."""
     quiver, codes, ends = algebra.quiver, algebra.quiver.codes, algebra.quiver.letter_ends
-    letters = [_LETTERS[a.name, inverse] for inverse in (False, True) for a in quiver.arrows]
-    table = {x: ({y for y in letters if ends(x)[1] != ends(y)[0] or y == x.flipped()}
-                 | {v for v in quiver.vertices if v != ends(x)[1]}, []) for x in letters}
+    letters = [_LETTERS[a.name, inverse] for a in quiver.arrows for inverse in (False, True)]
+    tails = {x: [] for x in letters}
     for rule in algebra.socle_rules:
         for run in ([_LETTERS[name, False] for name in rule.arrows],
                     [_LETTERS[name, True] for name in reversed(rule.arrows)]):
-            table[run[0]][1].append(tuple(run[1:]))
+            tails[run[0]].append(tuple(run[1:]))
+    heads = [(y, (y,), ends(y)[0]) for y in letters] + [(v, (), v) for v in quiver.vertices]
+    rows = {h: tuple((x, tuple(t for t in tails[x] if t[:1] in ((), first)))
+                     for x in letters if ends(x)[1] == at and h != x.flipped())
+            for h, first, at in heads}
     def spelt(chars) -> str:
         return re.escape("".join(codes[c] for c in chars))
-    string = "|".join(spelt([x]) + "(?:[" + spelt(blocked) + "]"
-                      + "".join("|" + spelt(tail) for tail in tails) + ")"
-                      for x, (blocked, tails) in table.items())
+    factors = {"[" + spelt([x for x in letters if x not in preceding]) + "]" + spelt([y])
+               for y in letters if len(preceding := dict(rows[y])) < len(letters)}
+    factors |= {spelt((x,) + t) for row in rows.values() for x, after in row for t in after}
     each_rule = [(rule, spelt([(a, False) for a in rule.rhs.arrows]) + "|"
                   + spelt([(a, True) for a in reversed(rule.rhs.arrows)]) if rule.rhs.arrows
                   else "[" + spelt([l for l in letters if rule.rhs.source in ends(l)]
                                    + [rule.rhs.source]) + "]")
                  for rule in algebra.rules if rule.rhs is not None]
-    return (table, re.compile(string or "(?!)"),
+    return (rows, re.compile("|".join(sorted(factors)) or "(?!)"),
             re.compile("|".join(factor for _, factor in each_rule) or "(?!)"), each_rule)
 
 
@@ -220,38 +228,30 @@ def is_string(word: StringWord, algebra: Algebra) -> bool:
     return not _factors(algebra)[1].search(spelling(algebra.quiver, word))
 
 
-def _extend(word: StringWord, letter: Letter, algebra: Algebra) -> StringWord | None:
-    """``letter`` followed by ``word`` when that is a string, else None.
-    ``word`` must be a string, so only the new letter's row of ``_factors``
-    is read: what follows it (a letter, or a trivial word's vertex) and the
-    socle runs from it."""
-    blocked, tails = _factors(algebra)[0][letter]
-    letters = word.letters
-    if (letters[0] if letters else word.vertex) in blocked or any(
-            letters[:len(tail)] == tail for tail in tails):
-        return None
-    return StringWord((letter,) + letters)
-
-
 def _prepended(word: StringWord, algebra: Algebra, directions: tuple[bool, ...]) -> list[StringWord]:
     """Every string ``letter`` + ``word`` whose letter's ``inverse`` flag is
-    in ``directions``, in arrow order; ``word`` must be a string."""
-    return [got for a in algebra.quiver.arrows for inv in directions
-            if (got := _extend(word, _LETTERS[a.name, inv], algebra)) is not None]
+    in ``directions``, in arrow order with direct before inverse.  ``word``
+    must be a string, so only its head's row of ``_factors`` is read: the
+    letters that may precede it, each checked against its socle tails."""
+    letters = word.letters
+    return [StringWord((x,) + letters)
+            for x, tails in _factors(algebra)[0][letters[0] if letters else word.vertex]
+            if x.inverse in directions and not any(letters[:len(t)] == t for t in tails)]
 
 
 @memoized
 def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[StringWord, ...]:
     """All strings, one canonical representative per class, in word order.
 
-    ``_extend`` judges a letter by the forbidden factors of at most K = max(2,
-    longest socle rule) letters from it.  So if a string's first K - 1 letters
-    come again later in it, the stretch before the repeat pumps: there are
-    infinitely many strings, and RepresentationInfinite names that string.
-    Each string is grown from its suffixes, so checking each new word's first
-    K - 1 letters finds such a repeat if any string has one; else the strings
-    are finite and the growth stops.  ``length_cap`` is ignored; perfbench's
-    spans bind that name."""
+    Each word is grown by ``_prepended``, which reads the row of the word's
+    head and judges a new first letter by the forbidden factors of at most
+    K = max(2, longest socle rule) letters from it.  So if a string's first
+    K - 1 letters come again later in it, the stretch before the repeat
+    pumps: there are infinitely many strings, and RepresentationInfinite
+    names that string.  Each string is grown from its suffixes, so checking
+    each new word's first K - 1 letters finds such a repeat if any string
+    has one; else the strings are finite and the growth stops.
+    ``length_cap`` is ignored; perfbench's spans bind that name."""
     quiver = algebra.quiver
     head = max([2, *(len(rule.arrows) for rule in algebra.socle_rules)]) - 1  # K - 1
     words: list[StringWord] = [empty_word(v) for v in quiver.vertices]
@@ -497,7 +497,7 @@ def extensions_at_start(word: StringWord, algebra: Algebra, hook: bool) -> list[
     false, cohook extensions D g~ w, whose junction points away from the
     old part, so the new module projects onto the old one.
 
-    ``word`` must be a string, as for ``_extend``."""
+    ``word`` must be a string, as for ``_prepended``."""
     return [_grow_directed(first, algebra, inverse=hook)
             for first in _prepended(word, algebra, (not hook,))]
 

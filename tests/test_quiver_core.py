@@ -313,6 +313,30 @@ def test_memo_key_ignores_the_call_form():
     assert len(calls) == 2
 
 
+def test_the_memo_keeps_no_failure():
+    calls = []
+    failing = True
+
+    @memoized
+    def fragile(owner, x, factor=1):
+        calls.append((x, factor))
+        if failing:
+            raise ValueError("no answer yet")
+        return [x * factor]
+
+    o = SimpleNamespace(memo={})
+    # every parameter by position (one lookup), then with a keyword (bound)
+    for call in (lambda: fragile(o, 3, 1), lambda: fragile(o, 3, factor=1)) * 2:
+        with pytest.raises(ValueError, match="no answer yet"):
+            call()
+        assert o.memo == {}
+    assert calls == [(3, 1)] * 4
+    failing = False
+    first = fragile(o, 3, factor=1)
+    assert first == [3] and len(calls) == 5
+    assert fragile(o, 3, 1) is first and fragile(o, 3) is first and len(calls) == 5
+
+
 def test_positional_memo_calls_do_not_bind_the_signature(monkeypatch):
     # a call without keywords is keyed from its arguments and the defaults
     # taken when the function was decorated

@@ -37,7 +37,7 @@ from strcat.quiver_core import DEFAULT_PRIME
 from strcat.strings import (
     Letter,
     StringWord,
-    _extend,
+    _prepended,
     class_moves,
     extensions_at_start,
     family_node_names,
@@ -471,17 +471,20 @@ def all_letters(algebra):
 
 def assert_extension_matches_a_rescan(algebra, longest):
     """On every string of length at most ``longest``, in both orientations
-    and grown by ``rescanned_extension``, prepending any letter by
-    ``_extend`` gives what a whole-word ``is_string`` check gives."""
+    and grown by ``rescanned_extension``, ``_prepended`` gives the strings
+    that a whole-word ``is_string`` check gives for each letter, in arrow
+    order with direct before inverse, and in each direction alone."""
     level = [empty_word(v) for v in algebra.quiver.vertices]
     for _ in range(longest + 1):
         longer = []
         for w in level:
-            for letter in all_letters(algebra):
-                want = rescanned_extension(w, letter, algebra)
-                assert _extend(w, letter, algebra) == want, (str(w), str(letter))
-                if want is not None:
-                    longer.append(want)
+            want = [got for letter in all_letters(algebra)
+                    if (got := rescanned_extension(w, letter, algebra)) is not None]
+            assert _prepended(w, algebra, (False, True)) == want, str(w)
+            for inverse in (False, True):
+                assert _prepended(w, algebra, (inverse,)) == [
+                    got for got in want if got.letters[0].inverse == inverse], (str(w), inverse)
+            longer += want
         level = longer
 
 
@@ -502,6 +505,39 @@ def test_extension_checks_only_the_new_letter(build):
 @given(spec=small_specs(), p=st.sampled_from([2, 3, DEFAULT_PRIME]))
 def test_extension_of_random_strings_checks_only_the_new_letter(spec, p):
     assert_extension_matches_a_rescan(built_or_skipped({**spec, "prime": p}), 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=brauer_tree_specs())
+def test_extension_on_random_brauer_trees_checks_only_the_new_letter(case):
+    A = load_algebra_spec(case[0])
+    longest = max(w.length for w in enumerate_strings(A))
+    assert_extension_matches_a_rescan(A, longest + 1)
+
+
+class _CountedRows(dict):
+    """A row table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, head):
+        self.lookups += 1
+        return super().__getitem__(head)
+
+
+def test_enumeration_reads_one_row_per_grown_word(monkeypatch):
+    # the head's row is read once per _prepended call, not once per
+    # candidate letter (2 * #arrows per word)
+    A = build_family("ae3", 16)
+    table = strings._factors(A)
+    rows = _CountedRows(table[0])
+    monkeypatch.setattr(strings, "_factors", lambda algebra: (rows, *table[1:]))
+    calls = []
+    prepended = strings._prepended
+    monkeypatch.setattr(strings, "_prepended", lambda *args: calls.append(args) or prepended(*args))
+    words = strings.enumerate_strings.__wrapped__(A)
+    assert words == enumerate_strings(A)
+    assert 0 < rows.lookups <= len(calls)
 
 
 def assert_is_string_matches_a_scan(algebra, longest):
