@@ -13,8 +13,8 @@ tests check the computed classification against.
 The three presentations are symmetric algebras of finite representation
 type whose non-projective indecomposables are string modules.
 
-Series names map to words written in the command line's string-literal
-syntax (``b,r~,a``; ``e0`` is the trivial word at vertex 0).
+Series names map to words as letters, ``(arrow, inverse)`` pairs, and a
+trivial word to its vertex; ``strcat.strings`` builds the ``StringWord``.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ class Family:
     m_min: int
     dim: Callable[[int], int]                       # m -> dimension, affine in m
     series: Callable[[int], dict[str, range]]       # m -> index range per series
-    word: Callable[[str, int, int], str]            # (series, index, m) -> literal
+    # (series, index, m) -> ((arrow, inverse) letters, the vertex if none else None)
+    word: Callable[[str, int, int], tuple[tuple[tuple[str, bool], ...], int | None]]
     node_count: Callable[[int], int]                # strings = AR component nodes
     tau_is_identity: bool                           # else a fixed-point-free involution
     # names of the tower's string steps; its base is the tangent-one module
@@ -91,10 +92,10 @@ def _ae3_spec(m: int) -> dict:
                       {"lhs": ["a", "b"], "rhs": {"coeff": 1, "path": ["r"] * m}}]}
 
 
-def _ae2_word(series: str, index: int, m: int) -> str:
-    start, other = ("a", "b") if series == "M" else ("b", "a")
-    letters = [start if k % 2 == 0 else other for k in range(index)]
-    return ",".join(letters) or ("e0" if series == "M" else "e1")
+def _ae2_word(series: str, index: int, m: int):
+    pair = (("a", False), ("b", False)) if series == "M" else (("b", False), ("a", False))
+    letters = pair * (index // 2) + pair[:index % 2]
+    return letters, None if letters else (0 if series == "M" else 1)
 
 
 def _ae2_expected(m: int) -> dict[str, tuple[int, int]]:
@@ -119,13 +120,13 @@ def _ae2_notes(m: int, name: str) -> list[str]:
     return notes
 
 
-def _ae3_word(series: str, index: int, m: int) -> str:
+def _ae3_word(series: str, index: int, m: int):
     if series == "U" and index == 0:
-        return "e1"
-    loops = ["r~"] * (m - index)
-    letters = {"V": loops, "X": loops + ["a"], "Y": ["b"] + loops,
-               "U": ["b"] + loops + ["a"]}[series]
-    return ",".join(letters) or "e0"
+        return (), 1
+    # m - index inverse letters of r, after b in Y and U, before a in X and U
+    letters = ((("b", False),) * (series in "YU") + (("r", True),) * (m - index)
+               + (("a", False),) * (series in "XU"))
+    return letters, None if letters else 0
 
 
 def _ae3_expected(m: int) -> dict[str, tuple[int, int]]:
@@ -139,7 +140,7 @@ AE1 = Family(
     spec=lambda m: {"vertices": [0], "arrows": [{"name": "a", "from": 0, "to": 0}],
                     "rules": [{"lhs": ["a"] * (m + 1), "rhs": None}]},
     series=lambda m: {"V": range(0, m)},
-    word=lambda series, index, m: ",".join(["a"] * index) or "e0",
+    word=lambda series, index, m: ((("a", False),) * index, None if index else 0),
     node_count=lambda m: m,
     tau_is_identity=True,
     tower=lambda m: [f"V{j}" for j in range(m)],

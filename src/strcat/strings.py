@@ -28,10 +28,11 @@ once per algebra (``_branches``, which also decides the rule's scope).
 Words print as comma-joined letters with ``~`` marking an inverse, e.g.
 ``b,r~,a``; trivial words print as ``e0``, ``e1``.  Every printed word
 reads back (``parse_string_literal``), one-letter words of long names too.
+Only this module writes and reads it; ``Quiver`` keeps arrow names clear.
 
 Every built-in family names its strings in a few series; the names, their
-index ranges and their words are part of the family's record in
-``strcat.families``.
+index ranges and their words, as letters, are part of the family's record
+in ``strcat.families``, and ``named_string`` builds them with no parsing.
 """
 
 from __future__ import annotations
@@ -539,43 +540,39 @@ def named_string(family: str, m: int, name: str) -> StringWord:
     if series not in ranges or index not in ranges[series]:
         raise IndexOutOfRange(
             f"{series}{index} is not a valid {family} module name for m={m}")
-    return _shared(_parse_literal(fam.word(series, index, m)))
+    return _shared(*fam.word(series, index, m))
 
 
 def family_node_names(family: str, m: int, quiver: Quiver) -> list[tuple[str, StringWord]]:
     """(name, canonical word) for every node, in report order."""
     fam = families.get(family)
-    return [(f"{series}{i}", canonical(_shared(_parse_literal(fam.word(series, i, m))), quiver))
+    return [(f"{series}{i}", canonical(_shared(*fam.word(series, i, m)), quiver))
             for series, rng in fam.series(m).items() for i in rng]
 
 
-def _parse_literal(text: str) -> StringWord:
-    text = text.strip()
-    m = TRIVIAL_LITERAL.fullmatch(text)
-    if m:
-        return empty_word(int(m.group(1)))
-    if "," in text:
-        tokens = [t.strip() for t in text.split(",") if t.strip()]
-    else:
-        tokens = re.findall(r"[^~]~?", text)
-        if "".join(tokens) != text:
-            raise StrcatError(f"stray '~' in string literal {text!r}")
-    if not tokens:
-        raise StrcatError("empty string literal")
-    return StringWord(tuple((t.removesuffix("~"), t.endswith("~")) for t in tokens))
-
-
-def _shared(word: StringWord) -> StringWord:
-    """``word`` with its letters' one shared Letter each; ``_parse_literal``
-    spells plain (arrow, inverse) pairs, which enter ``_LETTERS`` only here."""
-    return StringWord(tuple(map(_LETTERS.__getitem__, word.letters)), word.vertex)
+def _shared(letters, vertex: int | None = None) -> StringWord:
+    """The word on ``letters``, (arrow, inverse) pairs, as their shared
+    Letters (``_LETTERS``); with none, the trivial word at ``vertex``."""
+    return StringWord(tuple(map(_LETTERS.__getitem__, letters)), vertex)
 
 
 def parse_string_literal(text: str, quiver: Quiver) -> StringWord:
-    """Parse ``b,r~,a`` style literals; ``e0`` gives the trivial word, and
-    a literal without commas that is an arrow name, ``~`` or not, is that
-    one letter, so ``w.literal()`` reads back as ``w`` for every word."""
-    name = text.strip().removesuffix("~")
+    """Parse ``b,r~,a`` style literals, no letter empty; ``e0`` gives the
+    trivial word, and a literal without commas is one letter if it is an
+    arrow name, ``~`` or not, else one per character and its ``~``, so
+    ``w.literal()`` reads back as ``w`` for every word."""
+    text = text.strip()
+    name = text.removesuffix("~")
     if "," not in name and quiver.has_arrow(name):
-        return StringWord((_LETTERS[name, name != text.strip()],))
-    return _shared(_known(_parse_literal(text), quiver))
+        return StringWord((_LETTERS[name, name != text],))
+    if trivial := TRIVIAL_LITERAL.fullmatch(text):
+        return _known(empty_word(int(trivial.group(1))), quiver)
+    if "," in text:
+        tokens = [t.strip() for t in text.split(",")]
+    elif "".join(tokens := re.findall(r"[^~]~?", text)) != text:
+        raise StrcatError(f"stray '~' in string literal {text!r}")
+    if not tokens or not all(tokens):
+        raise StrcatError(f"empty letter in string literal {text!r}" if tokens
+                          else "empty string literal")
+    letters = tuple((t.removesuffix("~"), t.endswith("~")) for t in tokens)
+    return _shared(_known(StringWord(letters), quiver).letters)

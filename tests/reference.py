@@ -85,6 +85,24 @@ def hand_built(family, m, p=DEFAULT_PRIME):
     return complete_rewriting(q, rules, dim_bound=dim, p=p)
 
 
+def family_literal(family, series, index, m):
+    """The word a family's series names, written as the command line's
+    string literal (``b,r~,a``; ``e0`` the trivial word at vertex 0), with
+    no help from the family record."""
+    if family == "ae1":
+        return ",".join(["a"] * index) or "e0"
+    if family == "ae2":
+        start, other = ("a", "b") if series == "M" else ("b", "a")
+        letters = [start if k % 2 == 0 else other for k in range(index)]
+        return ",".join(letters) or ("e0" if series == "M" else "e1")
+    if series == "U" and index == 0:
+        return "e1"
+    loops = ["r~"] * (m - index)
+    letters = {"V": loops, "X": loops + ["a"], "Y": ["b"] + loops,
+               "U": ["b"] + loops + ["a"]}[series]
+    return ",".join(letters) or "e0"
+
+
 def top_dims(M):
     """Multiplicity of each simple in M / rad M."""
     return {v: M.dims[v] - rows.shape[0] for v, (rows, _) in radical_rows(M).items()}

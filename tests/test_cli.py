@@ -91,6 +91,14 @@ def test_stray_tilde_in_a_literal_exits_3(capsys, literal):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("literal", ["a,,a", ",a", "a,"])
+def test_an_empty_letter_in_a_literal_exits_3(capsys, literal):
+    code, out, err = run(capsys, "hom", "--family", "ae1", "--m", "3",
+                         "--string", literal, "e0")
+    assert code == 3 and out == ""
+    assert err == f"error: empty letter in string literal {literal!r}\n"
+
+
 def test_ext_command(capsys):
     code, out, _ = run(capsys, "ext", "--family", "ae3", "--m", "3",
                        "V3", "V3", "--format", "json")

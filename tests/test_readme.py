@@ -4,7 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
-from strcat import cli
+from strcat import cli, families, quiver_core
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -59,3 +59,17 @@ def test_the_command_line_examples_run(capsys):
         out = capsys.readouterr().out
         assert code == 0 and out, argv
         assert out == STATED.get(comment, out), argv
+
+
+def test_the_family_ranges_and_the_dimension_cap_are_the_package_s():
+    # each row of the family table states the m the record accepts, and
+    # both statements of the dimension cap state quiver_core.MAX_DIM
+    text = README.read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` .*\| `(\d+) <= m <= (\d+)` *\|$",
+                      section("The built-in families"), re.M)
+    assert {name: (int(lo), int(hi)) for name, lo, hi in rows} == {
+        name: (f.m_min, f.m_max) for name, f in families.FAMILIES.items()}
+    assert len(rows) == len(families.FAMILIES)
+    stated = (re.findall(r"`quiver_core\.MAX_DIM = (\d+)`", text)
+              + re.findall(r"outside 1\.\.(\d+)", text))
+    assert len(stated) == 2 and {int(n) for n in stated} == {quiver_core.MAX_DIM}

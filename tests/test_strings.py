@@ -19,6 +19,7 @@ from strcat import (
     build_family,
     canonical,
     canonical_homs,
+    classify,
     empty_word,
     enumerate_strings,
     hom_dim,
@@ -31,7 +32,7 @@ from strcat import (
     syzygy,
     word_vertices,
 )
-from strcat import strings
+from strcat import cli, families, strings
 from strcat.families import get as get_family
 from strcat.quiver_core import DEFAULT_PRIME
 from strcat.strings import (
@@ -59,6 +60,7 @@ from .oracles import ORACLE_CASES
 from .reference import (
     capped_strings,
     default_cap,
+    family_literal,
     letter_source,
     letter_target,
     rescanned_extension,
@@ -606,6 +608,60 @@ def test_named_string_words():
         named_string("ae2", 2, "X1")
 
 
+def family_names(family, m):
+    """(name, series, index) of every string the family names at m."""
+    return [(f"{series}{i}", series, i)
+            for series, rng in get_family(family).series(m).items() for i in rng]
+
+
+@pytest.mark.parametrize("family,m", [(f.name, m) for f in families.FAMILIES.values()
+                                      for m in [*range(f.m_min, f.m_min + 8), f.m_max]])
+def test_family_words_equal_the_literal_oracle(family, m):
+    # the record's letters spell the words the paper's series name
+    quiver = build_family(family, m).quiver
+    names = family_names(family, m)
+    for name, series, i in names:
+        assert named_string(family, m, name).literal() == family_literal(family, series, i, m)
+    assert family_node_names(family, m, quiver) == [
+        (name, canonical(parse_string_literal(family_literal(family, series, i, m), quiver),
+                         quiver))
+        for name, series, i in names]
+
+
+def named_results(family, m):
+    """What the named words give: the node names, every named word, and
+    classify's reports, in the library and on the command line."""
+    A = build_family(family, m)  # a fresh algebra, so nothing is memoized
+    return (family_node_names(family, m, A.quiver),
+            [named_string(family, m, name) for name, _, _ in family_names(family, m)],
+            classify(A, family, m),
+            cli.main(["classify", "--family", family, "--m", str(m)]))
+
+
+class Refusing:
+    """A stand-in for a literal reader, a function or a pattern, that raises
+    when it is called or a method of it is."""
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("a named word was read from a literal")
+
+    def __getattr__(self, attr):
+        return self
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 4), ("ae2", 3), ("ae3", 4)])
+def test_named_words_read_no_literal(family, m, monkeypatch, capsys):
+    # the family record gives letters, so every literal reader left in
+    # strings can raise and the named words and what they give stay the same
+    want, out = named_results(family, m), capsys.readouterr().out
+    readers = [name for name, value in vars(strings).items()
+               if "literal" in name.lower() and (callable(value) or isinstance(value, re.Pattern))]
+    assert {"parse_string_literal", "TRIVIAL_LITERAL"} <= set(readers)
+    for name in readers:
+        monkeypatch.setattr(strings, name, Refusing())
+    assert named_results(family, m) == want and capsys.readouterr().out == out
+
+
 def test_parse_string_literal_forms():
     A = ae3(2)
     assert parse_string_literal("e1", A.quiver) == empty_word(1)
@@ -619,6 +675,12 @@ def test_parse_string_literal_forms():
     for text in ("~b", "b~~", "br~~a", "~"):
         with pytest.raises(StrcatError, match="stray '~'"):
             parse_string_literal(text, A.quiver)
+    # so is an empty name between commas: a,,a is not read as a,a
+    for text in ("a,,a", ",a", "a,", ",", " b, ,a "):
+        with pytest.raises(StrcatError, match="empty letter in string literal "
+                           + re.escape(repr(text.strip()))):
+            parse_string_literal(text, A.quiver)
+    assert parse_string_literal(" b , r~ ,a ", A.quiver) == word
     # a literal without commas that names an arrow is that one letter
     B = load_algebra_spec(nakayama_spec())
     assert parse_string_literal("x0", B.quiver) == StringWord((Letter("x0"),))
