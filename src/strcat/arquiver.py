@@ -25,8 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import homology, strings
-from .errors import StrcatError
-from .quiver_core import Algebra, memoized
+from .errors import RepresentationInfinite, StrcatError
+from .quiver_core import MAX_DIM, Algebra, memoized
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,27 @@ def omega_node(algebra: Algebra, i: int) -> int:
 def syzygy_power(algebra: Algebra, word: strings.StringWord,
                  n: int) -> strings.StringWord | None:
     """The canonical word of Omega^n M(word), for a canonical string
-    ``word``, or None when it is zero, from at most n syzygies and at most
-    as many as the algebra has strings.  A word steps by ``omega_word``,
-    and a module that spells no string by ``homology.syzygy``.
+    ``word``, or None when it is zero, from at most n syzygies and, where
+    the algebra has finitely many strings, at most as many as it has.  A
+    word steps by ``omega_word``, and a module that spells no string by
+    ``homology.syzygy``.
 
     A zero syzygy stays zero, and once Omega^k M(word) is M(word) for some
     k < n, Omega^n is Omega^(n mod k): two strings name isomorphic modules
     exactly when their canonical words are equal (Butler and Ringel, Comm.
     Algebra 15, 1987), and ``is_isomorphic`` compares a module.  On a
-    self-injective algebra Omega permutes the strings, so one of the two
-    happens in time; else the walk raises.  ``match_node`` names a nonzero
-    module that spells no string at the end."""
+    self-injective algebra with finitely many strings Omega permutes them,
+    so one of the two happens in time; else the walk raises.  Where the
+    strings are infinitely many, the walk takes the n steps, and an n above
+    MAX_DIM is refused before any.  ``match_node`` names a nonzero module
+    that spells no string at the end."""
+    try:
+        bound = len(strings.enumerate_strings(algebra))
+    except RepresentationInfinite:
+        if n > MAX_DIM:
+            raise StrcatError(f"the algebra has infinitely many strings, so Omega^n is "
+                              f"walked step by step, for n <= {MAX_DIM}; got n = {n}") from None
+        bound = n
     powers = [word]
     for k in range(1, n + 1):
         last = powers[-1]
@@ -131,7 +141,7 @@ def syzygy_power(algebra: Algebra, word: strings.StringWord,
                 homology.is_isomorphic(got, strings.string_module(algebra, word))):
             got = powers[n % k]
             break
-        if k >= len(strings.enumerate_strings(algebra)):
+        if k >= bound:
             raise StrcatError(f"Omega^{k} of the module is neither zero nor isomorphic "
                               "to it; the algebra is not self-injective")
         powers.append(got)

@@ -9,19 +9,22 @@ of forbidden factors (Butler and Ringel, Comm. Algebra 15, 1987): no
 letter is followed by one that does not compose with it or undoes it, no
 run of one direction contains a socle rule, and no run spells a completed
 rule's right side (``check_rules``).  So each check is one search of the
-word's spelling in the quiver's letter code (``Quiver.codes``) for a
-pattern spelt once per algebra from its table of forbidden factors,
-kept as rows by head (``_factors``): the letters that may precede each
-letter, or a trivial word's vertex, each with its socle tails there; a
-word that matches is searched rule by rule to name the first rule it
-fails.  Strings grow one letter at a time at the start in the
-enumeration and the hook and cohook moves, so ``_prepended`` reads one
-row per word, its head's, and checks only the tails in it.
+word's spelling in the quiver's letter code (``Quiver.codes``) for the
+factors spelt once per algebra from its table of forbidden factors, kept
+as rows by head code (``_factors``): the letters that may precede each
+letter, or a trivial word's vertex, each with its socle tails there.
+Long socle runs are searched as plain text, so a check takes time linear
+in the word; a word that matches is searched rule by rule to name the
+first rule it fails.  New words are built as spellings and become
+``StringWord``s once each: the enumeration grows strings one letter at a
+time at the start, so ``_prepended`` reads one row per word, its head's,
+and checks only the tails in it; a hook or cohook adds a junction letter
+and its run, one per junction letter (``_run``).
 
 Going the other way, ``module_word`` reads the string a module's basis
 graph spells, which names a module without an isomorphism test; and
-``omega_string`` reads the string of Omega M(w) off w's peaks and deeps,
-with no module at all, from each arrow's branch in the projectives, read
+``omega_string`` spells the string of Omega M(w) off w's peaks and deeps,
+with no module at all, from each arrow's branch in the projectives, spelt
 once per algebra (``_branches``, which also decides the rule's scope).
 ``arquiver.omega_word`` calls it.
 
@@ -40,7 +43,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +80,14 @@ class _Letters(dict):
         return self.setdefault(key, Letter(*key))
 
 
-_LETTERS = _Letters()
+class _Flips(dict):
+    """Letter -> its inverse's shared Letter, kept when first asked for."""
+
+    def __missing__(self, letter: tuple[str, bool]) -> Letter:
+        return self.setdefault(letter, _LETTERS[letter[0], not letter[1]])
+
+
+_LETTERS, _FLIPPED = _Letters(), _Flips()
 
 
 @dataclass(frozen=True)
@@ -105,7 +114,7 @@ class StringWord:
     def inverse(self) -> "StringWord":
         if self.is_trivial:
             return self
-        return StringWord(tuple(_LETTERS[a, not inv] for a, inv in reversed(self.letters)))
+        return StringWord(tuple(map(_FLIPPED.__getitem__, reversed(self.letters))))
 
     def literal(self) -> str:
         if self.is_trivial:
@@ -178,16 +187,39 @@ def _known(word: StringWord, quiver: Quiver) -> StringWord:
     return word
 
 
+_SHORT = 4  # a factor of at most this many letters is searched in a pattern
+
+
+def _finder(literals):
+    """A test of whether a text holds one of the ``literals``.  Those of at
+    most ``_SHORT`` characters make one pattern, grouped by all but their
+    last character, so each position tries each group's prefix once.  A
+    longer one that holds a shorter literal is dropped; the rest are
+    searched as plain text, in time linear in the text, where a pattern
+    would try each at every position."""
+    literals, groups = set(literals), {}
+    for t in sorted(literals):
+        if len(t) <= _SHORT:
+            groups.setdefault(t[:-1], []).append(t[-1])
+    long = tuple(t for t in literals if len(t) > _SHORT
+                 and not any(u in t for u in literals if len(u) < len(t)))
+    short = re.compile("|".join(re.escape(prefix) + "[" + re.escape("".join(last)) + "]"
+                                for prefix, last in groups.items()) or "(?!)")
+    return lambda text: short.search(text) is not None or any(t in text for t in long)
+
+
 @memoized
 def _factors(algebra: Algebra):
-    """The factors no string holds, as rows by head: for each letter, and
-    each vertex (the head of its trivial word), the letters that may precede
-    it, in arrow order with direct before inverse, each with its socle tails
-    there (the rest of a socle run from it, a socle rule as direct letters or
-    reversed as inverse ones, that starts with the head or is empty).  A
-    letter may precede a head where it ends, unless the head is its inverse.
-    Then the pattern spelt from those rows; one of the factors on which a
-    completed rule fails; each such rule with its."""
+    """The factors no string holds, as rows by head code (``Quiver.codes``):
+    for each letter, and each vertex (the head of its trivial word), the
+    letters that may precede it, in arrow order with direct before inverse,
+    each as its code, its direction and its socle tails there (the rest of
+    a socle run from it, a socle rule as direct letters or reversed as
+    inverse ones, that starts with the head or is empty) as code strings.
+    A letter may precede a head where it ends, unless the head is its
+    inverse.  Then the test (``_finder``) for the factors spelt from those
+    rows; each completed rule with a right side, and the test for the
+    factors on which it fails; and the Letter of each letter code."""
     quiver, codes, ends = algebra.quiver, algebra.quiver.codes, algebra.quiver.letter_ends
     letters = [_LETTERS[a.name, inverse] for a in quiver.arrows for inverse in (False, True)]
     tails = {x: [] for x in letters}
@@ -200,17 +232,19 @@ def _factors(algebra: Algebra):
                      for x in letters if ends(x)[1] == at and h != x.flipped())
             for h, first, at in heads}
     def spelt(chars) -> str:
-        return re.escape("".join(codes[c] for c in chars))
-    factors = {"[" + spelt([x for x in letters if x not in preceding]) + "]" + spelt([y])
-               for y in letters if len(preceding := dict(rows[y])) < len(letters)}
-    factors |= {spelt((x,) + t) for row in rows.values() for x, after in row for t in after}
-    each_rule = [(rule, spelt([(a, False) for a in rule.rhs.arrows]) + "|"
-                  + spelt([(a, True) for a in reversed(rule.rhs.arrows)]) if rule.rhs.arrows
-                  else "[" + spelt([l for l in letters if rule.rhs.source in ends(l)]
-                                   + [rule.rhs.source]) + "]")
+        return "".join(codes[c] for c in chars)
+    preceding = {y: {x for x, _ in rows[y]} for y in letters}
+    pairs = [spelt([x, y]) for y in letters for x in letters if x not in preceding[y]]
+    runs = [spelt((x,) + t) for row in rows.values() for x, after in row for t in after]
+    each_rule = [(rule, _finder([spelt([(a, False) for a in rule.rhs.arrows]),
+                                 spelt([(a, True) for a in reversed(rule.rhs.arrows)])]
+                                if rule.rhs.arrows else  # one letter or the vertex
+                                list(spelt([l for l in letters if rule.rhs.source in ends(l)]
+                                           + [rule.rhs.source]))))
                  for rule in algebra.rules if rule.rhs is not None]
-    return (rows, re.compile("|".join(sorted(factors)) or "(?!)"),
-            re.compile("|".join(factor for _, factor in each_rule) or "(?!)"), each_rule)
+    code_rows = {codes[h]: tuple((codes[x], x.inverse, tuple(map(spelt, after))) for x, after in row)
+                 for h, row in rows.items()}
+    return code_rows, _finder(pairs + runs), each_rule, {codes[x]: x for x in letters}
 
 
 def spelling(quiver: Quiver, word: StringWord) -> str:
@@ -223,51 +257,66 @@ def inverse_spelling(quiver: Quiver, text: str) -> str:
     return text[::-1].translate(quiver.flip_codes)
 
 
+def _decoded(algebra: Algebra, text: str) -> StringWord:
+    """The nonempty word that ``text`` spells, on the shared Letters."""
+    return StringWord(tuple(map(_factors(algebra)[3].__getitem__, text)))
+
+
 def is_string(word: StringWord, algebra: Algebra) -> bool:
     """Whether the word is a valid string for the socle-quotient rules."""
-    _known(word, algebra.quiver)
-    return not _factors(algebra)[1].search(spelling(algebra.quiver, word))
+    try:
+        text = spelling(algebra.quiver, word)
+    except KeyError:  # an arrow the quiver does not declare, which _known names
+        _known(word, algebra.quiver)
+        raise
+    if word.is_trivial:
+        _known(word, algebra.quiver)
+    return not _factors(algebra)[1](text)
 
 
-def _prepended(word: StringWord, algebra: Algebra, directions: tuple[bool, ...]) -> list[StringWord]:
-    """Every string ``letter`` + ``word`` whose letter's ``inverse`` flag is
-    in ``directions``, in arrow order with direct before inverse.  ``word``
-    must be a string, so only its head's row of ``_factors`` is read: the
-    letters that may precede it, each checked against its socle tails."""
-    letters = word.letters
-    return [StringWord((x,) + letters)
-            for x, tails in _factors(algebra)[0][letters[0] if letters else word.vertex]
-            if x.inverse in directions and not any(letters[:len(t)] == t for t in tails)]
+def _prepended(text: str, algebra: Algebra, directions: tuple[bool, ...]) -> list[str]:
+    """The spelling of every string x + w whose letter x's ``inverse`` flag
+    is in ``directions``, in arrow order with direct before inverse; ``text``
+    is the spelling of the string w, or the code of its vertex when w is
+    trivial.  w must be a string, so only its head's row of ``_factors`` is
+    read: the letters that may precede it, each checked against its socle
+    tails."""
+    rows, decode = (table := _factors(algebra))[0], table[3]
+    word = text if text[0] in decode else ""
+    return [x + word for x, inverse, tails in rows[text[0]]
+            if inverse in directions and not any(map(text.startswith, tails))]
 
 
 @memoized
 def enumerate_strings(algebra: Algebra, length_cap: int | None = None) -> tuple[StringWord, ...]:
     """All strings, one canonical representative per class, in word order.
 
-    Each word is grown by ``_prepended``, which reads the row of the word's
-    head and judges a new first letter by the forbidden factors of at most
-    K = max(2, longest socle rule) letters from it.  So if a string's first
-    K - 1 letters come again later in it, the stretch before the repeat
-    pumps: there are infinitely many strings, and RepresentationInfinite
-    names that string.  Each string is grown from its suffixes, so checking
-    each new word's first K - 1 letters finds such a repeat if any string
-    has one; else the strings are finite and the growth stops.
-    ``length_cap`` is ignored; perfbench's spans bind that name."""
+    Each word is grown as a spelling by ``_prepended``, which reads the row
+    of the word's head and judges a new first letter by the forbidden
+    factors of at most K = max(2, longest socle rule) letters from it.  So
+    if a string's first K - 1 letters come again later in it, the stretch
+    before the repeat pumps: there are infinitely many strings, and
+    RepresentationInfinite names that string.  Each string is grown from
+    its suffixes, so checking each new word's first K - 1 letters finds
+    such a repeat if any string has one; else the strings are finite and
+    the growth stops.  Each class becomes a ``StringWord`` once, from its
+    canonical spelling.  ``length_cap`` is ignored; perfbench's spans bind
+    that name."""
     quiver = algebra.quiver
     head = max([2, *(len(rule.arrows) for rule in algebra.socle_rules)]) - 1  # K - 1
-    words: list[StringWord] = [empty_word(v) for v in quiver.vertices]
-    frontier = list(words)
+    frontier, texts = [quiver.codes[v] for v in quiver.vertices], []
     while frontier:
-        frontier = [got for w in frontier for got in _prepended(w, algebra, (False, True))]
-        for w in frontier:
-            first = w.letters[:head]
-            if any(w.letters[j:j + head] == first for j in range(1, w.length - head + 1)):
+        frontier = [got for text in frontier for got in _prepended(text, algebra, (False, True))]
+        for text in frontier:
+            if text.find(text[:head], 1) >= 0:
                 raise RepresentationInfinite(
-                    f"the algebra has infinitely many strings: {w} repeats its "
-                    f"first letters {StringWord(first)}")
-        words.extend(frontier)
-    classes = dict(_keyed_canonical(w, quiver) for w in words)  # a key names one word
-    return tuple(classes[key] for key in sorted(classes))
+                    f"the algebra has infinitely many strings: {_decoded(algebra, text)} "
+                    f"repeats its first letters {_decoded(algebra, text[:head])}")
+        texts += frontier
+    classes = sorted({min(text, inverse_spelling(quiver, text)) for text in texts},
+                     key=lambda text: (len(text), text))  # canonical, in word order
+    return (tuple(map(empty_word, sorted(quiver.vertices)))
+            + tuple(_decoded(algebra, text) for text in classes))
 
 
 # -- string modules -------------------------------------------------------------
@@ -297,10 +346,9 @@ def check_rules(algebra: Algebra, word: StringWord) -> None:
     as inverse ones, or, trivial at v, where the word visits v."""
     if all(rule.rhs is None for rule in algebra.rules):
         return  # nothing to search for, as on ae1 and ae2
-    _, _, rules, each_rule = _factors(algebra)
     text = spelling(algebra.quiver, word) or algebra.quiver.codes[word.vertex]
-    if rules.search(text):
-        rule = next(rule for rule, factor in each_rule if re.search(factor, text))
+    rule = next((rule for rule, fails in _factors(algebra)[2] if fails(text)), None)
+    if rule is not None:
         raise StrcatError(f"rule {rule} fails on this representation")
 
 
@@ -403,15 +451,15 @@ def word_peaks(word: StringWord) -> list[int]:
 
 @memoized
 def _branches(algebra: Algebra):
-    """Each arrow's branch, the maximal nonzero path from it, as direct
-    letters and as inverse ones back from its end (empty for no arrow); the
-    arrows out of each vertex; the vertex of each soc P(v); the pattern of a
-    deep, a direct letter then an inverse one; and the inverse letters'
-    codes.  None off ``omega_string``'s scope: there at most two arrows go
-    into and out of each vertex, an arrow follows at most one with a nonzero
-    product, a nontrivial basis path times at most one arrow is nonzero,
-    P(v) is e_v plus its branches, which meet only at their one end, and the
-    socles lie at distinct vertices.  So A is self-injective: P(v) embeds in
+    """Each arrow's branch, the maximal nonzero path from it, spelt as
+    direct letters and as inverse ones back from its end (empty for no
+    arrow); the arrows out of each vertex; the vertex of each soc P(v); the
+    pattern of a deep, a direct letter then an inverse one; and the inverse
+    letters' codes.  None off ``omega_string``'s scope: there at most two
+    arrows go into and out of each vertex, an arrow follows at most one with
+    a nonzero product, a nontrivial basis path times at most one arrow is
+    nonzero, P(v) is e_v plus its branches, which meet only at their one
+    end, and the socles lie at distinct vertices.  So A is self-injective: P(v) embeds in
     the injective hull of its simple socle, and both sides' dimensions sum
     to dim A.  An arrow that is no basis path (c = a0*b0 on a Brauer line)
     is in no string and left out."""
@@ -425,7 +473,7 @@ def _branches(algebra: Algebra):
     if (len(set(follows)) < len(follows) or max([0, *into.values(), *map(len, out.values())]) > 2
             or any(len(after[k]) > 1 for k, q in enumerate(algebra.basis) if q.arrows)):
         return None
-    size, branch, socle = Counter(q.source for q in algebra.basis), {None: ((), ())}, {}
+    size, branch, socle = Counter(q.source for q in algebra.basis), {None: ("", "")}, {}
     for v in quiver.vertices:
         ends, seen = set(), set()
         for name in out[v]:
@@ -435,8 +483,8 @@ def _branches(algebra: Algebra):
                 run.append(quiver.arrows[after[k][0]].name)
                 k = act[k][after[k][0]]
             ends.add(k)
-            branch[name] = (tuple(_LETTERS[a, False] for a in run),
-                            tuple(_LETTERS[a, True] for a in reversed(run)))
+            branch[name] = ("".join(quiver.codes[a, False] for a in run),
+                            "".join(quiver.codes[a, True] for a in reversed(run)))
         if len(ends) > 1 or any(after[k] for k in ends) or len(seen | ends) + 1 != size[v]:
             return None
         socle[v] = algebra.basis[ends.pop()].target if ends else v
@@ -449,7 +497,7 @@ def _branches(algebra: Algebra):
 
 def omega_string(algebra: Algebra, word: StringWord) -> StringWord | None:
     """The canonical word of Omega M(word), a module (``check_string_module``),
-    read off its peaks; None off ``_branches``'s scope and for a projective
+    spelt off its peaks; None off ``_branches``'s scope and for a projective
     M(word).  Its cover is one P(v) per peak, whose legs start P(v)'s two
     branches: the kernel holds each branch's rest beyond its leg, down to the
     socle and back up, and at each deep between two peaks the difference of
@@ -470,57 +518,63 @@ def omega_string(algebra: Algebra, word: StringWord) -> StringWord | None:
         spare = iter([a for a in out[v] if a not in legs])
         left, right = (leg or next(spare, None) for leg in legs)
         rests += branch[left][0][up:], branch[right][1][:len(branch[right][1]) - down]
-    got = tuple(chain.from_iterable(rests))
+    got = "".join(rests)
     if not got:
         return None  # M(word) is P(v)
     got = got[bool(rests[0]):len(got) - bool(rests[-1])]
-    return canonical(StringWord(got), quiver) if got else empty_word(socle[v])
+    return _decoded(algebra, min(got, inverse_spelling(quiver, got))) if got else empty_word(socle[v])
 
 
 # -- hooks and cohooks ------------------------------------------------------------
 
 
-def _grow_directed(word: StringWord, algebra: Algebra, inverse: bool) -> StringWord:
-    """Prepend the maximal run of letters of one direction."""
+def _grow_directed(text: str, algebra: Algebra, inverse: bool) -> str:
+    """Prepend the maximal run of letters of one direction to the string
+    that ``text`` spells."""
     while True:
-        candidates = _prepended(word, algebra, (inverse,))
+        candidates = _prepended(text, algebra, (inverse,))
         if not candidates:
-            return word
+            return text
         if len(candidates) > 1:
             raise StrcatError("ambiguous directed extension; "
                               "the quiver is not special biserial")
-        word = candidates[0]
+        text = candidates[0]
 
 
-def extensions_at_start(word: StringWord, algebra: Algebra, hook: bool) -> list[StringWord]:
-    """Hook extensions D~ g w, whose junction arrow g points into the old
-    part, so the old module embeds into the new one; or, with ``hook``
-    false, cohook extensions D g~ w, whose junction points away from the
-    old part, so the new module projects onto the old one.
-
-    ``word`` must be a string, as for ``_prepended``."""
-    return [_grow_directed(first, algebra, inverse=hook)
-            for first in _prepended(word, algebra, (not hook,))]
+@memoized
+def _run(algebra: Algebra, junction: str) -> str:
+    """The run a hook or cohook prepends to its junction letter, given by
+    its code: the maximal run of the other direction before it.  The run
+    depends on the junction letter alone, since a socle tail of the run's
+    direction cannot reach past a letter of the other one; so it is grown
+    once per letter and algebra, on the one-letter word."""
+    return _grow_directed(junction, algebra, not _factors(algebra)[3][junction].inverse)[:-1]
 
 
 def class_moves(algebra: Algebra, word: StringWord) -> list[tuple[StringWord, StringWord, str]]:
     """All one-step moves of the class: (source, target, kind) triples.
 
-    Hook moves give an arrow from the word to its extension; cohook moves
-    give an arrow from the extension to the word.  A word that is not a
-    string has no moves.
+    Hook moves D~ g w, whose junction arrow g points into the old part, so
+    the old module embeds into the new one, give an arrow from the word to
+    its extension; cohook moves D g~ w, whose junction points away from
+    the old part, so the new module projects onto the old one, give an
+    arrow from the extension to the word.  A word that is not a string has
+    no moves.  Each extension is found as a spelling, a junction letter
+    (``_prepended``) and its run (``_run``), and becomes a ``StringWord``
+    once.
     """
     if not is_string(word, algebra):
         return []
     quiver = algebra.quiver
-    node = canonical(word, quiver)
-    edges = {}  # in the order first found
-    for w in [node] if node.is_trivial else [node, node.inverse()]:
+    (_, text), node = _keyed_canonical(word, quiver)
+    found = {}  # (canonical spelling, hook), in the order first found
+    for w in [text] if node.is_trivial else [text, inverse_spelling(quiver, text)]:
         for hook in (True, False):
-            for ext in extensions_at_start(w, algebra, hook):
-                ext = canonical(ext, quiver)
-                edges[(node, ext, "hook") if hook else (ext, node, "cohook")] = None
-    return list(edges)
+            for first in _prepended(w, algebra, (not hook,)):
+                ext = _run(algebra, first[0]) + first
+                found[min(ext, inverse_spelling(quiver, ext)), hook] = None
+    return [(node, ext, "hook") if hook else (ext, node, "cohook")
+            for ext, hook in ((_decoded(algebra, ext), hook) for ext, hook in found)]
 
 
 # -- named strings of the built-in families ------------------------------------------

@@ -6,6 +6,7 @@ import functools
 from hypothesis import strategies as st
 
 from strcat import build_family
+from strcat.quiver_core import DEFAULT_PRIME
 
 ae1, ae2, ae3 = (functools.partial(build_family, name) for name in ("ae1", "ae2", "ae3"))
 
@@ -81,12 +82,30 @@ def brauer_tree_spec(parents, orders, exceptional=None, mu=1, flips=()):
     return {"vertices": list(range(n)), "arrows": arrows, "rules": rules, "dim_bound": dim}
 
 
+def relabelled(spec, order, names, vertices):
+    """``spec`` with its arrows declared in the order ``order`` (indices
+    into its arrows) and named ``names`` in that order, and each vertex v
+    renumbered ``vertices[v]``.  Spellings follow the declaration order and
+    trivial words the vertex numbers, so the algebra is the same and its
+    word order is not."""
+    rename = {spec["arrows"][i]["name"]: name for i, name in zip(order, names)}
+    arrows = [{"name": rename[a["name"]], "from": vertices[a["from"]], "to": vertices[a["to"]]}
+              for a in (spec["arrows"][i] for i in order)]
+    rules = [{"lhs": [rename[x] for x in rule["lhs"]],
+              "rhs": rule["rhs"] and {**rule["rhs"], "path": [rename[x] for x in rule["rhs"]["path"]]}}
+             for rule in spec["rules"]]
+    return {**spec, "vertices": [vertices[v] for v in spec["vertices"]], "arrows": arrows,
+            "rules": rules}
+
+
 @st.composite
 def brauer_tree_specs(draw, max_edges=4):
     """(spec, edges, mu) of a random Brauer tree with at most ``max_edges``
     edges: a tree, a cyclic order of the edges at each vertex, at most one
     exceptional vertex with mu <= 3, and the orientation of each rule
-    between two cycles."""
+    between two cycles; over a prime drawn from 2, 3 and the default, with
+    its arrows declared in a drawn order under drawn names and its vertices
+    renumbered (``relabelled``)."""
     n = draw(st.integers(1, max_edges))
     parents = [draw(st.integers(0, t - 1)) for t in range(1, n + 1)]
     incident = [[t - 1 for t in range(1, n + 1) if t == u or parents[t - 1] == u]
@@ -95,7 +114,13 @@ def brauer_tree_specs(draw, max_edges=4):
     exceptional = draw(st.none() | st.integers(0, n))
     mu = 1 if exceptional is None else draw(st.integers(2, 3))
     flips = draw(st.sets(st.integers(0, n - 1)))
-    return brauer_tree_spec(parents, orders, exceptional, mu, flips), n, mu
+    spec = brauer_tree_spec(parents, orders, exceptional, mu, flips)
+    k = len(spec["arrows"])
+    order = draw(st.permutations(range(k)))
+    names = draw(st.permutations([f"x{i}" for i in range(k)] + ["a", "bb", "y7"]))[:k]
+    vertices = draw(st.lists(st.integers(0, 3 * n), min_size=n, max_size=n, unique=True))
+    spec = relabelled(spec, order, names, vertices)
+    return {**spec, "prime": draw(st.sampled_from([2, 3, DEFAULT_PRIME]))}, n, mu
 
 
 # x2 is a string of the socle quotient, but M(x2) fails the rule x1 -> x2,

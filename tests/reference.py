@@ -29,13 +29,14 @@ from strcat.quiver_core import (
     path_key,
     projective_paths,
 )
+from strcat.errors import RepresentationInfinite, StrcatError
 from strcat.strings import (
     _LETTERS,
     StringWord,
+    _branches,
     _keyed_canonical,
     _moves,
     _path_word,
-    _prepended,
     canonical,
     check_string_module,
     empty_word,
@@ -245,6 +246,127 @@ def scanned_is_string(word, algebra):
     return True
 
 
+# Strings, hooks and cohooks grown one Letter at a time on StringWords, and
+# Omega assembled from Letter tuples: the oracles of the spelling routes of
+# ``strings.enumerate_strings``, ``strings.class_moves`` and
+# ``strings.omega_string``
+
+
+@memoized
+def letter_rows(algebra):
+    """For each letter, and each vertex (the head of its trivial word), the
+    letters that may precede it, in arrow order with direct before inverse,
+    each with its socle tails there as Letter tuples: the rest of a socle
+    run from it that starts with the head or is empty."""
+    quiver, ends = algebra.quiver, algebra.quiver.letter_ends
+    letters = [_LETTERS[a.name, inverse] for a in quiver.arrows for inverse in (False, True)]
+    tails = {x: [] for x in letters}
+    for rule in algebra.socle_rules:
+        for run in ([_LETTERS[name, False] for name in rule.arrows],
+                    [_LETTERS[name, True] for name in reversed(rule.arrows)]):
+            tails[run[0]].append(tuple(run[1:]))
+    heads = [(y, (y,), ends(y)[0]) for y in letters] + [(v, (), v) for v in quiver.vertices]
+    return {h: tuple((x, tuple(t for t in tails[x] if t[:1] in ((), first)))
+                     for x in letters if ends(x)[1] == at and h != x.flipped())
+            for h, first, at in heads}
+
+
+def letter_prepended(word, algebra, directions):
+    """Every string ``letter`` + ``word`` whose letter's ``inverse`` flag is
+    in ``directions``, in arrow order with direct before inverse, for a
+    string ``word``: its head's row, each letter checked against its socle
+    tails."""
+    letters = word.letters
+    return [StringWord((x,) + letters)
+            for x, tails in letter_rows(algebra)[letters[0] if letters else word.vertex]
+            if x.inverse in directions and not any(letters[:len(t)] == t for t in tails)]
+
+
+def letter_strings(algebra):
+    """Every string class in word order, grown one letter at a time at the
+    start, with the enumeration's test for infinitely many strings."""
+    head = max([2, *(len(rule.arrows) for rule in algebra.socle_rules)]) - 1
+    words = [empty_word(v) for v in algebra.quiver.vertices]
+    frontier = list(words)
+    while frontier:
+        frontier = [got for w in frontier for got in letter_prepended(w, algebra, (False, True))]
+        for w in frontier:
+            first = w.letters[:head]
+            if any(w.letters[j:j + head] == first for j in range(1, w.length - head + 1)):
+                raise RepresentationInfinite(
+                    f"the algebra has infinitely many strings: {w} repeats its "
+                    f"first letters {StringWord(first)}")
+        words.extend(frontier)
+    classes = dict(_keyed_canonical(w, algebra.quiver) for w in words)
+    return tuple(classes[key] for key in sorted(classes))
+
+
+def letter_grown(word, algebra, inverse):
+    """``word`` with the maximal run of letters of one direction prepended,
+    one letter at a time."""
+    while True:
+        candidates = letter_prepended(word, algebra, (inverse,))
+        if not candidates:
+            return word
+        if len(candidates) > 1:
+            raise StrcatError("ambiguous directed extension; "
+                              "the quiver is not special biserial")
+        word = candidates[0]
+
+
+def extensions_at_start(word, algebra, hook):
+    """Hook extensions D~ g w of the string ``word`` (junction g pointing
+    into it), or with ``hook`` false cohook extensions D g~ w, each run
+    grown letter by letter per extension."""
+    return [letter_grown(first, algebra, inverse=hook)
+            for first in letter_prepended(word, algebra, (not hook,))]
+
+
+def letter_class_moves(algebra, word):
+    """``strings.class_moves`` with each extension a StringWord from the
+    start: (source, target, kind) in the order first found."""
+    if not scanned_is_string(word, algebra):
+        return []
+    node = canonical(word, algebra.quiver)
+    edges = {}
+    for w in [node] if node.is_trivial else [node, node.inverse()]:
+        for hook in (True, False):
+            for ext in extensions_at_start(w, algebra, hook):
+                ext = canonical(ext, algebra.quiver)
+                edges[(node, ext, "hook") if hook else (ext, node, "cohook")] = None
+    return list(edges)
+
+
+def letter_omega_string(algebra, word):
+    """``strings.omega_string`` assembled from Letter tuples: each branch of
+    ``strings._branches`` read back letter by letter, the rests joined as
+    tuples."""
+    if (table := _branches(algebra)) is None:
+        return None
+    quiver = algebra.quiver
+    decode = {quiver.codes[a.name, inverse]: _LETTERS[a.name, inverse]
+              for a in quiver.arrows for inverse in (False, True)}
+    spelt, out, socle, deep, inverse = table
+    branch = {name: tuple(tuple(map(decode.__getitem__, side)) for side in sides)
+              for name, sides in spelt.items()}
+    letters, rests, end = word.letters, [], 0
+    text = "".join(quiver.codes[l] for l in letters)
+    for piece in deep.split(text):
+        down = len(piece.lstrip(inverse))
+        end += len(piece)
+        peak, up = end - down, len(piece) - down
+        legs = (letters[peak - 1].arrow if up else None, letters[peak].arrow if down else None)
+        v = quiver.arrow(legs[0] or legs[1]).source if letters else word.vertex
+        spare = iter([a for a in out[v] if a not in legs])
+        left, right = (leg or next(spare, None) for leg in legs)
+        rests += branch[left][0][up:], branch[right][1][:len(branch[right][1]) - down]
+    got = tuple(itertools.chain.from_iterable(rests))
+    if not got:
+        return None
+    got = got[bool(rests[0]):len(got) - bool(rests[-1])]
+    return canonical(StringWord(got), quiver) if got else empty_word(socle[v])
+
+
 def capped_strings(algebra, cap):
     """Every string class in word order, grown one letter at a time at the
     start up to length ``cap`` - 1; None when strings of length ``cap``
@@ -256,7 +378,7 @@ def capped_strings(algebra, cap):
     length = 0
     while frontier:
         length += 1
-        frontier = [got for w in frontier for got in _prepended(w, algebra, (False, True))]
+        frontier = [got for w in frontier for got in letter_prepended(w, algebra, (False, True))]
         if frontier and length >= cap:
             return None
         words.extend(frontier)

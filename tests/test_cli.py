@@ -439,18 +439,27 @@ def test_representation_infinite_spec_exits_3(tmp_path, capsys):
     assert "x,y~,x" in err
 
 
-def test_syzygy_on_a_representation_infinite_spec(tmp_path, capsys):
-    # one syzygy is named by the word its basis graph spells, with no
-    # enumeration; a second needs the period test's bound, which counts
-    # the strings, and exits 3
+def test_syzygy_on_a_representation_infinite_spec(tmp_path, capsys, monkeypatch):
+    # with infinitely many strings no count bounds the walk: it takes the n
+    # steps, Omega^n(e0) = (x,y~)^n, and an n above MAX_DIM is refused
+    # before any step
     path = tmp_path / "infinite.json"
     path.write_text(json.dumps(INFINITE_SPEC))
     argv = ("syzygy", "--family", "file", "--spec", str(path), "e0", "--n")
-    code, out, err = run(capsys, *argv, "1")
-    assert (code, err) == (0, "")
-    assert out == "Omega^1(e0) has dimension vector (3,), isomorphic to x,y~\n"
-    code, out, err = run(capsys, *argv, "2")
-    assert code == 3 and out == "" and "infinitely many strings" in err
+    for n in range(1, 5):
+        code, out, err = run(capsys, *argv, str(n))
+        assert (code, err) == (0, "")
+        assert out == (f"Omega^{n}(e0) has dimension vector ({2 * n + 1},), "
+                       f"isomorphic to {','.join(['x,y~'] * n)}\n")
+    steps = []
+    omega_word = arquiver.omega_word
+    monkeypatch.setattr(arquiver, "omega_word",
+                        lambda *args: steps.append(args) or omega_word(*args))
+    code, out, err = run(capsys, *argv, str(quiver_core.MAX_DIM + 1))
+    assert code == 3 and out == "" and not steps
+    assert err == (f"error: the algebra has infinitely many strings, so Omega^n is walked "
+                   f"step by step, for n <= {quiver_core.MAX_DIM}; got n = "
+                   f"{quiver_core.MAX_DIM + 1}\n")
 
 
 def assert_word_chain_equals_the_module_walk(build, monkeypatch) -> list:
@@ -491,15 +500,16 @@ def test_word_chained_syzygy_of_a_projective_string_falls_back_to_zero(monkeypat
 
 def test_word_chained_syzygy_on_a_representation_infinite_spec(tmp_path, capsys,
                                                               monkeypatch):
-    # --n 1 is read off one word; --n 2 needs the string count and exits 3,
-    # as the module walk does
+    # each --n from 1 to 4 is read off words, and the module walk, where
+    # every read gives up, answers the same; so does the cap
     path = tmp_path / "infinite.json"
     path.write_text(json.dumps(INFINITE_SPEC))
     argv = ("syzygy", "--family", "file", "--spec", str(path), "e0", "--n")
-    chained = [run(capsys, *argv, n) for n in ("1", "2")]
-    assert [code for code, _, _ in chained] == [0, 3]
+    ns = ("1", "2", "3", "4", str(quiver_core.MAX_DIM + 1))
+    chained = [run(capsys, *argv, n) for n in ns]
+    assert [code for code, _, _ in chained] == [0, 0, 0, 0, 3]
     monkeypatch.setattr(strings, "omega_string", lambda algebra, word: None)
-    assert [run(capsys, *argv, n) for n in ("1", "2")] == chained
+    assert [run(capsys, *argv, n) for n in ns] == chained
 
 
 def test_syzygy_refuses_a_string_whose_module_fails_a_rule(tmp_path, capsys):

@@ -32,15 +32,13 @@ from strcat import (
     syzygy,
     word_vertices,
 )
-from strcat import cli, families, strings
+from strcat import arquiver, cli, families, strings
 from strcat.families import get as get_family
 from strcat.quiver_core import DEFAULT_PRIME
 from strcat.strings import (
     Letter,
     StringWord,
-    _prepended,
     class_moves,
-    extensions_at_start,
     family_node_names,
     module_word,
 )
@@ -60,7 +58,11 @@ from .oracles import ORACLE_CASES
 from .reference import (
     capped_strings,
     default_cap,
+    extensions_at_start,
     family_literal,
+    letter_class_moves,
+    letter_omega_string,
+    letter_strings,
     letter_source,
     letter_target,
     rescanned_extension,
@@ -473,19 +475,24 @@ def all_letters(algebra):
 
 def assert_extension_matches_a_rescan(algebra, longest):
     """On every string of length at most ``longest``, in both orientations
-    and grown by ``rescanned_extension``, ``_prepended`` gives the strings
-    that a whole-word ``is_string`` check gives for each letter, in arrow
-    order with direct before inverse, and in each direction alone."""
-    level = [empty_word(v) for v in algebra.quiver.vertices]
+    and grown by ``rescanned_extension``, ``_prepended`` gives the spellings
+    of the strings that a whole-word ``is_string`` check gives for each
+    letter, in arrow order with direct before inverse, and in each
+    direction alone; a trivial word is given by its vertex's code."""
+    quiver = algebra.quiver
+    level = [empty_word(v) for v in quiver.vertices]
     for _ in range(longest + 1):
         longer = []
         for w in level:
+            text = strings.spelling(quiver, w) or quiver.codes[w.vertex]
             want = [got for letter in all_letters(algebra)
                     if (got := rescanned_extension(w, letter, algebra)) is not None]
-            assert _prepended(w, algebra, (False, True)) == want, str(w)
+            spelt = [strings.spelling(quiver, got) for got in want]
+            assert strings._prepended(text, algebra, (False, True)) == spelt, str(w)
             for inverse in (False, True):
-                assert _prepended(w, algebra, (inverse,)) == [
-                    got for got in want if got.letters[0].inverse == inverse], (str(w), inverse)
+                assert strings._prepended(text, algebra, (inverse,)) == [
+                    t for got, t in zip(want, spelt) if got.letters[0].inverse == inverse
+                ], (str(w), inverse)
             longer += want
         level = longer
 
@@ -528,17 +535,19 @@ class _CountedRows(dict):
 
 
 def test_enumeration_reads_one_row_per_grown_word(monkeypatch):
-    # the head's row is read once per _prepended call, not once per
-    # candidate letter (2 * #arrows per word)
+    # the head's row, keyed by the head's code, is read once per _prepended
+    # call, not once per candidate letter (2 * #arrows per word)
     A = build_family("ae3", 16)
     table = strings._factors(A)
     rows = _CountedRows(table[0])
+    assert set(rows) == set(A.quiver.codes.values())
     monkeypatch.setattr(strings, "_factors", lambda algebra: (rows, *table[1:]))
     calls = []
     prepended = strings._prepended
     monkeypatch.setattr(strings, "_prepended", lambda *args: calls.append(args) or prepended(*args))
     words = strings.enumerate_strings.__wrapped__(A)
     assert words == enumerate_strings(A)
+    assert all(type(text) is str for text, _, _ in calls)
     assert 0 < rows.lookups <= len(calls)
 
 
@@ -1081,3 +1090,82 @@ def test_letters_are_plain_immutable_tuples():
         assert plain == w == rebuilt and hash(plain) == hash(w) == hash(rebuilt)
         assert parse_string_literal(w.literal(), A.quiver) == w
         assert parse_string_literal(w.inverse().literal(), A.quiver) == w.inverse()
+
+
+def outcome(fn, *args):
+    """``fn(*args)``, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except StrcatError as error:
+        return type(error), str(error)
+
+
+def assert_spellings_equal_the_letter_oracles(algebra):
+    """The enumeration, the hook and cohook moves of every string in both
+    orientations, and Omega of every string whose walk is a module, built
+    as spellings, equal the same built one Letter at a time on
+    ``StringWord``s (``tests.reference``); so does a refusal."""
+    want = outcome(letter_strings, algebra)
+    assert outcome(enumerate_strings, algebra) == want
+    if not isinstance(want, tuple) or not want or not isinstance(want[0], StringWord):
+        return  # infinitely many strings, refused alike
+    for w in want:
+        for word in {w, w.inverse()}:
+            assert outcome(class_moves, algebra, word) == outcome(
+                letter_class_moves, algebra, word), word
+        if outcome(strings.check_string_module, algebra, w) is None:
+            assert strings.omega_string(algebra, w) == letter_omega_string(algebra, w), w
+
+
+@pytest.mark.parametrize("build", [b for _, b in word_read_algebras()],
+                         ids=[name for name, _ in word_read_algebras()])
+def test_spelling_routes_equal_the_letter_oracles(build):
+    assert_spellings_equal_the_letter_oracles(build())
+
+
+@given(spec=small_specs(), p=st.sampled_from([2, 3, DEFAULT_PRIME]))
+def test_spelling_routes_of_random_specs_equal_the_letter_oracles(spec, p):
+    assert_spellings_equal_the_letter_oracles(built_or_skipped({**spec, "prime": p}))
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=brauer_tree_specs())
+def test_spelling_routes_on_random_brauer_trees_equal_the_letter_oracles(case):
+    assert_spellings_equal_the_letter_oracles(load_algebra_spec(case[0]))
+
+
+@pytest.mark.parametrize("build", [lambda: ae3(16), lambda: ae2(12), lambda: ae1(24),
+                                   lambda: load_algebra_spec(brauer_line_spec(3)),
+                                   lambda: load_algebra_spec(brauer_star_spec(3, 2))])
+def test_the_run_table_grows_each_junction_letter_once(build, monkeypatch):
+    # a hook or cohook run depends on its junction letter alone, so the AR
+    # quiver grows at most one run per letter, whatever its node count
+    A = build()
+    grown = []
+    grow = strings._grow_directed
+    monkeypatch.setattr(strings, "_grow_directed",
+                        lambda text, *args: grown.append(text) or grow(text, *args))
+    arquiver.build_ar_quiver(A)
+    assert grown and max(Counter(grown).values()) == 1
+    assert all(len(text) == 1 for text in grown) and len(grown) <= 2 * len(A.quiver.arrows)
+
+
+@pytest.mark.parametrize("family,m", [("ae1", 1023), ("ae3", 1019), ("ae2", 255)])
+def test_is_string_one_letter_around_the_longest_runs_matches_a_scan(family, m):
+    # the socle runs are about m letters long and searched as plain text;
+    # around the longest allowed run of each loop and each two-letter
+    # cycle, one letter under and one over, in either direction and
+    # between any two letters, is_string agrees with a whole-word scan
+    A = build_family(family, m)
+    letters = all_letters(A)
+    cycles = [(x,) for x in letters if A.quiver.letter_ends(x)[0] == A.quiver.letter_ends(x)[1]]
+    cycles += [(x, y) for x in letters for y in letters if x.arrow != y.arrow
+               and A.quiver.letter_ends(x)[1] == A.quiver.letter_ends(y)[0]
+               and A.quiver.letter_ends(y)[1] == A.quiver.letter_ends(x)[0]]
+    longest = max(len(rule.arrows) for rule in A.socle_rules)
+    for cycle in cycles:
+        for k in range(longest - 3, longest + 2):
+            run = (cycle * k)[:k]
+            for ends in [((), ())] + [((x,), (y,)) for x in letters for y in letters]:
+                word = StringWord(ends[0] + run + ends[1])
+                assert is_string(word, A) == scanned_is_string(word, A), (str(cycle), k, ends)
