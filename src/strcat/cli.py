@@ -15,11 +15,11 @@ computation error, infinitely many strings among them, 4 verification
 failure under ``--verify``.
 
 ``syzygy --n`` renders ``arquiver.syzygy_power``, which takes at most as
-many syzygies as the algebra has strings, whatever n: a zero syzygy ends
-the walk, and so does the first power isomorphic to the module, after
-which n is taken mod that period.  Where the strings are infinitely
-many, it takes the n syzygies, and an n above ``MAX_DIM`` (1024) exits 3
-before the first.  ``strings`` checks the rules on every
+many syzygies as the algebra has strings, whatever n, where they are
+finitely many: a zero syzygy ends the walk, and so does the first power
+isomorphic to the module, after which n is taken mod that period.  Where
+the strings are infinitely many, it takes the n syzygies, and an n above
+``MAX_DIM`` (1024) exits 3 before the first.  ``strings`` checks the rules on every
 string it lists (``strings.check_rules``), so it exits 3 when one of
 them spells no module.
 """

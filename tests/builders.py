@@ -85,9 +85,9 @@ def brauer_tree_spec(parents, orders, exceptional=None, mu=1, flips=()):
 def relabelled(spec, order, names, vertices):
     """``spec`` with its arrows declared in the order ``order`` (indices
     into its arrows) and named ``names`` in that order, and each vertex v
-    renumbered ``vertices[v]``.  Spellings follow the declaration order and
-    trivial words the vertex numbers, so the algebra is the same and its
-    word order is not."""
+    renumbered ``vertices[v]``: an isomorphic algebra whose word order
+    differs, since spellings follow the declaration order and trivial
+    words the vertex numbers."""
     rename = {spec["arrows"][i]["name"]: name for i, name in zip(order, names)}
     arrows = [{"name": rename[a["name"]], "from": vertices[a["from"]], "to": vertices[a["to"]]}
               for a in (spec["arrows"][i] for i in order)]
